@@ -3,7 +3,7 @@ ecosystems: author factored stochastic processes from reusable behavioral
 building blocks, sample trajectories at population scale, score observed
 trajectories under the model, and train against them."""
 
-from . import behaviors, cli, core, dist, inference, logprob, rng, runtime, scenarios, tensor
+from . import behaviors, core, dist, inference, logprob, rng, runtime, scenarios, tensor
 from .core import FieldSpec, Network, Value, ValueSpec, Variable
 from .dist import (Bernoulli, Categorical, Deterministic, GaussianMixture,
                    Normal, PlackettLuce)
@@ -14,7 +14,7 @@ from .runtime import Trajectory, execute, trajectory
 from .tensor import Tape, Tensor, as_tensor
 
 __all__ = [
-    "behaviors", "cli", "core", "dist", "inference", "logprob", "rng",
+    "behaviors", "core", "dist", "inference", "logprob", "rng",
     "runtime", "scenarios", "tensor",
     "FieldSpec", "Network", "Value", "ValueSpec", "Variable",
     "Bernoulli", "Categorical", "Deterministic", "GaussianMixture",

@@ -37,7 +37,7 @@ import numpy as np
 from .inference import (Adam, EmIteration, HmcConfig, ReinforceConfig,
                         make_optimizer, mc_em_fit, reinforce_training,
                         write_iteration_csv)
-from .logprob import ObservedTrajectory
+from .logprob import ObservedTrajectory, log_probability_from_value_trajectory
 from .rng import derive_seed
 from .runtime import execute, export_trajectory, trajectory
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
@@ -368,7 +368,6 @@ def cmd_fit_em(args) -> int:
     opt = Adam(em.learning_rate)
     if em.iterations == 0:
         # boundary: report the initial objective only, no updates
-        from .logprob import log_probability_from_value_trajectory
         z0 = [np.zeros((cfg.population, cfg.interest_dim))] * cfg.horizon
         lp = log_probability_from_value_trajectory(
             net, data.inject(*held, z0), cfg.horizon - 1)
@@ -385,9 +384,14 @@ def cmd_fit_em(args) -> int:
                ["user", "true_alpha", "estimated_alpha"],
                [[u, _fmt(true_alpha[u]), _fmt(estimated[u])]
                 for u in range(cfg.population)])
-    r = float(np.corrcoef(true_alpha, estimated)[0, 1]) if cfg.population > 1 else math.nan
+    # Pearson's r is undefined for fewer than two users or a constant
+    # vector (an unfitted estimate); its cell is left empty then.
+    if cfg.population < 2 or np.ptp(true_alpha) == 0 or np.ptp(estimated) == 0:
+        r = ""
+    else:
+        r = _fmt(np.corrcoef(true_alpha, estimated)[0, 1])
     _write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"],
-               [[0, "alpha_pearson_r", _fmt(r)],
+               [[0, "alpha_pearson_r", r],
                 [0, "final_objective", _fmt(trace[-1].objective)]])
     return 0
 

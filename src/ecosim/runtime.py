@@ -173,33 +173,45 @@ def _flat_columns(path: str, payload) -> list[str]:
     return [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)]
 
 
-def _format(x) -> str:
-    if isinstance(x, (np.integer, int)):
-        return str(int(x))
-    return repr(float(x))
+def _row_texts(arr: np.ndarray, batch: int) -> list[str]:
+    """Each batch row of ``arr`` as comma-joined text: ``str`` of the Python
+    int for int64 payloads, ``repr`` of the Python float for float64 ones
+    (``Value`` normalizes every payload to one of the two)."""
+    fmt = str if arr.dtype.kind == "i" else repr
+    return [",".join(map(fmt, row)) for row in arr.reshape(batch, -1).tolist()]
 
 
 def write_variable_csv(traj: Trajectory, variable: str, out: io.TextIOBase) -> None:
-    """One CSV per variable: step, batch, then flattened field paths."""
+    """One CSV per variable: step, batch, then flattened field paths.
+
+    Rows are formatted whole and each step is written with one call.  A
+    field whose payload has the same dtype and raw bytes as at the previous
+    step (a carried field) reuses that step's text; equality of values is
+    not enough, since ``-0.0 == 0.0`` and ``nan != nan`` print differently.
+    """
     first = traj.values[variable][0]
     header = ["step", "batch"]
     for path in first.paths:
         header.extend(_flat_columns(path, first.get(path)))
     out.write(_SCHEMA + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(out, lineterminator="\n").writerow(header)
+    batch_ids = [str(b + traj.row_offset) for b in range(traj.batch)]
+    previous: dict[str, tuple[np.dtype, bytes, list[str]]] = {}
     for t in range(traj.horizon):
         value = traj.values[variable][t]
-        flats = []
+        columns = [[str(t)] * traj.batch, batch_ids]
         for path in value.paths:
             payload = value.get(path)
             arr = payload.data if isinstance(payload, Tensor) else payload
-            flats.append(arr.reshape(traj.batch, -1))
-        for b in range(traj.batch):
-            row = [str(t), str(b + traj.row_offset)]
-            for arr in flats:
-                row.extend(_format(x) for x in arr[b])
-            writer.writerow(row)
+            raw = arr.tobytes()
+            kept = previous.get(path)
+            if kept is not None and kept[0] == arr.dtype and kept[1] == raw:
+                rows = kept[2]
+            else:
+                rows = _row_texts(arr, traj.batch)
+                previous[path] = (arr.dtype, raw, rows)
+            columns.append(rows)
+        out.write("".join([",".join(cells) + "\n" for cells in zip(*columns)]))
 
 
 def export_trajectory(traj: Trajectory, outdir: str | Path) -> list[Path]:

@@ -1,4 +1,8 @@
+import hashlib
 import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,21 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*.csv"))}
 
 
+ECOSYSTEM_GOLDEN = {
+    "centers.csv": "8f6eb24fc1133edd636b07e8100df6e182b97ef8823041df9fe3931bdf539569",
+    "choice.csv": "d18536f9847a830cab00e75af5cf8a0ad4800cec7b468ab1975707fe68e444fa",
+    "engagement.csv": "9bc6de80482cf013534e7cf87a951a2d870bb7d87b966092915325db132bb582",
+    "items.csv": "014b0ba5eed22a66aabd92ea20a7da3e596797f56ff8913e7a07ee1268968f4b",
+    "jitter.csv": "e4a65806798c03bfc9174a17f64b2b551f8415c3dd6f9d5b54958bb2d3cb4b79",
+    "metrics.csv": "d54719f84f1df9573bca686a1b3898ae9f05de8bb0d2fc4614a98cf2428cddc4",
+    "providers.csv": "141c87f1fa39b400b81b73e96243117722b924d03e8025163bc035a2ed1c9cda",
+    "slate.csv": "e23646f22838bc8014c6b4dc9723e41f096ed28c1f14ffab2f144de9ef298fe8",
+    "summary.csv": "ca20f501e475156a73d39106d59fa1623c7c6ff936b83907c9173bf337382502",
+    "users.csv": "f6ad22fc2b51dc3ed21413fc28515cd68c5cad725824fa0291375af749481652",
+    "utility.csv": "133dc1fe585fa8396ff504fef8a0e5a114b2e92c64eba42df97f2ece5770cb7b",
+}
+
+
 class TestSimulate:
     def test_count_scenario_produces_expected_column(self, tmp_path):
         out = tmp_path / "run"
@@ -38,6 +57,19 @@ class TestSimulate:
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_ecosystem_export_matches_golden_digests(self, tmp_path):
+        # Pinned before the row-formatting CSV writer replaced the
+        # per-value one: the export must keep writing these exact bytes.
+        out = tmp_path / "eco"
+        assert run_cli("simulate", "--scenario", "ecosystem",
+                       "--set", "num_users=20", "--set", "num_providers=4",
+                       "--set", "num_items=10", "--set", "horizon=5",
+                       "--set", "num_runs=3", "--set", "slate_size=3",
+                       "--out", str(out)) == 0
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in tree_bytes(out).items()}
+        assert digests == ECOSYSTEM_GOLDEN
 
     def test_invalid_horizon_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "count",
@@ -130,11 +162,15 @@ class TestFitEm:
 
     def test_zero_iterations_emits_single_initial_row(self, tmp_path):
         out = tmp_path / "em0"
-        assert run_cli("fit-em", "--set", "population=4", "--set", "horizon=3",
-                       "--set", "interest_dim=2", "--set", "em.iterations=0",
-                       "--out", str(out)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit-em", "--set", "population=4", "--set", "horizon=3",
+                           "--set", "interest_dim=2", "--set", "em.iterations=0",
+                           "--out", str(out)) == 0
         trace = read(out / "em_trace.csv").splitlines()
         assert len(trace) - 2 == 1
+        # unfitted estimates are constant, so Pearson's r is undefined
+        assert "0,alpha_pearson_r," in read(out / "summary.csv").splitlines()
 
 
 SMALL_SWEEP = ("--set", "num_users=20", "--set", "num_providers=4",
@@ -185,3 +221,12 @@ class TestEcosystemSweep:
             os.environ.clear()
             os.environ.update(env)
         assert tree_bytes(a) == tree_bytes(b)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ecosim.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -153,3 +154,56 @@ class TestCsvExport:
         files = export_trajectory(trajectory(Network([net]), 2, seed=0), tmp_path)
         text = files[0].read_text()
         assert "m[0.0],m[0.1],m[1.0],m[1.1]" in text.splitlines()[1]
+
+    def test_matches_per_value_formatting_on_edge_values(self):
+        batch = 7
+        edges = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e16])
+        extremes = np.array([-2**63, 2**63 - 1, 0, -1, 1, 7, 42], np.int64)
+        v = Variable("v", ValueSpec(f=FieldSpec(()), i=FieldSpec((), "integer"),
+                                    m=FieldSpec((2, 2)), c=FieldSpec(()),
+                                    z=FieldSpec(())))
+        v.bind_initial(lambda: Value(
+            f=edges, i=extremes, m=np.arange(4.0 * batch).reshape(batch, 2, 2) / 3,
+            c=Tensor(np.linspace(-1.0, 1.0, batch)), z=np.zeros(batch)))
+        v.bind_kernel(lambda p: Value(
+            f=-p.get("f").data[::-1], i=np.roll(p.get("i"), 1), m=p.get("m") * 0.5,
+            c=p.get("c"),                    # carried by identity
+            z=-p.get("z").data),             # flips 0.0 / -0.0: equal, not identical
+            deps=(v.previous,))
+        traj = trajectory(Network([v]), 4, seed=0, row_offset=5)
+        assert traj.values["v"][1].get("c") is traj.values["v"][0].get("c")
+        buf = io.StringIO()
+        write_variable_csv(traj, "v", buf)
+        assert buf.getvalue() == per_value_csv(traj, "v")
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
+        assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
+        assert [row[-1] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
+
+
+def per_value_csv(traj, variable):
+    """The export as formatted one value at a time through csv.writer."""
+    def fmt(x):
+        return str(int(x)) if isinstance(x, (np.integer, int)) else repr(float(x))
+
+    first = traj.values[variable][0]
+    header = ["step", "batch"]
+    for path in first.paths:
+        event = first.get(path).shape[1:]
+        header += [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)] \
+            if event else [path]
+    buf = io.StringIO()
+    buf.write("# schema=trajectory/1\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for t, value in enumerate(traj.values[variable]):
+        flats = []
+        for path in value.paths:
+            payload = value.get(path)
+            arr = payload.data if isinstance(payload, Tensor) else payload
+            flats.append(arr.reshape(traj.batch, -1))
+        for b in range(traj.batch):
+            row = [str(t), str(b + traj.row_offset)]
+            for arr in flats:
+                row.extend(fmt(x) for x in arr[b])
+            writer.writerow(row)
+    return buf.getvalue()
