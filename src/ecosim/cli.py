@@ -422,9 +422,10 @@ def cmd_ecosystem_sweep(args) -> int:
     total_runs = run.runs if run.runs > 1 else cfg.num_runs
     # Every L value sees the same sampled ecosystems (shared seed), and
     # per-row keying makes worker splits bit-identical to a serial run.
+    # Each cap's runs split into `workers` chunks: a task's time grows
+    # with its rows, so equal small tasks keep every worker busy.
     workers = _workers(len(caps) * total_runs)
-    per_cap_workers = max(1, workers // len(caps)) if len(caps) else 1
-    chunk = max(1, math.ceil(total_runs / per_cap_workers))
+    chunk = math.ceil(total_runs / workers)
     tasks = []
     for cap in caps:
         for lo in range(0, total_runs, chunk):

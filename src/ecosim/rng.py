@@ -23,35 +23,39 @@ _M1 = np.uint64(0xCD9E8D57)
 _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _ROUNDS = 10
 
 
 def philox4x32(c0, c1, c2, c3, key0: int, key1: int):
     """One Philox4x32-10 block per counter lane.
 
-    Counters are uint64 arrays holding 32-bit values; the return is four
-    uint64 arrays, each holding a 32-bit output word.
+    Counters are uint64 arrays holding 32-bit values (broadcast against
+    each other); the return is four uint64 arrays, each holding a 32-bit
+    output word.  The rounds run in place on C-ordered copies, so the
+    inputs are never modified.
     """
-    c0 = np.asarray(c0, dtype=np.uint64)
-    c1 = np.asarray(c1, dtype=np.uint64)
-    c2 = np.asarray(c2, dtype=np.uint64)
-    c3 = np.asarray(c3, dtype=np.uint64)
+    words = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    shape = np.broadcast_shapes(*(w.shape for w in words))
+    c0, c1, c2, c3 = (np.array(np.broadcast_to(w, shape), order="C") for w in words)
+    p0 = np.empty(shape, np.uint64)
+    p1 = np.empty(shape, np.uint64)
     k0 = np.uint64(key0) & _MASK32
     k1 = np.uint64(key1) & _MASK32
     for r in range(_ROUNDS):
         if r:
             k0 = (k0 + _W0) & _MASK32
             k1 = (k1 + _W1) & _MASK32
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
+        np.multiply(c0, _M0, out=p0)
+        np.multiply(c2, _M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=c0)  # c0 = hi1 ^ c1 ^ k0
+        c0 ^= c1
+        c0 ^= k0
+        np.right_shift(p0, _SHIFT32, out=c2)  # c2 = hi0 ^ c3 ^ k1
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(p1, _MASK32, out=c1)   # c1 = lo1
+        np.bitwise_and(p0, _MASK32, out=c3)   # c3 = lo0
     return c0, c1, c2, c3
 
 
@@ -91,13 +95,17 @@ class RngStream:
         rows = np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset)
         cols = np.arange(per_row, dtype=np.uint64) + np.uint64(self._cursor)
         self._cursor += per_row
-        c0 = np.broadcast_to(cols, (batch, per_row))
-        c1 = np.broadcast_to(rows[:, None], (batch, per_row))
-        zero = np.zeros((batch, per_row), dtype=np.uint64)
-        w0, w1, _, _ = philox4x32(c0, c1, zero, zero, self._k0, self._k1)
-        bits = (w0 << np.uint64(32)) | w1
+        zero = np.uint64(0)
+        bits, w1, _, _ = philox4x32(cols, rows[:, None], zero, zero,
+                                    self._k0, self._k1)
+        bits <<= _SHIFT32
+        bits |= w1
         # 53 high bits, shifted into (0, 1) so inverse-CDF transforms stay finite.
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        bits >>= np.uint64(11)
+        out = bits.astype(np.float64)
+        out += 0.5
+        out *= 2.0**-53
+        return out
 
     def uniform_field(self, shape: tuple[int, ...]) -> np.ndarray:
         """Uniforms shaped ``shape``, with axis 0 as the keyed batch axis."""

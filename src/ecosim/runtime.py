@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,7 +179,9 @@ def _row_texts(arr: np.ndarray, batch: int) -> list[str]:
     int for int64 payloads, ``repr`` of the Python float for float64 ones
     (``Value`` normalizes every payload to one of the two)."""
     fmt = str if arr.dtype.kind == "i" else repr
-    return [",".join(map(fmt, row)) for row in arr.reshape(batch, -1).tolist()]
+    # The explicit event size keeps the reshape defined at batch 0.
+    rows = arr.reshape(batch, math.prod(arr.shape[1:])).tolist()
+    return [",".join(map(fmt, row)) for row in rows]
 
 
 def write_variable_csv(traj: Trajectory, variable: str, out: io.TextIOBase) -> None:

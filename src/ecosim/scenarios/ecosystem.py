@@ -120,6 +120,30 @@ def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
     return np.stack([_apportion(row, cfg.num_items) for row in raw])
 
 
+def _top_k(score: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest scores along the last axis, best first.
+
+    Equal scores rank by lowest index, so the result equals
+    ``np.argsort(-score, axis=-1, kind="stable")[..., :k]``.  Each of the
+    k passes takes ``argmax`` (the first of equal maxima) and writes
+    ``-inf`` over the winner, so callers must not reuse ``score``.  The
+    cost is O(k*M) per row against the sort's O(M log M): at M = 100 it is
+    faster up to k of about 40, and about 2x slower at k = M.
+    ``argpartition`` is not used because it leaves the choice among ties
+    at the k-th place unspecified.
+    """
+    if not np.isfinite(score).all():
+        raise ValueError("slate scores are non-finite (nan or inf)")
+    rows = score.reshape(-1, score.shape[-1])
+    index = np.arange(rows.shape[0])
+    ranks = np.empty((rows.shape[0], k), np.int64)
+    for j in range(k):
+        best = rows.argmax(axis=-1)
+        ranks[:, j] = best
+        rows[index, best] = -np.inf
+    return ranks.reshape(score.shape[:-1] + (k,))
+
+
 def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
     """Returns (network, metric paths).
 
@@ -198,11 +222,16 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
     def _top_k_slate(users_v, items_v, adjust: np.ndarray):
         u = users_v.get("interest").data
         f = items_v.get("features").data
-        sq = (np.sum(u * u, axis=-1)[:, :, None] + np.sum(f * f, axis=-1)[:, None, :]
-              - 2.0 * np.matmul(u, f.transpose(0, 2, 1)))
-        score = -np.sqrt(np.maximum(sq, 0.0)) + adjust[:, None, :]
-        ranks = np.argsort(-score, axis=-1, kind="stable")[:, :, :k]
-        return Value(ranks=np.ascontiguousarray(ranks).astype(np.int64))
+        # adjust - sqrt(max((|u|^2 + |f|^2) - 2 u.f, 0)) in one buffer.
+        score = np.add(np.sum(u * u, axis=-1)[:, :, None],
+                       np.sum(f * f, axis=-1)[:, None, :])
+        cross = np.matmul(u, f.transpose(0, 2, 1))
+        cross *= 2.0
+        score -= cross
+        np.maximum(score, 0.0, out=score)
+        np.sqrt(score, out=score)
+        np.subtract(adjust[:, None, :], score, out=score)
+        return Value(ranks=_top_k(score, k))
 
     def initial_slate(users_v, items_v, jitter_v):
         adjust = _boost_per_item(None, np.asarray(items_v.get("provider")),

@@ -179,6 +179,11 @@ SMALL_SWEEP = ("--set", "num_users=20", "--set", "num_providers=4",
                "--set", "num_communities=2", "--set", "community_sizes=1,1",
                "--set", "slate_size=4")
 
+SWEEP_GOLDEN = {
+    "welfare.csv": "412b931076ef796217e1e4e62c49e177414b36b3244d194a55a83a704799f730",
+    "welfare_summary.csv": "8153d7306faa183688fdb140dfb3e95d705d3e336958084336826c163746b898",
+}
+
 
 class TestEcosystemSweep:
     def test_welfare_rows_and_summary(self, tmp_path):
@@ -211,8 +216,8 @@ class TestEcosystemSweep:
             assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
                            "--set", "sweep.boost_caps=0,0.6",
                            "--out", str(a)) == 0
-            # 4 workers over 2 caps split each cap's 3 rows into chunks of
-            # 2 and 1, so the second run exercises row_offset keying.
+            # 4 workers split each cap's 3 rows into three chunks of 1, so
+            # the second run exercises row_offset keying.
             os.environ["ECOSIM_THREADS"] = "4"
             assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
                            "--set", "sweep.boost_caps=0,0.6",
@@ -221,6 +226,29 @@ class TestEcosystemSweep:
             os.environ.clear()
             os.environ.update(env)
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_boosted_sweep_matches_golden_digests(self, tmp_path):
+        # Pinned before the slate's top-k replaced the stable full sort;
+        # caps 0.6 and 1.2 run the boosted (adjust != 0) slate path.  Two
+        # workers over three caps give tasks that split each cap's rows.
+        digests = {}
+        env = os.environ.copy()
+        try:
+            for threads in ("2", "1"):
+                os.environ["ECOSIM_THREADS"] = threads
+                out = tmp_path / threads
+                assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
+                               "--set", "sweep.boost_caps=0,0.6,1.2",
+                               "--out", str(out)) == 0
+                digests[threads] = {
+                    name: hashlib.sha256(data).hexdigest()
+                    for name, data in tree_bytes(out).items()
+                    if name.startswith("welfare")}
+        finally:
+            os.environ.clear()
+            os.environ.update(env)
+        assert digests["2"] == SWEEP_GOLDEN
+        assert digests["1"] == SWEEP_GOLDEN
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from ecosim.rng import RngStream, derive_seed, philox4x32
@@ -24,6 +26,47 @@ class TestPhiloxKnownAnswers:
         assert _block((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
                       0xA4093822, 0x299F31D0) == [
             0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1]
+
+
+class TestPhiloxStreamPins:
+    """Pinned before Philox ran its rounds in place: the stream keeps these bytes."""
+
+    def test_uniform_block_digest(self):
+        u = RngStream(0, "v", "p", 3).uniforms(7, 1000)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "3890a4ed6e9fb843ddcc52f6e54b5aa6f59c2daff0aef5a3a67292db51e8a6de")
+
+    def test_single_uniform_digest(self):
+        u = RngStream(0, "v", "p", 3).uniforms(1, 1)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "e77cb6e9c13ee2ae30bc9c948ce2675de22bc6eebf1c4aec3168e7f8f3967fcd")
+
+    def counters(self):
+        rows = np.arange(5, dtype=np.uint64)[:, None] * np.uint64(0x9E3779B9)
+        cols = np.arange(6, dtype=np.uint64) + np.uint64(0xFFFFFFF0)
+        return (np.broadcast_to(cols, (5, 6)), np.broadcast_to(rows, (5, 6)),
+                np.full((5, 6), 7, np.uint64), np.broadcast_to(np.uint64(3), (5, 6)))
+
+    def test_counter_layout_does_not_change_words(self):
+        broadcast = self.counters()
+        assert broadcast[0].strides[0] == 0 and broadcast[1].strides[1] == 0
+        fortran = tuple(np.asfortranarray(c) for c in broadcast)
+        contiguous = tuple(np.ascontiguousarray(c) for c in broadcast)
+        expected = philox4x32(*contiguous, 0x1234, 0xABCDEF01)
+        for layout in (broadcast, fortran):
+            for got, want in zip(philox4x32(*layout, 0x1234, 0xABCDEF01), expected):
+                np.testing.assert_array_equal(got, want)
+        # Each lane is the block its four counter words give on their own.
+        for (i, j) in [(0, 0), (4, 5), (2, 3)]:
+            assert [int(w[i, j]) for w in expected] == _block(
+                [int(c[i, j]) for c in contiguous], 0x1234, 0xABCDEF01)
+
+    def test_inputs_are_not_modified(self):
+        counters = tuple(np.ascontiguousarray(c) for c in self.counters())
+        before = [c.copy() for c in counters]
+        philox4x32(*counters, 5, 6)
+        for c, b in zip(counters, before):
+            np.testing.assert_array_equal(c, b)
 
 
 def test_identical_key_identical_draws():

@@ -155,6 +155,12 @@ class TestCsvExport:
         text = files[0].read_text()
         assert "m[0.0],m[0.1],m[1.0],m[1.1]" in text.splitlines()[1]
 
+    def test_batch_zero_writes_schema_and_header_only(self):
+        traj = trajectory(count_network(batch=0), 3, seed=0)
+        buf = io.StringIO()
+        write_variable_csv(traj, "count", buf)
+        assert buf.getvalue() == "# schema=trajectory/1\nstep,batch,n\n"
+
     def test_matches_per_value_formatting_on_edge_values(self):
         batch = 7
         edges = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e16])

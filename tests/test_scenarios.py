@@ -10,7 +10,7 @@ from ecosim.runtime import execute, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
                               build_porl_story, sample_true_alpha)
-from ecosim.scenarios.ecosystem import _apportion, _item_counts
+from ecosim.scenarios.ecosystem import _apportion, _item_counts, _top_k
 from ecosim.scenarios.latent_sat import HELD_OUT
 
 
@@ -259,6 +259,67 @@ class TestEcosystemStory:
             solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=row)
             np.testing.assert_array_equal(solo["metrics"].get("welfare").data,
                                           welfare[row:row + 1])
+
+
+def stable_top_k(score, k):
+    return np.argsort(-score, axis=-1, kind="stable")[..., :k]
+
+
+class TestTopK:
+    """``_top_k`` against the stable full sort it replaces."""
+
+    def check(self, score, k):
+        expected = stable_top_k(score, k)
+        got = _top_k(score.copy(), k)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_random_scores(self):
+        rng = np.random.default_rng(0)
+        for k in (1, 3, 8):
+            self.check(rng.normal(size=(50, 20)), k)
+
+    def test_exact_ties_take_lowest_index(self):
+        rng = np.random.default_rng(1)
+        score = rng.integers(0, 4, size=(40, 12)).astype(np.float64)
+        for k in (1, 2, 5, 12):
+            self.check(score, k)
+
+    def test_duplicated_columns_and_ties_at_the_kth_place(self):
+        base = np.random.default_rng(2).normal(size=(6, 5))
+        score = base[:, [0, 1, 1, 2, 3, 1, 4, 2]]  # column 1 three times, 2 twice
+        for k in range(1, 9):
+            self.check(score, k)
+        # Four candidates tie for the 3rd place.
+        row = np.array([[1.0, 5.0, 1.0, 3.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(_top_k(row.copy(), 3), [[1, 3, 0]])
+        self.check(row, 3)
+
+    def test_signed_zeros_tie(self):
+        score = np.array([[-0.0, 0.0, -1.0, 0.0, -0.0],
+                          [0.0, -0.0, -0.0, 0.0, -2.0]])
+        for k in range(1, 6):
+            self.check(score, k)
+        np.testing.assert_array_equal(_top_k(score.copy(), 2), [[0, 1], [0, 1]])
+
+    def test_k_of_one_and_k_of_all(self):
+        score = np.random.default_rng(3).integers(-2, 3, size=(9, 7)).astype(np.float64)
+        self.check(score, 1)
+        self.check(score, 7)
+
+    def test_leading_batch_shape(self):
+        rng = np.random.default_rng(4)
+        score = np.round(rng.normal(size=(3, 10, 16)), 1)  # (R, U, M), with ties
+        got = _top_k(score.copy(), 4)
+        assert got.shape == (3, 10, 4)
+        np.testing.assert_array_equal(got, stable_top_k(score, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        score = np.zeros((2, 3, 4))
+        score[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _top_k(score, 2)
 
 
 class TestApportionment:
