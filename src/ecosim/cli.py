@@ -410,6 +410,26 @@ def _sweep_one(task):
     return boost_cap, row_offset, final[var].get(path).data.copy()
 
 
+# A sweep task's time is about (rows + _TASK_OVERHEAD_ROWS) row-times:
+# building the story and stepping a small batch cost a fixed amount (at
+# the default config, 1 row takes 0.35 s, 5 rows 0.78 s, 10 rows 1.44 s).
+_TASK_OVERHEAD_ROWS = 2
+
+
+def _sweep_chunk(total_runs: int, num_caps: int, workers: int) -> int:
+    """Rows per sweep task that minimise the estimated makespan.
+
+    The estimate is waves of tasks times one task's cost; ties go to the
+    larger chunk, i.e. fewer tasks.  Every chunk size is a candidate, so
+    the choice is never estimated slower than splitting each cap into
+    ``workers // num_caps`` chunks.
+    """
+    def makespan(chunk: int) -> int:
+        tasks = num_caps * math.ceil(total_runs / chunk)
+        return math.ceil(tasks / workers) * (chunk + _TASK_OVERHEAD_ROWS)
+    return min(range(total_runs, 0, -1), key=makespan)
+
+
 def cmd_ecosystem_sweep(args) -> int:
     sections = _resolve(args, "sweep")
     if args.dump_config:
@@ -422,10 +442,8 @@ def cmd_ecosystem_sweep(args) -> int:
     total_runs = run.runs if run.runs > 1 else cfg.num_runs
     # Every L value sees the same sampled ecosystems (shared seed), and
     # per-row keying makes worker splits bit-identical to a serial run.
-    # Each cap's runs split into `workers` chunks: a task's time grows
-    # with its rows, so equal small tasks keep every worker busy.
     workers = _workers(len(caps) * total_runs)
-    chunk = math.ceil(total_runs / workers)
+    chunk = _sweep_chunk(total_runs, len(caps), workers)
     tasks = []
     for cap in caps:
         for lo in range(0, total_runs, chunk):

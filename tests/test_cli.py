@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecosim.cli import main
+from ecosim.cli import _sweep_chunk, main
 
 
 def run_cli(*argv):
@@ -216,7 +216,7 @@ class TestEcosystemSweep:
             assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
                            "--set", "sweep.boost_caps=0,0.6",
                            "--out", str(a)) == 0
-            # 4 workers split each cap's 3 rows into three chunks of 1, so
+            # 4 workers split each cap's 3 rows into chunks of 2 and 1, so
             # the second run exercises row_offset keying.
             os.environ["ECOSIM_THREADS"] = "4"
             assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
@@ -229,8 +229,8 @@ class TestEcosystemSweep:
 
     def test_boosted_sweep_matches_golden_digests(self, tmp_path):
         # Pinned before the slate's top-k replaced the stable full sort;
-        # caps 0.6 and 1.2 run the boosted (adjust != 0) slate path.  Two
-        # workers over three caps give tasks that split each cap's rows.
+        # caps 0.6 and 1.2 run the boosted (adjust != 0) slate path, once
+        # in a two-worker pool and once serially.
         digests = {}
         env = os.environ.copy()
         try:
@@ -249,6 +249,16 @@ class TestEcosystemSweep:
             os.environ.update(env)
         assert digests["2"] == SWEEP_GOLDEN
         assert digests["1"] == SWEEP_GOLDEN
+
+
+@pytest.mark.parametrize("workers, chunk", [
+    (1, 10), (2, 5), (3, 10), (4, 5), (5, 10), (6, 10), (8, 10), (10, 5),
+    (16, 4)])
+def test_sweep_chunk_at_the_default_sweep_size(workers, chunk):
+    # 5 caps x 10 runs.  Halving the caps pays at 2 and 4 workers, where
+    # whole caps would leave workers idle in the last wave; where whole
+    # caps already fit in one wave (5 to 9 workers) they are not split.
+    assert _sweep_chunk(10, 5, workers) == chunk
 
 
 def test_module_entry_point_runs_without_runtime_warning():
