@@ -174,15 +174,15 @@ class FiniteHistoryEstimator:
             mask=Tensor(np.zeros((batch, self.capacity))))
 
     def push(self, state: Value, record) -> Value:
+        """Append one record per agent; any leading axes, records (..., dim)."""
         records = state.get("records").data
         mask = state.get("mask").data
         rec = record.data if isinstance(record, Tensor) else np.asarray(record, np.float64)
-        if rec.shape != (records.shape[0], records.shape[2]):
-            raise CoreError(
-                f"record shape {rec.shape} != (batch, dim) = "
-                f"({records.shape[0]}, {records.shape[2]})")
-        new_records = np.concatenate([records[:, 1:], rec[:, None, :]], axis=1)
-        new_mask = np.concatenate([mask[:, 1:], np.ones((mask.shape[0], 1))], axis=1)
+        want = records.shape[:-2] + records.shape[-1:]
+        if rec.shape != want:
+            raise CoreError(f"record shape {rec.shape} != (..., dim) = {want}")
+        new_records = np.concatenate([records[..., 1:, :], rec[..., None, :]], axis=-2)
+        new_mask = np.concatenate([mask[..., 1:], np.ones(mask.shape[:-1] + (1,))], axis=-1)
         return Value(records=Tensor(new_records), mask=Tensor(new_mask))
 
 

@@ -112,8 +112,11 @@ INTEGER = "integer"
 class FieldSpec:
     """Declared event shape and kind of one field.
 
-    ``shape`` covers the trailing event axes only; the leading axis is
-    the population batch and is uniform across a Network.
+    ``shape`` covers the trailing event axes only.  A realized payload
+    has one leading axis, the population batch, uniform across a Network.
+    When a trajectory is scored, builders also see payloads with a time
+    axis in front of the batch, ``(steps, batch) + shape``; see
+    :mod:`ecosim.logprob`.
     """
 
     shape: tuple[int, ...] = ()

@@ -122,6 +122,25 @@ def _target_and_grad(target_log_prob: Callable[[Tensor], Tensor], x: np.ndarray)
     return float(lp.data), tape.backward(lp)[xt].data
 
 
+def _momentum(seed: int, proposal: int, shape: tuple[int, ...]) -> np.ndarray:
+    return RngStream(seed, "hmc", "momentum", proposal).normals((1,) + shape).reshape(shape)
+
+
+def _leapfrog(target_log_prob, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
+              step_size: float, num_leapfrog: int):
+    """``num_leapfrog`` leapfrog steps from position ``q`` and momentum ``p``
+    (``grad`` is the target's gradient at ``q``); returns the end position,
+    momentum, target log-prob and gradient."""
+    p = p + 0.5 * step_size * grad
+    for step in range(num_leapfrog):
+        q = q + step_size * p
+        lp_q, grad = _target_and_grad(target_log_prob, q)
+        if step < num_leapfrog - 1:
+            p = p + step_size * grad
+    p = p + 0.5 * step_size * grad
+    return q, p, lp_q, grad
+
+
 def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
                cfg: HmcConfig, seed: int) -> tuple[list[np.ndarray], float]:
     """Leapfrog HMC; returns post-burn-in samples and the acceptance rate.
@@ -133,21 +152,13 @@ def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
     lp, grad = _target_and_grad(target_log_prob, x)
     if not np.isfinite(lp):
         raise InferenceError(f"target log-prob is not finite at init ({lp})")
-    eps = cfg.step_size
     samples: list[np.ndarray] = []
     accepted = 0
     total = cfg.burn_in + cfg.num_samples
     for i in range(total):
-        mom_stream = RngStream(seed, "hmc", "momentum", i)
-        p0 = mom_stream.normals((1,) + x.shape).reshape(x.shape)
-        q, p, g = x.copy(), p0.copy(), grad
-        p = p + 0.5 * eps * g
-        for step in range(cfg.num_leapfrog):
-            q = q + eps * p
-            lp_q, g = _target_and_grad(target_log_prob, q)
-            if step < cfg.num_leapfrog - 1:
-                p = p + eps * g
-        p = p + 0.5 * eps * g
+        p0 = _momentum(seed, i, x.shape)
+        q, p, lp_q, g = _leapfrog(target_log_prob, x, p0, grad, cfg.step_size,
+                                  cfg.num_leapfrog)
         h0 = -lp + 0.5 * float(np.sum(p0 * p0))
         h1 = -lp_q + 0.5 * float(np.sum(p * p))
         u = RngStream(seed, "hmc", "accept", i).uniforms(1, 1)[0, 0]
@@ -167,15 +178,8 @@ def leapfrog_energy_error(target_log_prob, init, step_size: float,
     """|H(end) - H(start)| of one leapfrog trajectory (integrator check)."""
     x = np.array(init, dtype=np.float64)
     lp, grad = _target_and_grad(target_log_prob, x)
-    p0 = RngStream(seed, "hmc", "momentum", 0).normals((1,) + x.shape).reshape(x.shape)
-    q, p, g = x.copy(), p0.copy(), grad
-    p = p + 0.5 * step_size * g
-    for step in range(num_leapfrog):
-        q = q + step_size * p
-        lp_q, g = _target_and_grad(target_log_prob, q)
-        if step < num_leapfrog - 1:
-            p = p + step_size * g
-    p = p + 0.5 * step_size * g
+    p0 = _momentum(seed, 0, x.shape)
+    _, p, lp_q, _ = _leapfrog(target_log_prob, x, p0, grad, step_size, num_leapfrog)
     h0 = -lp + 0.5 * float(np.sum(p0 * p0))
     h1 = -lp_q + 0.5 * float(np.sum(p * p))
     return abs(h1 - h0)
@@ -219,7 +223,9 @@ def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegi
 
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
-    surrogate is -<detached reward, log-prob> / B.
+    surrogate is -<detached reward, log-prob> / B.  The sampled
+    trajectory, with the distributions it retains, is released before
+    the replay; only its values are kept.
     """
     network = net() if callable(net) else net
     traj = trajectory(network, cfg.horizon, seed)
@@ -227,13 +233,14 @@ def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegi
         raise InferenceError(
             f"story batch {traj.batch} != cfg.num_trajectories {cfg.num_trajectories}")
     obs = ObservedTrajectory.from_trajectory(network, traj)
+    del traj
     rvar, rpath = cfg.split("reward")
     if rvar not in obs.specs or rpath not in obs.specs[rvar].paths:
         raise InferenceError(f"reward field {cfg.reward_field!r} not found in story")
     pvar, ppath = cfg.split("policy")
     if pvar not in obs.specs or ppath not in obs.specs[pvar].paths:
         raise InferenceError(f"policy field {cfg.policy_field!r} not found in story")
-    reward = obs.value(rvar, traj.horizon - 1).get(rpath).data
+    reward = obs.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
 
     tape = Tape()
@@ -316,15 +323,7 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
     if held_out is None:
         for i in range(num_iterations):
             t0 = time.perf_counter()
-            tape = Tape()
-            registry.bind(tape)
-            try:
-                lp = log_probability_from_value_trajectory(net, observed, num_steps)
-                objective = float(lp.data)
-                grads = tape.backward(T.neg(lp))
-                opt.apply(registry, grads)
-            finally:
-                registry.unbind()
+            objective = -mle_step(net, observed, registry, opt, num_steps)
             trace.append(EmIteration(i, objective, None,
                                      (time.perf_counter() - t0) * 1e3))
         return trace

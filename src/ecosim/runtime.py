@@ -61,8 +61,8 @@ class Trajectory:
             if d is None:
                 rows.append(np.zeros(self.batch))
             else:
-                rows.append(np.asarray(d.log_prob(self.values[variable][t].get(path)).data,
-                                       dtype=np.float64).reshape(self.batch))
+                lp = d.log_prob(self.values[variable][t].get(path)).data
+                rows.append(lp.sum(axis=tuple(range(1, lp.ndim))))
         return np.stack(rows)
 
 

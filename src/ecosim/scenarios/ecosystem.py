@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from .. import tensor as T
 from ..behaviors import AffinityModel, ChoiceModel
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
-from ..dist import GaussianMixture, Normal
+from ..dist import GaussianMixture, Normal, top_k
 from ..tensor import Tensor
 
 
@@ -115,33 +115,10 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
 
 
 def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
-    """Per-provider item counts for each run, (runs, providers)."""
+    """Per-provider item counts for each run, (..., providers)."""
     raw = np.maximum(1.0, np.rint(cfg.kappa * engagement))
-    return np.stack([_apportion(row, cfg.num_items) for row in raw])
-
-
-def _top_k(score: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` highest scores along the last axis, best first.
-
-    Equal scores rank by lowest index, so the result equals
-    ``np.argsort(-score, axis=-1, kind="stable")[..., :k]``.  Each of the
-    k passes takes ``argmax`` (the first of equal maxima) and writes
-    ``-inf`` over the winner, so callers must not reuse ``score``.  The
-    cost is O(k*M) per row against the sort's O(M log M): at M = 100 it is
-    faster up to k of about 40, and about 2x slower at k = M.
-    ``argpartition`` is not used because it leaves the choice among ties
-    at the k-th place unspecified.
-    """
-    if not np.isfinite(score).all():
-        raise ValueError("slate scores are non-finite (nan or inf)")
-    rows = score.reshape(-1, score.shape[-1])
-    index = np.arange(rows.shape[0])
-    ranks = np.empty((rows.shape[0], k), np.int64)
-    for j in range(k):
-        best = rows.argmax(axis=-1)
-        ranks[:, j] = best
-        rows[index, best] = -np.inf
-    return ranks.reshape(score.shape[:-1] + (k,))
+    rows = raw.reshape(-1, raw.shape[-1])
+    return np.stack([_apportion(row, cfg.num_items) for row in rows]).reshape(raw.shape)
 
 
 def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
@@ -193,9 +170,11 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
         return Value(interest=GaussianMixture(weights, locs, scales))
 
     def publish_items(providers_v, counts: np.ndarray):
-        assignment = np.stack([np.repeat(np.arange(P), row) for row in counts])
+        rows = counts.reshape(-1, P)
+        assignment = np.stack([np.repeat(np.arange(P), row) for row in rows]).reshape(
+            counts.shape[:-1] + (M,))
         cores = providers_v.get("interest").data
-        loc = np.take_along_axis(cores, assignment[:, :, None], axis=1)
+        loc = np.take_along_axis(cores, assignment[..., None], axis=-2)
         return Value(provider=assignment.astype(np.int64),
                      features=Normal(Tensor(loc), cfg.item_scale))
 
@@ -213,25 +192,25 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
     def _boost_per_item(engagement_prev: np.ndarray | None,
                         assignment: np.ndarray, z: np.ndarray) -> np.ndarray:
         if boost_cap == 0.0 or engagement_prev is None:
-            return np.zeros((R, M))
-        gap = engagement_prev.mean(axis=1, keepdims=True) - engagement_prev
+            return np.zeros(assignment.shape)
+        gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
         boost = np.clip(beta * gap, -boost_cap, boost_cap)
-        per_item = np.take_along_axis(boost, assignment, axis=1)
+        per_item = np.take_along_axis(boost, assignment, axis=-1)
         return per_item + ndtr(z) * cfg.jitter_scale * np.abs(per_item)
 
     def _top_k_slate(users_v, items_v, adjust: np.ndarray):
         u = users_v.get("interest").data
         f = items_v.get("features").data
         # adjust - sqrt(max((|u|^2 + |f|^2) - 2 u.f, 0)) in one buffer.
-        score = np.add(np.sum(u * u, axis=-1)[:, :, None],
-                       np.sum(f * f, axis=-1)[:, None, :])
-        cross = np.matmul(u, f.transpose(0, 2, 1))
+        score = np.add(np.sum(u * u, axis=-1)[..., :, None],
+                       np.sum(f * f, axis=-1)[..., None, :])
+        cross = np.matmul(u, np.swapaxes(f, -1, -2))
         cross *= 2.0
         score -= cross
         np.maximum(score, 0.0, out=score)
         np.sqrt(score, out=score)
-        np.subtract(adjust[:, None, :], score, out=score)
-        return Value(ranks=_top_k(score, k))
+        np.subtract(adjust[..., None, :], score, out=score)
+        return Value(ranks=top_k(score, k))
 
     def initial_slate(users_v, items_v, jitter_v):
         adjust = _boost_per_item(None, np.asarray(items_v.get("provider")),
@@ -245,11 +224,11 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
         return _top_k_slate(users_v, items_v, adjust)
 
     def _slate_features(items_v, slate_v):
-        f = items_v.get("features")
-        ranks = np.asarray(slate_v.get("ranks"))  # (R, U, k)
-        idx = ranks.reshape(R, U * k)[:, :, None]
-        flat = T.take_along(f, idx, axis=1)       # (R, U*k, d)
-        return T.reshape(flat, (R, U, k, d))
+        f = items_v.get("features")               # (..., M, d)
+        ranks = np.asarray(slate_v.get("ranks"))  # (..., U, k)
+        idx = ranks.reshape(ranks.shape[:-2] + (-1, 1))
+        flat = T.take_along(f, idx, axis=-2)      # (..., U*k, d)
+        return T.reshape(flat, ranks.shape + f.shape[-1:])
 
     def make_choice(users_v, items_v, slate_v):
         aff = choice_affinity.affinities(users_v.get("interest"),
@@ -258,18 +237,20 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
 
     def consume_utility(users_v, items_v, slate_v, choice_v):
         aff = affinity.affinities(users_v.get("interest"), _slate_features(items_v, slate_v))
-        chosen = T.squeeze(T.take_along(aff, np.asarray(choice_v.get("choice"))[:, :, None], 2), 2)
+        chosen = T.squeeze(T.take_along(aff, np.asarray(choice_v.get("choice"))[..., None], -1),
+                           -1)
         return Value(value=Normal(chosen, cfg.utility_noise))
 
     def _consumption_counts(items_v, slate_v, choice_v) -> np.ndarray:
         ranks = np.asarray(slate_v.get("ranks"))
         chosen_item = np.take_along_axis(
-            ranks, np.asarray(choice_v.get("choice"))[:, :, None], axis=2)[:, :, 0]
+            ranks, np.asarray(choice_v.get("choice"))[..., None], axis=-1)[..., 0]
         assignment = np.asarray(items_v.get("provider"))
-        chosen_provider = np.take_along_axis(assignment, chosen_item, axis=1)
-        counts = np.zeros((R, P))
-        np.add.at(counts, (np.arange(R)[:, None], chosen_provider), 1.0)
-        return counts
+        chosen_provider = np.take_along_axis(assignment, chosen_item, axis=-1)
+        rows = chosen_provider.reshape(-1, chosen_provider.shape[-1])
+        counts = np.zeros((rows.shape[0], P))
+        np.add.at(counts, (np.arange(rows.shape[0])[:, None], rows), 1.0)
+        return counts.reshape(chosen_provider.shape[:-1] + (P,))
 
     def initial_engagement(items_v, slate_v, choice_v):
         return Value(value=Tensor(_consumption_counts(items_v, slate_v, choice_v)))
@@ -279,11 +260,11 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
         return Value(value=Tensor(gamma * engagement_prev.get("value").data + counts))
 
     def initial_metric(utility_v):
-        return Value(welfare=T.reduce_mean(utility_v.get("value"), axis=1))
+        return Value(welfare=T.reduce_mean(utility_v.get("value"), axis=-1))
 
     def accumulate_metric(metrics_v, utility_v):
         return Value(welfare=T.add(metrics_v.get("welfare"),
-                                   T.reduce_mean(utility_v.get("value"), axis=1)))
+                                   T.reduce_mean(utility_v.get("value"), axis=-1)))
 
     centers.bind_initial(sample_centers)
     centers.bind_kernel(carry("value"), deps=(centers.previous,))

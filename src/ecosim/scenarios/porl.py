@@ -20,7 +20,7 @@ from ..behaviors import (AffinityModel, ChoiceModel,
                          FiniteHistoryEstimator, ParameterRegistry,
                          story_with_trainable_variables)
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
-from ..dist import Categorical, Deterministic, Normal, PlackettLuce
+from ..dist import Categorical, Normal, PlackettLuce, top_k
 from ..tensor import Tensor
 
 
@@ -144,19 +144,19 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         def learned_slate(history_v, corpus_v):
             records = history_v.get("records").data
             mask = history_v.get("mask").data
-            denom = np.maximum(mask.sum(axis=1), 1.0)
+            denom = np.maximum(mask.sum(axis=-1), 1.0)
             pooled_feats = T.div(
-                T.reduce_sum(T.matmul(Tensor(records[:, :, :d] * mask[:, :, None]),
-                                      registry.get("item_embedding")), axis=1),
-                Tensor(denom[:, None]))
-            pooled_eng = (records[:, :, d] * mask).sum(axis=1) / denom
-            policy_in = T.concat([pooled_feats, Tensor(pooled_eng[:, None])], axis=-1)
+                T.reduce_sum(T.matmul(Tensor(records[..., :d] * mask[..., None]),
+                                      registry.get("item_embedding")), axis=-2),
+                Tensor(denom[..., None]))
+            pooled_eng = (records[..., d] * mask).sum(axis=-1) / denom
+            policy_in = T.concat([pooled_feats, Tensor(pooled_eng[..., None])], axis=-1)
             belief = T.tanh(T.add(T.matmul(policy_in, registry.get("policy_w1")),
                                   registry.get("policy_b1")))
             projection = T.add(T.matmul(belief, registry.get("policy_w2")),
                                registry.get("policy_b2"))
             item_emb = T.matmul(corpus_v.get("features"), registry.get("item_embedding"))
-            scores = T.reduce_sum(T.mul(item_emb, T.expand_dims(projection, 1)), axis=-1)
+            scores = T.reduce_sum(T.mul(item_emb, T.expand_dims(projection, -2)), axis=-1)
             return Value(doc_ranks=PlackettLuce(scores, k))
 
         def random_slate(history_v, corpus_v):
@@ -164,33 +164,32 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
 
         def oracle_slate_from(interest_v, corpus_v):
             dist = np.linalg.norm(corpus_v.get("features").data
-                                  - interest_v.get("interest").data[:, None, :], axis=-1)
+                                  - interest_v.get("interest").data[..., None, :], axis=-1)
             score = -dist + corpus_v.get("quality").data
-            ranks = np.argsort(-score, axis=-1, kind="stable")[:, :k].astype(np.int64)
-            return Value(doc_ranks=ranks)
+            return Value(doc_ranks=top_k(score, k))
 
         def make_choice(state_v, slate_v, corpus_v):
             ranks = np.asarray(slate_v.get("doc_ranks"))
             slate_feats = T.take_along(corpus_v.get("features"),
-                                       ranks[:, :, None], axis=1)
+                                       ranks[..., None], axis=-2)
             aff = choice_affinity.affinities(state_v.get("interest"), slate_feats)
             return Value(choice=user_choice.choice(aff))
 
         def _chosen_doc(choice_v, slate_v):
             ranks = np.asarray(slate_v.get("doc_ranks"))
-            return np.take_along_axis(ranks, np.asarray(choice_v.get("choice"))[:, None],
-                                      axis=1)[:, 0]
+            return np.take_along_axis(ranks, np.asarray(choice_v.get("choice"))[..., None],
+                                      axis=-1)[..., 0]
 
         offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
                   else cfg.affinity_offset)
 
         def engage(choice_v, slate_v, corpus_v, state_v):
             doc = _chosen_doc(choice_v, slate_v)
-            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[:, None], 1), 1)
+            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
             feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[:, None, None], 1), 1)
+                                           doc[..., None, None], -2), -2)
             match = T.add(T.squeeze(affinity.affinities(
-                state_v.get("interest"), T.expand_dims(feats, 1)), 1), offset)
+                state_v.get("interest"), T.expand_dims(feats, -2)), -1), offset)
             mean = T.add(T.add(T.mul(q, cfg.reward_quality_gain),
                                T.mul(match, cfg.reward_affinity_gain)),
                          cfg.reward_base)
@@ -202,7 +201,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             # engagement rather than a bare consumption histogram
             doc = _chosen_doc(choice_v, slate_v)
             feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[:, None, None], 1), 1)
+                                           doc[..., None, None], -2), -2)
             eng = engagement_v.get("value")
             weight = T.mul(T.sub(eng, cfg.reward_base), cfg.record_scale)
             return Value(features=T.mul(feats, T.expand_dims(weight, -1)),
@@ -211,8 +210,8 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         def next_interest(state_v, choice_v, slate_v, corpus_v):
             doc = _chosen_doc(choice_v, slate_v)
             feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[:, None, None], 1), 1)
-            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[:, None], 1), 1)
+                                           doc[..., None, None], -2), -2)
+            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
             prev = state_v.get("interest")
             control = T.mul(T.expand_dims(q, -1), T.sub(feats, prev))
             return Value(interest=interest_model.next_state(prev, control))
@@ -223,7 +222,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         def push_history(history_v, consumed_v):
             record = np.concatenate(
                 [consumed_v.get("features").data,
-                 consumed_v.get("engagement").data[:, None]], axis=1)
+                 consumed_v.get("engagement").data[..., None]], axis=-1)
             return history_buf.push(history_v, record)
 
         def initial_metric(engagement_v):

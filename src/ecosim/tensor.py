@@ -122,6 +122,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._watched: list[Tensor] = []
+        self._spent = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -143,24 +144,37 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[Tensor, Tensor]:
         """Gradients of a scalar loss with respect to every watched leaf.
 
-        Leaves not reachable from the loss get a zero gradient.
+        Leaves not reachable from the loss get a zero gradient.  The pass
+        releases the recorded vjps, and with them every intermediate they
+        hold, as it goes: a tape is used for one pass.  (Tensors and the
+        tape that recorded them form reference cycles, so without the
+        release the intermediates would live until the cyclic collector
+        runs.)
         """
         if loss.tape is not self:
             raise TapeError("loss was not recorded on this tape")
         if loss.size != 1:
             raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
+        if self._spent:
+            raise TapeError("backward already ran on this tape; record a new one")
+        self._spent = True
+        leaves = {leaf.node for leaf in self._watched}
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         grads[loss.node] = np.ones_like(loss.data)
-        for i in range(loss.node, -1, -1):
+        for i in range(len(self._nodes) - 1, -1, -1):
+            node = self._nodes[i]
+            inputs, node.inputs = node.inputs, ()
             g = grads[i]
             if g is None:
                 continue
-            for j, vjp in self._nodes[i].inputs:
+            for j, vjp in inputs:
                 gj = vjp(g)
                 if grads[j] is None:
                     grads[j] = np.array(gj, dtype=np.float64, copy=True)
                 else:
                     grads[j] += gj
+            if i not in leaves:
+                grads[i] = None
         out = {}
         for leaf in self._watched:
             g = grads[leaf.node]
@@ -208,6 +222,8 @@ def _apply(fwd: Callable, inputs: Sequence, vjps: Sequence[Callable | None]) -> 
 
 
 def _broadcast_guard(a: np.ndarray, b: np.ndarray, op: str) -> None:
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -526,6 +542,45 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _apply(lambda x: x.reshape(shape), (a,),
                   (lambda g: g.reshape(a.shape),))
+
+
+def broadcast_to(a, shape) -> Tensor:
+    """Read-only broadcast view; the gradient sums over the broadcast axes."""
+    a = as_tensor(a)
+    shape = tuple(shape)
+
+    def fwd(x):
+        try:
+            return np.broadcast_to(x, shape)
+        except ValueError:
+            raise ShapeError(
+                f"broadcast_to: shape {a.shape} does not broadcast to {shape}") from None
+
+    return _apply(fwd, (a,), (lambda g: _unbroadcast(g, a.shape),))
+
+
+def stack(tensors: Sequence, axis: int = 0) -> Tensor:
+    """Join equally shaped tensors along a new axis, as one tape node."""
+    ts = [as_tensor(t) for t in tensors]
+    tape = _common_tape(ts)
+    data = np.stack([t.data for t in ts], axis=axis)
+    if tape is None:
+        return Tensor(data)
+    partials = [(t, lambda g, i=i: np.take(g, i, axis=axis))
+                for i, t in enumerate(ts) if t.tape is not None]
+    return tape._emit(data, partials)
+
+
+def index(a, key) -> Tensor:
+    """Basic indexing (ints and slices, no index arrays): ``a[key]``."""
+    a = as_tensor(a)
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[key] = g
+        return out
+
+    return _apply(lambda x: x[key], (a,), (vjp,))
 
 
 def expand_dims(a, axis: int) -> Tensor:

@@ -160,6 +160,16 @@ class TestFitEm:
         assert len(alpha) - 2 == 6
         assert "alpha_pearson_r" in read(out / "summary.csv")
 
+    def test_em_trace_keeps_wall_clock_ms_column(self, tmp_path):
+        # the one timing field kept in a deterministic artifact, by design
+        out = tmp_path / "em"
+        assert run_cli("fit-em", *SMALL_EM, "--out", str(out)) == 0
+        header, *rows = read(out / "em_trace.csv").splitlines()[1:]
+        column = header.split(",").index("wall_clock_ms")
+        assert column == 3
+        assert len(rows) == 2
+        assert all(float(row.split(",")[column]) > 0.0 for row in rows)
+
     def test_zero_iterations_emits_single_initial_row(self, tmp_path):
         out = tmp_path / "em0"
         with warnings.catch_warnings():

@@ -24,9 +24,10 @@ class TestDeterministic:
         np.testing.assert_array_equal(d.sample(stream()), [3.0, 4.0])
 
     def test_log_prob_zero_when_consistent(self):
+        # elementwise: one log-prob per element, not per batch row
         d = Deterministic(Tensor(np.zeros((3, 2))))
         np.testing.assert_array_equal(d.log_prob(Tensor(np.zeros((3, 2)))).data,
-                                      np.zeros(3))
+                                      np.zeros((3, 2)))
 
     def test_log_prob_sentinel_on_mismatch(self):
         d = Deterministic(Tensor(np.zeros(3)))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,23 @@ class TestHmc:
         assert 0.6 <= acceptance <= 0.95
         assert abs(arr.mean()) < 0.08
         assert 0.9 < arr.var() < 1.1
+
+    def test_samples_pinned_at_fixed_seed(self):
+        # sha256 of the samples of a 3-D Gaussian with unequal scales; the
+        # digest predates factoring the leapfrog integrator out of
+        # hmc_sample and leapfrog_energy_error, so that refactor is
+        # bit-identical
+        means, scales = np.array([1.0, -0.5, 0.25]), np.array([0.5, 1.0, 2.0])
+
+        def target(x):
+            z = T.div(T.sub(x, Tensor(means)), Tensor(scales))
+            return T.mul(T.reduce_sum(T.mul(z, z)), -0.5)
+
+        cfg = HmcConfig(step_size=0.9, num_leapfrog=7, num_samples=40, burn_in=10)
+        samples, acceptance = hmc_sample(target, np.zeros(3), cfg, seed=2024)
+        assert acceptance == 0.95
+        assert hashlib.sha256(np.stack(samples).tobytes()).hexdigest() == \
+            "23f5dc93de14cdee7e7de6269035848218c5230227e48eddadf695edf3d6dc32"
 
     def test_nonfinite_target_at_init_rejected(self):
         def bad(x):

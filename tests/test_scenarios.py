@@ -1,17 +1,20 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ecosim.dist import NEG_INF, PlackettLuce
+from ecosim.core import Value
+from ecosim.dist import NEG_INF, PlackettLuce, top_k
 from ecosim.logprob import ObservedTrajectory, log_probability_from_value_trajectory
 from ecosim.runtime import execute, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
                               build_porl_story, sample_true_alpha)
-from ecosim.scenarios.ecosystem import _apportion, _item_counts, _top_k
+from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.scenarios.latent_sat import HELD_OUT
+from ecosim.tensor import Tensor
 
 
 SMALL_PORL = dict(population=12, horizon=5, corpus_size=10, slate_size=2,
@@ -71,6 +74,57 @@ class TestPorlStory:
                 "metrics"].get("cumulative_reward").data.mean()
             results.append(r_oracle >= r_random)
         assert all(results)
+
+    def _oracle_inputs(self, lead, seed):
+        # three topics and two quality levels: many exactly tied scores
+        cfg = PorlConfig(**SMALL_PORL)
+        rng = np.random.default_rng(seed)
+        n, d = cfg.corpus_size, cfg.interest_dim
+        topics = rng.integers(0, 3, size=lead + (n,))
+        features = cfg.feature_scale * np.eye(d)[topics]
+        quality = rng.integers(0, 2, size=lead + (n,)) * 0.5
+        interest = rng.normal(size=lead + (d,))
+        return cfg, features, quality, interest
+
+    @pytest.mark.parametrize("lead", [(12,), (3, 12)])
+    def test_oracle_ranks_equal_stable_argsort_with_ties(self, lead):
+        cfg, features, quality, interest = self._oracle_inputs(lead, seed=len(lead))
+        net, _, _ = build_porl_story(cfg, policy="oracle")
+        oracle = net.by_name["slate"].initial_fn
+        got = np.asarray(oracle(Value(interest=interest),
+                                Value(features=features, quality=quality)).get("doc_ranks"))
+        score = -np.linalg.norm(features - interest[..., None, :], axis=-1) + quality
+        expected = np.argsort(-score, axis=-1, kind="stable")[..., :cfg.slate_size]
+        rows = score.reshape(-1, cfg.corpus_size)
+        assert all(len(np.unique(row)) <= 6 for row in rows)  # ties are exercised
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_oracle_nan_score_raises(self):
+        cfg, features, quality, interest = self._oracle_inputs((12,), seed=0)
+        quality[4, 2] = np.nan
+        net, _, _ = build_porl_story(cfg, policy="oracle")
+        with pytest.raises(ValueError, match="non-finite"):
+            net.by_name["slate"].initial_fn(Value(interest=interest),
+                                            Value(features=features, quality=quality))
+
+    def test_oracle_trajectory_digest_unchanged(self):
+        # sha256 over every field of a seed-3 oracle trajectory, taken when
+        # the oracle still ranked with a stable full argsort
+        cfg = PorlConfig(**SMALL_PORL)
+        net, _, _ = build_porl_story(cfg, policy="oracle")
+        traj = trajectory(net, cfg.horizon, 3)
+        h = hashlib.sha256()
+        for name in sorted(traj.values):
+            for t in range(traj.horizon):
+                value = traj.values[name][t]
+                for path in value.paths:
+                    payload = value.get(path)
+                    arr = payload.data if isinstance(payload, Tensor) else np.asarray(payload)
+                    h.update(f"{name}|{path}|{t}|{arr.dtype.str}|{arr.shape}".encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == \
+            "5152893761cf146b31140c586531f232aebd2903bfc909c9d4319f8bec9201bd"
 
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and records the
@@ -266,11 +320,11 @@ def stable_top_k(score, k):
 
 
 class TestTopK:
-    """``_top_k`` against the stable full sort it replaces."""
+    """``top_k`` against the stable full sort it replaces."""
 
     def check(self, score, k):
         expected = stable_top_k(score, k)
-        got = _top_k(score.copy(), k)
+        got = top_k(score.copy(), k)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
@@ -292,7 +346,7 @@ class TestTopK:
             self.check(score, k)
         # Four candidates tie for the 3rd place.
         row = np.array([[1.0, 5.0, 1.0, 3.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(_top_k(row.copy(), 3), [[1, 3, 0]])
+        np.testing.assert_array_equal(top_k(row.copy(), 3), [[1, 3, 0]])
         self.check(row, 3)
 
     def test_signed_zeros_tie(self):
@@ -300,7 +354,7 @@ class TestTopK:
                           [0.0, -0.0, -0.0, 0.0, -2.0]])
         for k in range(1, 6):
             self.check(score, k)
-        np.testing.assert_array_equal(_top_k(score.copy(), 2), [[0, 1], [0, 1]])
+        np.testing.assert_array_equal(top_k(score.copy(), 2), [[0, 1], [0, 1]])
 
     def test_k_of_one_and_k_of_all(self):
         score = np.random.default_rng(3).integers(-2, 3, size=(9, 7)).astype(np.float64)
@@ -310,7 +364,7 @@ class TestTopK:
     def test_leading_batch_shape(self):
         rng = np.random.default_rng(4)
         score = np.round(rng.normal(size=(3, 10, 16)), 1)  # (R, U, M), with ties
-        got = _top_k(score.copy(), 4)
+        got = top_k(score.copy(), 4)
         assert got.shape == (3, 10, 4)
         np.testing.assert_array_equal(got, stable_top_k(score, 4))
 
@@ -319,7 +373,7 @@ class TestTopK:
         score = np.zeros((2, 3, 4))
         score[1, 2, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            _top_k(score, 2)
+            top_k(score, 2)
 
 
 class TestApportionment:

@@ -75,6 +75,14 @@ class TestBackwardExamples:
         grads = tape.backward(loss)
         np.testing.assert_array_equal(grads[y].data, [0.0])
 
+    def test_second_backward_on_one_tape_rejected(self):
+        tape = Tape()
+        x = tape.watch([1.0, 2.0])
+        loss = T.reduce_sum(T.mul(x, x))
+        np.testing.assert_allclose(tape.backward(loss)[x].data, [2.0, 4.0])
+        with pytest.raises(TapeError, match="already ran"):
+            tape.backward(loss)
+
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = tape.watch([1.0, 2.0])
@@ -155,6 +163,12 @@ class TestGradientSuite:
         "normal_cdf": (T.normal_cdf, lambda r: [r.normal(size=(6,))]),
         "reshape": (lambda x: T.reshape(x, (6, 2)), lambda r: [r.normal(size=(3, 4))]),
         "clip": (lambda x: T.clip(x, -0.5, 0.5), lambda r: [r.normal(size=(8,)) * 2]),
+        "broadcast_to": (lambda x: T.broadcast_to(x, (4, 3, 5)),
+                         lambda r: [r.normal(size=(3, 1))]),
+        "stack": (lambda a, b: T.stack([a, b, a], axis=1),
+                  lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 2))]),
+        "index": (lambda x: T.index(x, (slice(1, 3), 0)),
+                  lambda r: [r.normal(size=(4, 3))]),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
