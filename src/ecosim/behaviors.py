@@ -2,10 +2,9 @@
 
 Affinity models score slates of items against per-agent target vectors;
 choice models turn scores into selection distributions; state models
-cover static (mixture-sampled), dynamic (controlled linear-Gaussian),
-and estimator (finite history buffer) state.  An "entity" is a
-convention, not a framework type: any object exposing behavior functions
-that a story binds into Variables.
+cover dynamic (controlled linear-Gaussian) and estimator (finite history
+buffer) state.  An "entity" is a convention, not a framework type: any
+object exposing behavior functions that a story binds into Variables.
 
 Trainable parameters are captured through a ParameterRegistry handle the
 story builder receives; during a training step the registry is bound to
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .core import CoreError, Value, Variable
-from .dist import Categorical, Deterministic, Distribution, GaussianMixture, Normal, PlackettLuce, greedy_argmax
+from .dist import Categorical, Deterministic, Distribution, Normal, PlackettLuce, greedy_argmax
 from .tensor import Tape, Tensor, as_tensor
 
 NEGATIVE_EUCLIDEAN = "negative_euclidean"
@@ -89,21 +88,15 @@ class ChoiceModel:
 
 
 class ControlledLinearGaussianStateModel:
-    """S' ~ Normal(A S + C u, sigma); identity A and C = sensitivity * I
-    by default, which realizes interest dynamics with control input
-    u = q * (F - S).  Zero noise degrades to a Deterministic field.
+    """S' ~ Normal(S + sensitivity * u, sigma), which realizes interest
+    dynamics with control input u = q * (F - S).  Zero noise degrades to a
+    Deterministic field.
     """
 
-    def __init__(self, dim: int, transition=None, control=None,
-                 sensitivity: float = 1.0, noise_scale=0.0):
+    def __init__(self, dim: int, sensitivity: float = 1.0, noise_scale=0.0):
         self.dim = int(dim)
-        self.transition = None if transition is None else np.asarray(transition, np.float64)
-        self.control = None if control is None else np.asarray(control, np.float64)
         self.sensitivity = float(sensitivity)
         self.noise_scale = np.asarray(noise_scale, np.float64)
-        for name, m in (("transition", self.transition), ("control", self.control)):
-            if m is not None and m.shape != (self.dim, self.dim):
-                raise CoreError(f"{name} matrix must be ({self.dim}, {self.dim}), got {m.shape}")
         if self.noise_scale.ndim not in (0, 1):
             raise CoreError("noise_scale must be a scalar or per-dimension vector")
         if self.noise_scale.ndim == 1 and self.noise_scale.shape[0] != self.dim:
@@ -115,48 +108,10 @@ class ControlledLinearGaussianStateModel:
         if state.shape != control_input.shape:
             raise CoreError(
                 f"state {state.shape} and control input {control_input.shape} differ")
-        if self.transition is None:
-            loc = state
-        else:
-            loc = T.matmul(state, Tensor(self.transition.T))
-        if self.control is None:
-            drive = T.mul(control_input, self.sensitivity)
-        else:
-            drive = T.matmul(control_input, Tensor(self.control.T))
-        loc = T.add(loc, drive)
+        loc = T.add(state, T.mul(control_input, self.sensitivity))
         if np.all(self.noise_scale == 0.0):
             return Deterministic(loc)
         return Normal(loc, Tensor(np.broadcast_to(self.noise_scale, (self.dim,))))
-
-
-class GaussianMixtureStaticStateModel:
-    """Community-structured static state: sampled once at t = 0 from a
-    Gaussian mixture, then carried forward unchanged."""
-
-    def __init__(self, weights, locs, scales):
-        self.weights = np.asarray(weights, np.float64)
-        self.locs = np.asarray(locs, np.float64)
-        self.scales = np.broadcast_to(np.asarray(scales, np.float64), self.locs.shape)
-
-    def initial_state(self, batch: int) -> GaussianMixture:
-        m, d = self.locs.shape
-        return GaussianMixture(
-            np.broadcast_to(self.weights, (batch, m)),
-            np.broadcast_to(self.locs, (batch, m, d)),
-            np.broadcast_to(self.scales, (batch, m, d)))
-
-    @staticmethod
-    def around_points(points, scale, weights=None) -> GaussianMixture:
-        """Second level of a hierarchical sampler: a mixture whose
-        components sit on already-sampled core points.
-
-        points: (batch, m, d) or (m, d); one draw per batch row.
-        """
-        pts = as_tensor(points)
-        m = pts.shape[-2]
-        w = np.full(pts.shape[:-2] + (m,), 1.0 / m) if weights is None \
-            else np.broadcast_to(np.asarray(weights, np.float64), pts.shape[:-2] + (m,))
-        return GaussianMixture(w, pts, np.broadcast_to(np.asarray(scale, np.float64), pts.shape))
 
 
 class FiniteHistoryEstimator:

@@ -129,18 +129,17 @@ class FieldSpec:
 
 
 class ValueSpec:
-    """A map of FieldSpecs describing every field a Variable emits."""
+    """A map of FieldSpecs describing every field a Variable emits.
+
+    A field name may not contain ``|``, which separates the parts of a
+    random stream's key (see :mod:`ecosim.rng`).
+    """
 
     def __init__(self, **fields: FieldSpec):
-        self._fields: dict[str, FieldSpec] = {}
-        for k, f in fields.items():
-            self._fields[k] = f
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, FieldSpec]) -> "ValueSpec":
-        spec = cls()
-        spec._fields = dict(mapping)
-        return spec
+        for path in fields:
+            if "|" in path:
+                raise CoreError(f"field name {path!r} contains the stream-key separator '|'")
+        self._fields: dict[str, FieldSpec] = dict(fields)
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -194,9 +193,17 @@ class Dep(NamedTuple):
 
 
 class Variable:
-    """A named component random variable of the factored process."""
+    """A named component random variable of the factored process.
+
+    The name may not contain ``|``, which separates the parts of a random
+    stream's key, nor ``.``, which separates a variable from a field path
+    in ``"variable.path"`` references.
+    """
 
     def __init__(self, name: str, spec: ValueSpec):
+        for sep in "|.":
+            if sep in name:
+                raise CoreError(f"variable name {name!r} contains the separator {sep!r}")
         self.name = name
         self.spec = spec
         self.initial_fn: Callable | None = None

@@ -58,8 +58,6 @@ def _per_row(total: int, batch: int) -> int:
 class Distribution:
     """Base class; subclasses define a family with fixed event semantics."""
 
-    family: str = ""
-
     def sample(self, stream: RngStream):
         raise NotImplementedError
 
@@ -80,8 +78,6 @@ class Deterministic(Distribution):
     ``log_prob`` is 0 per element that matches ``loc`` within 1e-12
     (exactly, for integer payloads) and ``NEG_INF`` otherwise.
     """
-
-    family = "deterministic"
 
     def __init__(self, loc):
         if isinstance(loc, Tensor):
@@ -114,8 +110,6 @@ class Deterministic(Distribution):
 
 
 class Normal(Distribution):
-    family = "normal"
-
     def __init__(self, loc, scale):
         self.loc = as_tensor(loc)
         self.scale = as_tensor(scale)
@@ -142,8 +136,6 @@ class Normal(Distribution):
 class Bernoulli(Distribution):
     """Coin flips parameterized by logits; samples are int64 zeros/ones."""
 
-    family = "bernoulli"
-
     def __init__(self, logits):
         self.logits = as_tensor(logits)
         if not np.all(np.isfinite(self.logits.data)):
@@ -165,8 +157,6 @@ class Bernoulli(Distribution):
 
 class Categorical(Distribution):
     """Index draw over the last axis of ``logits``; samples are int64."""
-
-    family = "categorical"
 
     def __init__(self, logits):
         self.logits = as_tensor(logits)
@@ -197,8 +187,6 @@ class GaussianMixture(Distribution):
     ``weights``: (..., m), ``locs``: (..., m, d), ``scales`` broadcastable
     to ``locs``.  One d-vector is drawn per batch row.
     """
-
-    family = "gaussian_mixture"
 
     def __init__(self, weights, locs, scales):
         self.weights = as_tensor(weights)
@@ -252,8 +240,6 @@ class PlackettLuce(Distribution):
     Sampling uses Gumbel-top-k, which is equal in distribution and
     vectorizes cleanly; ``log_prob`` uses the sequential-softmax product.
     """
-
-    family = "plackett_luce"
 
     def __init__(self, logits, k: int):
         self.logits = as_tensor(logits)

@@ -223,9 +223,9 @@ def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegi
 
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
-    surrogate is -<detached reward, log-prob> / B.  The sampled
-    trajectory, with the distributions it retains, is released before
-    the replay; only its values are kept.
+    surrogate is -<detached reward, log-prob> / B.  The replay scores an
+    observed copy of the sampled values; the sampled trajectory itself is
+    released before it.
     """
     network = net() if callable(net) else net
     traj = trajectory(network, cfg.horizon, seed)
@@ -377,17 +377,11 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
     return trace
 
 
-def write_iteration_csv(out: io.TextIOBase, rows: Sequence[EmIteration] | Sequence[dict],
-                        schema: str = "em_trace/1") -> None:
+def write_iteration_csv(out: io.TextIOBase, rows: Sequence[EmIteration]) -> None:
     """Per-iteration CSV: iteration, objective, acceptance rate, wall-clock ms."""
-    out.write(f"# schema={schema}\n")
+    out.write("# schema=em_trace/1\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["iteration", "objective", "acceptance_rate", "wall_clock_ms"])
     for row in rows:
-        if isinstance(row, EmIteration):
-            acc = "" if row.acceptance is None else repr(row.acceptance)
-            writer.writerow([row.iteration, repr(row.objective), acc,
-                             repr(row.wall_clock_ms)])
-        else:
-            writer.writerow([row["iteration"], repr(row["objective"]),
-                             row.get("acceptance", ""), repr(row["wall_clock_ms"])])
+        acc = "" if row.acceptance is None else repr(row.acceptance)
+        writer.writerow([row.iteration, repr(row.objective), acc, repr(row.wall_clock_ms)])

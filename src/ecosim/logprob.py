@@ -113,7 +113,7 @@ class ObservedTrajectory:
     @classmethod
     def from_trajectory(cls, net: Network, traj: Trajectory,
                         hold_out: Iterable[tuple[str, str]] = ()) -> "ObservedTrajectory":
-        """Strip distributions from a sampled trajectory; optionally drop
+        """Observe every field of a sampled trajectory; optionally drop
         (variable, path) fields to mark them held out."""
         dropped = set(hold_out)
         specs = {v.name: v.spec for v in net.variables}
@@ -195,11 +195,6 @@ class ObservedTrajectory:
         out._stacked = {**self._stacked,
                         variable: {**self._stacked[variable], path: _stack(payloads)}}
         return out
-
-
-def inject_field(traj: ObservedTrajectory, variable: str, path: str,
-                 values: Sequence) -> ObservedTrajectory:
-    return traj.inject(variable, path, values)
 
 
 def _score_variable(var, out: Value, observed: Value, where: str, only,

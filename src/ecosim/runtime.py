@@ -2,10 +2,12 @@
 
 Slices are evaluated sequentially; within a slice, variables run in
 topological order and every stochastic field is sampled through an
-RngStream keyed by (seed, variable, path, step) and the batch row.
-``trajectory`` retains every slice together with the distribution each
-realization came from; ``execute`` keeps a two-slice ring buffer and
-returns only the final slice.
+RngStream keyed by (seed, variable, path, step) and the batch row.  A
+sampled field keeps only its realized value: the distribution a builder
+emitted is dropped once sampled, and log-probabilities come from replaying
+the builders on the values (:mod:`ecosim.logprob`).  ``trajectory``
+retains every slice; ``execute`` keeps only the slice being built and the
+previous one, and returns the final slice.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,40 +32,19 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Per-variable, per-step record of sampled Values for a fixed horizon.
-
-    ``dists`` retains, for each field and step, the distribution the
-    realization was drawn from (None for deterministic fields).
-    """
+    """Per-variable, per-step record of the sampled Values for a fixed
+    horizon; values only (score it through :mod:`ecosim.logprob`)."""
 
     horizon: int
-    seed: int
     batch: int
     row_offset: int
     values: dict[str, list[Value]]
-    dists: dict[str, list[dict[str, Distribution | None]]] = field(repr=False)
 
     def value(self, variable: str, step: int) -> Value:
         return self.values[variable][step]
 
     def last_slice(self) -> dict[str, Value]:
         return {name: steps[-1] for name, steps in self.values.items()}
-
-    def field_distribution(self, variable: str, path: str, step: int) -> Distribution | None:
-        return self.dists[variable][step][path]
-
-    def field_log_prob(self, variable: str, path: str) -> np.ndarray:
-        """Per-step, per-row log-probability of the realized field under
-        the distribution it was sampled from (zero for deterministic)."""
-        rows = []
-        for t in range(self.horizon):
-            d = self.dists[variable][t][path]
-            if d is None:
-                rows.append(np.zeros(self.batch))
-            else:
-                lp = d.log_prob(self.values[variable][t].get(path)).data
-                rows.append(lp.sum(axis=tuple(range(1, lp.ndim))))
-        return np.stack(rows)
 
 
 def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | None):
@@ -79,23 +60,17 @@ def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | 
 
 def _realize(var: Variable, out: Value, step: int, seed: int, row_offset: int,
              batch: int | None):
-    """Sample stochastic fields, spec-check, and return (value, dists, batch)."""
+    """Sample stochastic fields, spec-check, and return (value, batch)."""
     where = f"variable {var.name!r} at step {step}"
     realized: dict[str, object] = {}
-    dists: dict[str, Distribution | None] = {}
     for path in var.spec.paths:
         try:
             payload = out.get(path)
         except CoreError as e:
             raise SimulationError(f"{where}: builder did not emit field {path!r}") from e
         if isinstance(payload, Distribution):
-            stream = RngStream(seed, var.name, path, step, row_offset)
-            sample = payload.sample(stream)
-            dists[path] = payload
-        else:
-            sample = payload
-            dists[path] = None
-        realized[path] = sample
+            payload = payload.sample(RngStream(seed, var.name, path, step, row_offset))
+        realized[path] = payload
     value = Value.of(realized)
     extra = set(out.paths) - set(var.spec.paths)
     if extra:
@@ -104,13 +79,12 @@ def _realize(var: Variable, out: Value, step: int, seed: int, row_offset: int,
         batch = var.spec.check_value(value, batch, where)
     except CoreError as e:
         raise SimulationError(str(e)) from e
-    return value, dists, batch
+    return value, batch
 
 
 def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
                 seed: int, row_offset: int, batch: int | None):
     current: dict[str, Value] = {}
-    dists: dict[str, dict[str, Distribution | None]] = {}
     order = net.initial_order if step == 0 else net.order
     for var in order:
         if step == 0:
@@ -123,41 +97,44 @@ def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
             raise SimulationError(
                 f"variable {var.name!r} at step {step}: builder returned "
                 f"{type(out).__name__}, expected Value")
-        current[var.name], dists[var.name], batch = _realize(
-            var, out, step, seed, row_offset, batch)
-    return current, dists, batch
+        current[var.name], batch = _realize(var, out, step, seed, row_offset, batch)
+    return current, batch
+
+
+def _slices(net: Network, count: int, seed: int, row_offset: int):
+    """Yield (slice, batch) for slices 0 .. count-1; each slice is built
+    from the one before it, and the generator holds no other."""
+    current = None
+    batch = None
+    for t in range(count):
+        current, batch = _eval_slice(net, t, current, seed, row_offset, batch)
+        yield current, batch
 
 
 def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) -> Trajectory:
-    """Sample all slices 0 .. horizon-1 and retain them."""
+    """Sample all slices 0 .. horizon-1 and retain their values."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     values: dict[str, list[Value]] = {v.name: [] for v in net.variables}
-    dists: dict[str, list[dict[str, Distribution | None]]] = {v.name: [] for v in net.variables}
-    slice_vals = None
-    batch = None
-    for t in range(horizon):
-        slice_vals, slice_dists, batch = _eval_slice(net, t, slice_vals, seed, row_offset, batch)
-        for name in values:
-            values[name].append(slice_vals[name])
-            dists[name].append(slice_dists[name])
-    return Trajectory(horizon=horizon, seed=seed, batch=int(batch),
-                      row_offset=row_offset, values=values, dists=dists)
+    for current, batch in _slices(net, horizon, seed, row_offset):
+        for name, steps in values.items():
+            steps.append(current[name])
+    return Trajectory(horizon=horizon, batch=int(batch), row_offset=row_offset,
+                      values=values)
 
 
 def execute(net: Network, num_steps: int, seed: int, *, row_offset: int = 0) -> dict[str, Value]:
     """Run ``num_steps`` kernel applications after the initial slice and
-    return only the final slice (two-slice ring buffer; memory-light).
+    return only the final slice.  Memory-light: besides the slice being
+    built, only the previous one is kept.
 
     ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    slice_vals = None
-    batch = None
-    for t in range(num_steps + 1):
-        slice_vals, _, batch = _eval_slice(net, t, slice_vals, seed, row_offset, batch)
-    return slice_vals
+    for current, _ in _slices(net, num_steps + 1, seed, row_offset):
+        pass
+    return current
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -308,11 +306,6 @@ def softplus(a) -> Tensor:
                   (lambda g: g * expit(a.data),))
 
 
-def absolute(a) -> Tensor:
-    a = as_tensor(a)
-    return _apply(np.abs, (a,), (lambda g: g * np.sign(a.data),))
-
-
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
@@ -334,15 +327,6 @@ def minimum(a, b) -> Tensor:
 
 def clip(a, lo, hi) -> Tensor:
     return minimum(maximum(a, lo), hi)
-
-
-def normal_cdf(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return g * np.exp(-0.5 * a.data * a.data - 0.5 * _LOG_2PI)
-
-    return _apply(ndtr, (a,), (vjp,))
 
 
 def matmul(a, b) -> Tensor:

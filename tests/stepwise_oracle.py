@@ -11,25 +11,33 @@ from ecosim.dist import Deterministic, Distribution
 from ecosim.runtime import _resolve_deps
 
 
+def replay_slice(net, obs, t):
+    """What each builder emits at step t on the observed slices t and t-1,
+    keyed by variable name in evaluation order."""
+    current = {name: obs.value(name, t) for name in obs.specs}
+    previous = {name: obs.value(name, t - 1) for name in obs.specs} if t > 0 else None
+    emitted = {}
+    for var in (net.initial_order if t == 0 else net.order):
+        if t == 0:
+            emitted[var.name] = var.initial_fn(*_resolve_deps(var.initial_deps, current, None))
+        else:
+            emitted[var.name] = var.kernel_fn(
+                *_resolve_deps(var.kernel_deps, current, previous))
+    return emitted
+
+
 def stepwise_log_prob_rows(net, traj, num_steps, only=None):
     only = set(only) if only is not None else None
     total = T.zeros((traj.batch,))
     for t in range(num_steps + 1):
-        current = {name: traj.value(name, t) for name in traj.specs}
-        previous = ({name: traj.value(name, t - 1) for name in traj.specs}
-                    if t > 0 else None)
-        for var in (net.initial_order if t == 0 else net.order):
-            if t == 0:
-                out = var.initial_fn(*_resolve_deps(var.initial_deps, current, None))
-            else:
-                out = var.kernel_fn(*_resolve_deps(var.kernel_deps, current, previous))
-            for path in var.spec.paths:
+        for name, out in replay_slice(net, traj, t).items():
+            for path in net.by_name[name].spec.paths:
                 emitted = out.get(path)
-                observed = current[var.name].get(path)
+                observed = traj.value(name, t).get(path)
                 if not isinstance(emitted, Distribution):
-                    assert Deterministic(emitted).is_consistent(observed), (var.name, path, t)
+                    assert Deterministic(emitted).is_consistent(observed), (name, path, t)
                     continue
-                if only is not None and (var.name, path) not in only:
+                if only is not None and (name, path) not in only:
                     continue
                 lp = emitted.log_prob(observed)
                 if lp.ndim > 1:

@@ -5,7 +5,6 @@ import ecosim.tensor as T
 from ecosim.behaviors import (AffinityModel, ChoiceModel,
                               ControlledLinearGaussianStateModel,
                               FiniteHistoryEstimator,
-                              GaussianMixtureStaticStateModel,
                               ParameterRegistry, story_with_trainable_variables)
 from ecosim.core import CoreError, FieldSpec, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal, PlackettLuce
@@ -162,27 +161,6 @@ class TestFiniteHistory:
                 solo = est.push(solo, records[i, row:row + 1])
             np.testing.assert_array_equal(state.get("records").data[row],
                                           solo.get("records").data[0])
-
-
-class TestGaussianMixtureStatic:
-    def test_initial_state_batched(self):
-        m = GaussianMixtureStaticStateModel(
-            [0.5, 0.5], [[0.0, 0.0], [4.0, 4.0]], 0.1)
-        d = m.initial_state(1000)
-        x = d.sample(RngStream(0, "s", "x", 0))
-        assert x.shape == (1000, 2)
-        # both modes populated
-        near_a = (np.linalg.norm(x, axis=1) < 1.0).mean()
-        assert 0.3 < near_a < 0.7
-
-    def test_around_points_hierarchical_level(self):
-        cores = np.random.default_rng(0).normal(size=(7, 3, 2))
-        d = GaussianMixtureStaticStateModel.around_points(Tensor(cores), 0.05)
-        x = d.sample(RngStream(1, "s", "x", 0))
-        assert x.shape == (7, 2)
-        dist_to_nearest = np.min(
-            np.linalg.norm(cores - x[:, None, :], axis=-1), axis=1)
-        assert dist_to_nearest.max() < 0.5
 
 
 class TestParameterCapture:

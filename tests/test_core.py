@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestValueSpec:
         spec = ValueSpec(x=FieldSpec(()), y=FieldSpec(()))
         with pytest.raises(CoreError, match="batch"):
             spec.check_value(Value(x=np.zeros(4), y=np.zeros(5)), None, "here")
+
+
+class TestNames:
+    # "|" joins the parts of a stream key, so Variable "a|b" with field "c"
+    # and Variable "a" with field "b|c" would draw from one random stream;
+    # "." splits "variable.path" references.
+    @pytest.mark.parametrize("name", ["a|b", "a.b"])
+    def test_separator_in_variable_name_rejected(self, name):
+        with pytest.raises(CoreError, match=re.escape(f"variable name {name!r}")):
+            Variable(name, ValueSpec(x=FieldSpec(())))
+
+    def test_bar_in_field_name_rejected(self):
+        with pytest.raises(CoreError, match=re.escape("field name 'b|c'")):
+            ValueSpec(**{"b|c": FieldSpec(())})
 
 
 def _simple_var(name):

@@ -8,7 +8,7 @@ import ecosim.tensor as T
 from ecosim.behaviors import ParameterRegistry
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import NEG_INF, Categorical, Normal
-from ecosim.logprob import (LogProbError, ObservedTrajectory, inject_field,
+from ecosim.logprob import (LogProbError, ObservedTrajectory,
                             log_probability_from_value_trajectory,
                             trajectory_log_prob_rows)
 from ecosim.runtime import trajectory
@@ -155,7 +155,7 @@ class TestObservedTrajectory:
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
         with pytest.raises(LogProbError, match="held out"):
             log_probability_from_value_trajectory(net, obs, 2)
-        filled = inject_field(obs, "x", "v", [np.zeros(4)] * 3)
+        filled = obs.inject("x", "v", [np.zeros(4)] * 3)
         lp = log_probability_from_value_trajectory(net, filled, 2)
         assert np.isfinite(float(lp.data))
 

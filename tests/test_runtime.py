@@ -81,12 +81,6 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="horizon"):
             trajectory(count_network(), 0, seed=0)
 
-    def test_retained_distributions_allow_field_log_prob(self):
-        traj = trajectory(gaussian_walk(4), 3, seed=2)
-        lp = traj.field_log_prob("walk", "x")
-        assert lp.shape == (3, 4)
-        assert np.isfinite(lp).all()
-
 
 class TestExecute:
     def test_count_reaches_num_steps(self):

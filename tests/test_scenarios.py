@@ -16,6 +16,8 @@ from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.scenarios.latent_sat import HELD_OUT
 from ecosim.tensor import Tensor
 
+from stepwise_oracle import replay_slice, stepwise_log_prob_rows
+
 
 SMALL_PORL = dict(population=12, horizon=5, corpus_size=10, slate_size=2,
                   interest_dim=6, history_length=4)
@@ -39,18 +41,20 @@ class TestPorlStory:
         assert lp > NEG_INF / 2 and np.isfinite(lp)
 
     def test_recorded_slate_log_prob_matches_plackett_luce(self):
-        # cross-module consistency: the retained distribution's score of the
-        # emitted slate equals an independent sequential-softmax evaluation
+        # cross-module consistency: the replayed policy distribution's score
+        # of the sampled slate equals an independent sequential-softmax
+        # evaluation
         cfg = PorlConfig(**SMALL_PORL)
         net, _, metrics = build_porl_story(cfg)
-        traj = trajectory(net, cfg.horizon, seed=5)
+        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=5))
         var, path = metrics["policy_log_prob"].split(".", 1)
-        recorded = traj.field_log_prob(var, path)
         for t in range(cfg.horizon):
-            dist = traj.field_distribution(var, path, t)
+            dist = replay_slice(net, obs, t)[var].get(path)
             assert isinstance(dist, PlackettLuce)
+            ranks = np.asarray(obs.value(var, t).get(path))
+            recorded = dist.log_prob(ranks).data
+            assert recorded.shape == (cfg.population,)
             logits = dist.logits.data
-            ranks = np.asarray(traj.value(var, t).get(path))
             manual = np.zeros(cfg.population)
             for b in range(cfg.population):
                 remaining = list(range(cfg.corpus_size))
@@ -60,7 +64,7 @@ class TestPorlStory:
                     manual[b] += row[i] - (mx + math.log(
                         sum(math.exp(row[j] - mx) for j in remaining)))
                     remaining.remove(i)
-            np.testing.assert_allclose(recorded[t], manual, atol=1e-12)
+            np.testing.assert_allclose(recorded, manual, atol=1e-12, rtol=0)
 
     def test_oracle_policy_dominates_random(self):
         results = []
@@ -127,15 +131,18 @@ class TestPorlStory:
             "5152893761cf146b31140c586531f232aebd2903bfc909c9d4319f8bec9201bd"
 
     def test_paper_footnote_scale_smoke(self):
-        # k=2, d=20, B=1000, T=100: one trajectory runs and records the
-        # slate log-prob at every step
+        # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score
+        # finite at every step.  A slate's log-prob is at most 0, so the sum
+        # over steps is finite exactly when every step's term is.  The
+        # per-step oracle scores it: at this size the time-batched scorer
+        # stacks every step's payloads at once and needs several GB.
         cfg = PorlConfig(population=1000, horizon=100, slate_size=2,
                          interest_dim=20)
         net, _, metrics = build_porl_story(cfg)
-        traj = trajectory(net, cfg.horizon, seed=0)
-        var, path = metrics["policy_log_prob"].split(".", 1)
-        lp = traj.field_log_prob(var, path)
-        assert lp.shape == (100, 1000)
+        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=0))
+        policy = tuple(metrics["policy_log_prob"].split(".", 1))
+        lp = stepwise_log_prob_rows(net, obs, cfg.horizon - 1, only=[policy]).data
+        assert lp.shape == (1000,)
         assert np.isfinite(lp).all()
 
     def test_slate_size_validation(self):
@@ -160,11 +167,11 @@ class TestLatentSatStory:
             items=prev.get("items")), deps=(slate.previous,))
         from ecosim.core import Network
         net2 = Network(list(net.variables))
-        traj = trajectory(net2, cfg.horizon, seed=1)
+        obs = ObservedTrajectory.from_trajectory(net2, trajectory(net2, cfg.horizon, seed=1))
         for t in range(1, cfg.horizon):
-            dist = traj.field_distribution("satisfaction", "value", t)
-            prev = traj.value("satisfaction", t - 1).get("value").data
-            np.testing.assert_allclose(dist.loc.data, prev, atol=1e-12)
+            dist = replay_slice(net2, obs, t)["satisfaction"].get("value")
+            prev = obs.value("satisfaction", t - 1).get("value").data
+            np.testing.assert_allclose(dist.loc.data, prev, atol=1e-12, rtol=0)
 
     def test_strictly_improving_slates_raise_satisfaction(self):
         # interest pinned at the origin, slate items halving toward it, alpha=1,
