@@ -29,7 +29,7 @@ def _normalize(payload):
         return payload
     arr = np.asarray(payload)
     if np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     return Tensor(arr)
 
 

@@ -4,14 +4,17 @@ A behavior emits a distribution descriptor instead of a raw sample; the
 runtime either samples it (simulation) or scores an observed value
 against it (trajectory log-probability).  Sampling consumes uniforms
 from a keyed :class:`~ecosim.rng.RngStream` with a fixed per-row budget,
-so draws are reproducible per batch row.  ``log_prob`` is built from
-differentiable tensor ops and returns the log-probability of each
-independent draw, without reducing over batch or event axes: elementwise
-for ``Normal``, ``Bernoulli`` and ``Deterministic``, one value per index
-for ``Categorical``, per d-vector for ``GaussianMixture`` and per ranked
-selection for ``PlackettLuce``.  The value may carry extra leading axes
-(a time axis, when a whole trajectory is scored at once) that broadcast
-against the parameters; callers reduce the result to rows themselves.
+so draws are reproducible per batch row: one uniform per row for a
+``Categorical`` (inverse CDF of the softmax) and one Gumbel per item for
+a ``PlackettLuce`` (Gumbel-top-k through :func:`top_k`).  ``log_prob``
+is built from differentiable tensor ops and returns the log-probability
+of each independent draw, without reducing over batch or event axes:
+elementwise for ``Normal``, ``Bernoulli`` and ``Deterministic``, one
+value per index for ``Categorical``, per d-vector for ``GaussianMixture``
+and per ranked selection for ``PlackettLuce``.  The value may carry
+extra leading axes (a time axis, when a whole trajectory is scored at
+once) that broadcast against the parameters; callers reduce the result
+to rows themselves.
 
 Convention for impossible events: log-probabilities use the finite
 sentinel ``NEG_INF = -1e30`` instead of ``-inf`` so downstream
@@ -156,7 +159,13 @@ class Bernoulli(Distribution):
 
 
 class Categorical(Distribution):
-    """Index draw over the last axis of ``logits``; samples are int64."""
+    """Index draw over the last axis of ``logits``; samples are int64.
+
+    Sampling is by inverse CDF, one uniform per row: the uniform, scaled
+    by the row total of ``p = exp(logits - max)``, selects the first index
+    whose running sum of ``p`` exceeds it.  A category whose ``p``
+    underflows to 0 is never drawn.
+    """
 
     def __init__(self, logits):
         self.logits = as_tensor(logits)
@@ -170,8 +179,16 @@ class Categorical(Distribution):
         return self.logits.shape[:-1]
 
     def sample(self, stream: RngStream) -> np.ndarray:
-        g = stream.gumbels(self.logits.shape)
-        return np.argmax(self.logits.data + g, axis=-1).astype(np.int64)
+        logits = self.logits.data
+        u = stream.uniform_field(self.sample_shape + (1,))
+        cum = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(cum, out=cum)
+        np.cumsum(cum, axis=-1, out=cum)
+        total = cum[..., -1:]
+        # Kept below the row total, so the first index past it has p > 0
+        # even for u == 1.0, which the stream's largest draw rounds to.
+        target = np.minimum(u * total, np.nextafter(total, 0.0))
+        return np.argmax(cum > target, axis=-1).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:
         idx = np.asarray(value.data if isinstance(value, Tensor) else value).astype(np.int64)
@@ -237,8 +254,10 @@ class GaussianMixture(Distribution):
 class PlackettLuce(Distribution):
     """Ordered top-k selection without replacement by sequential softmax.
 
-    Sampling uses Gumbel-top-k, which is equal in distribution and
-    vectorizes cleanly; ``log_prob`` uses the sequential-softmax product.
+    Sampling uses Gumbel-top-k (Kool et al., ICML'19): the k best of
+    ``logits + Gumbel noise`` by :func:`top_k`, which is equal in
+    distribution and vectorizes cleanly.  ``log_prob`` uses the
+    sequential-softmax product.
     """
 
     def __init__(self, logits, k: int):
@@ -257,9 +276,7 @@ class PlackettLuce(Distribution):
         return self.logits.shape[:-1] + (self.k,)
 
     def sample(self, stream: RngStream) -> np.ndarray:
-        g = stream.gumbels(self.logits.shape)
-        order = np.argsort(-(self.logits.data + g), axis=-1, kind="stable")
-        return order[..., :self.k].astype(np.int64)
+        return top_k(self.logits.data + stream.gumbels(self.logits.shape), self.k)
 
     def log_prob(self, value) -> Tensor:
         idx = np.asarray(value.data if isinstance(value, Tensor) else value).astype(np.int64)

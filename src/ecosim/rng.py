@@ -8,7 +8,12 @@ split across workers.
 
 The generator is Philox4x32-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3"), vectorized over numpy uint64 lanes and validated
-against the published known-answer vectors.
+against the published known-answer vectors.  A stream's counter is
+``(block, row, 0, 0)`` under a 64-bit key hashed from (seed, variable,
+path, step); each block's four 32-bit output words make two 53-bit
+doubles, so one Philox lane serves two columns of a row.  Counter words
+are 32 bits wide: a draw whose row or block index would reach 2^32
+raises instead of wrapping.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ROUNDS = 10
+_COUNTER_LIMIT = 2**32  # rows and blocks are 32-bit counter words
 
 
 def philox4x32(c0, c1, c2, c3, key0: int, key1: int):
@@ -72,10 +78,15 @@ def derive_seed(root_seed: int, tag: str, index: int = 0) -> int:
 class RngStream:
     """A stream of uniforms keyed by (seed, variable, path, step).
 
-    Draws are laid out as one Philox counter per (batch row, column), with
-    the row folded into the counter.  Row ``i`` of a batched draw is thus
-    identical to row 0 of a batch-1 draw made with ``row_offset=i``: batch
-    size never changes which numbers a row receives.
+    Column ``c`` of batch row ``r`` comes from the Philox block with
+    counter ``(c // 2, r + row_offset, 0, 0)``: output words 0 and 1 give
+    the even column, words 2 and 3 the odd one.  Row ``i`` of a batched
+    draw is thus identical to row 0 of a batch-1 draw made with
+    ``row_offset=i``: batch size never changes which numbers a row
+    receives.  Successive draws continue along the columns, so two draws
+    of ``n`` equal one draw of ``2n`` whatever the parity of ``n``.  Rows
+    and blocks are 32-bit counter words: ``row_offset + batch`` may not
+    exceed 2^32 and a draw may not reach block 2^32 (column 2^33).
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
@@ -83,8 +94,14 @@ class RngStream:
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
+        self._name = (variable, path, step)
         self._row_offset = int(row_offset)
         self._cursor = 0  # per-row uniforms already consumed
+
+    def _overflow(self, what: str) -> ValueError:
+        variable, path, step = self._name
+        return ValueError(f"Philox counter overflow in variable {variable!r}, "
+                          f"path {path!r}, step {step}: {what}")
 
     def uniforms(self, batch: int, per_row: int) -> np.ndarray:
         """A (batch, per_row) block of doubles in the open interval (0, 1)."""
@@ -92,17 +109,28 @@ class RngStream:
             raise ValueError(f"invalid draw shape ({batch}, {per_row})")
         if per_row == 0:
             return np.zeros((batch, 0))
-        rows = np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset)
-        cols = np.arange(per_row, dtype=np.uint64) + np.uint64(self._cursor)
+        if self._row_offset + batch > _COUNTER_LIMIT:
+            raise self._overflow(
+                f"rows {self._row_offset}..{self._row_offset + batch - 1} "
+                f"pass the 32-bit row word")
+        first, skip = divmod(self._cursor, 2)
+        blocks = (skip + per_row + 1) // 2
+        if first + blocks > _COUNTER_LIMIT:
+            raise self._overflow(
+                f"block {first + blocks - 1} passes the 32-bit block word")
         self._cursor += per_row
+        rows = np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset)
+        cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)
         zero = np.uint64(0)
-        bits, w1, _, _ = philox4x32(cols, rows[:, None], zero, zero,
+        w0, w1, w2, w3 = philox4x32(cols, rows[:, None], zero, zero,
                                     self._k0, self._k1)
-        bits <<= _SHIFT32
-        bits |= w1
+        bits = np.empty((batch, blocks, 2), np.uint64)
+        for hi, lo, half in ((w0, w1, bits[..., 0]), (w2, w3, bits[..., 1])):
+            np.left_shift(hi, _SHIFT32, out=half)
+            half |= lo
         # 53 high bits, shifted into (0, 1) so inverse-CDF transforms stay finite.
         bits >>= np.uint64(11)
-        out = bits.astype(np.float64)
+        out = bits.reshape(batch, 2 * blocks)[:, skip:skip + per_row].astype(np.float64)
         out += 0.5
         out *= 2.0**-53
         return out

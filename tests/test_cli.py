@@ -25,17 +25,17 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 ECOSYSTEM_GOLDEN = {
-    "centers.csv": "8f6eb24fc1133edd636b07e8100df6e182b97ef8823041df9fe3931bdf539569",
-    "choice.csv": "d18536f9847a830cab00e75af5cf8a0ad4800cec7b468ab1975707fe68e444fa",
-    "engagement.csv": "9bc6de80482cf013534e7cf87a951a2d870bb7d87b966092915325db132bb582",
-    "items.csv": "014b0ba5eed22a66aabd92ea20a7da3e596797f56ff8913e7a07ee1268968f4b",
-    "jitter.csv": "e4a65806798c03bfc9174a17f64b2b551f8415c3dd6f9d5b54958bb2d3cb4b79",
-    "metrics.csv": "d54719f84f1df9573bca686a1b3898ae9f05de8bb0d2fc4614a98cf2428cddc4",
-    "providers.csv": "141c87f1fa39b400b81b73e96243117722b924d03e8025163bc035a2ed1c9cda",
-    "slate.csv": "e23646f22838bc8014c6b4dc9723e41f096ed28c1f14ffab2f144de9ef298fe8",
-    "summary.csv": "ca20f501e475156a73d39106d59fa1623c7c6ff936b83907c9173bf337382502",
-    "users.csv": "f6ad22fc2b51dc3ed21413fc28515cd68c5cad725824fa0291375af749481652",
-    "utility.csv": "133dc1fe585fa8396ff504fef8a0e5a114b2e92c64eba42df97f2ece5770cb7b",
+    "centers.csv": "795f88146ae69e7bbd5bfc9c0eeaa0f2f14467c5929a17f5b90dee19994f6bb6",
+    "choice.csv": "898cbb3d11f6b8312581d27d920dd502f2970d425a4e52b8316b21125603760d",
+    "engagement.csv": "e023aa8d930902674e25a3b77c75d93bff15bce81d637c1f4a5b41f4189db330",
+    "items.csv": "cfbacac6cb309daf7cdaaf397ba5af55a6e03eb706a9f9c53713999dfd7c1568",
+    "jitter.csv": "1f5876f7c55342be977e1d1f5a53ddf2cc6a426ea7aaa93dc25ae1f595a844dc",
+    "metrics.csv": "f819671be34b95129d7bf5ca031365e9f8846f9355c96ee58ae45831d019b0ca",
+    "providers.csv": "19287dd95b031b5ebfa2ab2664df6bf8d3399e345399f1b29bc7ed6d9ef78c9f",
+    "slate.csv": "711d9fbe445ddc50364cdb72dc2eaa8ce8eeb13b2bc0e95a25b104fd2395bbcb",
+    "summary.csv": "971b9a86edf94cbeffcee1168598e4d84342eb117cb0f46aa507f30ed4257f46",
+    "users.csv": "8c3f60660e3349ded96d3ea15c2f48f88086b5c45685c2fe7aea3c562b56a4d9",
+    "utility.csv": "6ccbbf5516990cbe3f85a44980d1781d7b69e34b3fa45641ee62641e0e9a1ba8",
 }
 
 
@@ -59,8 +59,8 @@ class TestSimulate:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_ecosystem_export_matches_golden_digests(self, tmp_path):
-        # Pinned before the row-formatting CSV writer replaced the
-        # per-value one: the export must keep writing these exact bytes.
+        # Pinned under the two-doubles-per-block stream; the CSV writer's
+        # row formatting must keep writing these exact bytes.
         out = tmp_path / "eco"
         assert run_cli("simulate", "--scenario", "ecosystem",
                        "--set", "num_users=20", "--set", "num_providers=4",
@@ -190,8 +190,8 @@ SMALL_SWEEP = ("--set", "num_users=20", "--set", "num_providers=4",
                "--set", "slate_size=4")
 
 SWEEP_GOLDEN = {
-    "welfare.csv": "412b931076ef796217e1e4e62c49e177414b36b3244d194a55a83a704799f730",
-    "welfare_summary.csv": "8153d7306faa183688fdb140dfb3e95d705d3e336958084336826c163746b898",
+    "welfare.csv": "fbe705ea728d4678bd9f78d655a475504285c12e2249e47290499585b757a773",
+    "welfare_summary.csv": "ad08ed432787ce33158fb354abb7cf37e72f3f35440192d99c5ffe7808f30adb",
 }
 
 
@@ -238,9 +238,9 @@ class TestEcosystemSweep:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_boosted_sweep_matches_golden_digests(self, tmp_path):
-        # Pinned before the slate's top-k replaced the stable full sort;
-        # caps 0.6 and 1.2 run the boosted (adjust != 0) slate path, once
-        # in a two-worker pool and once serially.
+        # Pinned under the two-doubles-per-block stream; caps 0.6 and 1.2
+        # run the boosted (adjust != 0) slate path, once in a two-worker
+        # pool and once serially.
         digests = {}
         env = os.environ.copy()
         try:

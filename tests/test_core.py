@@ -25,6 +25,12 @@ class TestValue:
         with pytest.raises(CoreError, match="nearest available"):
             Value(alpha=1.0, beta=2.0).get("gamma")
 
+    def test_int64_payload_is_kept_without_a_copy(self):
+        a = np.arange(6, dtype=np.int64)
+        assert np.shares_memory(Value.of({"x": a}).get("x"), a)
+        narrow = np.arange(6, dtype=np.int32)
+        assert Value.of({"x": narrow}).get("x").dtype == np.int64
+
     def test_union_keeps_both_sides(self):
         u = Value(x=1.0).union(Value(y=2.0))
         assert set(u.paths) == {"x", "y"}

@@ -7,7 +7,7 @@ import pytest
 import ecosim.tensor as T
 from ecosim.dist import (NEG_INF, Bernoulli, Categorical, Deterministic,
                          DistributionError, GaussianMixture, Normal,
-                         PlackettLuce, greedy_argmax)
+                         PlackettLuce, greedy_argmax, top_k)
 from ecosim.rng import RngStream
 from ecosim.tensor import Tape, Tensor
 
@@ -97,6 +97,55 @@ class TestCategorical:
         with pytest.raises(DistributionError, match="finite"):
             Categorical(Tensor(np.array([0.0, np.inf])))
 
+    def test_rejects_logits_without_an_axis(self):
+        with pytest.raises(DistributionError, match="at least one axis"):
+            Categorical(Tensor(np.array(0.0)))
+
+    def test_inverse_cdf_frequencies_match_softmax(self):
+        # Pearson chi-square over 5 unequal categories at a fixed seed,
+        # against the 0.999 quantile of chi-square with 4 degrees of freedom.
+        logits = np.array([1.5, 0.0, -0.7, 0.4, -2.0])
+        n = 20_000
+        draws = Categorical(Tensor(np.tile(logits, (n, 1)))).sample(stream(9))
+        p = np.exp(logits) / np.exp(logits).sum()
+        observed = np.bincount(draws, minlength=5)
+        chi2 = float(((observed - n * p) ** 2 / (n * p)).sum())
+        assert chi2 < 18.467
+
+    def test_one_uniform_per_row(self):
+        s = stream(4)
+        Categorical(Tensor(np.zeros((6, 3, 20)))).sample(s)
+        assert s._cursor == 3
+
+    def test_zero_mass_category_is_never_drawn(self):
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def uniform_field(self, shape):
+                return np.full(shape, self.u)
+
+        # exp(-800) underflows to 0: those categories have no mass.
+        logits = Tensor(np.array([[-800.0, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0, -800.0],
+                                  [0.0, -800.0, 0.0, -800.0],
+                                  [-800.0, -800.0, -800.0, 0.0]]))
+        d = Categorical(logits)
+        # 1.0 itself: RngStream maps the all-ones 53 bits to (2^53 - 0.5)
+        # * 2^-53, which rounds to 1.0, so the scaled uniform can reach
+        # the row total.
+        for top in (1.0 - 2.0**-53, 1.0):
+            np.testing.assert_array_equal(d.sample(Fixed(top)), [3, 2, 2, 3])
+        np.testing.assert_array_equal(d.sample(Fixed(2.0**-54)), [1, 0, 0, 3])
+
+    def test_batch_row_matches_batch_one_draw_at_its_offset(self):
+        logits = np.random.default_rng(3).normal(size=(6, 3, 5))
+        big = Categorical(Tensor(logits)).sample(RngStream(4, "v", "topic", 2))
+        for row in range(6):
+            solo = Categorical(Tensor(logits[row:row + 1])).sample(
+                RngStream(4, "v", "topic", 2, row_offset=row))
+            np.testing.assert_array_equal(big[row:row + 1], solo)
+
 
 class TestBernoulli:
     def test_log_prob_matches_closed_form(self):
@@ -185,6 +234,16 @@ class TestPlackettLuce:
             p = math.exp(d.log_prob(np.tile(pair, (n, 1))).data[0])
             freq = np.mean((draws[:, 0] == pair[0]) & (draws[:, 1] == pair[1]))
             assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_top_k_ranks_equal_the_stable_sort(self, k):
+        # Tied logits: only the Gumbel noise separates the tied items.
+        logits = np.tile([0.5, 0.0, 0.5, -1.0, 0.0, 0.5], (400, 1))
+        noisy = logits + stream(8).gumbels(logits.shape)
+        expected = np.argsort(-noisy, axis=-1, kind="stable")[..., :k]
+        np.testing.assert_array_equal(top_k(noisy.copy(), k), expected)
+        drawn = PlackettLuce(Tensor(logits), k=k).sample(stream(8))
+        np.testing.assert_array_equal(drawn, expected)
 
     def test_k_out_of_range(self):
         with pytest.raises(DistributionError, match="out of range"):

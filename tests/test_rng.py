@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from ecosim.rng import RngStream, derive_seed, philox4x32
 
@@ -29,12 +30,12 @@ class TestPhiloxKnownAnswers:
 
 
 class TestPhiloxStreamPins:
-    """Pinned before Philox ran its rounds in place: the stream keeps these bytes."""
+    """Pinned under the two-doubles-per-block layout: the stream keeps these bytes."""
 
     def test_uniform_block_digest(self):
         u = RngStream(0, "v", "p", 3).uniforms(7, 1000)
         assert hashlib.sha256(u.tobytes()).hexdigest() == (
-            "3890a4ed6e9fb843ddcc52f6e54b5aa6f59c2daff0aef5a3a67292db51e8a6de")
+            "e70684abfd00a0b05b8f3f0e9afdd1141f96161f4dc453861f00140f4c331964")
 
     def test_single_uniform_digest(self):
         u = RngStream(0, "v", "p", 3).uniforms(1, 1)
@@ -96,6 +97,63 @@ def test_row_keying_is_batch_size_invariant():
     for row in range(10):
         solo = RngStream(11, "v", "x", 0, row_offset=row).uniforms(1, 6)
         np.testing.assert_array_equal(big[row], solo[0])
+
+
+class TestTwoDoublesPerBlock:
+    """Block j's words (0, 1) give column 2j and words (2, 3) column 2j+1."""
+
+    @staticmethod
+    def double(hi, lo):
+        return (float((int(hi) << 32 | int(lo)) >> 11) + 0.5) * 2.0**-53
+
+    def test_columns_follow_the_four_words(self):
+        stream = RngStream(5, "v", "p", 2, row_offset=9)
+        u = stream.uniforms(3, 7)
+        k0, k1 = stream._k0, stream._k1
+        for row in range(3):
+            for j in range(4):
+                w = _block((j, 9 + row, 0, 0), k0, k1)
+                assert u[row, 2 * j] == self.double(w[0], w[1])
+                if 2 * j + 1 < 7:
+                    assert u[row, 2 * j + 1] == self.double(w[2], w[3])
+
+    # test_sequential_blocks_do_not_overlap covers 3 then 3.
+    @pytest.mark.parametrize("splits", [(1, 2, 3), (1, 1, 1, 3), (5, 1)])
+    def test_draws_continue_from_odd_columns(self, splits):
+        s = RngStream(3, "v", "x", 0, row_offset=4)
+        parts = [s.uniforms(2, n) for n in splits]
+        fresh = RngStream(3, "v", "x", 0, row_offset=4).uniforms(2, sum(splits))
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), fresh)
+
+
+class TestCounterLimits:
+    """Rows and blocks are 32-bit counter words: the last of each is 2^32 - 1."""
+
+    def test_last_row_is_accepted(self):
+        RngStream(0, "v", "p", 0, row_offset=2**32 - 2).uniforms(2, 2)
+        RngStream(0, "v", "p", 0, row_offset=2**32 - 1).uniforms(1, 2)
+
+    @pytest.mark.parametrize("row_offset, batch", [(2**32, 1), (2**32 - 1, 2), (2**33, 1)])
+    def test_row_past_the_word_raises(self, row_offset, batch):
+        s = RngStream(0, "v", "p", 7, row_offset=row_offset)
+        with pytest.raises(ValueError, match="variable 'v', path 'p', step 7"):
+            s.uniforms(batch, 2)
+
+    def test_last_block_is_accepted_and_the_next_raises(self):
+        s = RngStream(0, "v", "p", 7)
+        s._cursor = 2 * (2**32 - 1)
+        last = s.uniforms(1, 2)  # block 2^32 - 1, both words
+        assert last.shape == (1, 2)
+        with pytest.raises(ValueError, match="variable 'v', path 'p', step 7: "
+                                             "block 4294967296"):
+            s.uniforms(1, 1)
+
+    def test_draw_crossing_the_last_block_raises_and_keeps_the_cursor(self):
+        s = RngStream(0, "v", "p", 7)
+        s._cursor = 2 * (2**32 - 1) + 1  # odd: the last block's second double
+        with pytest.raises(ValueError, match="block 4294967296"):
+            s.uniforms(1, 2)
+        assert s.uniforms(1, 1).shape == (1, 1)
 
 
 def test_sequential_blocks_do_not_overlap():

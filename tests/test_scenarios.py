@@ -113,8 +113,8 @@ class TestPorlStory:
                                             Value(features=features, quality=quality))
 
     def test_oracle_trajectory_digest_unchanged(self):
-        # sha256 over every field of a seed-3 oracle trajectory, taken when
-        # the oracle still ranked with a stable full argsort
+        # sha256 over every field of a seed-3 oracle trajectory, pinned
+        # under inverse-CDF Categorical draws and two doubles per block
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg, policy="oracle")
         traj = trajectory(net, cfg.horizon, 3)
@@ -128,7 +128,7 @@ class TestPorlStory:
                     h.update(f"{name}|{path}|{t}|{arr.dtype.str}|{arr.shape}".encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == \
-            "5152893761cf146b31140c586531f232aebd2903bfc909c9d4319f8bec9201bd"
+            "a31d4aeac208a2a35bcbf910cf37a0a825bf090835be8607ff33fca988c6d1d0"
 
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score
