@@ -170,8 +170,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
 
         def make_choice(state_v, slate_v, corpus_v):
             ranks = np.asarray(slate_v.get("doc_ranks"))
-            slate_feats = T.take_along(corpus_v.get("features"),
-                                       ranks[..., None], axis=-2)
+            slate_feats = T.take_rows(corpus_v.get("features"), ranks)
             aff = choice_affinity.affinities(state_v.get("interest"), slate_feats)
             return Value(choice=user_choice.choice(aff))
 
@@ -186,8 +185,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         def engage(choice_v, slate_v, corpus_v, state_v):
             doc = _chosen_doc(choice_v, slate_v)
             q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
-            feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[..., None, None], -2), -2)
+            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
             match = T.add(T.squeeze(affinity.affinities(
                 state_v.get("interest"), T.expand_dims(feats, -2)), -1), offset)
             mean = T.add(T.add(T.mul(q, cfg.reward_quality_gain),
@@ -200,8 +198,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             # the consumption paid off, so pooled history estimates per-topic
             # engagement rather than a bare consumption histogram
             doc = _chosen_doc(choice_v, slate_v)
-            feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[..., None, None], -2), -2)
+            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
             eng = engagement_v.get("value")
             weight = T.mul(T.sub(eng, cfg.reward_base), cfg.record_scale)
             return Value(features=T.mul(feats, T.expand_dims(weight, -1)),
@@ -209,8 +206,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
 
         def next_interest(state_v, choice_v, slate_v, corpus_v):
             doc = _chosen_doc(choice_v, slate_v)
-            feats = T.squeeze(T.take_along(corpus_v.get("features"),
-                                           doc[..., None, None], -2), -2)
+            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
             q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
             prev = state_v.get("interest")
             control = T.mul(T.expand_dims(q, -1), T.sub(feats, prev))

@@ -103,11 +103,13 @@ def zeros(shape) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs",)
+    __slots__ = ("inputs", "shape")
 
-    def __init__(self, inputs):
-        # inputs: list of (node index, vjp callable) pairs
+    def __init__(self, inputs, shape: tuple[int, ...]):
+        # inputs: list of (node index, vjp callable) pairs; shape: the
+        # recorded output's shape, which every gradient into it must have
         self.inputs = inputs
+        self.shape = shape
 
 
 class Tape:
@@ -129,13 +131,13 @@ class Tape:
         """Register a trainable leaf and return its taped handle."""
         data = value.data if isinstance(value, Tensor) else _f64(value)
         leaf = Tensor(data, self, len(self._nodes))
-        self._nodes.append(_Node([]))
+        self._nodes.append(_Node([], leaf.shape))
         self._watched.append(leaf)
         return leaf
 
     def _emit(self, data: np.ndarray, partials) -> Tensor:
-        node = _Node([(t.node, fn) for t, fn in partials])
         out = Tensor(data, self, len(self._nodes))
+        node = _Node([(t.node, fn) for t, fn in partials], out.shape)
         self._nodes.append(node)
         return out
 
@@ -147,7 +149,8 @@ class Tape:
         hold, as it goes: a tape is used for one pass.  (Tensors and the
         tape that recorded them form reference cycles, so without the
         release the intermediates would live until the cyclic collector
-        runs.)
+        runs.)  A vjp that returns a gradient of the wrong shape raises
+        ``TapeError`` rather than giving a leaf a gradient of another shape.
         """
         if loss.tape is not self:
             raise TapeError("loss was not recorded on this tape")
@@ -167,6 +170,10 @@ class Tape:
                 continue
             for j, vjp in inputs:
                 gj = vjp(g)
+                if np.shape(gj) != self._nodes[j].shape:
+                    raise TapeError(
+                        f"vjp of node {i} returned shape {np.shape(gj)} for its input "
+                        f"node {j}, which has shape {self._nodes[j].shape}")
                 if grads[j] is None:
                     grads[j] = np.array(gj, dtype=np.float64, copy=True)
                 else:
@@ -424,6 +431,37 @@ def take_along(a, indices, axis: int) -> Tensor:
         return out
 
     return _apply(lambda x: np.take_along_axis(x, idx_b, axis=axis_), (a,), (vjp,))
+
+
+def take_rows(a, indices) -> Tensor:
+    """Rows of ``a`` picked per leading index: ``a`` of shape ``(..., M, d)``
+    and integer ``indices`` of shape ``(..., n)`` give ``(..., n, d)``.
+
+    Equal to ``take_along(a, indices[..., None], -2)`` but made by one flat
+    ``np.take`` over the ``(prod(lead) * M, d)`` row view.  The gradient
+    scatter-adds the rows back, so repeated indices accumulate.
+    """
+    a = as_tensor(a)
+    if a.ndim < 2:
+        raise ShapeError(f"take_rows: tensor must have ndim >= 2, got shape {a.shape}")
+    lead, (m, d) = a.shape[:-2], a.shape[-2:]
+    idx = _check_index(indices, m, "take_rows")
+    if idx.ndim == 0 or idx.shape[:-1] != lead:
+        raise ShapeError(f"take_rows: index shape {idx.shape} does not match the "
+                         f"leading shape {lead} of tensor shape {a.shape}")
+    count = int(np.prod(lead, dtype=np.int64))
+    rows = count * m
+    offsets = (np.arange(count) * m).reshape(lead + (1,))
+    flat = (idx + offsets).reshape(-1)
+    out_shape = idx.shape + (d,)
+
+    def vjp(g):
+        out = np.zeros((rows, d))
+        np.add.at(out, flat, g.reshape(flat.size, d))
+        return out.reshape(a.shape)
+
+    return _apply(lambda x: np.take(x.reshape(rows, d), flat, axis=0).reshape(out_shape),
+                  (a,), (vjp,))
 
 
 def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:

@@ -71,6 +71,20 @@ class TestSimulate:
                    for name, data in tree_bytes(out).items()}
         assert digests == ECOSYSTEM_GOLDEN
 
+    def test_ecosystem_choice_and_utility_at_default_population(self, tmp_path):
+        # 200 users, 100 items, k=8, 10 runs: the sizes at which the choice
+        # and utility builders gather slate rows, pinned before they moved
+        # to one row gather and a chosen-item utility.
+        out = tmp_path / "eco"
+        assert run_cli("simulate", "--scenario", "ecosystem", "--set", "horizon=3",
+                       "--out", str(out)) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("choice.csv", "utility.csv")}
+        assert digests == {
+            "choice.csv": "b4dfbd38579290e86e0e14cea87a33d4c8f147ef2aa4821c44fbbd238c7a35c4",
+            "utility.csv": "b5621cddb42e100df0e9930acdc28fccefeee1007f7104f82a9eb7b4bff9775e",
+        }
+
     def test_invalid_horizon_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "count",
                        "--set", "horizon=0", "--out", str(tmp_path / "x"))

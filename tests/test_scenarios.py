@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ecosim.tensor as T
+from ecosim.behaviors import AffinityModel
 from ecosim.core import Value
 from ecosim.dist import NEG_INF, PlackettLuce, top_k
 from ecosim.logprob import ObservedTrajectory, log_probability_from_value_trajectory
@@ -320,6 +322,39 @@ class TestEcosystemStory:
             solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=row)
             np.testing.assert_array_equal(solo["metrics"].get("welfare").data,
                                           welfare[row:row + 1])
+
+
+def full_slate_utility_mean(u, f, ranks, choice):
+    """The utility mean as the full-slate affinity's chosen column."""
+    idx = ranks.reshape(ranks.shape[:-2] + (-1, 1))
+    feats = T.reshape(T.take_along(Tensor(f), idx, axis=-2), ranks.shape + f.shape[-1:])
+    aff = AffinityModel("negative_euclidean").affinities(Tensor(u), feats)
+    return T.squeeze(T.take_along(aff, choice[..., None], -1), -1).data
+
+
+class TestChosenItemUtility:
+    """``consume_utility`` computes only the chosen item's distance; it must
+    equal, bit for bit, the chosen column of the full-slate affinity."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 10, 17, 130])
+    @pytest.mark.parametrize("lead", [(3,), (4, 3)], ids=["R", "T,R"])
+    def test_bit_identical_to_full_slate_formula(self, d, lead):
+        U, M, k = 9, 12, 5
+        cfg = EcosystemConfig(num_users=U, num_providers=3, num_items=M, num_runs=3,
+                              interest_dim=d, num_communities=1, community_sizes=(1.0,),
+                              slate_size=k, horizon=2)
+        net, _ = build_ecosystem_story(cfg)
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=lead + (U, d)) * 3.0
+        f = rng.normal(size=lead + (M, d)) * 3.0
+        ranks = np.argsort(rng.uniform(size=lead + (U, M)), axis=-1)[..., :k]
+        choice = rng.integers(0, k, size=lead + (U,))
+        consume_utility = net.by_name["utility"].kernel_fn
+        out = consume_utility(Value(interest=Tensor(u)), Value(features=Tensor(f)),
+                              Value(ranks=ranks), Value(choice=choice))
+        mean = out.get("value").loc.data
+        assert mean.shape == lead + (U,)
+        assert np.array_equal(mean, full_slate_utility_mean(u, f, ranks, choice))
 
 
 def stable_top_k(score, k):

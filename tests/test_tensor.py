@@ -100,6 +100,47 @@ class TestBackwardExamples:
         with pytest.raises(TapeError):
             T.add(t1.watch([1.0]), t2.watch([2.0]))
 
+    def test_wrong_shape_vjp_rejected(self):
+        tape = Tape()
+        x = tape.watch(np.ones(3))
+        y = T._apply(lambda a: 2.0 * a, (x,), (lambda g: np.ones(1),))
+        loss = T.reduce_sum(y)
+        with pytest.raises(TapeError, match=r"node 1 .*\(1,\).*node 0.*\(3,\)"):
+            tape.backward(loss)
+
+
+class TestTakeRows:
+    def test_time_batched_rows(self, rng):
+        a = rng.normal(size=(4, 3, 6, 5))        # (T, R, M, d)
+        idx = rng.integers(0, 6, size=(4, 3, 7))  # (T, R, n)
+        got = T.take_rows(Tensor(a), idx).data
+        assert got.shape == (4, 3, 7, 5)
+        for t in range(4):
+            for r in range(3):
+                np.testing.assert_array_equal(got[t, r], a[t, r][idx[t, r]])
+
+    def test_equals_take_along_with_broadcast_index(self, rng):
+        a = rng.normal(size=(3, 8, 4))
+        idx = rng.integers(0, 8, size=(3, 10))
+        np.testing.assert_array_equal(T.take_rows(Tensor(a), idx).data,
+                                      T.take_along(Tensor(a), idx[..., None], -2).data)
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(ShapeError, match=r"take_rows: index 5 out of range \[0, 5\)"):
+            T.take_rows(Tensor(np.zeros((2, 5, 3))), np.array([[0, 5], [1, 2]]))
+        with pytest.raises(ShapeError, match="take_rows: index -1"):
+            T.take_rows(Tensor(np.zeros((2, 5, 3))), np.array([[0, -1], [1, 2]]))
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(ShapeError, match="take_rows: indices must be integers"):
+            T.take_rows(Tensor(np.zeros((2, 5, 3))), np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    def test_mismatched_leading_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"take_rows: index shape \(3, 2\)"):
+            T.take_rows(Tensor(np.zeros((2, 5, 3))), np.zeros((3, 2), np.int64))
+        with pytest.raises(ShapeError, match="take_rows"):
+            T.take_rows(Tensor(np.zeros((2, 5, 3))), np.zeros(2, np.int64))
+
 
 class TestStopGradient:
     def test_definition(self):
@@ -148,6 +189,9 @@ class TestGradientSuite:
         "take_along_broadcast": (
             lambda x: T.take_along(x, np.array([[[1]], [[0]], [[3]]]), 1),
             lambda r: [r.normal(size=(3, 5, 2))]),
+        "take_rows": (  # repeated rows, so the scatter-add accumulates
+            lambda x: T.take_rows(x, np.array([[0, 2, 2, 4], [1, 1, 3, 1]])),
+            lambda r: [r.normal(size=(2, 5, 3))]),
         "reduce_sum": (lambda x: T.reduce_sum(x, axis=1),
                        lambda r: [r.normal(size=(3, 5))]),
         "reduce_mean": (lambda x: T.reduce_mean(x, axis=0),
