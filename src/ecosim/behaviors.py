@@ -44,13 +44,11 @@ class AffinityModel:
         if targets.shape[-1] != items.shape[-1]:
             raise CoreError(
                 f"affinity dims differ: targets {targets.shape} vs items {items.shape}")
-        t = T.expand_dims(targets, -2)
         if self.kind == NEGATIVE_EUCLIDEAN:
-            out = T.neg(T.sqrt(T.squared_l2_norm(T.sub(items, t))))
-        elif self.kind == DOT_PRODUCT:
-            out = T.reduce_sum(T.mul(items, t), axis=-1)
-        else:
+            return T.negative_euclidean(targets, items, self.scale)
+        if self.kind != DOT_PRODUCT:
             raise CoreError(f"unknown affinity kind {self.kind!r}")
+        out = T.reduce_sum(T.mul(items, T.expand_dims(targets, -2)), axis=-1)
         if self.scale is not None:
             out = T.mul(out, self.scale)
         return out

@@ -34,10 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import (Adam, EmIteration, HmcConfig, ReinforceConfig,
-                        make_optimizer, mc_em_fit, reinforce_training,
-                        write_iteration_csv)
-from .logprob import ObservedTrajectory, log_probability_from_value_trajectory
+from .inference import (Adam, HmcConfig, ReinforceConfig, make_optimizer, mc_em_fit,
+                        reinforce_training, write_iteration_csv)
+from .logprob import ObservedTrajectory
 from .rng import derive_seed
 from .runtime import execute, export_trajectory, trajectory
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
@@ -366,15 +365,8 @@ def cmd_fit_em(args) -> int:
     hmc = HmcConfig(step_size=em.hmc_step_size, num_leapfrog=em.hmc_num_leapfrog,
                     num_samples=em.hmc_num_samples, burn_in=em.hmc_burn_in)
     opt = Adam(em.learning_rate)
-    if em.iterations == 0:
-        # boundary: report the initial objective only, no updates
-        z0 = [np.zeros((cfg.population, cfg.interest_dim))] * cfg.horizon
-        lp = log_probability_from_value_trajectory(
-            net, data.inject(*held, z0), cfg.horizon - 1)
-        trace = [EmIteration(0, float(lp.data), None, 0.0)]
-    else:
-        trace = mc_em_fit(net, data, held, hmc, opt, em.iterations, run.seed,
-                          registry=registry, m_steps=em.m_steps)
+    trace = mc_em_fit(net, data, held, hmc, opt, em.iterations, run.seed,
+                      registry=registry, m_steps=em.m_steps)
     outdir = Path(run.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with (outdir / "em_trace.csv").open("w", encoding="utf-8", newline="") as fh:

@@ -32,7 +32,6 @@ from .tensor import Tensor, as_tensor
 
 NEG_INF = -1e30
 _DETERMINISTIC_ATOL = 1e-12
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class DistributionError(ValueError):
@@ -102,8 +101,11 @@ class Deterministic(Distribution):
         v = value.data if isinstance(value, Tensor) else np.asarray(value)
         if v.shape != self.loc.shape:
             return False
+        if np.array_equal(v, self.loc):
+            # equal everywhere: the tolerance test fails only where inf - inf is nan
+            return self._integer or bool(np.isfinite(self.loc).all())
         if self._integer:
-            return bool(np.array_equal(v, self.loc))
+            return False
         return bool(np.all(np.abs(v - self.loc) <= _DETERMINISTIC_ATOL))
 
     def log_prob(self, value) -> Tensor:
@@ -130,10 +132,7 @@ class Normal(Distribution):
             np.broadcast_to(self.scale.data, self._shape) * z
 
     def log_prob(self, value) -> Tensor:
-        v = as_tensor(value)
-        z = T.div(T.sub(v, self.loc), self.scale)
-        return T.sub(T.mul(T.mul(z, z), -0.5),
-                     T.add(T.log(self.scale), 0.5 * _LOG_2PI))
+        return T.normal_log_density(value, self.loc, self.scale)
 
 
 class Bernoulli(Distribution):
@@ -244,9 +243,7 @@ class GaussianMixture(Distribution):
     def log_prob(self, value) -> Tensor:
         v = as_tensor(value)
         x = T.expand_dims(v, -2)  # (..., 1, d)
-        z = T.div(T.sub(x, self.locs), self.scales)
-        comp = T.reduce_sum(T.sub(T.mul(T.mul(z, z), -0.5),
-                                  T.add(T.log(self.scales), 0.5 * _LOG_2PI)), axis=-1)
+        comp = T.reduce_sum(T.normal_log_density(x, self.locs, self.scales), axis=-1)
         logw = T.log(T.maximum(self.weights, 1e-300))
         return T.logsumexp(T.add(logw, comp))
 

@@ -315,10 +315,25 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
     injected at every step of the trajectory.  With nothing held out the
     E-step degenerates and this is plain MLE gradient ascent.  The chain
     is persistent across EM iterations.  Raises after three consecutive
-    E-steps with acceptance below 0.01.
+    E-steps with acceptance below 0.01.  Zero iterations give one row: the
+    objective at the initial parameters and latent, with no update.
     """
     num_steps = observed.steps - 1
     trace: list[EmIteration] = []
+    if held_out is not None:
+        var, path = held_out
+        if (var, path) not in observed.held_out():
+            raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
+        spec = observed.specs[var].field(path)
+        if init_latent is None:
+            init_latent = np.zeros((observed.batch,) + spec.shape)
+        z = np.array(init_latent, dtype=np.float64)
+
+    if num_iterations == 0:
+        scored = observed if held_out is None else \
+            observed.inject(var, path, [Tensor(z)] * observed.steps)
+        lp = log_probability_from_value_trajectory(net, scored, num_steps)
+        return [EmIteration(0, float(lp.data), None, 0.0)]
 
     if held_out is None:
         for i in range(num_iterations):
@@ -327,15 +342,6 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
             trace.append(EmIteration(i, objective, None,
                                      (time.perf_counter() - t0) * 1e3))
         return trace
-
-    var, path = held_out
-    if (var, path) not in observed.held_out():
-        raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
-    spec = observed.specs[var].field(path)
-    batch = observed.batch
-    if init_latent is None:
-        init_latent = np.zeros((batch,) + spec.shape)
-    z = np.array(init_latent, dtype=np.float64)
 
     def target(zt: Tensor) -> Tensor:
         injected = observed.inject(var, path, [zt] * observed.steps)

@@ -37,7 +37,7 @@ initial slice plus ``num_steps`` transitions) are scored.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,31 @@ def _stack(payloads: Sequence):
 
 def _window(payload, key):
     return T.index(payload, key) if isinstance(payload, Tensor) else payload[key]
+
+
+class _InjectedSlices(Sequence):
+    """A variable's per-step Values with one field injected.
+
+    Step t's Value is built when it is first read; scoring reads only
+    step 0 and the stacked fields.
+    """
+
+    def __init__(self, base: Sequence[Value], path: str, payloads: Sequence):
+        self._base, self._path, self._payloads = base, path, payloads
+        self._built: dict[int, Value] = {}
+
+    def __len__(self) -> int:
+        return len(self._payloads)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        value = self._built.get(t)
+        if value is None:
+            value = self._base[t].union(Value.of({self._path: self._payloads[t]}))
+            self._built[t] = value
+        return value
 
 
 class ObservedTrajectory:
@@ -181,17 +206,16 @@ class ObservedTrajectory:
         else:
             payloads = [Value.of({path: v}).get(path) for v in values]
         batch = self.batch
-        new_slices = []
         for t, payload in enumerate(payloads):
             if t == 0 or payload is not payloads[t - 1]:
                 batch = spec.check_payload(path, payload, batch,
                                            f"injected field {path!r} at step {t}")
-            new_slices.append(self.data[variable][t].union(Value.of({path: payload})))
         for name in self.specs:
             self.stacked(name)
         out = object.__new__(ObservedTrajectory)
         out.specs, out.steps, out.batch = self.specs, self.steps, batch
-        out.data = {**self.data, variable: new_slices}
+        out.data = {**self.data,
+                    variable: _InjectedSlices(self.data[variable], path, payloads)}
         out._stacked = {**self._stacked,
                         variable: {**self._stacked[variable], path: _stack(payloads)}}
         return out

@@ -210,6 +210,47 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _sum_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.sum(x, axis)`` over one axis, bit for bit, without numpy's
+    per-row reduction overhead on short axes.
+
+    numpy starts a sum from +0.0 and adds along the axis in order, except
+    along the innermost axis of the iteration (the last axis, or one
+    followed only by length-1 axes) once it is 8 or longer, where it sums
+    pairwise.  So for a C-contiguous ``x`` this adds the slices in order,
+    from +0.0, and leaves the pairwise cases and other layouts to
+    ``np.sum``.
+    """
+    axis %= x.ndim
+    n = x.shape[axis]
+    innermost = all(m == 1 for m in x.shape[axis + 1:])
+    if n == 0 or (innermost and n >= 8) or not x.flags.c_contiguous:
+        return np.sum(x, axis=axis)
+    index = [slice(None)] * x.ndim
+    index[axis] = 0
+    out = np.add(x[tuple(index)], 0.0)
+    for i in range(1, n):
+        index[axis] = i
+        out += x[tuple(index)]
+    return out
+
+
+def _per_pass(fn: Callable) -> Callable:
+    """``fn(g)``, computed once per backward pass.
+
+    For a gradient term that several vjps of one node share: the tape
+    calls a node's vjps in turn with the same ``g``.
+    """
+    memo = [None, None]
+
+    def cached(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, fn(g)
+        return memo[1]
+
+    return cached
+
+
 def _apply(fwd: Callable, inputs: Sequence, vjps: Sequence[Callable | None]) -> Tensor:
     """Run ``fwd`` on raw buffers and record vjps for taped inputs."""
     ts = [as_tensor(x) for x in inputs]
@@ -507,10 +548,10 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         return out if keepdims else np.squeeze(out, axis=axis_)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
         gk = g if keepdims else np.expand_dims(g, axis_)
-        np.add.at(out, _along_index(idx, axis_), gk)
-        return out
+        positions = np.arange(a.shape[axis_]).reshape((-1,) + (1,) * (a.ndim - axis_ - 1))
+        # + 0.0 makes a -0.0 gradient +0.0, as a scatter-add into zeros does
+        return np.where(positions == idx, gk + 0.0, 0.0)
 
     return _apply(fwd, (a,), (vjp,))
 
@@ -519,6 +560,102 @@ def squared_l2_norm(a) -> Tensor:
     """Sum of squares along the last axis."""
     a = as_tensor(a)
     return reduce_sum(mul(a, a), axis=-1)
+
+
+def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
+    """``-scale * sqrt(sum((items - targets[..., None, :])**2, -1))`` as one
+    tape node: targets ``(..., d)`` and items ``(..., slate, d)`` broadcast
+    to ``(..., slate)``.  Without ``scale`` the factor is left out.
+
+    Forward and backward run the numpy kernels of the composition
+    expand_dims, sub, mul(diff, diff), reduce_sum, sqrt, neg and mul(scale)
+    in the same order, so values and gradients are bit-identical to it.
+    As for ``sqrt``, the subgradient at a distance of exactly 0 is 0.
+    """
+    targets, items = as_tensor(targets), as_tensor(items)
+    if targets.ndim < 1 or items.ndim < 2 or targets.shape[-1] != items.shape[-1]:
+        raise ShapeError(f"negative_euclidean: targets {targets.shape} and items "
+                         f"{items.shape} are not (..., d) and (..., slate, d)")
+    t = targets.data[..., None, :]
+    _broadcast_guard(items.data, t, "negative_euclidean")
+    diff = items.data - t
+    root = np.sqrt(_sum_axis(diff * diff, -1))
+    out = np.negative(root)
+    if scale is not None:
+        scale = float(scale)
+        out *= scale
+
+    @_per_pass
+    def grad_diff(g):
+        if scale is not None:
+            g = g * scale
+        g = -g
+        safe = np.where(root > 0.0, root, 1.0)
+        g = np.where(root > 0.0, 0.5 * g / safe, 0.0)
+        gd = g[..., None] * diff
+        return gd + gd  # how the tape summed the two inputs of mul(diff, diff)
+
+    def vjp_targets(g):
+        grad = -grad_diff(g)
+        lead = grad.ndim - t.ndim
+        if lead > 0:  # targets with fewer leading axes than the items
+            grad = grad.sum(axis=tuple(range(lead)))
+        axes = tuple(i for i, n in enumerate(t.shape) if n == 1 and grad.shape[i] != 1)
+        if axes == (t.ndim - 2,):
+            return _sum_axis(grad, -2)
+        if axes:
+            grad = grad.sum(axis=axes, keepdims=True)
+        return np.squeeze(grad, -2)
+
+    return _apply(lambda *_: out, (targets, items),
+                  (vjp_targets, lambda g: _unbroadcast(grad_diff(g), items.shape)))
+
+
+_HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
+
+
+def normal_log_density(value, loc, scale) -> Tensor:
+    """Elementwise Normal log-density ``-0.5 * z**2 - (log(scale) +
+    0.5 * log(2 pi))`` with ``z = (value - loc) / scale``, as one tape node.
+
+    Forward and backward run the numpy kernels of the composition sub,
+    div, mul(z, z), mul(-0.5), log, add and sub in the same order, so
+    values and gradients are bit-identical to it.  A taped ``scale``
+    receives the log term and then the div term, as it did from the two
+    nodes.
+    """
+    value, loc, scale = as_tensor(value), as_tensor(loc), as_tensor(scale)
+    _broadcast_guard(value.data, loc.data, "normal_log_density")
+    diff = value.data - loc.data
+    _broadcast_guard(diff, scale.data, "normal_log_density")
+    z = diff / scale.data
+    out = z * z
+    out *= -0.5
+    out -= np.log(scale.data) + _HALF_LOG_2PI
+
+    @_per_pass
+    def grad_z(g):
+        gz = g * -0.5 * z
+        return gz + gz  # how the tape summed the two inputs of mul(z, z)
+
+    @_per_pass
+    def grad_diff(g):
+        return _unbroadcast(grad_z(g) / scale.data, diff.shape)
+
+    tape = _common_tape((value, loc, scale))
+    if tape is None:
+        return Tensor(out)
+    partials = []
+    if scale.tape is not None:
+        partials += [
+            (scale, lambda g: _unbroadcast(-g, scale.shape) / scale.data),
+            (scale, lambda g: _unbroadcast(-grad_z(g) * diff / (scale.data * scale.data),
+                                           scale.shape))]
+    if value.tape is not None:
+        partials.append((value, lambda g: _unbroadcast(grad_diff(g), value.shape)))
+    if loc.tape is not None:
+        partials.append((loc, lambda g: _unbroadcast(-grad_diff(g), loc.shape)))
+    return tape._emit(out, partials)
 
 
 def softmax(a) -> Tensor:
@@ -537,11 +674,11 @@ def softmax(a) -> Tensor:
 def log_softmax(a) -> Tensor:
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    lse = np.log(_sum_axis(np.exp(shifted), -1))[..., None]
     out = shifted - lse
 
     def vjp(g):
-        return g - np.exp(out) * np.sum(g, axis=-1, keepdims=True)
+        return g - np.exp(out) * _sum_axis(g, -1)[..., None]
 
     return _apply(lambda x: out, (a,), (vjp,))
 

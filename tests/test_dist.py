@@ -39,6 +39,23 @@ class TestDeterministic:
         assert d.is_consistent(np.array([1, 2]))
         assert not d.is_consistent(np.array([1, 3]))
 
+    def test_consistency_verdicts_past_the_exact_match(self):
+        loc = np.array([[0.5, -2.0], [3.0, 0.0]])
+        d = Deterministic(Tensor(loc))
+        assert d.is_consistent(Tensor(loc.copy()))
+        assert d.is_consistent(Tensor(loc + 1e-13))           # within 1e-12
+        assert not d.is_consistent(Tensor(loc + 1e-11))
+        nan = loc.copy()
+        nan[1, 0] = np.nan
+        assert not d.is_consistent(Tensor(nan))
+        assert not Deterministic(Tensor(nan)).is_consistent(Tensor(nan.copy()))
+        # inf - inf is nan, so an infinite loc matches nothing, itself included
+        inf = loc.copy()
+        inf[0, 1] = np.inf
+        assert not Deterministic(Tensor(inf)).is_consistent(Tensor(inf.copy()))
+        assert not Deterministic(np.array([4, 5])).is_consistent(np.array([4, 6]))
+        assert not d.is_consistent(Tensor(loc[:1]))
+
 
 class TestNormal:
     def test_log_prob_standard_at_zero(self):

@@ -100,7 +100,7 @@ class TestHmc:
     def test_nonfinite_target_at_init_rejected(self):
         def bad(x):
             return T.reduce_sum(T.log(x))
-        with pytest.raises(InferenceError, match="finite"):
+        with pytest.raises(InferenceError, match="finite"), np.errstate(invalid="ignore"):
             hmc_sample(bad, np.array([-1.0]), HmcConfig(num_samples=2), seed=0)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,153 @@ class TestTakeRows:
             T.take_rows(Tensor(np.zeros((2, 5, 3))), np.zeros(2, np.int64))
 
 
+def old_negative_euclidean(targets, items, scale=None):
+    """The composition ``T.negative_euclidean`` replaces, as an oracle."""
+    out = T.neg(T.sqrt(T.squared_l2_norm(T.sub(items, T.expand_dims(targets, -2)))))
+    return out if scale is None else T.mul(out, scale)
+
+
+def old_normal_log_density(value, loc, scale):
+    """The composition ``T.normal_log_density`` replaces, as an oracle."""
+    z = T.div(T.sub(value, loc), scale)
+    return T.sub(T.mul(T.mul(z, z), -0.5),
+                 T.add(T.log(scale), 0.5 * float(np.log(2.0 * np.pi))))
+
+
+def value_and_grads(op, inputs, taped, weights):
+    """op's value and the gradients of sum(weights * op) for the inputs
+    flagged in ``taped``; the others enter as constants."""
+    tape = Tape()
+    args = [tape.watch(a) if t else Tensor(a) for a, t in zip(inputs, taped)]
+    out = op(*args)
+    grads = tape.backward(T.reduce_sum(T.mul(out, Tensor(weights))))
+    return out.data, [grads[a].data for a, t in zip(args, taped) if t]
+
+
+def assert_bit_identical(new, old, inputs, rng):
+    weights = rng.normal(size=old(*[Tensor(a) for a in inputs]).shape)
+    np.testing.assert_array_equal(new(*[Tensor(a) for a in inputs]).data,
+                                  old(*[Tensor(a) for a in inputs]).data)
+    for taped in itertools.product((False, True), repeat=len(inputs)):
+        if not any(taped):
+            continue
+        got_value, got = value_and_grads(new, inputs, taped, weights)
+        want_value, want = value_and_grads(old, inputs, taped, weights)
+        np.testing.assert_array_equal(got_value, want_value)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("d", [1, 3, 8, 10])
+    @pytest.mark.parametrize("slate", [1, 4, 8])
+    @pytest.mark.parametrize("scale", [None, 0.7])
+    @pytest.mark.parametrize("lead", [((5, 6), (5, 6)),     # same leading axes
+                                      ((6,), (5, 6)),       # targets without the time axis
+                                      ((1, 6), (5, 6)),     # targets broadcast on an axis
+                                      ((5, 6), (6,))])      # items with fewer leading axes
+    def test_negative_euclidean_matches_composition(self, d, slate, scale, lead, rng):
+        t_lead, i_lead = lead
+        targets = rng.normal(size=t_lead + (d,))
+        items = rng.normal(size=i_lead + (slate, d)) * 10.0 ** rng.uniform(-3, 3)
+        # a distance of exactly 0, where the subgradient is 0
+        np.copyto(items[..., 0, :], targets if len(t_lead) <= len(i_lead) else targets[0])
+        assert_bit_identical(lambda t, x: T.negative_euclidean(t, x, scale),
+                             lambda t, x: old_negative_euclidean(t, x, scale),
+                             [targets, items], rng)
+
+    def test_negative_euclidean_zero_distance_is_zero_with_zero_gradient(self):
+        tape = Tape()
+        t = tape.watch(np.array([[1.0, 2.0]]))
+        out = T.negative_euclidean(t, np.array([[[1.0, 2.0]]]), 0.5)
+        assert out.data[0, 0] == 0.0
+        np.testing.assert_array_equal(tape.backward(T.reduce_sum(out))[t].data, [[0.0, 0.0]])
+
+    def test_negative_euclidean_rejects_mismatched_dims(self):
+        with pytest.raises(ShapeError, match="negative_euclidean"):
+            T.negative_euclidean(np.zeros((2, 1)), np.zeros((2, 4, 3)))
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 3), (4, 3), ()),           # scalar scale, as in the stories
+        ((5, 4, 3), (4, 3), (3,)),      # time-batched value, per-dimension scale
+        ((4, 3), (3,), (4, 3)),
+        ((4, 1, 3), (2, 3), (4, 2, 1)),  # every operand broadcasts
+    ])
+    def test_normal_log_density_matches_composition(self, shapes, rng):
+        v_shape, loc_shape, scale_shape = shapes
+        inputs = [rng.normal(size=v_shape), rng.normal(size=loc_shape),
+                  rng.uniform(0.2, 3.0, size=scale_shape)]
+        assert_bit_identical(T.normal_log_density, old_normal_log_density, inputs, rng)
+
+    def test_normal_log_density_with_a_scale_other_ops_use(self, rng):
+        v, loc = rng.normal(size=(6, 20, 10)), rng.normal(size=(20, 10))
+        s0 = rng.uniform(0.5, 2.0, size=(20, 10))
+
+        def grads(density):
+            tape = Tape()
+            s = tape.watch(s0)
+            scale = T.mul(s, 1.5)
+            before = T.reduce_sum(T.log(scale))
+            lp = T.reduce_sum(density(Tensor(v), Tensor(loc), scale))
+            after = T.reduce_sum(T.mul(scale, scale))
+            return tape.backward(T.add(T.add(before, lp), after))[s].data
+
+        np.testing.assert_array_equal(grads(T.normal_log_density),
+                                      grads(old_normal_log_density))
+
+
+def scatter_reduce_max_gradient(a, g, axis):
+    """The scatter-add vjp ``reduce_max`` had, as an oracle."""
+    idx = np.expand_dims(np.argmax(a, axis=axis), axis)
+    out = np.zeros_like(a)
+    grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
+    grids[axis] = idx
+    np.add.at(out, tuple(grids), np.expand_dims(g, axis))
+    return out
+
+
+class TestReduceMaxGradient:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_scatter_add_with_ties_and_signed_zeros(self, axis, rng):
+        a = rng.integers(0, 3, size=(4, 5, 6)).astype(np.float64)  # many ties
+        g = rng.normal(size=np.delete(np.array(a.shape), axis % 3))
+        g[0] = -0.0
+        tape = Tape()
+        x = tape.watch(a)
+        loss = T.reduce_sum(T.mul(T.reduce_max(x, axis=axis), Tensor(g)))
+        got = tape.backward(loss)[x].data
+        want = scatter_reduce_max_gradient(a, g, axis % 3)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSumAxis:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_last_axis_equals_np_sum(self, n, rng):
+        for shape in [(n,), (3, n), (4, 5, n), (2, 3, n, 1)]:
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            axis = len(shape) - 1 if shape[-1] != 1 else len(shape) - 2
+            got = T._sum_axis(x, axis)
+            np.testing.assert_array_equal(got, np.sum(x, axis=axis))
+            zeros = np.full(shape, -0.0)
+            np.testing.assert_array_equal(np.signbit(T._sum_axis(zeros, axis)),
+                                          np.signbit(np.sum(zeros, axis=axis)))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_other_axes_equal_np_sum(self, n, rng):
+        cases = [((n, 3), 0), ((4, n, 3), 1), ((4, n, 2, 5), 1), ((4, n, 1), 1),
+                 ((n, 5, 2), 0)]
+        for shape, axis in cases:
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            np.testing.assert_array_equal(T._sum_axis(x, axis), np.sum(x, axis=axis))
+            np.testing.assert_array_equal(T._sum_axis(x.T, x.ndim - 1 - axis),
+                                          np.sum(x.T, axis=x.ndim - 1 - axis))
+            zeros = np.full(shape, -0.0)
+            np.testing.assert_array_equal(np.signbit(T._sum_axis(zeros, axis)),
+                                          np.signbit(np.sum(zeros, axis=axis)))
+
+
 class TestStopGradient:
     def test_definition(self):
         tape = Tape()
@@ -199,6 +348,18 @@ class TestGradientSuite:
         "reduce_max": (lambda x: T.reduce_max(x, axis=-1),
                        lambda r: [r.normal(size=(3, 5))]),
         "squared_l2_norm": (T.squared_l2_norm, lambda r: [r.normal(size=(3, 4))]),
+        "negative_euclidean": (lambda t, x: T.negative_euclidean(t, x, 0.7),
+                               lambda r: [r.normal(size=(3, 4)), r.normal(size=(3, 5, 4))]),
+        "negative_euclidean_fewer_lead": (
+            T.negative_euclidean,
+            lambda r: [r.normal(size=(4,)), r.normal(size=(2, 3, 5, 4))]),
+        "normal_log_density": (T.normal_log_density,
+                               lambda r: [r.normal(size=(3, 4)), r.normal(size=(3, 4)),
+                                          r.uniform(0.5, 2.0, size=(4,))]),
+        "normal_log_density_time_batched": (
+            T.normal_log_density,
+            lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(3, 4)),
+                       r.uniform(0.5, 2.0, size=(3, 1))]),
         "softmax": (T.softmax, lambda r: [r.normal(size=(3, 5))]),
         "log_softmax": (T.log_softmax, lambda r: [r.normal(size=(3, 5))]),
         "logsumexp": (T.logsumexp, lambda r: [r.normal(size=(3, 5))]),
