@@ -19,22 +19,15 @@ import numpy as np
 
 from . import tensor as T
 from .core import CoreError, Value, Variable
-from .dist import Categorical, Deterministic, Distribution, Normal, PlackettLuce, greedy_argmax
+from .dist import Categorical, Deterministic, Distribution, Normal
 from .tensor import Tape, Tensor, as_tensor
-
-NEGATIVE_EUCLIDEAN = "negative_euclidean"
-DOT_PRODUCT = "dot_product"
-
-GREEDY = "greedy"
-MULTINOMIAL_LOGIT = "multinomial_logit"
-PLACKETT_LUCE = "plackett_luce"
 
 
 @dataclass(frozen=True)
 class AffinityModel:
-    """Scores items against a target vector, one score per slate item."""
+    """Scores items by negative Euclidean distance to a target vector, one
+    score per slate item, times ``scale`` when it is set."""
 
-    kind: str = NEGATIVE_EUCLIDEAN
     scale: float | None = None
 
     def affinities(self, targets, item_features) -> Tensor:
@@ -44,28 +37,20 @@ class AffinityModel:
         if targets.shape[-1] != items.shape[-1]:
             raise CoreError(
                 f"affinity dims differ: targets {targets.shape} vs items {items.shape}")
-        if self.kind == NEGATIVE_EUCLIDEAN:
-            return T.negative_euclidean(targets, items, self.scale)
-        if self.kind != DOT_PRODUCT:
-            raise CoreError(f"unknown affinity kind {self.kind!r}")
-        out = T.reduce_sum(T.mul(items, T.expand_dims(targets, -2)), axis=-1)
-        if self.scale is not None:
-            out = T.mul(out, self.scale)
-        return out
+        return T.negative_euclidean(targets, items, self.scale)
 
 
 @dataclass(frozen=True)
 class ChoiceModel:
-    """Turns affinities into a selection distribution.
+    """Turns affinities into a multinomial-logit (Categorical) choice.
 
     With ``no_choice_logit`` set, a constant abstention option is appended
-    after the slate, so index ``slate_size`` means "no choice".  A boost
-    is applied to item logits only, never to the abstention logit.
+    after the slate, so the index one past the last item means "no
+    choice".  A boost is applied to item logits only, never to the
+    abstention logit.
     """
 
-    kind: str = MULTINOMIAL_LOGIT
     no_choice_logit: float | None = None
-    slate_size: int | None = None  # ranked-selection size for plackett_luce
 
     def choice(self, affinities, extra_logit_boost=None) -> Distribution:
         logits = as_tensor(affinities)
@@ -74,15 +59,7 @@ class ChoiceModel:
         if self.no_choice_logit is not None:
             const = Tensor(np.full(logits.shape[:-1] + (1,), float(self.no_choice_logit)))
             logits = T.concat([logits, const], axis=-1)
-        if self.kind == MULTINOMIAL_LOGIT:
-            return Categorical(logits)
-        if self.kind == GREEDY:
-            return Deterministic(greedy_argmax(logits))
-        if self.kind == PLACKETT_LUCE:
-            if self.slate_size is None:
-                raise CoreError("plackett_luce choice needs slate_size")
-            return PlackettLuce(logits, self.slate_size)
-        raise CoreError(f"unknown choice kind {self.kind!r}")
+        return Categorical(logits)
 
 
 class ControlledLinearGaussianStateModel:
@@ -91,14 +68,10 @@ class ControlledLinearGaussianStateModel:
     Deterministic field.
     """
 
-    def __init__(self, dim: int, sensitivity: float = 1.0, noise_scale=0.0):
+    def __init__(self, dim: int, sensitivity: float = 1.0, noise_scale: float = 0.0):
         self.dim = int(dim)
         self.sensitivity = float(sensitivity)
-        self.noise_scale = np.asarray(noise_scale, np.float64)
-        if self.noise_scale.ndim not in (0, 1):
-            raise CoreError("noise_scale must be a scalar or per-dimension vector")
-        if self.noise_scale.ndim == 1 and self.noise_scale.shape[0] != self.dim:
-            raise CoreError(f"noise_scale has {self.noise_scale.shape[0]} dims, expected {self.dim}")
+        self.noise_scale = float(noise_scale)
 
     def next_state(self, state, control_input) -> Distribution:
         state = as_tensor(state)
@@ -107,9 +80,9 @@ class ControlledLinearGaussianStateModel:
             raise CoreError(
                 f"state {state.shape} and control input {control_input.shape} differ")
         loc = T.add(state, T.mul(control_input, self.sensitivity))
-        if np.all(self.noise_scale == 0.0):
+        if self.noise_scale == 0.0:
             return Deterministic(loc)
-        return Normal(loc, Tensor(np.broadcast_to(self.noise_scale, (self.dim,))))
+        return Normal(loc, Tensor(np.full(self.dim, self.noise_scale)))
 
 
 class FiniteHistoryEstimator:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import math
 import os
@@ -35,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from .inference import (Adam, HmcConfig, ReinforceConfig, make_optimizer, mc_em_fit,
-                        reinforce_training, write_iteration_csv)
+                        reinforce_training)
 from .logprob import ObservedTrajectory
 from .rng import derive_seed
-from .runtime import execute, export_trajectory, trajectory
+from .runtime import execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
                         PorlConfig, build_count_story, build_ecosystem_story,
                         build_latent_sat_story, build_porl_story,
@@ -225,14 +224,9 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, limit))
 
 
-def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+def _lines(rows) -> list[str]:
+    """CSV body text, one line per row of cells that need no quoting."""
+    return [",".join(map(str, row)) + "\n" for row in rows]
 
 
 def _fmt(x) -> str:
@@ -280,7 +274,7 @@ def cmd_simulate(args) -> int:
                 rows.append([r, metric, _fmt(arr[r])])
         else:
             rows.append([0, metric, _fmt(arr.mean())])
-    _write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"], rows)
+    write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"], _lines(rows))
     return 0
 
 
@@ -334,14 +328,14 @@ def cmd_train_reinforce(args) -> int:
             row += [_fmt(v) for v in vals] + [_fmt(np.mean(vals))]
         rows.append(row)
     outdir = Path(run.out)
-    _write_csv(outdir / "reinforce_curve.csv", "reinforce_curve/1", header, rows)
+    write_csv(outdir / "reinforce_curve.csv", "reinforce_curve/1", header, _lines(rows))
     summary = []
     for h in histories:
         first = np.mean([curves[(h, s)][0] for s in seeds])
         last = np.mean([curves[(h, s)][-1] for s in seeds])
         summary.append([f"h{h}", _fmt(first), _fmt(last)])
-    _write_csv(outdir / "reinforce_summary.csv", "reinforce_summary/1",
-               ["history", "initial_reward", "final_reward"], summary)
+    write_csv(outdir / "reinforce_summary.csv", "reinforce_summary/1",
+              ["history", "initial_reward", "final_reward"], _lines(summary))
     return 0
 
 
@@ -368,23 +362,25 @@ def cmd_fit_em(args) -> int:
     trace = mc_em_fit(net, data, held, hmc, opt, em.iterations, run.seed,
                       registry=registry, m_steps=em.m_steps)
     outdir = Path(run.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "em_trace.csv").open("w", encoding="utf-8", newline="") as fh:
-        write_iteration_csv(fh, trace)
+    write_csv(outdir / "em_trace.csv", "em_trace/1",
+              ["iteration", "objective", "acceptance_rate", "wall_clock_ms"],
+              _lines([it.iteration, repr(it.objective),
+                      "" if it.acceptance is None else repr(it.acceptance),
+                      repr(it.wall_clock_ms)] for it in trace))
     estimated = registry.as_arrays()["alpha"]
-    _write_csv(outdir / "alpha_recovery.csv", "alpha_recovery/1",
-               ["user", "true_alpha", "estimated_alpha"],
-               [[u, _fmt(true_alpha[u]), _fmt(estimated[u])]
-                for u in range(cfg.population)])
+    write_csv(outdir / "alpha_recovery.csv", "alpha_recovery/1",
+              ["user", "true_alpha", "estimated_alpha"],
+              _lines([u, _fmt(true_alpha[u]), _fmt(estimated[u])]
+                     for u in range(cfg.population)))
     # Pearson's r is undefined for fewer than two users or a constant
     # vector (an unfitted estimate); its cell is left empty then.
     if cfg.population < 2 or np.ptp(true_alpha) == 0 or np.ptp(estimated) == 0:
         r = ""
     else:
         r = _fmt(np.corrcoef(true_alpha, estimated)[0, 1])
-    _write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"],
-               [[0, "alpha_pearson_r", r],
-                [0, "final_objective", _fmt(trace[-1].objective)]])
+    write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"],
+              _lines([[0, "alpha_pearson_r", r],
+                      [0, "final_objective", _fmt(trace[-1].objective)]]))
     return 0
 
 
@@ -451,18 +447,18 @@ def cmd_ecosystem_sweep(args) -> int:
     outdir = Path(run.out)
     rows = [[repr(cap), r, _fmt(welfare[cap][r])]
             for cap in caps for r in range(total_runs)]
-    _write_csv(outdir / "welfare.csv", "ecosystem_welfare/1",
-               ["boost_cap", "run", "cumulative_utility"], rows)
+    write_csv(outdir / "welfare.csv", "ecosystem_welfare/1",
+              ["boost_cap", "run", "cumulative_utility"], _lines(rows))
     summary = []
     for cap in caps:
         w = welfare[cap]
         se = _fmt(w.std(ddof=1) / math.sqrt(total_runs)) if total_runs > 1 else ""
         summary.append([repr(cap), _fmt(w.mean()), se])
-    _write_csv(outdir / "welfare_summary.csv", "ecosystem_welfare_summary/1",
-               ["boost_cap", "mean", "standard_error"], summary)
+    write_csv(outdir / "welfare_summary.csv", "ecosystem_welfare_summary/1",
+              ["boost_cap", "mean", "standard_error"], _lines(summary))
     # summary.csv stays, header only: the sweep's results are in
     # welfare*.csv, and run timing is measured outside the --out tree.
-    _write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"], [])
+    write_csv(outdir / "summary.csv", "summary/1", ["run", "metric", "value"], [])
     return 0
 
 

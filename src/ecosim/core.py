@@ -95,11 +95,6 @@ class Value:
             merged._fields[k] = p
         return merged
 
-    def prefixed_with(self, prefix: str) -> "Value":
-        out = Value()
-        out._fields = {f"{prefix}.{k}": p for k, p in self._fields.items()}
-        return out
-
     def __repr__(self) -> str:
         return f"Value({', '.join(self._fields)})"
 

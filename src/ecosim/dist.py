@@ -24,7 +24,7 @@ arithmetic stays finite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit
 
 from . import tensor as T
 from .rng import RngStream
@@ -53,10 +53,6 @@ def _broadcast_logits(logits: Tensor, lead: tuple[int, ...]) -> Tensor:
     return logits if logits.shape == shape else T.broadcast_to(logits, shape)
 
 
-def _per_row(total: int, batch: int) -> int:
-    return total // batch if batch else 0
-
-
 class Distribution:
     """Base class; subclasses define a family with fixed event semantics."""
 
@@ -77,8 +73,9 @@ class Distribution:
 class Deterministic(Distribution):
     """A point mass.  Plain tensors emitted by behaviors are wrapped here.
 
-    ``log_prob`` is 0 per element that matches ``loc`` within 1e-12
-    (exactly, for integer payloads) and ``NEG_INF`` otherwise.
+    ``log_prob`` is 0 per element that equals ``loc`` or matches it within
+    1e-12 (exactly, for integer payloads) and ``NEG_INF`` otherwise, so an
+    infinite value matches only itself and nan matches nothing.
     """
 
     def __init__(self, loc):
@@ -97,21 +94,23 @@ class Deterministic(Distribution):
     def sample(self, stream: RngStream):
         return self.loc.copy()
 
+    def _matches(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, np.float64)
+        loc = np.asarray(self.loc, np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf, where both are inf
+            return (v == loc) | (np.abs(v - loc) <= _DETERMINISTIC_ATOL)
+
     def is_consistent(self, value) -> bool:
         v = value.data if isinstance(value, Tensor) else np.asarray(value)
         if v.shape != self.loc.shape:
             return False
         if np.array_equal(v, self.loc):
-            # equal everywhere: the tolerance test fails only where inf - inf is nan
-            return self._integer or bool(np.isfinite(self.loc).all())
-        if self._integer:
-            return False
-        return bool(np.all(np.abs(v - self.loc) <= _DETERMINISTIC_ATOL))
+            return True
+        return not self._integer and bool(self._matches(v).all())
 
     def log_prob(self, value) -> Tensor:
         v = value.data if isinstance(value, Tensor) else np.asarray(value)
-        delta = np.abs(np.asarray(v, np.float64) - np.asarray(self.loc, np.float64))
-        return Tensor(np.where(delta <= _DETERMINISTIC_ATOL, 0.0, NEG_INF))
+        return Tensor(np.where(self._matches(v), 0.0, NEG_INF))
 
 
 class Normal(Distribution):
@@ -295,17 +294,11 @@ class PlackettLuce(Distribution):
         return total
 
 
-def greedy_argmax(scores) -> np.ndarray:
-    """Argmax over the last axis with lowest-index tie-break."""
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
-    return np.argmax(s, axis=-1).astype(np.int64)
-
-
 def top_k(score: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` highest scores along the last axis, best first.
 
-    Equal scores rank by lowest index, as in :func:`greedy_argmax`, so the
-    result equals ``np.argsort(-score, axis=-1, kind="stable")[..., :k]``
+    Equal scores rank by lowest index, as ``np.argmax`` breaks ties, so
+    the result equals ``np.argsort(-score, axis=-1, kind="stable")[..., :k]``
     (``-0.0`` ties ``0.0``).  Each of the k passes takes ``argmax`` (the
     first of equal maxima) and writes ``-inf`` over the winner, so callers
     must not reuse ``score``.  A nan or infinite score raises instead of

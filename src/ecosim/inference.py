@@ -10,8 +10,6 @@ different seeds are fully isolated.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -171,18 +169,6 @@ def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
             accepted += took
             samples.append(x.copy())
     return samples, accepted / cfg.num_samples
-
-
-def leapfrog_energy_error(target_log_prob, init, step_size: float,
-                          num_leapfrog: int, seed: int) -> float:
-    """|H(end) - H(start)| of one leapfrog trajectory (integrator check)."""
-    x = np.array(init, dtype=np.float64)
-    lp, grad = _target_and_grad(target_log_prob, x)
-    p0 = _momentum(seed, 0, x.shape)
-    _, p, lp_q, _ = _leapfrog(target_log_prob, x, p0, grad, step_size, num_leapfrog)
-    h0 = -lp + 0.5 * float(np.sum(p0 * p0))
-    h1 = -lp_q + 0.5 * float(np.sum(p * p))
-    return abs(h1 - h0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +367,3 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
         trace.append(EmIteration(i, objective, acceptance,
                                  (time.perf_counter() - t0) * 1e3))
     return trace
-
-
-def write_iteration_csv(out: io.TextIOBase, rows: Sequence[EmIteration]) -> None:
-    """Per-iteration CSV: iteration, objective, acceptance rate, wall-clock ms."""
-    out.write("# schema=em_trace/1\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["iteration", "objective", "acceptance_rate", "wall_clock_ms"])
-    for row in rows:
-        acc = "" if row.acceptance is None else repr(row.acceptance)
-        writer.writerow([row.iteration, repr(row.objective), acc, repr(row.wall_clock_ms)])

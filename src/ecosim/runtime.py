@@ -13,10 +13,10 @@ previous one, and returns the final slice.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,9 +138,22 @@ def execute(net: Network, num_steps: int, seed: int, *, row_offset: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
-# trajectory CSV export
+# CSV artifacts
 
-_SCHEMA = "# schema=trajectory/1"
+
+def write_csv(path: str | Path, schema: str, header: Sequence[str],
+              lines: Iterable[str]) -> Path:
+    """Write one CSV artifact: a ``# schema=<schema>`` line, the header
+    through ``csv.writer`` (so a field name that needs quoting is quoted),
+    then ``lines``, body text already comma-joined and newline-terminated.
+    Makes the parent directory; returns ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(lines)
+    return path
 
 
 def _flat_columns(path: str, payload) -> list[str]:
@@ -161,24 +174,17 @@ def _row_texts(arr: np.ndarray, batch: int) -> list[str]:
     return [",".join(map(fmt, row)) for row in rows]
 
 
-def write_variable_csv(traj: Trajectory, variable: str, out: io.TextIOBase) -> None:
-    """One CSV per variable: step, batch, then flattened field paths.
+def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
+    """A variable's CSV body, one text block per step.
 
-    Rows are formatted whole and each step is written with one call.  A
-    field whose payload has the same dtype and raw bytes as at the previous
-    step (a carried field) reuses that step's text; equality of values is
-    not enough, since ``-0.0 == 0.0`` and ``nan != nan`` print differently.
+    A field whose payload has the same dtype and raw bytes as at the
+    previous step (a carried field) reuses that step's text; equality of
+    values is not enough, since ``-0.0 == 0.0`` and ``nan != nan`` print
+    differently.
     """
-    first = traj.values[variable][0]
-    header = ["step", "batch"]
-    for path in first.paths:
-        header.extend(_flat_columns(path, first.get(path)))
-    out.write(_SCHEMA + "\n")
-    csv.writer(out, lineterminator="\n").writerow(header)
     batch_ids = [str(b + traj.row_offset) for b in range(traj.batch)]
     previous: dict[str, tuple[np.dtype, bytes, list[str]]] = {}
-    for t in range(traj.horizon):
-        value = traj.values[variable][t]
+    for t, value in enumerate(traj.values[variable]):
         columns = [[str(t)] * traj.batch, batch_ids]
         for path in value.paths:
             payload = value.get(path)
@@ -191,16 +197,17 @@ def write_variable_csv(traj: Trajectory, variable: str, out: io.TextIOBase) -> N
                 rows = _row_texts(arr, traj.batch)
                 previous[path] = (arr.dtype, raw, rows)
             columns.append(rows)
-        out.write("".join([",".join(cells) + "\n" for cells in zip(*columns)]))
+        yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
 def export_trajectory(traj: Trajectory, outdir: str | Path) -> list[Path]:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
+    step, batch, then the flattened field paths."""
     written = []
-    for name in traj.values:
-        dest = outdir / f"{name}.csv"
-        with dest.open("w", encoding="utf-8", newline="") as fh:
-            write_variable_csv(traj, name, fh)
-        written.append(dest)
+    for name, steps in traj.values.items():
+        header = ["step", "batch"]
+        for path in steps[0].paths:
+            header.extend(_flat_columns(path, steps[0].get(path)))
+        written.append(write_csv(Path(outdir) / f"{name}.csv", "trajectory/1", header,
+                                 _step_blocks(traj, name)))
     return written

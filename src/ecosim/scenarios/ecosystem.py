@@ -136,9 +136,9 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
     gamma = cfg.engagement_discount
     beta = cfg.boost_gain / cfg.steady_engagement
     community = _community_assignment(cfg)
-    affinity = AffinityModel("negative_euclidean")
-    choice_affinity = AffinityModel("negative_euclidean", scale=cfg.choice_sharpness)
-    chooser = ChoiceModel("multinomial_logit")
+    affinity = AffinityModel()
+    choice_affinity = AffinityModel(scale=cfg.choice_sharpness)
+    chooser = ChoiceModel()
 
     centers = Variable("centers", ValueSpec(value=FieldSpec((C, d))))
     providers = Variable("providers", ValueSpec(interest=FieldSpec((P, d))))

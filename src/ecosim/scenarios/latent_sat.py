@@ -80,8 +80,8 @@ def build_latent_sat_story(cfg: LatentSatConfig, true_alpha: np.ndarray | None =
             def alpha():
                 return fixed
 
-        affinity = AffinityModel("negative_euclidean")
-        chooser = ChoiceModel("multinomial_logit", no_choice_logit=cfg.no_choice_logit)
+        affinity = AffinityModel()
+        chooser = ChoiceModel(no_choice_logit=cfg.no_choice_logit)
 
         user_interest = Variable("user_interest", ValueSpec(state=FieldSpec((d,))))
         slate = Variable("slate", ValueSpec(items=FieldSpec((m, d))))

@@ -107,10 +107,9 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             registry.create("policy_b2", np.zeros(e))
 
         topic_means = _topic_quality_means(cfg)
-        affinity = AffinityModel("negative_euclidean")
-        choice_affinity = AffinityModel("negative_euclidean",
-                                        scale=cfg.choice_sharpness)
-        user_choice = ChoiceModel("multinomial_logit")
+        affinity = AffinityModel()
+        choice_affinity = AffinityModel(scale=cfg.choice_sharpness)
+        user_choice = ChoiceModel()
         interest_model = ControlledLinearGaussianStateModel(
             d, sensitivity=cfg.sensitivity, noise_scale=cfg.noise_scale)
         history_buf = FiniteHistoryEstimator(cfg.history_length)

@@ -313,27 +313,9 @@ def neg(a) -> Tensor:
     return _apply(np.negative, (a,), (lambda g: -g,))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _apply(lambda x: out, (a,), (lambda g: g * out,))
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     return _apply(np.log, (a,), (lambda g: g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    """Elementwise square root; subgradient 0 at exactly 0."""
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        safe = np.where(out > 0.0, out, 1.0)
-        return np.where(out > 0.0, 0.5 * g / safe, 0.0)
-
-    return _apply(lambda x: out, (a,), (vjp,))
 
 
 def tanh(a) -> Tensor:
@@ -428,23 +410,6 @@ def _check_index(idx: np.ndarray, extent: int, op: str) -> np.ndarray:
     return idx
 
 
-def gather(a, indices, axis: int = 0) -> Tensor:
-    """Select slices of ``a`` along ``axis`` (numpy ``take`` semantics).
-
-    The gradient scatter-adds into a zero tensor of ``a``'s shape.
-    """
-    a = as_tensor(a)
-    idx = _check_index(indices, a.shape[axis], "gather")
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        gm = np.moveaxis(g, tuple(range(axis, axis + idx.ndim)), tuple(range(idx.ndim)))
-        np.add.at(np.moveaxis(out, axis, 0), idx, gm)
-        return out
-
-    return _apply(lambda x: np.take(x, idx, axis=axis), (a,), (vjp,))
-
-
 def _along_index(idx: np.ndarray, axis: int):
     grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
     grids[axis] = idx
@@ -452,34 +417,33 @@ def _along_index(idx: np.ndarray, axis: int):
 
 
 def take_along(a, indices, axis: int) -> Tensor:
-    """Batched selection along ``axis`` (numpy ``take_along_axis`` semantics)."""
+    """Batched selection along ``axis`` (numpy ``take_along_axis`` semantics).
+
+    The index must have the tensor's shape on every axis but ``axis``.
+    """
     a = as_tensor(a)
     axis_ = axis % a.ndim
     idx = _check_index(indices, a.shape[axis_], "take_along")
-    if idx.ndim != a.ndim:
-        raise ShapeError(f"take_along: index ndim {idx.ndim} != tensor ndim {a.ndim}")
-    target = a.shape[:axis_] + (idx.shape[axis_],) + a.shape[axis_ + 1:]
-    try:
-        idx_b = np.broadcast_to(idx, target)
-    except ValueError:
-        raise ShapeError(
-            f"take_along: index shape {idx.shape} does not broadcast against "
-            f"tensor shape {a.shape} on axis {axis_}") from None
+    if (idx.ndim != a.ndim or idx.shape[:axis_] != a.shape[:axis_]
+            or idx.shape[axis_ + 1:] != a.shape[axis_ + 1:]):
+        raise ShapeError(f"take_along: index shape {idx.shape} differs from tensor "
+                         f"shape {a.shape} off axis {axis_}")
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, _along_index(idx_b, axis_), g)
+        np.add.at(out, _along_index(idx, axis_), g)
         return out
 
-    return _apply(lambda x: np.take_along_axis(x, idx_b, axis=axis_), (a,), (vjp,))
+    return _apply(lambda x: np.take_along_axis(x, idx, axis=axis_), (a,), (vjp,))
 
 
 def take_rows(a, indices) -> Tensor:
     """Rows of ``a`` picked per leading index: ``a`` of shape ``(..., M, d)``
     and integer ``indices`` of shape ``(..., n)`` give ``(..., n, d)``.
 
-    Equal to ``take_along(a, indices[..., None], -2)`` but made by one flat
-    ``np.take`` over the ``(prod(lead) * M, d)`` row view.  The gradient
+    Equal to ``take_along`` along axis -2 with ``indices[..., None]``
+    repeated ``d`` times on the last axis, but made by one flat ``np.take``
+    over the ``(prod(lead) * M, d)`` row view.  The gradient
     scatter-adds the rows back, so repeated indices accumulate.
     """
     a = as_tensor(a)
@@ -556,12 +520,6 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _apply(fwd, (a,), (vjp,))
 
 
-def squared_l2_norm(a) -> Tensor:
-    """Sum of squares along the last axis."""
-    a = as_tensor(a)
-    return reduce_sum(mul(a, a), axis=-1)
-
-
 def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     """``-scale * sqrt(sum((items - targets[..., None, :])**2, -1))`` as one
     tape node: targets ``(..., d)`` and items ``(..., slate, d)`` broadcast
@@ -570,7 +528,7 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     Forward and backward run the numpy kernels of the composition
     expand_dims, sub, mul(diff, diff), reduce_sum, sqrt, neg and mul(scale)
     in the same order, so values and gradients are bit-identical to it.
-    As for ``sqrt``, the subgradient at a distance of exactly 0 is 0.
+    The subgradient at a distance of exactly 0 is 0.
     """
     targets, items = as_tensor(targets), as_tensor(items)
     if targets.ndim < 1 or items.ndim < 2 or targets.shape[-1] != items.shape[-1]:
@@ -656,19 +614,6 @@ def normal_log_density(value, loc, scale) -> Tensor:
     if loc.tape is not None:
         partials.append((loc, lambda g: _unbroadcast(-grad_diff(g), loc.shape)))
     return tape._emit(out, partials)
-
-
-def softmax(a) -> Tensor:
-    """Softmax along the last axis (numerically stabilized)."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return out * (g - np.sum(g * out, axis=-1, keepdims=True))
-
-    return _apply(lambda x: out, (a,), (vjp,))
 
 
 def log_softmax(a) -> Tensor:

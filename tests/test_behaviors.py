@@ -7,27 +7,27 @@ from ecosim.behaviors import (AffinityModel, ChoiceModel,
                               FiniteHistoryEstimator,
                               ParameterRegistry, story_with_trainable_variables)
 from ecosim.core import CoreError, FieldSpec, Value, ValueSpec, Variable
-from ecosim.dist import Categorical, Deterministic, Normal, PlackettLuce
+from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.rng import RngStream
 from ecosim.tensor import Tensor
 
 
 class TestAffinityModel:
     def test_zero_distance_gives_zero_affinity(self):
-        m = AffinityModel("negative_euclidean")
+        m = AffinityModel()
         target = np.array([[1.0, 2.0]])
         items = np.array([[[1.0, 2.0]]])
         assert m.affinities(Tensor(target), Tensor(items)).data[0, 0] == 0.0
 
     def test_hand_computed_euclidean_norms(self):
-        m = AffinityModel("negative_euclidean")
+        m = AffinityModel()
         aff = m.affinities(Tensor(np.zeros((1, 2))),
                            Tensor(np.array([[[3.0, 4.0], [0.0, 1.0]]])))
         np.testing.assert_allclose(aff.data, [[-5.0, -1.0]], atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
-        m = AffinityModel("negative_euclidean")
+        m = AffinityModel()
         target = rng.normal(size=(4, 3))
         items = rng.normal(size=(4, 6, 3))
         perm = rng.permutation(6)
@@ -37,19 +37,13 @@ class TestAffinityModel:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
-        m = AffinityModel("negative_euclidean")
+        m = AffinityModel()
         target = rng.normal(size=(5, 4))
         items = rng.normal(size=(5, 3, 4))
         shift = rng.normal(size=4)
         base = m.affinities(Tensor(target), Tensor(items)).data
         shifted = m.affinities(Tensor(target + shift), Tensor(items + shift)).data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
-
-    def test_dot_product_kind(self):
-        m = AffinityModel("dot_product")
-        aff = m.affinities(Tensor(np.array([[1.0, 2.0]])),
-                           Tensor(np.array([[[3.0, 4.0]]])))
-        assert aff.data[0, 0] == 11.0
 
     def test_dimension_mismatch_rejected(self):
         m = AffinityModel()
@@ -59,37 +53,27 @@ class TestAffinityModel:
 
 class TestChoiceModel:
     def test_equal_affinities_uniform_over_slate(self):
-        d = ChoiceModel("multinomial_logit").choice(Tensor(np.zeros((1, 4))))
+        d = ChoiceModel().choice(Tensor(np.zeros((1, 4))))
         probs = np.exp([d.log_prob(np.array([i])).data[0] for i in range(4)])
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_no_choice_logit_adds_abstention_option(self):
-        d = ChoiceModel("multinomial_logit", no_choice_logit=0.0).choice(
+        d = ChoiceModel(no_choice_logit=0.0).choice(
             Tensor(np.zeros((1, 2))))
         probs = np.exp([d.log_prob(np.array([i])).data[0] for i in range(3)])
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_boost_not_applied_to_no_choice_logit(self):
-        d = ChoiceModel("multinomial_logit", no_choice_logit=0.0).choice(
+        d = ChoiceModel(no_choice_logit=0.0).choice(
             Tensor(np.zeros((1, 2))), extra_logit_boost=Tensor(np.array([10.0])))
         p_abstain = np.exp(d.log_prob(np.array([2])).data[0])
         assert p_abstain < 1e-3
-
-    def test_greedy_is_argmax_with_lowest_index_ties(self):
-        d = ChoiceModel("greedy").choice(Tensor(np.array([[1.0, 3.0, 3.0]])))
-        assert isinstance(d, Deterministic)
-        np.testing.assert_array_equal(d.sample(RngStream(0)), [1])
-
-    def test_plackett_luce_selection(self):
-        d = ChoiceModel("plackett_luce", slate_size=2).choice(
-            Tensor(np.zeros((1, 5))))
-        assert isinstance(d, PlackettLuce) and d.k == 2
 
     def test_mnl_frequencies_match_softmax_three_sigma(self):
         rng = np.random.default_rng(7)
         n = 100_000
         logits = rng.normal(size=5)
-        d = ChoiceModel("multinomial_logit").choice(
+        d = ChoiceModel().choice(
             Tensor(np.tile(logits, (n, 1))))
         draws = d.sample(RngStream(3, "c", "x", 0))
         p = np.exp(logits) / np.exp(logits).sum()

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -273,6 +274,29 @@ class TestEcosystemSweep:
             os.environ.update(env)
         assert digests["2"] == SWEEP_GOLDEN
         assert digests["1"] == SWEEP_GOLDEN
+
+
+SCHEMA_HEAD = re.compile(rb"# schema=[a-z_]+/1\n[^\n]+\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "count", "--horizon", "3"),
+    ("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]),
+    ("simulate", "--scenario", "latent-sat", *SMALL_EM[:6]),
+    ("simulate", "--scenario", "ecosystem", *SMALL_SWEEP),
+    ("train-reinforce", *SMALL_TRAIN),
+    ("fit-em", *SMALL_EM, "--set", "em.iterations=0"),
+    ("fit-em", *SMALL_EM, "--set", "em.iterations=1"),
+    ("ecosystem-sweep", *SMALL_SWEEP, "--set", "sweep.boost_caps=0,0.6"),
+], ids=["simulate-count", "simulate-porl", "simulate-latent-sat", "simulate-ecosystem",
+        "train-reinforce", "fit-em-0", "fit-em-1", "ecosystem-sweep"])
+def test_every_artifact_opens_with_schema_and_header(argv, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert files
+    for path in files:
+        assert SCHEMA_HEAD.match(path.read_bytes()), path.name
 
 
 @pytest.mark.parametrize("workers, chunk", [

@@ -42,8 +42,7 @@ class TestValue:
     def test_hierarchical_composition_keys(self):
         interest = Value(state=np.array([1.0]))
         satisfaction = Value(state=np.array([2.0]))
-        composed = interest.prefixed_with("interest").union(
-            satisfaction.prefixed_with("satisfaction"))
+        composed = Value(interest=interest).union(Value(satisfaction=satisfaction))
         assert set(composed.paths) == {"interest.state", "satisfaction.state"}
 
     def test_nested_value_flattens(self):
@@ -53,7 +52,7 @@ class TestValue:
     def test_round_trip_union_of_prefixed(self):
         a = Value(state=np.array([1.0]))
         b = Value(state=np.array([2.0]))
-        u = a.prefixed_with("i").union(b.prefixed_with("s"))
+        u = Value(i=a).union(Value(s=b))
         got = u.get("s")
         np.testing.assert_array_equal(got.get("state").data, [2.0])
 
@@ -68,9 +67,9 @@ class TestValue:
 @given(st.text(alphabet="abcxyz", min_size=1, max_size=6),
        st.lists(st.text(alphabet="abcde", min_size=1, max_size=4),
                 min_size=1, max_size=4, unique=True))
-def test_prefixed_with_then_get_is_identity(prefix, keys):
+def test_nested_value_then_get_is_identity(prefix, keys):
     v = Value.of({k: np.array([float(i)]) for i, k in enumerate(keys)})
-    back = v.prefixed_with(prefix).get(prefix)
+    back = Value.of({prefix: v}).get(prefix)
     assert set(back.paths) == set(v.paths)
     for k in keys:
         np.testing.assert_array_equal(back.get(k).data, v.get(k).data)

@@ -7,7 +7,7 @@ import pytest
 import ecosim.tensor as T
 from ecosim.dist import (NEG_INF, Bernoulli, Categorical, Deterministic,
                          DistributionError, GaussianMixture, Normal,
-                         PlackettLuce, greedy_argmax, top_k)
+                         PlackettLuce, top_k)
 from ecosim.rng import RngStream
 from ecosim.tensor import Tape, Tensor
 
@@ -49,10 +49,17 @@ class TestDeterministic:
         nan[1, 0] = np.nan
         assert not d.is_consistent(Tensor(nan))
         assert not Deterministic(Tensor(nan)).is_consistent(Tensor(nan.copy()))
-        # inf - inf is nan, so an infinite loc matches nothing, itself included
+        # an infinite loc matches itself exactly, but not the other infinity
         inf = loc.copy()
         inf[0, 1] = np.inf
-        assert not Deterministic(Tensor(inf)).is_consistent(Tensor(inf.copy()))
+        assert Deterministic(Tensor(inf)).is_consistent(Tensor(inf.copy()))
+        assert Deterministic(Tensor(inf)).is_consistent(Tensor(inf + 1e-13))
+        flipped = inf.copy()
+        flipped[0, 1] = -np.inf
+        assert not Deterministic(Tensor(inf)).is_consistent(Tensor(flipped))
+        lp = Deterministic(Tensor(np.array([np.inf, -np.inf, np.inf, 1.0, np.nan]))).log_prob(
+            Tensor(np.array([np.inf, -np.inf, -np.inf, np.inf, np.nan]))).data
+        np.testing.assert_array_equal(lp, [0.0, 0.0, NEG_INF, NEG_INF, NEG_INF])
         assert not Deterministic(np.array([4, 5])).is_consistent(np.array([4, 6]))
         assert not d.is_consistent(Tensor(loc[:1]))
 
@@ -266,7 +273,3 @@ class TestPlackettLuce:
         with pytest.raises(DistributionError, match="out of range"):
             PlackettLuce(Tensor(np.zeros((1, 3))), k=4)
 
-
-def test_greedy_argmax_lowest_index_tie_break():
-    scores = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0]])
-    np.testing.assert_array_equal(greedy_argmax(scores), [1, 0])

@@ -7,8 +7,7 @@ from scipy.stats import ks_2samp
 
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Normal
-from ecosim.runtime import (SimulationError, execute, export_trajectory,
-                            trajectory, write_variable_csv)
+from ecosim.runtime import SimulationError, execute, export_trajectory, trajectory
 from ecosim.tensor import Tensor
 
 
@@ -131,11 +130,11 @@ class TestBatchSemantics:
 
 
 class TestCsvExport:
-    def test_schema_header_and_columns(self):
+    def test_schema_header_and_columns(self, tmp_path):
         traj = trajectory(count_network(), 3, seed=0)
-        buf = io.StringIO()
-        write_variable_csv(traj, "count", buf)
-        lines = buf.getvalue().splitlines()
+        [path] = export_trajectory(traj, tmp_path)
+        assert path == tmp_path / "count.csv"
+        lines = path.read_text().splitlines()
         assert lines[0] == "# schema=trajectory/1"
         assert lines[1] == "step,batch,n"
         assert lines[2] == "0,0,0"
@@ -149,13 +148,12 @@ class TestCsvExport:
         text = files[0].read_text()
         assert "m[0.0],m[0.1],m[1.0],m[1.1]" in text.splitlines()[1]
 
-    def test_batch_zero_writes_schema_and_header_only(self):
+    def test_batch_zero_writes_schema_and_header_only(self, tmp_path):
         traj = trajectory(count_network(batch=0), 3, seed=0)
-        buf = io.StringIO()
-        write_variable_csv(traj, "count", buf)
-        assert buf.getvalue() == "# schema=trajectory/1\nstep,batch,n\n"
+        [path] = export_trajectory(traj, tmp_path)
+        assert path.read_bytes() == b"# schema=trajectory/1\nstep,batch,n\n"
 
-    def test_matches_per_value_formatting_on_edge_values(self):
+    def test_matches_per_value_formatting_on_edge_values(self, tmp_path):
         batch = 7
         edges = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e16])
         extremes = np.array([-2**63, 2**63 - 1, 0, -1, 1, 7, 42], np.int64)
@@ -172,10 +170,10 @@ class TestCsvExport:
             deps=(v.previous,))
         traj = trajectory(Network([v]), 4, seed=0, row_offset=5)
         assert traj.values["v"][1].get("c") is traj.values["v"][0].get("c")
-        buf = io.StringIO()
-        write_variable_csv(traj, "v", buf)
-        assert buf.getvalue() == per_value_csv(traj, "v")
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
+        [path] = export_trajectory(traj, tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_value_csv(traj, "v")
+        rows = [line.split(",") for line in text.splitlines()[2:]]
         assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
         assert [row[-1] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
 

@@ -211,7 +211,7 @@ class TestLatentSatStory:
         # negligible probability against the no-choice logit
         from ecosim.behaviors import ChoiceModel
         from ecosim.tensor import Tensor
-        chooser = ChoiceModel("multinomial_logit", no_choice_logit=0.0)
+        chooser = ChoiceModel(no_choice_logit=0.0)
         m = 4
         d = chooser.choice(Tensor(np.zeros((1, m))),
                            extra_logit_boost=Tensor(np.array([-10.0])))
@@ -327,8 +327,9 @@ class TestEcosystemStory:
 def full_slate_utility_mean(u, f, ranks, choice):
     """The utility mean as the full-slate affinity's chosen column."""
     idx = ranks.reshape(ranks.shape[:-2] + (-1, 1))
+    idx = np.broadcast_to(idx, idx.shape[:-1] + f.shape[-1:])
     feats = T.reshape(T.take_along(Tensor(f), idx, axis=-2), ranks.shape + f.shape[-1:])
-    aff = AffinityModel("negative_euclidean").affinities(Tensor(u), feats)
+    aff = AffinityModel().affinities(Tensor(u), feats)
     return T.squeeze(T.take_along(aff, choice[..., None], -1), -1).data
 
 

@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ecosim.tensor as T
 from ecosim.tensor import ShapeError, Tape, TapeError, Tensor
@@ -12,9 +10,6 @@ from conftest import check_op_gradient
 
 
 class TestForwardExamples:
-    def test_softmax_symmetry(self):
-        np.testing.assert_allclose(T.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
-
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 7))
@@ -23,24 +18,19 @@ class TestForwardExamples:
     def test_log_softmax_normalization_identity(self):
         rng = np.random.default_rng(1)
         v = Tensor(rng.normal(size=10))
-        total = T.reduce_sum(T.exp(T.log_softmax(v)))
-        assert abs(total.item() - 1.0) <= 1e-12
-
-    def test_softmax_sums_to_one_and_permutation_equivariant(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(20, 9))
-        s = T.softmax(Tensor(x)).data
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-10)
-        perm = rng.permutation(9)
-        np.testing.assert_allclose(T.softmax(Tensor(x[:, perm])).data, s[:, perm])
+        total = np.exp(T.log_softmax(v).data).sum()
+        assert abs(total - 1.0) <= 1e-12
 
     def test_broadcast_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+        # take_along wants the tensor's shape off the axis, not a broadcast
+        with pytest.raises(ShapeError, match=r"take_along: .*\(3, 1, 1\).*\(3, 5, 2\)"):
+            T.take_along(Tensor(np.zeros((3, 5, 2))), np.zeros((3, 1, 1), np.int64), 1)
 
-    def test_gather_out_of_range_names_index(self):
+    def test_take_along_out_of_range_names_index(self):
         with pytest.raises(ShapeError, match="index 5"):
-            T.gather(Tensor(np.zeros((4, 2))), np.array([0, 5]), axis=0)
+            T.take_along(Tensor(np.zeros((4, 2))), np.array([[0, 5]]), axis=0)
 
     def test_taped_and_untaped_forward_are_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -48,7 +38,7 @@ class TestForwardExamples:
         w = rng.normal(size=(5, 3))
 
         def compute(xt, wt):
-            return T.reduce_sum(T.softmax(T.tanh(T.matmul(xt, wt))), axis=1)
+            return T.reduce_sum(T.log_softmax(T.tanh(T.matmul(xt, wt))), axis=1)
 
         plain = compute(Tensor(x), Tensor(w))
         tape = Tape()
@@ -66,7 +56,7 @@ class TestBackwardExamples:
     def test_log_softmax_closed_form_jacobian(self):
         tape = Tape()
         w = tape.watch([0.0, 0.0])
-        loss = T.gather(T.log_softmax(w), np.array(0), axis=0)
+        loss = T.index(T.log_softmax(w), 0)
         np.testing.assert_allclose(tape.backward(loss)[w].data, [0.5, -0.5], atol=1e-12)
 
     def test_unreachable_leaf_gets_zero_gradient(self):
@@ -124,8 +114,9 @@ class TestTakeRows:
     def test_equals_take_along_with_broadcast_index(self, rng):
         a = rng.normal(size=(3, 8, 4))
         idx = rng.integers(0, 8, size=(3, 10))
+        full = np.broadcast_to(idx[..., None], idx.shape + (4,))
         np.testing.assert_array_equal(T.take_rows(Tensor(a), idx).data,
-                                      T.take_along(Tensor(a), idx[..., None], -2).data)
+                                      T.take_along(Tensor(a), full, -2).data)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ShapeError, match=r"take_rows: index 5 out of range \[0, 5\)"):
@@ -144,9 +135,21 @@ class TestTakeRows:
             T.take_rows(Tensor(np.zeros((2, 5, 3))), np.zeros(2, np.int64))
 
 
+def old_sqrt(a):
+    """The taped square root the old affinity chain used; subgradient 0 at 0."""
+    out = np.sqrt(a.data)
+
+    def vjp(g):
+        safe = np.where(out > 0.0, out, 1.0)
+        return np.where(out > 0.0, 0.5 * g / safe, 0.0)
+
+    return T._apply(lambda x: out, (a,), (vjp,))
+
+
 def old_negative_euclidean(targets, items, scale=None):
     """The composition ``T.negative_euclidean`` replaces, as an oracle."""
-    out = T.neg(T.sqrt(T.squared_l2_norm(T.sub(items, T.expand_dims(targets, -2)))))
+    d = T.sub(items, T.expand_dims(targets, -2))
+    out = T.neg(old_sqrt(T.reduce_sum(T.mul(d, d), axis=-1)))
     return out if scale is None else T.mul(out, scale)
 
 
@@ -317,9 +320,7 @@ class TestGradientSuite:
         "div": (T.div, lambda r: [r.normal(size=(3, 4)),
                                   r.normal(size=(3, 4)) + 3.0]),
         "neg": (T.neg, lambda r: [r.normal(size=(5,))]),
-        "exp": (T.exp, lambda r: [r.normal(size=(5,))]),
         "log": (T.log, lambda r: [r.uniform(0.5, 3.0, size=(5,))]),
-        "sqrt": (T.sqrt, lambda r: [r.uniform(0.5, 3.0, size=(5,))]),
         "tanh": (T.tanh, lambda r: [r.normal(size=(5,))]),
         "relu": (T.relu, lambda r: [np.sign(r.normal(size=(8,)))
                                     * r.uniform(0.2, 2.0, size=(8,))]),
@@ -331,13 +332,8 @@ class TestGradientSuite:
                                                 r.normal(size=(4, 2))]),
         "concat": (lambda a, b: T.concat([a, b], axis=1),
                    lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 3))]),
-        "gather": (lambda x: T.gather(x, np.array([0, 2, 2, 4]), axis=0),
-                   lambda r: [r.normal(size=(5, 3))]),
         "take_along": (lambda x: T.take_along(x, np.array([[1], [0], [3]]), 1),
                        lambda r: [r.normal(size=(3, 5))]),
-        "take_along_broadcast": (
-            lambda x: T.take_along(x, np.array([[[1]], [[0]], [[3]]]), 1),
-            lambda r: [r.normal(size=(3, 5, 2))]),
         "take_rows": (  # repeated rows, so the scatter-add accumulates
             lambda x: T.take_rows(x, np.array([[0, 2, 2, 4], [1, 1, 3, 1]])),
             lambda r: [r.normal(size=(2, 5, 3))]),
@@ -347,7 +343,6 @@ class TestGradientSuite:
                         lambda r: [r.normal(size=(3, 5))]),
         "reduce_max": (lambda x: T.reduce_max(x, axis=-1),
                        lambda r: [r.normal(size=(3, 5))]),
-        "squared_l2_norm": (T.squared_l2_norm, lambda r: [r.normal(size=(3, 4))]),
         "negative_euclidean": (lambda t, x: T.negative_euclidean(t, x, 0.7),
                                lambda r: [r.normal(size=(3, 4)), r.normal(size=(3, 5, 4))]),
         "negative_euclidean_fewer_lead": (
@@ -360,7 +355,6 @@ class TestGradientSuite:
             T.normal_log_density,
             lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(3, 4)),
                        r.uniform(0.5, 2.0, size=(3, 1))]),
-        "softmax": (T.softmax, lambda r: [r.normal(size=(3, 5))]),
         "log_softmax": (T.log_softmax, lambda r: [r.normal(size=(3, 5))]),
         "logsumexp": (T.logsumexp, lambda r: [r.normal(size=(3, 5))]),
         "reshape": (lambda x: T.reshape(x, (6, 2)), lambda r: [r.normal(size=(3, 4))]),
@@ -388,10 +382,3 @@ class TestGradientSuite:
         np.testing.assert_allclose(grads[at].data,
                                    np.tile(b.sum(axis=1), (3, 1)), atol=1e-12)
 
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
-def test_softmax_always_normalized(values):
-    s = T.softmax(Tensor(values)).data
-    assert abs(s.sum() - 1.0) <= 1e-10
-    assert np.all(s >= 0.0)
