@@ -4,17 +4,18 @@ A behavior emits a distribution descriptor instead of a raw sample; the
 runtime either samples it (simulation) or scores an observed value
 against it (trajectory log-probability).  Sampling consumes uniforms
 from a keyed :class:`~ecosim.rng.RngStream` with a fixed per-row budget,
-so draws are reproducible per batch row: one uniform per row for a
-``Categorical`` (inverse CDF of the softmax) and one Gumbel per item for
-a ``PlackettLuce`` (Gumbel-top-k through :func:`top_k`).  ``log_prob``
-is built from differentiable tensor ops and returns the log-probability
-of each independent draw, without reducing over batch or event axes:
-elementwise for ``Normal``, ``Bernoulli`` and ``Deterministic``, one
-value per index for ``Categorical``, per d-vector for ``GaussianMixture``
-and per ranked selection for ``PlackettLuce``.  The value may carry
-extra leading axes (a time axis, when a whole trajectory is scored at
-once) that broadcast against the parameters; callers reduce the result
-to rows themselves.
+so draws are reproducible per batch row: one uniform per element for a
+``Uniform`` (the stream's draws themselves, strictly inside (0, 1)),
+one per row for a ``Categorical`` (inverse CDF of the softmax) and one
+Gumbel per item for a ``PlackettLuce`` (Gumbel-top-k through
+:func:`top_k`).  ``log_prob`` is built from differentiable tensor ops
+and returns the log-probability of each independent draw, without
+reducing over batch or event axes: elementwise for ``Normal``,
+``Uniform``, ``Bernoulli`` and ``Deterministic``, one value per index
+for ``Categorical``, per d-vector for ``GaussianMixture`` and per ranked
+selection for ``PlackettLuce``.  The value may carry extra leading axes
+(a time axis, when a whole trajectory is scored at once) that broadcast
+against the parameters; callers reduce the result to rows themselves.
 
 Convention for impossible events: log-probabilities use the finite
 sentinel ``NEG_INF = -1e30`` instead of ``-inf`` so downstream
@@ -24,7 +25,6 @@ arithmetic stays finite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .rng import RngStream
@@ -134,6 +134,24 @@ class Normal(Distribution):
         return T.normal_log_density(value, self.loc, self.scale)
 
 
+class Uniform(Distribution):
+    """Independent U(0, 1) draws of a fixed shape, one uniform per element."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self._shape = tuple(int(n) for n in shape)
+
+    @property
+    def sample_shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    def sample(self, stream: RngStream) -> np.ndarray:
+        return stream.uniform_field(self._shape)
+
+    def log_prob(self, value) -> Tensor:
+        v = np.asarray(value.data if isinstance(value, Tensor) else value, np.float64)
+        return Tensor(np.where((v > 0.0) & (v < 1.0), 0.0, NEG_INF))
+
+
 class Bernoulli(Distribution):
     """Coin flips parameterized by logits; samples are int64 zeros/ones."""
 
@@ -148,7 +166,7 @@ class Bernoulli(Distribution):
 
     def sample(self, stream: RngStream) -> np.ndarray:
         u = stream.uniform_field(self.logits.shape)
-        return (u < expit(self.logits.data)).astype(np.int64)
+        return (u < T._expit(self.logits.data)).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:
         v = np.asarray(value.data if isinstance(value, Tensor) else value)
@@ -184,7 +202,7 @@ class Categorical(Distribution):
         np.cumsum(cum, axis=-1, out=cum)
         total = cum[..., -1:]
         # Kept below the row total, so the first index past it has p > 0
-        # even for u == 1.0, which the stream's largest draw rounds to.
+        # even where u * total rounds up to the total.
         target = np.minimum(u * total, np.nextafter(total, 0.0))
         return np.argmax(cum > target, axis=-1).astype(np.int64)
 

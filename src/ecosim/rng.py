@@ -10,10 +10,17 @@ The generator is Philox4x32-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3"), vectorized over numpy uint64 lanes and validated
 against the published known-answer vectors.  A stream's counter is
 ``(block, row, 0, 0)`` under a 64-bit key hashed from (seed, variable,
-path, step); each block's four 32-bit output words make two 53-bit
-doubles, so one Philox lane serves two columns of a row.  Counter words
+path, step); each block's four 32-bit output words make two 64-bit
+words, so one Philox lane serves two columns of a row.  Counter words
 are 32 bits wide: a draw whose row or block index would reach 2^32
 raises instead of wrapping.
+
+Stream layout v3: a 64-bit word maps to the double
+``((word >> 12) + 0.5) * 2^-52``, which is exact and lies in
+[2^-53, 1 - 2^-53], so every uniform is strictly inside (0, 1).  A
+normal is the inverse normal CDF of one uniform, evaluated by Wichura's
+AS 241 (PPND16, *Applied Statistics* 37(3):477-484, 1988), so a normal
+costs one column of the row like any other draw.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.special import ndtri
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -29,6 +35,7 @@ _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT12 = np.uint64(12)
 _ROUNDS = 10
 _COUNTER_LIMIT = 2**32  # rows and blocks are 32-bit counter words
 
@@ -63,6 +70,89 @@ def philox4x32(c0, c1, c2, c3, key0: int, key1: int):
         np.bitwise_and(p1, _MASK32, out=c1)   # c1 = lo1
         np.bitwise_and(p0, _MASK32, out=c3)   # c3 = lo0
     return c0, c1, c2, c3
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Doubles ``((bits >> 12) + 0.5) * 2^-52`` of uint64 words.
+
+    The top 52 bits plus a half are exact in float64, so every value is
+    one of 2^52 equally spaced points in [2^-53, 1 - 2^-53].  ``bits`` is
+    shifted in place, which saves a pass over a fresh buffer.
+    """
+    bits >>= _SHIFT12
+    out = bits.astype(np.float64)
+    out += 0.5
+    out *= 2.0**-52
+    return out
+
+
+# AS 241 (PPND16) coefficients, constant term first.  Central region
+# |p - 0.5| <= 0.425, in r = 0.180625 - q^2:
+_A = (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+      1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+      3.3430575583588128105e4, 2.5090809287301226727e3)
+_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+      5.2264952788528545610e3)
+# Tail, r = sqrt(-log(min(p, 1 - p))) <= 5, in r - 1.6:
+_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+      3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+      2.27238449892691845833e-2, 7.74545014278341407640e-4)
+_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+      1.05075007164441684324e-9)
+# Far tail, r > 5, in r - 5:
+_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+      2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+      2.71155556874348757815e-5, 2.01033439929228813265e-7)
+_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+      2.04426310338993978564e-15)
+
+
+def _ratio(x: np.ndarray, num, den, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``num(x) / den(x)`` by Horner, in ``out`` with ``work`` as scratch."""
+    np.multiply(x, num[-1], out=out)
+    np.multiply(x, den[-1], out=work)
+    for a, b in zip(num[-2:0:-1], den[-2:0:-1]):
+        out += a
+        out *= x
+        work += b
+        work *= x
+    out += num[0]
+    work += den[0]
+    out /= work
+    return out
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile of ``p`` in the open interval (0, 1), AS 241.
+
+    The central rational runs over the whole array in two buffers; only the
+    tail elements (|p - 0.5| > 0.425, about 15% of uniform draws) are then
+    recomputed from ``r = sqrt(-log(min(p, 0.5 - q)))``, and the sign is
+    copied from ``q``, so ``_ndtri(1 - p) == -_ndtri(p)`` whenever
+    ``p - 0.5`` is exact.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flat = np.atleast_1d(p).reshape(-1)
+    q = flat - 0.5
+    r = np.multiply(q, q)
+    np.subtract(0.180625, r, out=r)
+    z = _ratio(r, _A, _B, np.empty_like(r), np.empty_like(r))
+    z *= q
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        qt = q[tail]
+        # 0.5 - q is 1 - p exactly whenever q = p - 0.5 is.
+        rt = np.sqrt(-np.log(np.minimum(flat[tail], 0.5 - qt)))
+        far = rt > 5.0
+        zt = _ratio(rt - 1.6, _C, _D, np.empty_like(rt), np.empty_like(rt))
+        if far.any():
+            rf = rt[far] - 5.0
+            zt[far] = _ratio(rf, _E, _F, np.empty_like(rf), np.empty_like(rf))
+        z[tail] = np.copysign(zt, qt)
+    return z.reshape(p.shape)
 
 
 def _key64(root_seed: int, variable: str, path: str, step: int) -> int:
@@ -128,12 +218,8 @@ class RngStream:
         for hi, lo, half in ((w0, w1, bits[..., 0]), (w2, w3, bits[..., 1])):
             np.left_shift(hi, _SHIFT32, out=half)
             half |= lo
-        # 53 high bits, shifted into (0, 1) so inverse-CDF transforms stay finite.
-        bits >>= np.uint64(11)
-        out = bits.reshape(batch, 2 * blocks)[:, skip:skip + per_row].astype(np.float64)
-        out += 0.5
-        out *= 2.0**-53
-        return out
+        # Strictly inside (0, 1), so inverse-CDF transforms stay finite.
+        return _unit(bits.reshape(batch, 2 * blocks)[:, skip:skip + per_row])
 
     def uniform_field(self, shape: tuple[int, ...]) -> np.ndarray:
         """Uniforms shaped ``shape``, with axis 0 as the keyed batch axis."""
@@ -144,7 +230,7 @@ class RngStream:
         return self.uniforms(batch, per_row).reshape(shape)
 
     def normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        return ndtri(self.uniform_field(shape))
+        return _ndtri(self.uniform_field(shape))
 
     def gumbels(self, shape: tuple[int, ...]) -> np.ndarray:
         u = self.uniform_field(shape)

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .. import tensor as T
 from ..behaviors import AffinityModel, ChoiceModel
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
-from ..dist import GaussianMixture, Normal, top_k
+from ..dist import GaussianMixture, Normal, Uniform, top_k
 from ..tensor import Tensor
 
 
@@ -146,7 +145,7 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
     engagement = Variable("engagement", ValueSpec(value=FieldSpec((P,))))
     items = Variable("items", ValueSpec(
         provider=FieldSpec((M,), "integer"), features=FieldSpec((M, d))))
-    jitter = Variable("jitter", ValueSpec(z=FieldSpec((M,))))
+    jitter = Variable("jitter", ValueSpec(u=FieldSpec((M,))))
     slate = Variable("slate", ValueSpec(ranks=FieldSpec((U, k), "integer")))
     choice = Variable("choice", ValueSpec(choice=FieldSpec((U,), "integer")))
     utility = Variable("utility", ValueSpec(value=FieldSpec((U,))))
@@ -187,16 +186,16 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
         return publish_items(providers_v, counts)
 
     def sample_jitter():
-        return Value(z=Normal(Tensor(np.zeros((R, M))), 1.0))
+        return Value(u=Uniform((R, M)))
 
     def _boost_per_item(engagement_prev: np.ndarray | None,
-                        assignment: np.ndarray, z: np.ndarray) -> np.ndarray:
+                        assignment: np.ndarray, u: np.ndarray) -> np.ndarray:
         if boost_cap == 0.0 or engagement_prev is None:
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
         boost = np.clip(beta * gap, -boost_cap, boost_cap)
         per_item = np.take_along_axis(boost, assignment, axis=-1)
-        return per_item + ndtr(z) * cfg.jitter_scale * np.abs(per_item)
+        return per_item + u * cfg.jitter_scale * np.abs(per_item)
 
     def _top_k_slate(users_v, items_v, adjust: np.ndarray):
         u = users_v.get("interest").data
@@ -214,13 +213,13 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
 
     def initial_slate(users_v, items_v, jitter_v):
         adjust = _boost_per_item(None, np.asarray(items_v.get("provider")),
-                                 jitter_v.get("z").data)
+                                 jitter_v.get("u").data)
         return _top_k_slate(users_v, items_v, adjust)
 
     def next_slate(users_v, items_v, jitter_v, engagement_prev):
         adjust = _boost_per_item(engagement_prev.get("value").data,
                                  np.asarray(items_v.get("provider")),
-                                 jitter_v.get("z").data)
+                                 jitter_v.get("u").data)
         return _top_k_slate(users_v, items_v, adjust)
 
     def _chosen_item(slate_v, choice_v) -> np.ndarray:

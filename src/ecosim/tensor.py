@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -22,6 +21,11 @@ class ShapeError(ValueError):
 
 class TapeError(RuntimeError):
     """Raised on misuse of a Tape (wrong tape, non-scalar loss, ...)."""
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid, ``exp(-log(1 + exp(-x)))``: never overflows."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def _f64(x) -> np.ndarray:
@@ -333,7 +337,7 @@ def relu(a) -> Tensor:
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     return _apply(lambda x: np.logaddexp(0.0, x), (a,),
-                  (lambda g: g * expit(a.data),))
+                  (lambda g: g * _expit(a.data),))
 
 
 def maximum(a, b) -> Tensor:

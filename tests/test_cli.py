@@ -26,17 +26,17 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 ECOSYSTEM_GOLDEN = {
-    "centers.csv": "795f88146ae69e7bbd5bfc9c0eeaa0f2f14467c5929a17f5b90dee19994f6bb6",
+    "centers.csv": "824b1002562c98975d088b47e06c6ebd818100ee3294f3ba38b4c4e17724fa12",
     "choice.csv": "898cbb3d11f6b8312581d27d920dd502f2970d425a4e52b8316b21125603760d",
     "engagement.csv": "e023aa8d930902674e25a3b77c75d93bff15bce81d637c1f4a5b41f4189db330",
-    "items.csv": "cfbacac6cb309daf7cdaaf397ba5af55a6e03eb706a9f9c53713999dfd7c1568",
-    "jitter.csv": "1f5876f7c55342be977e1d1f5a53ddf2cc6a426ea7aaa93dc25ae1f595a844dc",
-    "metrics.csv": "f819671be34b95129d7bf5ca031365e9f8846f9355c96ee58ae45831d019b0ca",
-    "providers.csv": "19287dd95b031b5ebfa2ab2664df6bf8d3399e345399f1b29bc7ed6d9ef78c9f",
+    "items.csv": "acf0016d114717423336e2f96ee466be9e31e880194f75cf8914bd864cf164aa",
+    "jitter.csv": "a28e3df325eb1046031f6c15b4b628489256b82b584b2852199900459bfb0328",
+    "metrics.csv": "5633ff97d6103738791422da7fe79c9e46da1f01254a5a0cb834906690e354aa",
+    "providers.csv": "e3719aede8fde031a9d7ae68ca613aa55d2c91fcaf88e07ab4f6a1f75d57b6b2",
     "slate.csv": "711d9fbe445ddc50364cdb72dc2eaa8ce8eeb13b2bc0e95a25b104fd2395bbcb",
-    "summary.csv": "971b9a86edf94cbeffcee1168598e4d84342eb117cb0f46aa507f30ed4257f46",
-    "users.csv": "8c3f60660e3349ded96d3ea15c2f48f88086b5c45685c2fe7aea3c562b56a4d9",
-    "utility.csv": "6ccbbf5516990cbe3f85a44980d1781d7b69e34b3fa45641ee62641e0e9a1ba8",
+    "summary.csv": "f0180207cbdbcfadfecebe745ecf58154b5521146deea5233bbce777cc0a6bf2",
+    "users.csv": "69ec84c93684ffede0c3ff838f6f47d7b03f0254334cd7300075921d85736040",
+    "utility.csv": "5e76759fccd2862d81a03f8a797d18019bd53067d3980e9d26acc6fa8e4df2a8",
 }
 
 
@@ -60,7 +60,7 @@ class TestSimulate:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_ecosystem_export_matches_golden_digests(self, tmp_path):
-        # Pinned under the two-doubles-per-block stream; the CSV writer's
+        # Pinned under stream layout v3; the CSV writer's
         # row formatting must keep writing these exact bytes.
         out = tmp_path / "eco"
         assert run_cli("simulate", "--scenario", "ecosystem",
@@ -83,7 +83,7 @@ class TestSimulate:
                    for name in ("choice.csv", "utility.csv")}
         assert digests == {
             "choice.csv": "b4dfbd38579290e86e0e14cea87a33d4c8f147ef2aa4821c44fbbd238c7a35c4",
-            "utility.csv": "b5621cddb42e100df0e9930acdc28fccefeee1007f7104f82a9eb7b4bff9775e",
+            "utility.csv": "de618040c1f42652af70c81fcaa3284434884cc7258fa87ef883735cf4ecd221",
         }
 
     def test_invalid_horizon_exits_2(self, tmp_path, capsys):
@@ -205,8 +205,8 @@ SMALL_SWEEP = ("--set", "num_users=20", "--set", "num_providers=4",
                "--set", "slate_size=4")
 
 SWEEP_GOLDEN = {
-    "welfare.csv": "fbe705ea728d4678bd9f78d655a475504285c12e2249e47290499585b757a773",
-    "welfare_summary.csv": "ad08ed432787ce33158fb354abb7cf37e72f3f35440192d99c5ffe7808f30adb",
+    "welfare.csv": "2e5cf5c73961461f56ca2740e7f5a1ab5d5957a6cd92421d260d3865b08c33c4",
+    "welfare_summary.csv": "85bfe0eec13da8a2ed2c118dfb322ab140dc9273071aa17542eefd8cbeea297b",
 }
 
 
@@ -253,7 +253,7 @@ class TestEcosystemSweep:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_boosted_sweep_matches_golden_digests(self, tmp_path):
-        # Pinned under the two-doubles-per-block stream; caps 0.6 and 1.2
+        # Pinned under stream layout v3; caps 0.6 and 1.2
         # run the boosted (adjust != 0) slate path, once in a two-worker
         # pool and once serially.
         digests = {}
@@ -307,6 +307,19 @@ def test_sweep_chunk_at_the_default_sweep_size(workers, chunk):
     # whole caps would leave workers idle in the last wave; where whole
     # caps already fit in one wave (5 to 9 workers) they are not split.
     assert _sweep_chunk(10, 5, workers) == chunk
+
+
+@pytest.mark.parametrize("module", ["ecosim", "ecosim.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy's import is most of a command's start-up; ecosim needs only numpy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_without_runtime_warning():

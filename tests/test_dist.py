@@ -7,7 +7,7 @@ import pytest
 import ecosim.tensor as T
 from ecosim.dist import (NEG_INF, Bernoulli, Categorical, Deterministic,
                          DistributionError, GaussianMixture, Normal,
-                         PlackettLuce, top_k)
+                         PlackettLuce, Uniform, top_k)
 from ecosim.rng import RngStream
 from ecosim.tensor import Tape, Tensor
 
@@ -155,9 +155,8 @@ class TestCategorical:
                                   [0.0, -800.0, 0.0, -800.0],
                                   [-800.0, -800.0, -800.0, 0.0]]))
         d = Categorical(logits)
-        # 1.0 itself: RngStream maps the all-ones 53 bits to (2^53 - 0.5)
-        # * 2^-53, which rounds to 1.0, so the scaled uniform can reach
-        # the row total.
+        # RngStream's largest draw is 1 - 2^-53, but the scaled uniform
+        # u * total can still round up to the row total; 1.0 covers that.
         for top in (1.0 - 2.0**-53, 1.0):
             np.testing.assert_array_equal(d.sample(Fixed(top)), [3, 2, 2, 3])
         np.testing.assert_array_equal(d.sample(Fixed(2.0**-54)), [1, 0, 0, 3])
@@ -168,6 +167,27 @@ class TestCategorical:
         for row in range(6):
             solo = Categorical(Tensor(logits[row:row + 1])).sample(
                 RngStream(4, "v", "topic", 2, row_offset=row))
+            np.testing.assert_array_equal(big[row:row + 1], solo)
+
+
+class TestUniform:
+    def test_sample_range_and_moments(self):
+        u = Uniform((400, 250)).sample(stream(5))
+        assert u.shape == (400, 250)
+        assert 0.0 < u.min() and u.max() < 1.0
+        n = u.size
+        assert abs(u.mean() - 0.5) < 4.0 / math.sqrt(12.0 * n)
+        assert abs(u.var() - 1.0 / 12.0) < 4.0 * (1.0 / 12.0) / math.sqrt(n)
+
+    def test_log_prob_is_zero_inside_and_neg_inf_outside(self):
+        v = np.array([[2.0**-53, 0.5, 1.0 - 2.0**-53], [0.0, 1.0, -0.25]])
+        lp = Uniform((2, 3)).log_prob(Tensor(v)).data
+        np.testing.assert_array_equal(lp, [[0.0, 0.0, 0.0], [NEG_INF] * 3])
+
+    def test_batch_row_matches_batch_one_draw_at_its_offset(self):
+        big = Uniform((6, 4)).sample(RngStream(4, "v", "jitter", 2))
+        for row in range(6):
+            solo = Uniform((1, 4)).sample(RngStream(4, "v", "jitter", 2, row_offset=row))
             np.testing.assert_array_equal(big[row:row + 1], solo)
 
 

@@ -90,7 +90,7 @@ class TestHmc:
 
     def test_samples_pinned_at_fixed_seed(self):
         # sha256 of the samples of a 3-D Gaussian with unequal scales,
-        # pinned under the two-doubles-per-block stream
+        # pinned under stream layout v3
         means, scales = np.array([1.0, -0.5, 0.25]), np.array([0.5, 1.0, 2.0])
 
         def target(x):
@@ -101,7 +101,7 @@ class TestHmc:
         samples, acceptance = hmc_sample(target, np.zeros(3), cfg, seed=2024)
         assert acceptance == 0.95
         assert hashlib.sha256(np.stack(samples).tobytes()).hexdigest() == \
-            "bf366f7d899218854a45369e98169c1874d5f9bb641b9f9f38ffe40929e6bd22"
+            "cf9da3e5899646bb0f1cabcf961a3da142577e91cb100465999c7d3ccc5d3a55"
 
     def test_nonfinite_target_at_init_rejected(self):
         def bad(x):

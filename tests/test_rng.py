@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from ecosim.rng import RngStream, derive_seed, philox4x32
+from ecosim.rng import RngStream, _ndtri, _unit, derive_seed, philox4x32
 
 
 def _block(c, k0, k1):
@@ -30,17 +31,17 @@ class TestPhiloxKnownAnswers:
 
 
 class TestPhiloxStreamPins:
-    """Pinned under the two-doubles-per-block layout: the stream keeps these bytes."""
+    """Pinned under stream layout v3: the stream keeps these bytes."""
 
     def test_uniform_block_digest(self):
         u = RngStream(0, "v", "p", 3).uniforms(7, 1000)
         assert hashlib.sha256(u.tobytes()).hexdigest() == (
-            "e70684abfd00a0b05b8f3f0e9afdd1141f96161f4dc453861f00140f4c331964")
+            "cf824aa4cdc08622ba98e4453daddcddf457cbb40aa4e2de286c8e448623a81f")
 
     def test_single_uniform_digest(self):
         u = RngStream(0, "v", "p", 3).uniforms(1, 1)
         assert hashlib.sha256(u.tobytes()).hexdigest() == (
-            "e77cb6e9c13ee2ae30bc9c948ce2675de22bc6eebf1c4aec3168e7f8f3967fcd")
+            "111f19b56f921d7abd98726b70d207babf24cffd7acba1330b630e97fded98d7")
 
     def counters(self):
         rows = np.arange(5, dtype=np.uint64)[:, None] * np.uint64(0x9E3779B9)
@@ -104,7 +105,7 @@ class TestTwoDoublesPerBlock:
 
     @staticmethod
     def double(hi, lo):
-        return (float((int(hi) << 32 | int(lo)) >> 11) + 0.5) * 2.0**-53
+        return (float((int(hi) << 32 | int(lo)) >> 12) + 0.5) * 2.0**-52
 
     def test_columns_follow_the_four_words(self):
         stream = RngStream(5, "v", "p", 2, row_offset=9)
@@ -178,6 +179,64 @@ def test_normals_match_moments():
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
+
+
+class TestUnitMap:
+    """A 64-bit word w maps to ((w >> 12) + 0.5) * 2^-52, exactly."""
+
+    def test_extreme_words_stay_strictly_inside(self):
+        u = _unit(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert u[0] == 2.0**-53 and u[1] == 1.0 - 2.0**-53
+        assert 0.0 < u[0] and u[1] < 1.0
+
+    def test_neighbouring_words_are_one_step_apart(self):
+        top = np.array([2**64 - 1 - 2**12, 2**64 - 1], dtype=np.uint64)
+        assert np.diff(_unit(top))[0] == 2.0**-52
+
+
+class TestNdtri:
+    """AS 241 normal quantile."""
+
+    def test_known_quantiles(self):
+        assert abs(_ndtri(0.975) / 1.959963984540054 - 1.0) < 1e-15
+        assert _ndtri(0.5) == 0.0
+
+    def test_antisymmetry_is_exact(self):
+        k = np.random.default_rng(0).integers(1, 2**52, size=100_000)
+        k = np.concatenate([k, [1, 2**51 - 1, 2**51 + 1, 2**52 - 1]])
+        p = k * 2.0**-52
+        np.testing.assert_array_equal(_ndtri(1.0 - p), -_ndtri(p))
+
+    def test_finite_at_the_stream_extremes(self):
+        z = _ndtri(np.array([2.0**-53, 1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(z))
+        assert z[0] == -z[1] and 8.2 < z[1] < 8.21
+
+    @pytest.mark.parametrize("edge", [0.075, 0.925, math.exp(-25.0)])
+    def test_continuous_across_branch_edges(self, edge):
+        # |p - 0.5| = 0.425 ends the central branch; r = sqrt(-log p) = 5
+        # ends the first tail branch.  Across an edge the quantile may step
+        # by what the two rationals differ in, a few ulps, and no more.
+        lo, hi = np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)
+        z = _ndtri(np.array([lo, edge, hi]))
+        ulp = abs(np.spacing(z[1]))
+        slope = math.sqrt(2.0 * math.pi) * math.exp(z[1] ** 2 / 2.0)
+        assert np.all(np.diff(z) >= -2.0 * ulp)
+        assert abs(z[2] - z[0]) <= slope * (hi - lo) + 4.0 * ulp
+
+    def test_shape_is_kept(self):
+        assert _ndtri(np.float64(0.3)).shape == ()
+        assert _ndtri(0.3) == _ndtri(np.array([0.3]))[0]
+        u = RngStream(4, "q", "shape", 0).uniform_field((2, 3, 4))
+        z = _ndtri(u)
+        assert z.shape == (2, 3, 4)
+        np.testing.assert_array_equal(z.reshape(-1), _ndtri(u.reshape(-1)))
+
+    def test_matches_scipy_over_a_million_stream_draws(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        u = RngStream(0, "q", "oracle", 0).uniforms(1000, 1000)
+        want = ndtri(u)
+        assert np.max(np.abs(_ndtri(u) - want) / np.abs(want)) <= 2e-15
 
 
 def test_derive_seed_stable_and_distinct():

@@ -3,7 +3,6 @@ import io
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Normal
@@ -114,6 +113,7 @@ class TestBatchSemantics:
                     solo.value("walk", t).get("x").data)
 
     def test_markov_splice_statistics(self):
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
         # Re-simulating forward from an intermediate slice with fresh keyed
         # streams is statistically indistinguishable from whole runs.
         n, horizon, split = 10_000, 8, 4

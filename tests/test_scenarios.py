@@ -116,7 +116,7 @@ class TestPorlStory:
 
     def test_oracle_trajectory_digest_unchanged(self):
         # sha256 over every field of a seed-3 oracle trajectory, pinned
-        # under inverse-CDF Categorical draws and two doubles per block
+        # under stream layout v3
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg, policy="oracle")
         traj = trajectory(net, cfg.horizon, 3)
@@ -130,7 +130,7 @@ class TestPorlStory:
                     h.update(f"{name}|{path}|{t}|{arr.dtype.str}|{arr.shape}".encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == \
-            "a31d4aeac208a2a35bcbf910cf37a0a825bf090835be8607ff33fca988c6d1d0"
+            "7632f56ff3e3ccbf1eff4b60ec7b9b8f8c4108f9203a6973f6a8b303fbcbcb84"
 
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score

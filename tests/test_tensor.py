@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,21 @@ class TestStopGradient:
     def test_value_identity(self):
         x = Tensor([1.5, -2.5])
         np.testing.assert_array_equal(T.stop_gradient(x).data, x.data)
+
+
+class TestExpit:
+    """The logistic sigmoid behind softplus's gradient and Bernoulli sampling."""
+
+    def test_matches_scipy(self):
+        expit = pytest.importorskip("scipy.special").expit
+        x = np.linspace(-700.0, 700.0, 100_001)
+        want = expit(x)
+        assert np.max(np.abs(T._expit(x) - want) / want) < 1e-13
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(T._expit(np.array([-1e4, 1e4])), [0.0, 1.0])
 
 
 class TestGradientSuite:
