@@ -70,7 +70,7 @@ class TrainSettings:
     # desk-scale policy-gradient runs learn reliably; reinforce_step itself
     # defaults to no baseline.
     baseline: bool = True
-    history_lengths: str = ""  # comma-separated sweep; empty = scenario default
+    history_lengths: tuple[int, ...] = ()  # swept; empty = the scenario's default
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -90,17 +90,13 @@ class EmSettings:
     def __post_init__(self):
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
+        if self.m_steps < 1:
+            raise ConfigError("m_steps must be >= 1")
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    boost_caps: str = "0,0.6,1.2,2.4,4.8"
-
-    def caps(self) -> list[float]:
-        try:
-            return [float(x) for x in self.boost_caps.split(",") if x.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"bad boost_caps list: {self.boost_caps!r}") from None
+    boost_caps: tuple[float, ...] = (0.0, 0.6, 1.2, 2.4, 4.8)
 
 
 _SCENARIO_CONFIGS = {
@@ -115,7 +111,8 @@ def _convert(raw: str, annotation) -> object:
     text = str(annotation)
     raw = raw.strip()
     if "tuple" in text:
-        return tuple(float(x) for x in raw.split(","))
+        item = int if "int" in text else float
+        return tuple(item(x) for x in raw.split(",")) if raw else ()
     if "bool" in text:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -248,7 +245,7 @@ def _build_scenario(name: str, cfg, seed: int):
         net, _, _ = build_latent_sat_story(cfg, true_alpha=alpha)
         return net, {"mean_final_satisfaction": "satisfaction.value"}
     if name == "ecosystem":
-        net, metrics = build_ecosystem_story(cfg, policy="boosted")
+        net, metrics = build_ecosystem_story(cfg)
         return net, {"welfare": metrics["welfare"]}
     raise ConfigError(f"unknown scenario {name!r}")
 
@@ -283,9 +280,8 @@ def cmd_simulate(args) -> int:
 
 
 def _train_one(task):
-    cfg, history, seed, train = task
-    scen = dataclasses.replace(cfg, history_length=history,
-                               param_seed=derive_seed(seed, "params"))
+    cfg, seed, train = task
+    scen = dataclasses.replace(cfg, param_seed=derive_seed(seed, "params"))
     net, registry, metrics = build_porl_story(scen)
     rc = ReinforceConfig(num_trajectories=scen.population, horizon=scen.horizon,
                          reward_field=metrics["reward"],
@@ -293,7 +289,7 @@ def _train_one(task):
                          baseline=train.baseline)
     opt = make_optimizer(train.optimizer, train.learning_rate)
     rewards = reinforce_training(net, registry, rc, opt, train.iterations, seed)
-    return history, seed, rewards
+    return cfg.history_length, seed, rewards
 
 
 def cmd_train_reinforce(args) -> int:
@@ -304,12 +300,13 @@ def cmd_train_reinforce(args) -> int:
     if args.scenario != "porl":
         raise ConfigError("train-reinforce supports only the porl scenario")
     run, cfg, train = sections["run"], sections["scenario"], sections["train"]
-    if train.history_lengths.strip():
-        histories = [int(x) for x in train.history_lengths.split(",")]
-    else:
-        histories = [cfg.history_length]
+    histories = train.history_lengths or (cfg.history_length,)
+    try:
+        scenarios = {h: dataclasses.replace(cfg, history_length=h) for h in histories}
+    except ValueError as e:
+        raise ConfigError(f"bad train.history_lengths: {e}") from None
     seeds = [derive_seed(run.seed, "train-seed", i) for i in range(run.runs)]
-    tasks = [(cfg, h, s, train) for h in histories for s in seeds]
+    tasks = [(scenarios[h], s, train) for h in histories for s in seeds]
     workers = _workers(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -389,13 +386,12 @@ def cmd_fit_em(args) -> int:
 
 
 def _sweep_one(task):
-    cfg, boost_cap, row_offset, num_rows, seed = task
-    scen = dataclasses.replace(cfg, boost_cap=boost_cap, num_runs=num_rows)
-    net, metrics = build_ecosystem_story(
-        scen, policy="myopic" if boost_cap == 0.0 else "boosted")
+    cfg, row_offset, num_rows, seed = task
+    scen = dataclasses.replace(cfg, num_runs=num_rows)
+    net, metrics = build_ecosystem_story(scen)
     final = execute(net, scen.horizon - 1, seed, row_offset=row_offset)
     var, path = metrics["welfare"].split(".", 1)
-    return boost_cap, row_offset, final[var].get(path).data.copy()
+    return cfg.boost_cap, row_offset, final[var].get(path).data.copy()
 
 
 # A sweep task's time is about (rows + _TASK_OVERHEAD_ROWS) row-times:
@@ -426,7 +422,11 @@ def cmd_ecosystem_sweep(args) -> int:
     if args.scenario != "ecosystem":
         raise ConfigError("ecosystem-sweep supports only the ecosystem scenario")
     run, cfg, sweep = sections["run"], sections["scenario"], sections["sweep"]
-    caps = sweep.caps()
+    caps = sweep.boost_caps
+    try:
+        scenarios = {cap: dataclasses.replace(cfg, boost_cap=cap) for cap in caps}
+    except ValueError as e:
+        raise ConfigError(f"bad sweep.boost_caps: {e}") from None
     total_runs = run.runs if run.runs > 1 else cfg.num_runs
     # Every L value sees the same sampled ecosystems (shared seed), and
     # per-row keying makes worker splits bit-identical to a serial run.
@@ -435,7 +435,7 @@ def cmd_ecosystem_sweep(args) -> int:
     tasks = []
     for cap in caps:
         for lo in range(0, total_runs, chunk):
-            tasks.append((cfg, cap, lo, min(chunk, total_runs - lo), run.seed))
+            tasks.append((scenarios[cap], lo, min(chunk, total_runs - lo), run.seed))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))

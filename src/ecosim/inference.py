@@ -83,6 +83,20 @@ def make_optimizer(kind: str = "adam", learning_rate: float = 1e-2):
     raise InferenceError(f"unknown optimizer kind {kind!r}")
 
 
+def _descend(registry: ParameterRegistry, opt, loss_fn: Callable[[], Tensor]) -> float:
+    """One optimizer step on the scalar ``loss_fn()``, built on a fresh
+    tape with the registry's parameters bound; returns the loss before
+    the update."""
+    tape = Tape()
+    registry.bind(tape)
+    try:
+        loss = loss_fn()
+        opt.apply(registry, tape.backward(loss))
+    finally:
+        registry.unbind()
+    return float(loss.data)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian Monte Carlo
 
@@ -203,7 +217,7 @@ class ReinforceConfig:
         return var, path
 
 
-def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegistry,
+def reinforce_step(net: Network, registry: ParameterRegistry,
                    cfg: ReinforceConfig, opt, seed: int) -> float:
     """One REINFORCE update; returns the batch-mean cumulative reward.
 
@@ -213,12 +227,11 @@ def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegi
     observed copy of the sampled values; the sampled trajectory itself is
     released before it.
     """
-    network = net() if callable(net) else net
-    traj = trajectory(network, cfg.horizon, seed)
+    traj = trajectory(net, cfg.horizon, seed)
     if traj.batch != cfg.num_trajectories:
         raise InferenceError(
             f"story batch {traj.batch} != cfg.num_trajectories {cfg.num_trajectories}")
-    obs = ObservedTrajectory.from_trajectory(network, traj)
+    obs = ObservedTrajectory.from_trajectory(net, traj)
     del traj
     rvar, rpath = cfg.split("reward")
     if rvar not in obs.specs or rpath not in obs.specs[rvar].paths:
@@ -229,18 +242,14 @@ def reinforce_step(net: Network | Callable[[], Network], registry: ParameterRegi
     reward = obs.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
 
-    tape = Tape()
-    registry.bind(tape)
-    try:
-        log_prob = trajectory_log_prob_rows(network, obs, cfg.horizon - 1,
+    def surrogate() -> Tensor:
+        log_prob = trajectory_log_prob_rows(net, obs, cfg.horizon - 1,
                                             only=[(pvar, ppath)])
-        objective = T.div(T.neg(T.reduce_sum(T.mul(T.stop_gradient(Tensor(centered)),
-                                                   log_prob))),
-                          float(cfg.num_trajectories))
-        grads = tape.backward(objective)
-        opt.apply(registry, grads)
-    finally:
-        registry.unbind()
+        return T.div(T.neg(T.reduce_sum(T.mul(T.stop_gradient(Tensor(centered)),
+                                              log_prob))),
+                     float(cfg.num_trajectories))
+
+    _descend(registry, opt, surrogate)
     return float(reward.mean())
 
 
@@ -265,20 +274,16 @@ def mle_step(net: Network, trajectories: Sequence[ObservedTrajectory],
     the loss value before the update."""
     if isinstance(trajectories, ObservedTrajectory):
         trajectories = [trajectories]
-    tape = Tape()
-    registry.bind(tape)
-    try:
+
+    def loss() -> Tensor:
         total = None
         for traj in trajectories:
             steps = traj.steps - 1 if num_steps is None else num_steps
             lp = log_probability_from_value_trajectory(net, traj, steps)
             total = lp if total is None else T.add(total, lp)
-        loss = T.neg(total)
-        grads = tape.backward(loss)
-        opt.apply(registry, grads)
-    finally:
-        registry.unbind()
-    return float(loss.data)
+        return T.neg(total)
+
+    return _descend(registry, opt, loss)
 
 
 @dataclass
@@ -292,8 +297,7 @@ class EmIteration:
 def mc_em_fit(net: Network, observed: ObservedTrajectory,
               held_out: tuple[str, str] | None, hmc_cfg: HmcConfig, opt,
               num_iterations: int, seed: int, *,
-              registry: ParameterRegistry,
-              init_latent=None, m_steps: int = 1) -> list[EmIteration]:
+              registry: ParameterRegistry, m_steps: int = 1) -> list[EmIteration]:
     """Monte-Carlo EM: HMC over the held-out field (E-step), gradient
     ascent on the Monte-Carlo average log-probability (M-step).
 
@@ -310,10 +314,7 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
         var, path = held_out
         if (var, path) not in observed.held_out():
             raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
-        spec = observed.specs[var].field(path)
-        if init_latent is None:
-            init_latent = np.zeros((observed.batch,) + spec.shape)
-        z = np.array(init_latent, dtype=np.float64)
+        z = np.zeros((observed.batch,) + observed.specs[var].field(path).shape)
 
     if num_iterations == 0:
         scored = observed if held_out is None else \
@@ -347,23 +348,18 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
                     f"EM iterations; retune hmc step_size (currently {hmc_cfg.step_size})")
         else:
             low_acceptance_streak = 0
-        objective = None
-        for _ in range(m_steps):
-            tape = Tape()
-            registry.bind(tape)
-            try:
-                total = None
-                for s in samples:
-                    injected = observed.inject(var, path, [Tensor(s)] * observed.steps)
-                    lp = log_probability_from_value_trajectory(net, injected, num_steps)
-                    total = lp if total is None else T.add(total, lp)
-                mean_lp = T.div(total, float(len(samples)))
-                if objective is None:
-                    objective = float(mean_lp.data)
-                grads = tape.backward(T.neg(mean_lp))
-                opt.apply(registry, grads)
-            finally:
-                registry.unbind()
+
+        def loss() -> Tensor:
+            total = None
+            for s in samples:
+                injected = observed.inject(var, path, [Tensor(s)] * observed.steps)
+                lp = log_probability_from_value_trajectory(net, injected, num_steps)
+                total = lp if total is None else T.add(total, lp)
+            return T.neg(T.div(total, float(len(samples))))
+
+        objective = -_descend(registry, opt, loss)
+        for _ in range(m_steps - 1):
+            _descend(registry, opt, loss)
         trace.append(EmIteration(i, objective, acceptance,
                                  (time.perf_counter() - t0) * 1e3))
     return trace

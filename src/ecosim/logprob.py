@@ -17,10 +17,12 @@ payloads with a leading time axis, ``(num_steps, batch) + event``:
 current-slice dependencies are the observed slices 1 .. num_steps and
 ``.previous`` ones the slices 0 .. num_steps-1.  Each field's
 log-probability is summed over every axis after the leading (time,
-batch) axes, then over time, to one value per batch row.  Every
-observed field is stacked on the time axis once per
-:class:`ObservedTrajectory`, and a field injected with the same payload
-at every step is broadcast to the time axis, not copied.
+batch) axes, then over time, to one value per batch row.  An
+:class:`ObservedTrajectory` stores each observed field only stacked on
+the time axis, so both windows are slices of one payload; a field with
+the same payload at every step (a carried field, an injected static
+latent) is broadcast to the time axis, not copied.  Step 0's payloads are
+kept as given as well, for the initial builders.
 
 The builder contract that follows: a kernel builder accepts any number
 of leading axes in front of a field's event axes.  It indexes and
@@ -70,36 +72,27 @@ def _window(payload, key):
     return T.index(payload, key) if isinstance(payload, Tensor) else payload[key]
 
 
-class _InjectedSlices(Sequence):
-    """A variable's per-step Values with one field injected.
+def _check_steps(spec: ValueSpec, path: str, payloads: Sequence, batch: int | None,
+                 where: str) -> int:
+    """Check one field's per-step payloads; returns the batch extent.
 
-    Step t's Value is built when it is first read; scoring reads only
-    step 0 and the stacked fields.
+    A payload that repeats the step before is checked only once.
     """
-
-    def __init__(self, base: Sequence[Value], path: str, payloads: Sequence):
-        self._base, self._path, self._payloads = base, path, payloads
-        self._built: dict[int, Value] = {}
-
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[i] for i in range(len(self))[t]]
-        t = range(len(self))[t]
-        value = self._built.get(t)
-        if value is None:
-            value = self._base[t].union(Value.of({self._path: self._payloads[t]}))
-            self._built[t] = value
-        return value
+    for t, payload in enumerate(payloads):
+        if t == 0 or payload is not payloads[t - 1]:
+            batch = spec.check_payload(path, payload, batch, f"{where} at step {t}")
+    return batch
 
 
 class ObservedTrajectory:
-    """Per-variable, per-step observed Values; whole fields may be held out.
+    """Observed fields of every variable, stored stacked on the time axis.
 
-    A field is either observed at every step or held out at every step;
-    per-step partial observation is rejected.
+    ``fields[variable][path]`` is shaped ``(steps, batch) + event``; a
+    field missing from it is held out.  A field is either observed at
+    every step or held out at every step; per-step partial observation is
+    rejected.  Step 0's payloads are also kept as given: the initial
+    builders score them without a time axis, and an injected latent then
+    reaches step 0 as itself, not as a slice of its broadcast.
     """
 
     def __init__(self, specs: dict[str, ValueSpec], steps: int,
@@ -111,17 +104,15 @@ class ObservedTrajectory:
                                f"network variables {sorted(specs)}")
         self.specs = specs
         self.steps = steps
-        self.data = data
-        self._stacked: dict[str, dict[str, object]] = {}
-        self._validate()
-
-    def _validate(self) -> None:
-        batch = None
-        for name, spec in self.specs.items():
-            slices = self.data[name]
-            if len(slices) != self.steps:
+        self.batch: int | None = None
+        self.fields: dict[str, dict[str, object]] = {}
+        self._first: dict[str, Value] = {}
+        for name, spec in specs.items():
+            slices = data[name]
+            if len(slices) != steps:
                 raise LogProbError(
-                    f"variable {name!r} has {len(slices)} slices, expected {self.steps}")
+                    f"variable {name!r} has {len(slices)} slices, expected {steps}")
+            fields = {}
             for path in spec.paths:
                 present = [v.has(path) for v in slices]
                 if any(present) and not all(present):
@@ -129,11 +120,12 @@ class ObservedTrajectory:
                         f"field {path!r} of variable {name!r} is partially observed; "
                         f"fields must be fully observed or fully held out")
                 if all(present):
-                    for t, v in enumerate(slices):
-                        batch = spec.check_payload(
-                            path, v.get(path), batch,
-                            f"observed variable {name!r} at step {t}")
-        self.batch = batch
+                    payloads = [v.get(path) for v in slices]
+                    self.batch = _check_steps(spec, path, payloads, self.batch,
+                                              f"observed variable {name!r}")
+                    fields[path] = _stack(payloads)
+            self.fields[name] = fields
+            self._first[name] = slices[0]
 
     @classmethod
     def from_trajectory(cls, net: Network, traj: Trajectory,
@@ -142,45 +134,26 @@ class ObservedTrajectory:
         (variable, path) fields to mark them held out."""
         dropped = set(hold_out)
         specs = {v.name: v.spec for v in net.variables}
-        data: dict[str, list[Value]] = {}
-        for v in net.variables:
-            slices = []
-            for t in range(traj.horizon):
-                kept = {path: traj.values[v.name][t].get(path)
-                        for path in v.spec.paths if (v.name, path) not in dropped}
-                slices.append(Value.of(kept))
-            data[v.name] = slices
+        data = {v.name: [Value.of({path: traj.values[v.name][t].get(path)
+                                   for path in v.spec.paths
+                                   if (v.name, path) not in dropped})
+                         for t in range(traj.horizon)]
+                for v in net.variables}
         return cls(specs, traj.horizon, data)
 
     def held_out(self) -> set[tuple[str, str]]:
-        out = set()
-        for name, spec in self.specs.items():
-            for path in spec.paths:
-                if not self.data[name][0].has(path):
-                    out.add((name, path))
-        return out
+        return {(name, path) for name, spec in self.specs.items()
+                for path in spec.paths if path not in self.fields[name]}
 
     def value(self, variable: str, step: int) -> Value:
-        return self.data[variable][step]
+        """The observed slice ``step`` of ``variable``, shaped ``(batch,) + event``."""
+        step = range(self.steps)[step]
+        return self._first[variable] if step == 0 else self.window(variable, step)
 
-    def stacked(self, variable: str) -> dict[str, object]:
-        """Every observed field of ``variable``, shaped ``(steps, batch) + event``.
-
-        Stacked on first use and kept, so repeated scoring of one
-        trajectory (or of copies made by :meth:`inject`) stacks it once.
-        """
-        fields = self._stacked.get(variable)
-        if fields is None:
-            slices = self.data[variable]
-            fields = {path: _stack([v.get(path) for v in slices])
-                      for path in self.specs[variable].paths if slices[0].has(path)}
-            self._stacked[variable] = fields
-        return fields
-
-    def window(self, variable: str, steps: slice) -> Value:
-        """The observed slices ``steps`` of ``variable`` as one time-batched Value."""
+    def window(self, variable: str, steps: int | slice) -> Value:
+        """The observed slices ``steps`` of ``variable`` as one Value."""
         return Value.of({path: _window(payload, steps)
-                         for path, payload in self.stacked(variable).items()})
+                         for path, payload in self.fields[variable].items()})
 
     def inject(self, variable: str, path: str, values: Sequence) -> "ObservedTrajectory":
         """A new trajectory with the held-out field filled per step.
@@ -189,14 +162,14 @@ class ObservedTrajectory:
         same (possibly taped) tensor for every step; it is checked once and
         broadcast to the time axis with one tape node, and its gradient
         accumulates across steps.  The original trajectory is unmodified;
-        the copy shares its stacked fields.
+        the copy shares its other stacked fields.
         """
         if variable not in self.specs:
             raise LogProbError(f"unknown variable {variable!r}")
         spec = self.specs[variable]
         if path not in spec.paths:
             raise LogProbError(f"variable {variable!r} has no field {path!r}")
-        if self.data[variable][0].has(path):
+        if path in self.fields[variable]:
             raise LogProbError(f"field already observed: {variable!r}.{path!r}")
         if len(values) != self.steps:
             raise LogProbError(
@@ -205,19 +178,14 @@ class ObservedTrajectory:
             payloads = [Value.of({path: values[0]}).get(path)] * self.steps
         else:
             payloads = [Value.of({path: v}).get(path) for v in values]
-        batch = self.batch
-        for t, payload in enumerate(payloads):
-            if t == 0 or payload is not payloads[t - 1]:
-                batch = spec.check_payload(path, payload, batch,
-                                           f"injected field {path!r} at step {t}")
-        for name in self.specs:
-            self.stacked(name)
         out = object.__new__(ObservedTrajectory)
-        out.specs, out.steps, out.batch = self.specs, self.steps, batch
-        out.data = {**self.data,
-                    variable: _InjectedSlices(self.data[variable], path, payloads)}
-        out._stacked = {**self._stacked,
-                        variable: {**self._stacked[variable], path: _stack(payloads)}}
+        out.specs, out.steps = self.specs, self.steps
+        out.batch = _check_steps(spec, path, payloads, self.batch,
+                                 f"injected field {path!r}")
+        out.fields = {**self.fields,
+                      variable: {**self.fields[variable], path: _stack(payloads)}}
+        out._first = {**self._first,
+                      variable: self._first[variable].union(Value.of({path: payloads[0]}))}
         return out
 
 

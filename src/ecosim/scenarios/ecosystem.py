@@ -120,16 +120,12 @@ def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
     return np.stack([_apportion(row, cfg.num_items) for row in rows]).reshape(raw.shape)
 
 
-def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
+def build_ecosystem_story(cfg: EcosystemConfig):
     """Returns (network, metric paths).
 
-    ``policy`` is "myopic" (pure affinity top-k) or "boosted" (affinity
-    plus the capped engagement-balancing boost; with boost_cap 0 the two
-    are identical).
+    The slate ranks items by affinity plus the capped engagement-balancing
+    boost; with ``cfg.boost_cap`` 0 it is the myopic pure-affinity top-k.
     """
-    if policy not in ("myopic", "boosted"):
-        raise ValueError(f"unknown policy {policy!r}")
-    boost_cap = 0.0 if policy == "myopic" else cfg.boost_cap
     R, U, P, M = cfg.num_runs, cfg.num_users, cfg.num_providers, cfg.num_items
     C, d, k = cfg.num_communities, cfg.interest_dim, cfg.slate_size
     gamma = cfg.engagement_discount
@@ -190,10 +186,10 @@ def build_ecosystem_story(cfg: EcosystemConfig, policy: str = "boosted"):
 
     def _boost_per_item(engagement_prev: np.ndarray | None,
                         assignment: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if boost_cap == 0.0 or engagement_prev is None:
+        if cfg.boost_cap == 0.0 or engagement_prev is None:
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
-        boost = np.clip(beta * gap, -boost_cap, boost_cap)
+        boost = np.clip(beta * gap, -cfg.boost_cap, cfg.boost_cap)
         per_item = np.take_along_axis(boost, assignment, axis=-1)
         return per_item + u * cfg.jitter_scale * np.abs(per_item)
 

@@ -156,13 +156,58 @@ class TestTrainReinforce:
         assert run_cli("train-reinforce", "--scenario", "count",
                        "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("lengths", ["a", "2,0"])
+    def test_bad_history_lengths_is_a_configuration_error(self, lengths, tmp_path,
+                                                           capsys):
+        assert run_cli("train-reinforce", *SMALL_TRAIN,
+                       "--set", f"train.history_lengths={lengths}",
+                       "--out", str(tmp_path / "x")) == 2
+        assert "history_lengths" in capsys.readouterr().err
+
+    def test_artifacts_match_golden_digests(self, tmp_path):
+        # Pinned so that a change to sampling, replay scoring or the
+        # optimizer step shows as moved bytes.
+        out = tmp_path / "t"
+        assert run_cli("train-reinforce", *SMALL_TRAIN, "--out", str(out)) == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(out).items()} == {
+            "reinforce_curve.csv":
+                "0016d51fa2be373d5dbe44bc7f6f401eb6e44023e70b96bc6e6834c8b443c74f",
+            "reinforce_summary.csv":
+                "80b0c71440375629ba375868b52a69a72a158146df133366cde021707fa2912c",
+        }
+
 
 SMALL_EM = ("--set", "population=6", "--set", "horizon=4",
             "--set", "interest_dim=2", "--set", "em.iterations=2",
             "--set", "em.hmc_num_samples=3", "--set", "em.hmc_burn_in=1")
 
 
+def em_trace_without_timing(path: Path) -> bytes:
+    """em_trace.csv without its last column, ``wall_clock_ms``."""
+    return "".join(",".join(line.split(",")[:3]) + "\n"
+                   for line in read(path).splitlines()).encode()
+
+
 class TestFitEm:
+    def test_artifacts_match_golden_digests(self, tmp_path):
+        # Pinned so that a change to the E-step, the M-step or how an
+        # injected latent's gradient is summed shows as moved bytes.
+        out = tmp_path / "em"
+        assert run_cli("fit-em", *SMALL_EM, "--out", str(out)) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("alpha_recovery.csv", "summary.csv")}
+        digests["em_trace.csv"] = hashlib.sha256(
+            em_trace_without_timing(out / "em_trace.csv")).hexdigest()
+        assert digests == {
+            "alpha_recovery.csv":
+                "3667192bde1531e38c170278ef285885453890d375cde75af3f2d5875f2fdca8",
+            "summary.csv":
+                "2e2ac7737c07fb4adcbb6f629bdec1eca4e12e855d890c96889ef0bad2ccdf20",
+            "em_trace.csv":
+                "e7188f055a3e341a3d8eab5b1942f299714712822576ae26c3dc076e63f8fe07",
+        }
+
     def test_outputs_trace_and_alpha_recovery(self, tmp_path):
         out = tmp_path / "em"
         assert run_cli("fit-em", *SMALL_EM, "--out", str(out)) == 0
@@ -174,6 +219,11 @@ class TestFitEm:
         assert alpha[1] == "user,true_alpha,estimated_alpha"
         assert len(alpha) - 2 == 6
         assert "alpha_pearson_r" in read(out / "summary.csv")
+
+    def test_zero_m_steps_is_a_configuration_error(self, tmp_path, capsys):
+        assert run_cli("fit-em", *SMALL_EM, "--set", "em.m_steps=0",
+                       "--out", str(tmp_path / "x")) == 2
+        assert "m_steps" in capsys.readouterr().err
 
     def test_em_trace_keeps_wall_clock_ms_column(self, tmp_path):
         # the one timing field kept in a deterministic artifact, by design
@@ -232,6 +282,13 @@ class TestEcosystemSweep:
                        "--out", str(out)) == 0
         row = read(out / "welfare_summary.csv").splitlines()[2]
         assert row.endswith(",")
+
+    @pytest.mark.parametrize("caps", ["0,x", "0.6,-1"])
+    def test_bad_boost_caps_is_a_configuration_error(self, caps, tmp_path, capsys):
+        assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
+                       "--set", f"sweep.boost_caps={caps}",
+                       "--out", str(tmp_path / "x")) == 2
+        assert "boost_caps" in capsys.readouterr().err
 
     def test_deterministic_across_worker_counts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

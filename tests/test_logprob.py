@@ -171,20 +171,6 @@ class TestObservedTrajectory:
         # original unmodified
         assert not obs.value("x", 0).has("v")
 
-    def test_injected_steps_read_like_a_list(self):
-        net = iid_normal_network(4)
-        obs = ObservedTrajectory.from_trajectory(
-            net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
-        values = [np.full(4, float(t)) for t in range(3)]
-        steps = obs.inject("x", "v", values).data["x"]
-        assert len(steps) == 3
-        assert steps[0] is steps[0]  # built once, on first read
-        np.testing.assert_array_equal(steps[-1].get("v").data, values[2])
-        assert [v.get("v").data[0] for v in steps[1:]] == [1.0, 2.0]
-        assert [v.get("v").data[0] for v in steps] == [0.0, 1.0, 2.0]
-        with pytest.raises(IndexError):
-            steps[3]
-
     def test_injecting_observed_field_rejected(self):
         net = iid_normal_network(4)
         obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 3, seed=1))

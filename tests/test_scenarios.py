@@ -245,7 +245,7 @@ SMALL_ECO = dict(num_users=30, num_providers=6, num_items=18, horizon=8,
 class TestEcosystemStory:
     def test_item_counts_sum_exactly_to_budget(self):
         cfg = EcosystemConfig(**SMALL_ECO)
-        net, _ = build_ecosystem_story(cfg, policy="boosted")
+        net, _ = build_ecosystem_story(cfg)
         traj = trajectory(net, cfg.horizon, seed=0)
         for t in range(cfg.horizon):
             prov = np.asarray(traj.value("items", t).get("provider"))
@@ -256,15 +256,15 @@ class TestEcosystemStory:
 
     def test_engagement_nonnegative_always(self):
         cfg = EcosystemConfig(**SMALL_ECO)
-        net, _ = build_ecosystem_story(cfg, policy="boosted")
+        net, _ = build_ecosystem_story(cfg)
         traj = trajectory(net, cfg.horizon, seed=1)
         for t in range(cfg.horizon):
             assert np.all(traj.value("engagement", t).get("value").data >= 0)
 
     def test_memoryless_discount_equals_last_period_consumption(self):
         cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO),
-                                  engagement_discount=1e-12)
-        net, _ = build_ecosystem_story(cfg, policy="myopic")
+                                  engagement_discount=1e-12, boost_cap=0.0)
+        net, _ = build_ecosystem_story(cfg)
         traj = trajectory(net, cfg.horizon, seed=2)
         t = cfg.horizon - 1
         ranks = np.asarray(traj.value("slate", t).get("ranks"))
@@ -277,27 +277,30 @@ class TestEcosystemStory:
         np.testing.assert_allclose(
             traj.value("engagement", t).get("value").data, counts, atol=1e-9)
 
-    def test_zero_cap_boosted_equals_myopic_exactly(self):
+    def test_zero_cap_slate_is_the_affinity_top_k(self):
+        # With cap 0 the boost and its jitter vanish: every slate holds the
+        # k items nearest each user, nearest first.
         cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=0.0)
-        net_b, _ = build_ecosystem_story(cfg, policy="boosted")
-        net_m, _ = build_ecosystem_story(cfg, policy="myopic")
-        tb = trajectory(net_b, cfg.horizon, seed=3)
-        tm = trajectory(net_m, cfg.horizon, seed=3)
+        net, _ = build_ecosystem_story(cfg)
+        traj = trajectory(net, cfg.horizon, seed=3)
         for t in range(cfg.horizon):
-            np.testing.assert_array_equal(
-                np.asarray(tb.value("slate", t).get("ranks")),
-                np.asarray(tm.value("slate", t).get("ranks")))
-        np.testing.assert_array_equal(
-            tb.value("metrics", cfg.horizon - 1).get("welfare").data,
-            tm.value("metrics", cfg.horizon - 1).get("welfare").data)
+            u = traj.value("users", t).get("interest").data
+            f = traj.value("items", t).get("features").data
+            aff = -np.linalg.norm(u[:, :, None, :] - f[:, None, :, :], axis=-1)
+            ranks = np.asarray(traj.value("slate", t).get("ranks"))
+            served = np.take_along_axis(aff, ranks, axis=-1)
+            assert np.all(np.diff(served, axis=-1) <= 1e-9)
+            rest = aff.copy()
+            np.put_along_axis(rest, ranks, -np.inf, axis=-1)
+            assert np.all(served[..., -1] >= rest.max(axis=-1) - 1e-9)
 
     def test_single_provider_policies_identical_welfare(self):
         cfg = EcosystemConfig(num_users=20, num_providers=1, num_items=10,
                               horizon=6, num_runs=2, interest_dim=3,
                               num_communities=1, community_sizes=(1.0,),
                               slate_size=4, boost_cap=1.2)
-        net_b, _ = build_ecosystem_story(cfg, policy="boosted")
-        net_m, _ = build_ecosystem_story(cfg, policy="myopic")
+        net_b, _ = build_ecosystem_story(cfg)
+        net_m, _ = build_ecosystem_story(dataclasses.replace(cfg, boost_cap=0.0))
         wb = trajectory(net_b, cfg.horizon, seed=4).value(
             "metrics", cfg.horizon - 1).get("welfare").data
         wm = trajectory(net_m, cfg.horizon, seed=4).value(
@@ -306,19 +309,19 @@ class TestEcosystemStory:
 
     def test_sampled_trajectory_scores_without_sentinel(self):
         cfg = EcosystemConfig(**SMALL_ECO)
-        net, _ = build_ecosystem_story(cfg, policy="boosted")
+        net, _ = build_ecosystem_story(cfg)
         obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, 5))
         lp = float(log_probability_from_value_trajectory(net, obs, cfg.horizon - 1).data)
         assert lp > NEG_INF / 2 and np.isfinite(lp)
 
     def test_run_batching_equals_split_runs(self):
         cfg = EcosystemConfig(**SMALL_ECO)
-        net, _ = build_ecosystem_story(cfg, policy="boosted")
+        net, _ = build_ecosystem_story(cfg)
         batched = execute(net, cfg.horizon - 1, seed=6)
         welfare = batched["metrics"].get("welfare").data
         for row in range(3):
             solo_cfg = dataclasses.replace(cfg, num_runs=1)
-            solo_net, _ = build_ecosystem_story(solo_cfg, policy="boosted")
+            solo_net, _ = build_ecosystem_story(solo_cfg)
             solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=row)
             np.testing.assert_array_equal(solo["metrics"].get("welfare").data,
                                           welfare[row:row + 1])

@@ -190,10 +190,11 @@ class TestStories:
         if policy != "oracle":  # the oracle's slate is deterministic
             assert_matches_stepwise(net, obs, registry=registry, only=[policy_field])
 
-    @pytest.mark.parametrize("policy", ["myopic", "boosted"])
-    def test_ecosystem_with_users_held_out(self, policy):
-        cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=1.0)
-        net, _ = build_ecosystem_story(cfg, policy=policy)
+    @pytest.mark.parametrize("boost_cap", [pytest.param(0.0, id="myopic"),
+                                           pytest.param(1.0, id="boosted")])
+    def test_ecosystem_with_users_held_out(self, boost_cap):
+        cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=boost_cap)
+        net, _ = build_ecosystem_story(cfg)
         traj = trajectory(net, cfg.horizon, 8)
         users = traj.value("users", 0).get("interest").data
         obs = ObservedTrajectory.from_trajectory(net, traj,
@@ -230,9 +231,12 @@ def test_observed_fields_are_stacked_once_and_shared_by_injected_copies():
     obs = observe(truth, 5, 1, hold_out=[("latent", "z")])
     first = obs.inject("latent", "z", [np.zeros(4)] * 5)
     second = obs.inject("latent", "z", [np.ones(4)] * 5)
-    assert first.stacked("obs")["x"] is obs.stacked("obs")["x"]
-    assert second.stacked("obs")["x"] is obs.stacked("obs")["x"]
-    assert obs.stacked("obs")["x"].shape == (5, 4)
+    stacked = obs.fields["obs"]["x"]
+    assert stacked.shape == (5, 4)
+    assert first.fields["obs"]["x"] is stacked
+    assert second.fields["obs"]["x"] is stacked
+    assert "z" not in obs.fields["latent"]
+    assert first.fields["latent"]["z"].shape == (5, 4)
 
 
 BATCH = 4
