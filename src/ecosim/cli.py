@@ -92,6 +92,14 @@ class EmSettings:
             raise ConfigError("iterations must be >= 0")
         if self.m_steps < 1:
             raise ConfigError("m_steps must be >= 1")
+        if not self.hmc_step_size > 0:  # NaN fails too
+            raise ConfigError("hmc_step_size must be positive")
+        if self.hmc_num_leapfrog < 1:
+            raise ConfigError("hmc_num_leapfrog must be >= 1")
+        if self.hmc_num_samples < 1:
+            raise ConfigError("hmc_num_samples must be >= 1")
+        if self.hmc_burn_in < 0:
+            raise ConfigError("hmc_burn_in must be >= 0")
 
 
 @dataclass(frozen=True)

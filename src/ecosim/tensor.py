@@ -6,6 +6,17 @@ create one per training step, watch the leaves you want gradients for,
 run the forward computation, call ``backward``, drop the tape.  Taped and
 untaped evaluation run the same numpy kernels, so forward values are
 bit-identical either way.
+
+Each op records one vjp (vector-Jacobian product) per taped operand.
+
+- Retention: a vjp captures only what its formula reads: a shape, a
+  mask, an index, an axis, or the ``.data`` of an operand or of the
+  output.  It never captures an operand ``Tensor``.  So a tape keeps an
+  intermediate alive only while some gradient still needs its values.
+- Gradients: a vjp returns a fresh array or a view of its incoming
+  gradient ``g``, and never writes into ``g``.  ``g`` may be shared with
+  another node's gradient, so ``Tape.backward`` hands it to the vjps
+  read-only.
 """
 
 from __future__ import annotations
@@ -155,6 +166,15 @@ class Tape:
         release the intermediates would live until the cyclic collector
         runs.)  A vjp that returns a gradient of the wrong shape raises
         ``TapeError`` rather than giving a leaf a gradient of another shape.
+
+        A node's first incoming gradient is kept as its vjp returned it,
+        which may be a view of another node's gradient.  A second one is
+        added with ``np.add`` into a buffer the pass owns, and later ones
+        are added into that buffer in place.  Before a node's vjps run its
+        gradient is made read-only, so a vjp that writes into ``g`` raises
+        instead of corrupting a shared buffer.  Every returned gradient is
+        a writeable float64 array that shares memory with nothing else:
+        a leaf gradient the pass does not own is copied out.
         """
         if loss.tape is not self:
             raise TapeError("loss was not recorded on this tape")
@@ -165,13 +185,17 @@ class Tape:
         self._spent = True
         leaves = {leaf.node for leaf in self._watched}
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
+        owned = [False] * len(self._nodes)  # grads[j] is a buffer of this pass
         grads[loss.node] = np.ones_like(loss.data)
+        owned[loss.node] = True
         for i in range(len(self._nodes) - 1, -1, -1):
             node = self._nodes[i]
             inputs, node.inputs = node.inputs, ()
             g = grads[i]
             if g is None:
                 continue
+            if inputs:
+                g.flags.writeable = False
             for j, vjp in inputs:
                 gj = vjp(g)
                 if np.shape(gj) != self._nodes[j].shape:
@@ -179,15 +203,23 @@ class Tape:
                         f"vjp of node {i} returned shape {np.shape(gj)} for its input "
                         f"node {j}, which has shape {self._nodes[j].shape}")
                 if grads[j] is None:
-                    grads[j] = np.array(gj, dtype=np.float64, copy=True)
-                else:
+                    grads[j] = np.asarray(gj, dtype=np.float64)
+                elif owned[j]:
                     grads[j] += gj
+                else:
+                    # asarray: a ufunc on 0-d operands returns a scalar
+                    grads[j] = np.asarray(np.add(grads[j], gj))
+                    owned[j] = True
             if i not in leaves:
                 grads[i] = None
         out = {}
         for leaf in self._watched:
             g = grads[leaf.node]
-            out[leaf] = Tensor(np.zeros_like(leaf.data) if g is None else g)
+            if g is None:
+                g = np.zeros_like(leaf.data)
+            elif not owned[leaf.node]:
+                g = np.array(g, dtype=np.float64, copy=True)
+            out[leaf] = Tensor(g)
         return out
 
 
@@ -239,6 +271,29 @@ def _sum_axis(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape of ``x`` and the memory order of its axes, outermost first,
+    that ``np.zeros_like(x)`` would give: C or F order for a contiguous
+    ``x``, otherwise decreasing absolute stride, ties in axis order.
+
+    A scatter vjp makes its zeros in this layout without holding ``x``.
+    The layout decides the order in which later reductions add, so the
+    gradient stays bit-identical to one scattered into ``zeros_like(x)``.
+    """
+    axes = tuple(range(x.ndim))
+    if x.flags.c_contiguous:
+        return x.shape, axes
+    if x.flags.f_contiguous:
+        return x.shape, axes[::-1]
+    return x.shape, tuple(sorted(axes, key=lambda i: -abs(x.strides[i])))
+
+
+def _zeros(layout: tuple[tuple[int, ...], tuple[int, ...]]) -> np.ndarray:
+    """Zeros of the shape and memory order ``_layout`` recorded."""
+    shape, order = layout
+    return np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
+
+
 def _per_pass(fn: Callable) -> Callable:
     """``fn(g)``, computed once per backward pass.
 
@@ -283,33 +338,37 @@ def _broadcast_guard(a: np.ndarray, b: np.ndarray, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "add")
+    sa, sb = a.shape, b.shape
     return _apply(np.add, (a, b),
-                  (lambda g: _unbroadcast(g, a.shape),
-                   lambda g: _unbroadcast(g, b.shape)))
+                  (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "sub")
+    sa, sb = a.shape, b.shape
     return _apply(np.subtract, (a, b),
-                  (lambda g: _unbroadcast(g, a.shape),
-                   lambda g: _unbroadcast(-g, b.shape)))
+                  (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "mul")
+    # each vjp reads only the other operand's data: with one operand
+    # untaped, its vjp is never recorded and the taped operand's data is
+    # not kept
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     return _apply(np.multiply, (a, b),
-                  (lambda g: _unbroadcast(g * b.data, a.shape),
-                   lambda g: _unbroadcast(g * a.data, b.shape)))
+                  (lambda g: _unbroadcast(g * bd, sa), lambda g: _unbroadcast(g * ad, sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "div")
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     return _apply(np.divide, (a, b),
-                  (lambda g: _unbroadcast(g / b.data, a.shape),
-                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                  (lambda g: _unbroadcast(g / bd, sa),
+                   lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
 
 def neg(a) -> Tensor:
@@ -319,7 +378,8 @@ def neg(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _apply(np.log, (a,), (lambda g: g / a.data,))
+    ad = a.data
+    return _apply(np.log, (a,), (lambda g: g / ad,))
 
 
 def tanh(a) -> Tensor:
@@ -330,14 +390,14 @@ def tanh(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _apply(lambda x: np.maximum(x, 0.0), (a,),
-                  (lambda g: g * (a.data > 0.0),))
+    mask = a.data > 0.0
+    return _apply(lambda x: np.maximum(x, 0.0), (a,), (lambda g: g * mask,))
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
-    return _apply(lambda x: np.logaddexp(0.0, x), (a,),
-                  (lambda g: g * _expit(a.data),))
+    ad = a.data
+    return _apply(lambda x: np.logaddexp(0.0, x), (a,), (lambda g: g * _expit(ad),))
 
 
 def maximum(a, b) -> Tensor:
@@ -345,18 +405,20 @@ def maximum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "maximum")
     mask = a.data >= b.data
+    sa, sb = a.shape, b.shape
     return _apply(np.maximum, (a, b),
-                  (lambda g: _unbroadcast(g * mask, a.shape),
-                   lambda g: _unbroadcast(g * ~mask, b.shape)))
+                  (lambda g: _unbroadcast(g * mask, sa),
+                   lambda g: _unbroadcast(g * ~mask, sb)))
 
 
 def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "minimum")
     mask = a.data <= b.data
+    sa, sb = a.shape, b.shape
     return _apply(np.minimum, (a, b),
-                  (lambda g: _unbroadcast(g * mask, a.shape),
-                   lambda g: _unbroadcast(g * ~mask, b.shape)))
+                  (lambda g: _unbroadcast(g * mask, sa),
+                   lambda g: _unbroadcast(g * ~mask, sb)))
 
 
 def clip(a, lo, hi) -> Tensor:
@@ -370,11 +432,13 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
 
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+
     def vjp_a(g):
-        return _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        return _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
 
     def vjp_b(g):
-        return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
 
     return _apply(np.matmul, (a, b), (vjp_a, vjp_b))
 
@@ -432,9 +496,10 @@ def take_along(a, indices, axis: int) -> Tensor:
             or idx.shape[axis_ + 1:] != a.shape[axis_ + 1:]):
         raise ShapeError(f"take_along: index shape {idx.shape} differs from tensor "
                          f"shape {a.shape} off axis {axis_}")
+    layout = _layout(a.data)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = _zeros(layout)
         np.add.at(out, _along_index(idx, axis_), g)
         return out
 
@@ -462,12 +527,12 @@ def take_rows(a, indices) -> Tensor:
     rows = count * m
     offsets = (np.arange(count) * m).reshape(lead + (1,))
     flat = (idx + offsets).reshape(-1)
-    out_shape = idx.shape + (d,)
+    out_shape, shape = idx.shape + (d,), a.shape
 
     def vjp(g):
         out = np.zeros((rows, d))
         np.add.at(out, flat, g.reshape(flat.size, d))
-        return out.reshape(a.shape)
+        return out.reshape(shape)
 
     return _apply(lambda x: np.take(x.reshape(rows, d), flat, axis=0).reshape(out_shape),
                   (a,), (vjp,))
@@ -486,8 +551,9 @@ def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
     return _apply(lambda x: np.sum(x, axis=axis, keepdims=keepdims), (a,),
-                  (lambda g: _restore_axes(g, a.shape, axis, keepdims),))
+                  (lambda g: _restore_axes(g, shape, axis, keepdims),))
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -497,9 +563,10 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         count = int(np.prod([a.shape[ax] for ax in axes]))
+    shape = a.shape
 
     def vjp(g):
-        return _restore_axes(g, a.shape, axis, keepdims) / count
+        return _restore_axes(g, shape, axis, keepdims) / count
 
     return _apply(lambda x: np.mean(x, axis=axis, keepdims=keepdims), (a,), (vjp,))
 
@@ -510,6 +577,7 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     axis_ = axis % a.ndim
     argmax = np.argmax(a.data, axis=axis_)
     idx = np.expand_dims(argmax, axis_)
+    n, trailing = a.shape[axis_], a.ndim - axis_ - 1
 
     def fwd(x):
         out = np.take_along_axis(x, idx, axis=axis_)
@@ -517,7 +585,7 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 
     def vjp(g):
         gk = g if keepdims else np.expand_dims(g, axis_)
-        positions = np.arange(a.shape[axis_]).reshape((-1,) + (1,) * (a.ndim - axis_ - 1))
+        positions = np.arange(n).reshape((-1,) + (1,) * trailing)
         # + 0.0 makes a -0.0 gradient +0.0, as a scatter-add into zeros does
         return np.where(positions == idx, gk + 0.0, 0.0)
 
@@ -541,6 +609,7 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     t = targets.data[..., None, :]
     _broadcast_guard(items.data, t, "negative_euclidean")
     diff = items.data - t
+    tshape, ishape = t.shape, items.shape
     root = np.sqrt(_sum_axis(diff * diff, -1))
     out = np.negative(root)
     if scale is not None:
@@ -559,18 +628,18 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
 
     def vjp_targets(g):
         grad = -grad_diff(g)
-        lead = grad.ndim - t.ndim
+        lead = grad.ndim - len(tshape)
         if lead > 0:  # targets with fewer leading axes than the items
             grad = grad.sum(axis=tuple(range(lead)))
-        axes = tuple(i for i, n in enumerate(t.shape) if n == 1 and grad.shape[i] != 1)
-        if axes == (t.ndim - 2,):
+        axes = tuple(i for i, n in enumerate(tshape) if n == 1 and grad.shape[i] != 1)
+        if axes == (len(tshape) - 2,):
             return _sum_axis(grad, -2)
         if axes:
             grad = grad.sum(axis=axes, keepdims=True)
         return np.squeeze(grad, -2)
 
     return _apply(lambda *_: out, (targets, items),
-                  (vjp_targets, lambda g: _unbroadcast(grad_diff(g), items.shape)))
+                  (vjp_targets, lambda g: _unbroadcast(grad_diff(g), ishape)))
 
 
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
@@ -590,10 +659,12 @@ def normal_log_density(value, loc, scale) -> Tensor:
     _broadcast_guard(value.data, loc.data, "normal_log_density")
     diff = value.data - loc.data
     _broadcast_guard(diff, scale.data, "normal_log_density")
-    z = diff / scale.data
+    sd = scale.data
+    z = diff / sd
     out = z * z
     out *= -0.5
-    out -= np.log(scale.data) + _HALF_LOG_2PI
+    out -= np.log(sd) + _HALF_LOG_2PI
+    dshape, vshape, lshape, sshape = diff.shape, value.shape, loc.shape, scale.shape
 
     @_per_pass
     def grad_z(g):
@@ -602,7 +673,7 @@ def normal_log_density(value, loc, scale) -> Tensor:
 
     @_per_pass
     def grad_diff(g):
-        return _unbroadcast(grad_z(g) / scale.data, diff.shape)
+        return _unbroadcast(grad_z(g) / sd, dshape)
 
     tape = _common_tape((value, loc, scale))
     if tape is None:
@@ -610,13 +681,12 @@ def normal_log_density(value, loc, scale) -> Tensor:
     partials = []
     if scale.tape is not None:
         partials += [
-            (scale, lambda g: _unbroadcast(-g, scale.shape) / scale.data),
-            (scale, lambda g: _unbroadcast(-grad_z(g) * diff / (scale.data * scale.data),
-                                           scale.shape))]
+            (scale, lambda g: _unbroadcast(-g, sshape) / sd),
+            (scale, lambda g: _unbroadcast(-grad_z(g) * diff / (sd * sd), sshape))]
     if value.tape is not None:
-        partials.append((value, lambda g: _unbroadcast(grad_diff(g), value.shape)))
+        partials.append((value, lambda g: _unbroadcast(grad_diff(g), vshape)))
     if loc.tape is not None:
-        partials.append((loc, lambda g: _unbroadcast(-grad_diff(g), loc.shape)))
+        partials.append((loc, lambda g: _unbroadcast(-grad_diff(g), lshape)))
     return tape._emit(out, partials)
 
 
@@ -637,10 +707,11 @@ def logsumexp(a) -> Tensor:
     a = as_tensor(a)
     m = a.data.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.squeeze(m, -1) + np.log(np.sum(np.exp(a.data - m), axis=-1))
+    ad = a.data
+    out = np.squeeze(m, -1) + np.log(np.sum(np.exp(ad - m), axis=-1))
 
     def vjp(g):
-        soft = np.exp(a.data - np.expand_dims(out, -1))
+        soft = np.exp(ad - np.expand_dims(out, -1))
         return np.expand_dims(g, -1) * soft
 
     return _apply(lambda x: out, (a,), (vjp,))
@@ -648,23 +719,23 @@ def logsumexp(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return _apply(lambda x: x.reshape(shape), (a,),
-                  (lambda g: g.reshape(a.shape),))
+    sa = a.shape
+    return _apply(lambda x: x.reshape(shape), (a,), (lambda g: g.reshape(sa),))
 
 
 def broadcast_to(a, shape) -> Tensor:
     """Read-only broadcast view; the gradient sums over the broadcast axes."""
     a = as_tensor(a)
-    shape = tuple(shape)
+    shape, sa = tuple(shape), a.shape
 
     def fwd(x):
         try:
             return np.broadcast_to(x, shape)
         except ValueError:
             raise ShapeError(
-                f"broadcast_to: shape {a.shape} does not broadcast to {shape}") from None
+                f"broadcast_to: shape {sa} does not broadcast to {shape}") from None
 
-    return _apply(fwd, (a,), (lambda g: _unbroadcast(g, a.shape),))
+    return _apply(fwd, (a,), (lambda g: _unbroadcast(g, sa),))
 
 
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -682,9 +753,10 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 def index(a, key) -> Tensor:
     """Basic indexing (ints and slices, no index arrays): ``a[key]``."""
     a = as_tensor(a)
+    layout = _layout(a.data)
 
     def vjp(g):
-        out = np.zeros_like(a.data)
+        out = _zeros(layout)
         out[key] = g
         return out
 

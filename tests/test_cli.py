@@ -225,6 +225,16 @@ class TestFitEm:
                        "--out", str(tmp_path / "x")) == 2
         assert "m_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "hmc_num_samples=0", "hmc_step_size=0", "hmc_step_size=-0.1", "hmc_step_size=nan",
+        "hmc_num_leapfrog=0", "hmc_burn_in=-1"])
+    def test_out_of_range_hmc_setting_is_a_configuration_error(self, setting, tmp_path,
+                                                                capsys):
+        assert run_cli("fit-em", *SMALL_EM, "--set", "em." + setting,
+                       "--out", str(tmp_path / "x")) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_em_trace_keeps_wall_clock_ms_column(self, tmp_path):
         # the one timing field kept in a deterministic artifact, by design
         out = tmp_path / "em"

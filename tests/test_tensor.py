@@ -1,10 +1,14 @@
+import gc
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import ecosim.tensor as T
+from ecosim.behaviors import ParameterRegistry
+from ecosim.inference import Adam, Sgd
 from ecosim.tensor import ShapeError, Tape, TapeError, Tensor
 
 from conftest import check_op_gradient
@@ -92,6 +96,18 @@ class TestBackwardExamples:
         t1, t2 = Tape(), Tape()
         with pytest.raises(TapeError):
             T.add(t1.watch([1.0]), t2.watch([2.0]))
+
+    def test_vjp_writing_into_its_gradient_raises(self):
+        def doubling_vjp(g):
+            g *= 2.0
+            return g
+
+        tape = Tape()
+        x = tape.watch(np.ones(3))
+        y = T._apply(lambda a: 2.0 * a, (x,), (doubling_vjp,))
+        loss = T.reduce_sum(T.mul(y, 3.0))  # y's gradient is a fresh array
+        with pytest.raises(ValueError, match="read-only"):
+            tape.backward(loss)
 
     def test_wrong_shape_vjp_rejected(self):
         tape = Tape()
@@ -398,3 +414,168 @@ class TestGradientSuite:
         np.testing.assert_allclose(grads[at].data,
                                    np.tile(b.sum(axis=1), (3, 1)), atol=1e-12)
 
+
+def _positive(shape, rng):
+    return rng.uniform(0.5, 2.0, size=shape)  # a valid log argument and Normal scale
+
+
+class TestRetention:
+    """A tape holds an operand's data only if the op's gradient reads it.
+
+    Each case records the op on fresh operands, each either a taped
+    intermediate ``add(leaf, 1.0)`` or an untaped constant, keeps only the
+    tape and the loss, and checks which operand buffers are still alive.
+    ``kept`` names the operands whose data the recorded vjps read.
+    """
+
+    CASES = {
+        # name: (op, operand shapes, taped flags, kept flags)
+        "add": (T.add, [(3, 4), (4,)], [True, True], [False, False]),
+        "add_const": (T.add, [(3, 4), (4,)], [True, False], [False, False]),
+        "sub": (T.sub, [(3, 4), (3, 4)], [True, True], [False, False]),
+        "mul_one_taped": (T.mul, [(3, 4), (3, 1)], [True, False], [False, True]),
+        "mul_other_taped": (T.mul, [(3, 4), (3, 1)], [False, True], [True, False]),
+        "mul_two_taped": (T.mul, [(3, 4), (3, 1)], [True, True], [True, True]),
+        "div_one_taped": (T.div, [(3, 4), (3, 4)], [True, False], [False, True]),
+        "div_other_taped": (T.div, [(3, 4), (3, 4)], [False, True], [True, True]),
+        "div_two_taped": (T.div, [(3, 4), (3, 4)], [True, True], [True, True]),
+        "matmul_one_taped": (T.matmul, [(3, 4), (4, 2)], [True, False], [False, True]),
+        "matmul_other_taped": (T.matmul, [(3, 4), (4, 2)], [False, True], [True, False]),
+        "matmul_two_taped": (T.matmul, [(3, 4), (4, 2)], [True, True], [True, True]),
+        "maximum": (T.maximum, [(6,), (6,)], [True, True], [False, False]),
+        "minimum": (T.minimum, [(6,), (6,)], [True, False], [False, False]),
+        "clip": (lambda x: T.clip(x, 2.0, 2.5), [(8,)], [True], [False]),
+        "neg": (T.neg, [(5,)], [True], [False]),
+        "log": (T.log, [(5,)], [True], [True]),
+        "tanh": (T.tanh, [(5,)], [True], [False]),
+        "relu": (T.relu, [(8,)], [True], [False]),
+        "softplus": (T.softplus, [(6,)], [True], [True]),
+        "reduce_sum": (lambda x: T.reduce_sum(x, axis=1), [(3, 5)], [True], [False]),
+        "reduce_mean": (lambda x: T.reduce_mean(x, axis=0), [(3, 5)], [True], [False]),
+        "reduce_max": (lambda x: T.reduce_max(x, axis=-1), [(3, 5)], [True], [False]),
+        "reshape": (lambda x: T.reshape(x, (6, 2)), [(3, 4)], [True], [False]),
+        "broadcast_to": (lambda x: T.broadcast_to(x, (4, 3, 5)), [(3, 1)], [True], [False]),
+        "index": (lambda x: T.index(x, (slice(1, 3), 0)), [(4, 3)], [True], [False]),
+        "take_along": (lambda x: T.take_along(x, np.array([[1], [0], [3]]), 1),
+                       [(3, 5)], [True], [False]),
+        "take_rows": (lambda x: T.take_rows(x, np.array([[0, 2, 2, 4], [1, 1, 3, 1]])),
+                      [(2, 5, 3)], [True], [False]),
+        "concat": (lambda a, b: T.concat([a, b], axis=1), [(3, 2), (3, 3)],
+                   [True, True], [False, False]),
+        "stack": (lambda a, b: T.stack([a, b], axis=1), [(3, 2), (3, 2)],
+                  [True, True], [False, False]),
+        "expand_dims": (lambda x: T.expand_dims(x, 1), [(3, 2)], [True], [False]),
+        "squeeze": (lambda x: T.squeeze(x, 1), [(3, 1)], [True], [False]),
+        "log_softmax": (T.log_softmax, [(3, 5)], [True], [False]),
+        "logsumexp": (T.logsumexp, [(3, 5)], [True], [True]),
+        "negative_euclidean": (lambda t, x: T.negative_euclidean(t, x, 0.7),
+                               [(3, 4), (3, 5, 4)], [True, True], [False, False]),
+        "normal_log_density": (T.normal_log_density, [(3, 4), (3, 4), (4,)],
+                               [True, True, True], [False, False, True]),
+        "normal_log_density_untaped_scale": (T.normal_log_density, [(3, 4), (3, 4), (4,)],
+                                             [True, True, False], [False, False, True]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tape_keeps_only_what_the_gradient_reads(self, name, rng):
+        op, shapes, taped, kept = self.CASES[name]
+        tape = Tape()
+        leaves = [tape.watch(_positive(s, rng)) for s in shapes]
+        operands = [T.add(leaf, 1.0) if t else Tensor(_positive(s, rng))
+                    for leaf, s, t in zip(leaves, shapes, taped)]
+        refs = [weakref.ref(x.data) for x in operands]
+        # the loss holds no operand, so only the tape can keep one alive
+        loss = T.reduce_sum(T.mul(op(*operands), 0.5))
+        del operands
+        gc.collect()
+        assert [r() is not None for r in refs] == kept
+        grads = tape.backward(loss)
+        for leaf, t in zip(leaves, taped):
+            assert np.all(np.isfinite(grads[leaf].data))
+            assert t or not np.any(grads[leaf].data)
+
+
+def _reshape_twice(x, w):
+    return T.add(T.reshape(x, (6,)), T.reshape(x, (6,))), 2.0 * w.reshape(2, 3)
+
+
+def _square(x, w):
+    return T.mul(x, x), 2.0 * x.data * w
+
+
+def _broadcast_plus_self(x, w):
+    return T.add(T.broadcast_to(x, (4, 3)), x), 2.0 * w.sum(axis=0)
+
+
+class TestGradientAliasing:
+    """``backward`` keeps a first gradient as its vjp returned it (often a
+    view) and owns a buffer only once a second gradient arrives; what it
+    returns must still be independent, writeable float64 arrays."""
+
+    GRAPHS = {"reshape_twice": ((2, 3), (6,), _reshape_twice),
+              "square": ((2, 3), (2, 3), _square),
+              "broadcast_plus_self": ((3,), (4, 3), _broadcast_plus_self)}
+
+    def _grads(self, graph, rng, weighted):
+        x_shape, y_shape, build = self.GRAPHS[graph]
+        tape = Tape()
+        x = tape.watch(rng.normal(size=x_shape))
+        other = tape.watch(rng.normal(size=x_shape))  # gets the loss's own g
+        w = rng.normal(size=y_shape) if weighted else np.ones(y_shape)
+        y, want = build(x, w)
+        y = T.mul(y, w) if weighted else y
+        loss = T.add(T.reduce_sum(y), T.reduce_sum(other))
+        grads = tape.backward(loss)
+        forward = [x.data, other.data, w, y.data, loss.data]
+        return grads[x].data, want, grads[other].data, forward
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_values_and_independent_buffers(self, graph, weighted, rng):
+        gx, want, gother, forward = self._grads(graph, rng, weighted)
+        np.testing.assert_allclose(gx, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(gother, np.ones_like(gother))
+        for g in (gx, gother):
+            assert g.dtype == np.float64 and g.flags.writeable
+            assert not any(np.shares_memory(g, f) for f in forward)
+        assert not np.shares_memory(gx, gother)
+
+    @pytest.mark.parametrize("make_opt", [lambda: Sgd(0.1), lambda: Adam(0.1)],
+                             ids=["sgd", "adam"])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_optimizer_step_leaves_an_earlier_gradient_unchanged(self, graph, make_opt):
+        x_shape, y_shape, build = self.GRAPHS[graph]
+        registry = ParameterRegistry()
+        registry.create("x", np.linspace(-1.0, 1.0, int(np.prod(x_shape))).reshape(x_shape))
+        opt = make_opt()
+        held = []
+        for _ in range(2):
+            tape = Tape()
+            registry.bind(tape)
+            x = registry.get("x")
+            y, _ = build(x, np.ones(y_shape))
+            grads = tape.backward(T.reduce_sum(y))
+            opt.apply(registry, grads)
+            registry.unbind()
+            held.append((grads[x].data, grads[x].data.copy()))
+        for g, snapshot in held:
+            np.testing.assert_array_equal(g, snapshot)
+            assert not np.shares_memory(g, registry.parameters()[0].value)
+
+
+class TestZerosLayout:
+    def test_matches_zeros_like_on_views(self, rng):
+        # the scatter vjps' zeros must add up later exactly as zeros_like's
+        for _ in range(500):
+            ndim = int(rng.integers(1, 5))
+            shape = tuple(int(n) for n in rng.integers(2, 5, size=ndim))
+            base = tuple(1 if rng.random() < 0.5 else n for n in shape)
+            views = [np.broadcast_to(rng.normal(size=base), shape),
+                     np.transpose(rng.normal(size=shape), rng.permutation(ndim)),
+                     rng.normal(size=tuple(2 * n for n in shape))[
+                         tuple(slice(None, None, int(s)) for s in
+                               rng.choice([2, -2], size=ndim))]]
+            for v in views:
+                z = T._zeros(T._layout(v))
+                assert z.shape == v.shape and z.strides == np.zeros_like(v).strides
+                assert not np.any(z)
