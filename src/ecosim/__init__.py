@@ -7,7 +7,7 @@ from . import behaviors, core, dist, inference, logprob, rng, runtime, scenarios
 from .core import FieldSpec, Network, Value, ValueSpec, Variable
 from .dist import (Bernoulli, Categorical, Deterministic, GaussianMixture,
                    Normal, PlackettLuce)
-from .logprob import ObservedTrajectory, log_probability_from_value_trajectory
+from .logprob import log_probability_from_value_trajectory
 from .rng import RngStream
 from .runtime import Trajectory, execute, trajectory
 from .tensor import Tape, Tensor, as_tensor
@@ -18,7 +18,7 @@ __all__ = [
     "FieldSpec", "Network", "Value", "ValueSpec", "Variable",
     "Bernoulli", "Categorical", "Deterministic", "GaussianMixture",
     "Normal", "PlackettLuce",
-    "ObservedTrajectory", "log_probability_from_value_trajectory",
+    "log_probability_from_value_trajectory",
     "RngStream", "Trajectory", "execute", "trajectory",
     "Tape", "Tensor", "as_tensor",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .core import CoreError, Value, Variable
+from .core import CoreError, Value
 from .dist import Categorical, Deterministic, Distribution, Normal
 from .tensor import Tape, Tensor, as_tensor
 
@@ -173,10 +173,3 @@ class ParameterRegistry:
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
 
-
-def story_with_trainable_variables(story_builder) -> tuple[list[Variable], ParameterRegistry]:
-    """Run a story builder with a fresh registry; returns the Variables it
-    creates plus every trainable parameter it registered."""
-    registry = ParameterRegistry()
-    variables = story_builder(registry)
-    return list(variables), registry

@@ -35,9 +35,8 @@ import numpy as np
 
 from .inference import (Adam, HmcConfig, ReinforceConfig, make_optimizer, mc_em_fit,
                         reinforce_training)
-from .logprob import ObservedTrajectory
 from .rng import derive_seed
-from .runtime import execute, export_trajectory, trajectory, write_csv
+from .runtime import Trajectory, execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
                         PorlConfig, build_count_story, build_ecosystem_story,
                         build_latent_sat_story, build_porl_story,
@@ -272,7 +271,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for metric, fieldpath in metrics.items():
         var, path = fieldpath.split(".", 1)
-        payload = traj.last_slice()[var].get(path)
+        payload = traj.value(var, -1).get(path)
         arr = payload.data if isinstance(payload, Tensor) else np.asarray(payload)
         if args.scenario == "ecosystem":
             for r in range(arr.shape[0]):
@@ -358,7 +357,7 @@ def cmd_fit_em(args) -> int:
     run, cfg, em = sections["run"], sections["scenario"], sections["em"]
     true_alpha = sample_true_alpha(cfg, derive_seed(run.seed, "alpha"))
     truth_net, _, _ = build_latent_sat_story(cfg, true_alpha=true_alpha)
-    data = ObservedTrajectory.from_trajectory(
+    data = Trajectory.from_trajectory(
         truth_net, trajectory(truth_net, cfg.horizon, run.seed), hold_out=[HELD_OUT])
     net, registry, held = build_latent_sat_story(cfg)
     hmc = HmcConfig(step_size=em.hmc_step_size, num_leapfrog=em.hmc_num_leapfrog,

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .behaviors import ParameterRegistry
 from .core import Network
-from .logprob import (ObservedTrajectory, log_probability_from_value_trajectory,
-                      trajectory_log_prob_rows)
+from .logprob import log_probability_from_value_trajectory, trajectory_log_prob_rows
 from .rng import RngStream, derive_seed
-from .runtime import trajectory
+from .runtime import Trajectory, trajectory
 from .tensor import Tape, Tensor
 
 
@@ -223,27 +222,24 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
 
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
-    surrogate is -<detached reward, log-prob> / B.  The replay scores an
-    observed copy of the sampled values; the sampled trajectory itself is
-    released before it.
+    surrogate is -<detached reward, log-prob> / B.  The replay scores the
+    sampled record itself.
     """
     traj = trajectory(net, cfg.horizon, seed)
     if traj.batch != cfg.num_trajectories:
         raise InferenceError(
             f"story batch {traj.batch} != cfg.num_trajectories {cfg.num_trajectories}")
-    obs = ObservedTrajectory.from_trajectory(net, traj)
-    del traj
     rvar, rpath = cfg.split("reward")
-    if rvar not in obs.specs or rpath not in obs.specs[rvar].paths:
+    if rvar not in traj.specs or rpath not in traj.specs[rvar].paths:
         raise InferenceError(f"reward field {cfg.reward_field!r} not found in story")
     pvar, ppath = cfg.split("policy")
-    if pvar not in obs.specs or ppath not in obs.specs[pvar].paths:
+    if pvar not in traj.specs or ppath not in traj.specs[pvar].paths:
         raise InferenceError(f"policy field {cfg.policy_field!r} not found in story")
-    reward = obs.value(rvar, cfg.horizon - 1).get(rpath).data
+    reward = traj.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
 
     def surrogate() -> Tensor:
-        log_prob = trajectory_log_prob_rows(net, obs, cfg.horizon - 1,
+        log_prob = trajectory_log_prob_rows(net, traj, cfg.horizon - 1,
                                             only=[(pvar, ppath)])
         return T.div(T.neg(T.reduce_sum(T.mul(T.stop_gradient(Tensor(centered)),
                                               log_prob))),
@@ -268,20 +264,12 @@ def reinforce_training(net, registry: ParameterRegistry, cfg: ReinforceConfig,
 # maximum likelihood and Monte-Carlo EM
 
 
-def mle_step(net: Network, trajectories: Sequence[ObservedTrajectory],
-             registry: ParameterRegistry, opt, num_steps: int | None = None) -> float:
-    """One gradient step on the summed negative log-probability; returns
-    the loss value before the update."""
-    if isinstance(trajectories, ObservedTrajectory):
-        trajectories = [trajectories]
+def mle_step(net: Network, traj: Trajectory, registry: ParameterRegistry, opt) -> float:
+    """One gradient step on the negative log-probability of all of
+    ``traj``; returns the loss value before the update."""
 
     def loss() -> Tensor:
-        total = None
-        for traj in trajectories:
-            steps = traj.steps - 1 if num_steps is None else num_steps
-            lp = log_probability_from_value_trajectory(net, traj, steps)
-            total = lp if total is None else T.add(total, lp)
-        return T.neg(total)
+        return T.neg(log_probability_from_value_trajectory(net, traj, traj.steps - 1))
 
     return _descend(registry, opt, loss)
 
@@ -294,7 +282,7 @@ class EmIteration:
     wall_clock_ms: float
 
 
-def mc_em_fit(net: Network, observed: ObservedTrajectory,
+def mc_em_fit(net: Network, observed: Trajectory,
               held_out: tuple[str, str] | None, hmc_cfg: HmcConfig, opt,
               num_iterations: int, seed: int, *,
               registry: ParameterRegistry, m_steps: int = 1) -> list[EmIteration]:
@@ -325,7 +313,7 @@ def mc_em_fit(net: Network, observed: ObservedTrajectory,
     if held_out is None:
         for i in range(num_iterations):
             t0 = time.perf_counter()
-            objective = -mle_step(net, observed, registry, opt, num_steps)
+            objective = -mle_step(net, observed, registry, opt)
             trace.append(EmIteration(i, objective, None,
                                      (time.perf_counter() - t0) * 1e3))
         return trace

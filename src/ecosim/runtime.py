@@ -1,26 +1,30 @@
-"""Ancestral sampling of a Network over a horizon.
+"""Ancestral sampling of a Network over a horizon, and the trajectory record.
 
 Slices are evaluated sequentially; within a slice, variables run in
 topological order and every stochastic field is sampled through an
 RngStream keyed by (seed, variable, path, step) and the batch row.  A
 sampled field keeps only its realized value: the distribution a builder
 emitted is dropped once sampled, and log-probabilities come from replaying
-the builders on the values (:mod:`ecosim.logprob`).  ``trajectory``
-retains every slice; ``execute`` keeps only the slice being built and the
-previous one, and returns the final slice.
+the builders on the values (:mod:`ecosim.logprob`).
+
+A :class:`Trajectory` is the one record of a trajectory, sampled or
+observed: each field stacked on a leading time axis.  ``trajectory``
+writes each slice into it as the slice is sampled; the scorer windows its
+stacks and the CSV export reads their rows.  ``execute`` keeps only the
+slice being built and the previous one, and returns the final slice.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import CoreError, Network, Value, Variable
+from . import tensor as T
+from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Distribution
 from .rng import RngStream
 from .tensor import Tensor
@@ -30,21 +34,152 @@ class SimulationError(RuntimeError):
     """Raised when a builder output violates its spec during simulation."""
 
 
-@dataclass
-class Trajectory:
-    """Per-variable, per-step record of the sampled Values for a fixed
-    horizon; values only (score it through :mod:`ecosim.logprob`)."""
+class LogProbError(ValueError):
+    """Raised for malformed observations or deterministic mismatches."""
 
-    horizon: int
-    batch: int
-    row_offset: int
-    values: dict[str, list[Value]]
+
+def _array(payload) -> np.ndarray:
+    return payload.data if isinstance(payload, Tensor) else payload
+
+
+def _broadcast(payload, steps: int):
+    """``payload`` at each of ``steps`` rows: a read-only view with time
+    stride 0, and one tape node for a taped tensor."""
+    shape = (steps,) + payload.shape
+    if isinstance(payload, Tensor):
+        return T.broadcast_to(payload, shape)
+    return np.broadcast_to(payload, shape)
+
+
+def _window(payload, key):
+    return T.index(payload, key) if isinstance(payload, Tensor) else payload[key]
+
+
+class Trajectory:
+    """Every variable's fields over ``steps`` slices, stacked on the time axis.
+
+    ``fields[variable][path]`` is shaped ``(steps, batch) + event``: an
+    int64 array for an integer field, a Tensor for a continuous one.  A
+    field missing from it is held out, at every step.  Step 0's Values are
+    also kept as given: the initial builders score them without a time
+    axis, and an injected latent reaches step 0 as itself.
+
+    :meth:`append` writes the slices in step order.  A field's stack is a
+    read-only broadcast of step 0's payload, time stride 0, while each
+    step's payload is that same object (a carried field).  At its first
+    other payload it becomes a C-contiguous buffer, as ``np.stack`` gives,
+    and from then on each payload is written into its own row.
+    """
+
+    def __init__(self, specs: dict[str, ValueSpec], steps: int, row_offset: int = 0):
+        if steps < 1:
+            raise ValueError(f"need at least one step (horizon >= 1), got {steps}")
+        self.specs, self.steps, self.row_offset = specs, steps, row_offset
+        self.batch: int | None = None
+        self.fields: dict[str, dict[str, object]] = {name: {} for name in specs}
+        self._first: dict[str, Value] = {}
+        self._appended = 0
+
+    def append(self, values: Mapping[str, Value]) -> None:
+        """Write the next slice, one Value per variable, into the stacks.
+
+        Checks nothing against the specs: the sampler checks each slice it
+        realizes, and :func:`ecosim.logprob.observe` checks outside data.
+        """
+        t = self._appended
+        if t == self.steps:
+            raise ValueError(f"trajectory already holds its {self.steps} slices")
+        for name, value in values.items():
+            if t == 0:
+                self._first[name] = value
+                self.fields[name] = {path: _broadcast(payload, self.steps)
+                                     for path, payload in value.items()}
+                continue
+            fields, first = self.fields[name], self._first[name]
+            for path, stack in fields.items():
+                payload, rows = value.get(path), _array(stack)
+                if not rows.flags.writeable:  # still the broadcast of step 0
+                    if payload is first.get(path):
+                        continue
+                    rows = np.empty(rows.shape, rows.dtype)
+                    rows[:t] = _array(first.get(path))
+                    fields[path] = Tensor(rows) if isinstance(stack, Tensor) else rows
+                rows[t] = _array(payload)
+        self._appended += 1
+
+    @classmethod
+    def from_trajectory(cls, net: Network, traj: "Trajectory",
+                        hold_out: Iterable[tuple[str, str]] = ()) -> "Trajectory":
+        """``traj`` with the (variable, path) fields in ``hold_out`` held
+        out.  It shares every other array with ``traj`` and copies none."""
+        if {v.name for v in net.variables} != set(traj.specs):
+            raise LogProbError(f"trajectory variables {sorted(traj.specs)} are not "
+                               f"the network's")
+        dropped = set(hold_out)
+
+        def kept(name, items):
+            return {path: payload for path, payload in items if (name, path) not in dropped}
+
+        return traj._sharing(
+            fields={name: kept(name, f.items()) for name, f in traj.fields.items()},
+            _first={name: Value.of(kept(name, v.items())) for name, v in traj._first.items()})
+
+    def _sharing(self, **changes) -> "Trajectory":
+        """A record holding this one's attributes, with ``changes`` applied."""
+        out = object.__new__(Trajectory)
+        out.__dict__.update(vars(self), **changes)
+        return out
+
+    def held_out(self) -> set[tuple[str, str]]:
+        return {(name, path) for name, spec in self.specs.items()
+                for path in spec.paths if path not in self.fields[name]}
 
     def value(self, variable: str, step: int) -> Value:
-        return self.values[variable][step]
+        """Slice ``step`` of ``variable`` (negative counts from the end),
+        shaped ``(batch,) + event``."""
+        step = range(self.steps)[step]
+        return self._first[variable] if step == 0 else self.window(variable, step)
 
-    def last_slice(self) -> dict[str, Value]:
-        return {name: steps[-1] for name, steps in self.values.items()}
+    def window(self, variable: str, steps: int | slice) -> Value:
+        """The slices ``steps`` of ``variable`` as one Value of views."""
+        return Value.of({path: _window(stack, steps)
+                         for path, stack in self.fields[variable].items()})
+
+    def inject(self, variable: str, path: str, values: Sequence) -> "Trajectory":
+        """A new trajectory with the held-out field filled per step.
+
+        ``values`` has one payload per step.  A static latent passes the
+        same (possibly taped) tensor for every step; it is checked once and
+        broadcast to the time axis with one tape node, and its gradient
+        accumulates across steps.  Distinct payloads are joined with one
+        ``T.stack`` node, so each step's gradient reaches its own leaf.  The
+        original trajectory is unmodified; the new one shares its stacks.
+        """
+        if variable not in self.specs:
+            raise LogProbError(f"unknown variable {variable!r}")
+        spec = self.specs[variable]
+        if path not in spec.paths:
+            raise LogProbError(f"variable {variable!r} has no field {path!r}")
+        if path in self.fields[variable]:
+            raise LogProbError(f"field already observed: {variable!r}.{path!r}")
+        if len(values) != self.steps:
+            raise LogProbError(
+                f"need one value per step ({self.steps}), got {len(values)}")
+        same = all(v is values[0] for v in values)
+        payloads = [Value.of({path: v}).get(path) for v in values[:1 if same else None]]
+        batch = self.batch
+        for t, payload in enumerate(payloads):
+            batch = spec.check_payload(path, payload, batch,
+                                       f"injected field {path!r} at step {t}")
+        if same:
+            stack = _broadcast(payloads[0], self.steps)
+        else:
+            stack = (T.stack if isinstance(payloads[0], Tensor) else np.stack)(payloads)
+        return self._sharing(
+            batch=batch,
+            fields={**self.fields, variable: {**self.fields[variable], path: stack}},
+            _first={**self._first, variable: self._first[variable].union(
+                Value.of({path: payloads[0]}))})
 
 
 def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | None):
@@ -112,15 +247,13 @@ def _slices(net: Network, count: int, seed: int, row_offset: int):
 
 
 def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) -> Trajectory:
-    """Sample all slices 0 .. horizon-1 and retain their values."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    values: dict[str, list[Value]] = {v.name: [] for v in net.variables}
+    """Sample slices 0 .. horizon-1, writing each into the record as it is
+    sampled."""
+    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, row_offset)
     for current, batch in _slices(net, horizon, seed, row_offset):
-        for name, steps in values.items():
-            steps.append(current[name])
-    return Trajectory(horizon=horizon, batch=int(batch), row_offset=row_offset,
-                      values=values)
+        traj.append(current)
+    traj.batch = batch
+    return traj
 
 
 def execute(net: Network, num_steps: int, seed: int, *, row_offset: int = 0) -> dict[str, Value]:
@@ -156,9 +289,8 @@ def write_csv(path: str | Path, schema: str, header: Sequence[str],
     return path
 
 
-def _flat_columns(path: str, payload) -> list[str]:
-    arr = payload.data if isinstance(payload, Tensor) else payload
-    event = arr.shape[1:]
+def _flat_columns(path: str, stack) -> list[str]:
+    event = stack.shape[2:]
     if not event:
         return [path]
     return [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)]
@@ -175,28 +307,16 @@ def _row_texts(arr: np.ndarray, batch: int) -> list[str]:
 
 
 def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
-    """A variable's CSV body, one text block per step.
-
-    A field whose payload has the same dtype and raw bytes as at the
-    previous step (a carried field) reuses that step's text; equality of
-    values is not enough, since ``-0.0 == 0.0`` and ``nan != nan`` print
-    differently.
-    """
+    """A variable's CSV body, one text block per step, read from the rows
+    of its stacks.  A carried field's rows are one payload, formatted once."""
     batch_ids = [str(b + traj.row_offset) for b in range(traj.batch)]
-    previous: dict[str, tuple[np.dtype, bytes, list[str]]] = {}
-    for t, value in enumerate(traj.values[variable]):
+    rows = {path: _array(stack) for path, stack in traj.fields[variable].items()}
+    carried = {path: _row_texts(arr[0], traj.batch)
+               for path, arr in rows.items() if not arr.flags.writeable}
+    for t in range(traj.steps):
         columns = [[str(t)] * traj.batch, batch_ids]
-        for path in value.paths:
-            payload = value.get(path)
-            arr = payload.data if isinstance(payload, Tensor) else payload
-            raw = arr.tobytes()
-            kept = previous.get(path)
-            if kept is not None and kept[0] == arr.dtype and kept[1] == raw:
-                rows = kept[2]
-            else:
-                rows = _row_texts(arr, traj.batch)
-                previous[path] = (arr.dtype, raw, rows)
-            columns.append(rows)
+        columns += [carried[path] if path in carried else _row_texts(arr[t], traj.batch)
+                    for path, arr in rows.items()]
         yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
@@ -204,10 +324,10 @@ def export_trajectory(traj: Trajectory, outdir: str | Path) -> list[Path]:
     """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
     step, batch, then the flattened field paths."""
     written = []
-    for name, steps in traj.values.items():
+    for name, fields in traj.fields.items():
         header = ["step", "batch"]
-        for path in steps[0].paths:
-            header.extend(_flat_columns(path, steps[0].get(path)))
+        for path, stack in fields.items():
+            header.extend(_flat_columns(path, stack))
         written.append(write_csv(Path(outdir) / f"{name}.csv", "trajectory/1", header,
                                  _step_blocks(traj, name)))
     return written

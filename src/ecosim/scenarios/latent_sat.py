@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import tensor as T
-from ..behaviors import AffinityModel, ChoiceModel, ParameterRegistry, story_with_trainable_variables
+from ..behaviors import AffinityModel, ChoiceModel, ParameterRegistry
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
 from ..dist import Normal
 from ..tensor import Tensor
@@ -125,5 +125,5 @@ def build_latent_sat_story(cfg: LatentSatConfig, true_alpha: np.ndarray | None =
 
         return [user_interest, slate, satisfaction, choice]
 
-    variables, registry = story_with_trainable_variables(story)
-    return Network(variables), registry, HELD_OUT
+    registry = ParameterRegistry()
+    return Network(story(registry)), registry, HELD_OUT

@@ -17,8 +17,7 @@ import numpy as np
 from .. import tensor as T
 from ..behaviors import (AffinityModel, ChoiceModel,
                          ControlledLinearGaussianStateModel,
-                         FiniteHistoryEstimator, ParameterRegistry,
-                         story_with_trainable_variables)
+                         FiniteHistoryEstimator, ParameterRegistry)
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
 from ..dist import Categorical, Normal, PlackettLuce, top_k
 from ..tensor import Tensor
@@ -260,5 +259,5 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         return [corpus_topics, corpus, user_state, history, slate, choice,
                 engagement, consumed, metrics]
 
-    variables, registry = story_with_trainable_variables(story)
-    return Network(variables), registry, dict(METRIC_PATHS)
+    registry = ParameterRegistry()
+    return Network(story(registry)), registry, dict(METRIC_PATHS)

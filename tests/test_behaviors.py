@@ -5,7 +5,7 @@ import ecosim.tensor as T
 from ecosim.behaviors import (AffinityModel, ChoiceModel,
                               ControlledLinearGaussianStateModel,
                               FiniteHistoryEstimator,
-                              ParameterRegistry, story_with_trainable_variables)
+                              ParameterRegistry)
 from ecosim.core import CoreError, FieldSpec, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.rng import RngStream
@@ -156,21 +156,11 @@ class TestParameterCapture:
         return [v]
 
     def test_registration_round_trip(self):
-        variables, registry = story_with_trainable_variables(self._story)
+        registry = ParameterRegistry()
+        variables = self._story(registry)
         assert len(variables) == 1
         assert registry.names() == ("embedding",)
         assert registry.as_arrays()["embedding"].shape == (10, 20)
-
-    def test_parameterless_story_gives_empty_set(self):
-        _, registry = story_with_trainable_variables(
-            lambda reg: self._story(ParameterRegistry()))
-        assert len(registry) == 0
-
-    def test_two_invocations_are_independent_copies(self):
-        _, reg1 = story_with_trainable_variables(self._story)
-        _, reg2 = story_with_trainable_variables(self._story)
-        reg1._params["embedding"].value[:] = 7.0
-        assert not np.any(reg2.as_arrays()["embedding"] == 7.0)
 
     def test_duplicate_parameter_name_rejected(self):
         registry = ParameterRegistry()

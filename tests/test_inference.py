@@ -10,8 +10,7 @@ from ecosim.dist import Bernoulli, Categorical, Normal
 from ecosim.inference import (Adam, HmcConfig, InferenceError, ReinforceConfig,
                               Sgd, _leapfrog, _momentum, _target_and_grad,
                               hmc_sample, mc_em_fit, mle_step, reinforce_step)
-from ecosim.logprob import ObservedTrajectory, log_probability_from_value_trajectory
-from ecosim.runtime import trajectory
+from ecosim.runtime import Trajectory, trajectory
 from ecosim.tensor import Tape, Tensor
 
 
@@ -183,7 +182,7 @@ class TestReinforce:
         grad_est, _, net, _ = reinforce_gradient_estimate(batch, horizon, seed)
         arms = np.stack([np.asarray(traj.value("arm", t).get("choice"))
                          for t in range(horizon)])
-        rewards = traj.last_slice()["metrics"].get("cumulative_reward").data
+        rewards = traj.value("metrics", -1).get("cumulative_reward").data
         pi = np.array([0.5, 0.5])
         score = np.zeros((batch, 2))
         for t in range(horizon):
@@ -199,7 +198,7 @@ class TestReinforce:
         traj = trajectory(net, horizon, seed)
         arms = np.stack([np.asarray(traj.value("arm", t).get("choice"))
                          for t in range(horizon)])
-        rewards = traj.last_slice()["metrics"].get("cumulative_reward").data
+        rewards = traj.value("metrics", -1).get("cumulative_reward").data
         score = sum(np.eye(2)[arms[t]] - 0.5 for t in range(horizon))
         per_sample = rewards[:, None] * score
         sigma = per_sample.std(axis=0) / np.sqrt(batch)
@@ -257,7 +256,7 @@ class TestMle:
         true_drift, batch, horizon = 0.7, 1000, 6
         truth_net, truth_reg = drift_walk_story(batch, drift_init=true_drift)
         traj = trajectory(truth_net, horizon, seed=22)
-        obs = ObservedTrajectory.from_trajectory(truth_net, traj)
+        obs = Trajectory.from_trajectory(truth_net, traj)
         xs = np.stack([traj.value("walk", t).get("x").data for t in range(horizon)])
         increments = np.diff(xs, axis=0)
         oracle = increments.mean()  # closed-form MLE
@@ -272,13 +271,13 @@ class TestMle:
 
     def test_zero_learning_rate_keeps_params(self):
         net, registry = drift_walk_story(16, drift_init=0.2)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 4, seed=2))
+        obs = Trajectory.from_trajectory(net, trajectory(net, 4, seed=2))
         mle_step(net, obs, registry, Sgd(0.0))
         assert float(registry.as_arrays()["drift"]) == 0.2
 
     def test_loss_decreases_over_training(self):
         truth_net, _ = drift_walk_story(200, drift_init=-0.5)
-        obs = ObservedTrajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=8))
+        obs = Trajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=8))
         net, registry = drift_walk_story(200, drift_init=0.5)
         opt = Adam(0.05)
         losses = [mle_step(net, obs, registry, opt) for _ in range(100)]
@@ -319,8 +318,7 @@ class TestMcEm:
         batch, horizon, scale, true_bias = 30, 8, 0.7, 1.5
         truth_net, _ = static_latent_story(batch, bias_init=true_bias, scale=scale)
         traj = trajectory(truth_net, horizon, seed=5)
-        data = ObservedTrajectory.from_trajectory(truth_net, traj,
-                                                  hold_out=[("latent", "z")])
+        data = Trajectory.from_trajectory(truth_net, traj, hold_out=[("latent", "z")])
         xs = np.stack([traj.value("obs", t).get("x").data for t in range(horizon)])
         oracle = closed_form_em_fixed_point(xs, scale, bias0=0.0)
         net, registry = static_latent_story(batch, bias_init=0.0, scale=scale)
@@ -333,7 +331,7 @@ class TestMcEm:
 
     def test_fully_observed_reduces_to_mle_ascent(self):
         truth_net, _ = drift_walk_story(50, drift_init=0.4)
-        obs = ObservedTrajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=3))
+        obs = Trajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=3))
         net_a, reg_a = drift_walk_story(50, drift_init=0.0)
         trace = mc_em_fit(net_a, obs, None, HmcConfig(), Adam(0.05), 10,
                           seed=0, registry=reg_a)
@@ -345,7 +343,7 @@ class TestMcEm:
     def test_trace_is_reproducible_bit_exactly(self):
         batch, horizon = 10, 4
         truth_net, _ = static_latent_story(batch, bias_init=1.0)
-        data = ObservedTrajectory.from_trajectory(
+        data = Trajectory.from_trajectory(
             truth_net, trajectory(truth_net, horizon, seed=2),
             hold_out=[("latent", "z")])
         hmc = HmcConfig(step_size=0.12, num_leapfrog=5, num_samples=4, burn_in=2)
@@ -360,7 +358,7 @@ class TestMcEm:
     def test_low_acceptance_raises_with_retuning_advice(self):
         batch, horizon = 10, 6
         truth_net, _ = static_latent_story(batch, bias_init=1.0, scale=0.01)
-        data = ObservedTrajectory.from_trajectory(
+        data = Trajectory.from_trajectory(
             truth_net, trajectory(truth_net, horizon, seed=2),
             hold_out=[("latent", "z")])
         net, registry = static_latent_story(batch, bias_init=0.0, scale=0.01)

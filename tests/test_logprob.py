@@ -8,10 +8,10 @@ import ecosim.tensor as T
 from ecosim.behaviors import ParameterRegistry
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import NEG_INF, Categorical, Normal
-from ecosim.logprob import (LogProbError, ObservedTrajectory,
-                            log_probability_from_value_trajectory,
+from ecosim.logprob import (LogProbError, log_probability_from_value_trajectory, observe,
                             trajectory_log_prob_rows)
-from ecosim.runtime import trajectory
+from ecosim.runtime import Trajectory, trajectory
+from ecosim.scenarios import PorlConfig, build_porl_story
 from ecosim.tensor import Tape, Tensor
 
 from conftest import relative_error
@@ -33,22 +33,17 @@ def iid_normal_network(batch=1):
     return Network([x])
 
 
-def observed(net, steps, data):
-    specs = {v.name: v.spec for v in net.variables}
-    return ObservedTrajectory(specs, steps, data)
-
-
 class TestLogProbability:
     def test_all_deterministic_count_scores_zero(self):
         net = count_network()
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 3, seed=0))
+        obs = Trajectory.from_trajectory(net, trajectory(net, 3, seed=0))
         lp = log_probability_from_value_trajectory(net, obs, 2)
         assert float(lp.data) == 0.0
 
     def test_iid_standard_normal_closed_form(self):
         net = iid_normal_network()
-        data = {"x": [Value(v=np.zeros(1)) for _ in range(3)]}
-        lp = log_probability_from_value_trajectory(net, observed(net, 3, data), 2)
+        data = [{"x": Value(v=np.zeros(1))} for _ in range(3)]
+        lp = log_probability_from_value_trajectory(net, observe(net, data), 2)
         assert abs(float(lp.data) - 3 * (-0.9189385332046727)) < 1e-12
 
     def test_two_variable_discrete_dbn_matches_enumeration(self):
@@ -75,10 +70,10 @@ class TestLogProbability:
 
         total = 0.0
         for a0, b0, a1, b1 in itertools.product(range(2), repeat=4):
-            data = {"a": [Value(s=np.array([a0])), Value(s=np.array([a1]))],
-                    "b": [Value(s=np.array([b0])), Value(s=np.array([b1]))]}
+            data = [{"a": Value(s=np.array([a0])), "b": Value(s=np.array([b0]))},
+                    {"a": Value(s=np.array([a1])), "b": Value(s=np.array([b1]))}]
             lp = float(log_probability_from_value_trajectory(
-                net, observed(net, 2, data), 1).data)
+                net, observe(net, data), 1).data)
             brute = (math.log(softmax(a_init)[a0]) + math.log(softmax(b_init)[b0])
                      + math.log(softmax(a_trans[a0])[a1])
                      + math.log(softmax(b_trans[a1, b0])[b1]))
@@ -89,20 +84,20 @@ class TestLogProbability:
     def test_scoring_a_sampled_trajectory_never_hits_sentinel(self):
         net = iid_normal_network(batch=16)
         traj = trajectory(net, 5, seed=9)
-        obs = ObservedTrajectory.from_trajectory(net, traj)
+        obs = Trajectory.from_trajectory(net, traj)
         rows = trajectory_log_prob_rows(net, obs, 4)
         assert np.all(rows.data > NEG_INF / 2)
 
     def test_deterministic_mismatch_is_an_error(self):
         net = count_network()
-        data = {"count": [Value(n=np.zeros(1, np.int64)),
-                          Value(n=np.array([7], np.int64))]}
+        data = [{"count": Value(n=np.zeros(1, np.int64))},
+                {"count": Value(n=np.array([7], np.int64))}]
         with pytest.raises(LogProbError, match="deterministic"):
-            log_probability_from_value_trajectory(net, observed(net, 2, data), 1)
+            log_probability_from_value_trajectory(net, observe(net, data), 1)
 
     def test_num_steps_bounds_checked(self):
         net = count_network()
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 3, seed=0))
+        obs = Trajectory.from_trajectory(net, trajectory(net, 3, seed=0))
         with pytest.raises(LogProbError, match="num_steps"):
             log_probability_from_value_trajectory(net, obs, 3)
 
@@ -120,7 +115,7 @@ class TestLogProbability:
             return Network([walk])
 
         net = build()
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 5, seed=3))
+        obs = Trajectory.from_trajectory(net, trajectory(net, 5, seed=3))
 
         def lp_at(drift_value):
             registry._params["drift"].assign(drift_value)
@@ -139,19 +134,35 @@ class TestLogProbability:
 class TestObservedTrajectory:
     def test_partial_observation_rejected(self):
         net = iid_normal_network()
-        data = {"x": [Value(v=np.zeros(1)), Value()]}
+        data = [{"x": Value(v=np.zeros(1))}, {"x": Value()}]
         with pytest.raises(LogProbError, match="partially observed"):
-            observed(net, 2, data)
+            observe(net, data)
+
+    def test_from_trajectory_shares_every_kept_stack(self):
+        net, _, _ = build_porl_story(PorlConfig(population=8, horizon=4))
+        traj = trajectory(net, 4, seed=2)
+        held = ("user_state", "interest")
+        obs = Trajectory.from_trajectory(net, traj, hold_out=[held])
+        kept = [(name, path) for name, spec in traj.specs.items() for path in spec.paths
+                if (name, path) != held]
+        assert obs.held_out() == {held}
+        def array(stack):
+            return stack.data if isinstance(stack, Tensor) else stack
+
+        for name, path in kept:
+            assert np.shares_memory(array(obs.fields[name][path]),
+                                    array(traj.fields[name][path])), (name, path)
+            assert obs.value(name, 0).get(path) is traj.value(name, 0).get(path)
 
     def test_held_out_field_detected(self):
         net = iid_normal_network(4)
-        obs = ObservedTrajectory.from_trajectory(
+        obs = Trajectory.from_trajectory(
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
         assert obs.held_out() == {("x", "v")}
 
     def test_scoring_held_out_field_requires_injection(self):
         net = iid_normal_network(4)
-        obs = ObservedTrajectory.from_trajectory(
+        obs = Trajectory.from_trajectory(
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
         with pytest.raises(LogProbError, match="held out"):
             log_probability_from_value_trajectory(net, obs, 2)
@@ -161,7 +172,7 @@ class TestObservedTrajectory:
 
     def test_inject_round_trip(self):
         net = iid_normal_network(4)
-        obs = ObservedTrajectory.from_trajectory(
+        obs = Trajectory.from_trajectory(
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
         values = [np.full(4, float(t)) for t in range(3)]
         filled = obs.inject("x", "v", values)
@@ -173,7 +184,7 @@ class TestObservedTrajectory:
 
     def test_injecting_observed_field_rejected(self):
         net = iid_normal_network(4)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, 3, seed=1))
+        obs = Trajectory.from_trajectory(net, trajectory(net, 3, seed=1))
         with pytest.raises(LogProbError, match="already observed"):
             obs.inject("x", "v", [np.zeros(4)] * 3)
 
@@ -187,7 +198,7 @@ class TestObservedTrajectory:
                                          w=Normal(Tensor(np.zeros(4)), 1.0)),
                       deps=(x.previous,))
         net = Network([x])
-        obs = ObservedTrajectory.from_trajectory(
+        obs = Trajectory.from_trajectory(
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
         with pytest.raises(Exception, match="batch"):
             obs.inject("x", "v", [np.zeros(5)] * 3)

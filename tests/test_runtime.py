@@ -1,13 +1,20 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Normal
-from ecosim.runtime import SimulationError, execute, export_trajectory, trajectory
+from ecosim.runtime import (SimulationError, Trajectory, execute, export_trajectory,
+                            trajectory)
+from ecosim.scenarios import PorlConfig, build_porl_story
 from ecosim.tensor import Tensor
+
+
+def array(payload):
+    return payload.data if isinstance(payload, Tensor) else payload
 
 
 def count_network(batch=1):
@@ -79,6 +86,36 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="horizon"):
             trajectory(count_network(), 0, seed=0)
 
+    def test_carried_field_is_stored_once_with_time_stride_zero(self):
+        v = Variable("v", ValueSpec(c=FieldSpec((2,)), x=FieldSpec(())))
+        v.bind_initial(lambda: Value(c=np.ones((3, 2)), x=Normal(Tensor(np.zeros(3)), 1.0)))
+        v.bind_kernel(lambda p: Value(c=p.get("c"), x=Normal(p.get("x"), 1.0)),
+                      deps=(v.previous,))
+        traj = trajectory(Network([v]), 4, seed=0)
+        carried, walked = traj.fields["v"]["c"].data, traj.fields["v"]["x"].data
+        assert carried.shape == (4, 3, 2) and carried.strides[0] == 0
+        assert np.shares_memory(carried, traj.value("v", 0).get("c").data)
+        assert walked.shape == (4, 3) and walked.flags.c_contiguous
+
+    def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self):
+        # The sampler holds the record, the previous slice, and the slice
+        # being built with its temporaries; the observed copy adds nothing.
+        cfg = PorlConfig()
+        net, _, _ = build_porl_story(cfg)
+        tracemalloc.start()
+        try:
+            traj = trajectory(net, cfg.horizon, 0)
+            obs = Trajectory.from_trajectory(net, traj, hold_out=[("choice", "choice")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [array(p) for name in traj.specs for _, p in traj.value(name, 0).items()]
+        arrays += [array(stack) for fields in traj.fields.values()
+                   for stack in fields.values() if array(stack).flags.writeable]
+        held = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
+        assert obs.held_out() == {("choice", "choice")}
+        assert peak <= 1.2 * held
+
 
 class TestExecute:
     def test_count_reaches_num_steps(self):
@@ -95,10 +132,10 @@ class TestExecute:
             for steps in (0, 1, 4):
                 net = gaussian_walk(6, drift=0.1)
                 via_execute = execute(net, steps, int(seed))
-                via_traj = trajectory(net, steps + 1, int(seed)).last_slice()
+                via_traj = trajectory(net, steps + 1, int(seed)).value("walk", -1)
                 np.testing.assert_array_equal(
                     via_execute["walk"].get("x").data,
-                    via_traj["walk"].get("x").data)
+                    via_traj.get("x").data)
 
 
 class TestBatchSemantics:
@@ -169,7 +206,7 @@ class TestCsvExport:
             z=-p.get("z").data),             # flips 0.0 / -0.0: equal, not identical
             deps=(v.previous,))
         traj = trajectory(Network([v]), 4, seed=0, row_offset=5)
-        assert traj.values["v"][1].get("c") is traj.values["v"][0].get("c")
+        assert traj.fields["v"]["c"].data.strides[0] == 0
         [path] = export_trajectory(traj, tmp_path)
         text = path.read_text(encoding="utf-8")
         assert text == per_value_csv(traj, "v")
@@ -179,26 +216,23 @@ class TestCsvExport:
 
 
 def per_value_csv(traj, variable):
-    """The export as formatted one value at a time through csv.writer."""
+    """The export as formatted one value at a time through csv.writer,
+    reading each step's row of the record's stacks."""
     def fmt(x):
         return str(int(x)) if isinstance(x, (np.integer, int)) else repr(float(x))
 
-    first = traj.values[variable][0]
+    stacks = {path: array(stack) for path, stack in traj.fields[variable].items()}
     header = ["step", "batch"]
-    for path in first.paths:
-        event = first.get(path).shape[1:]
+    for path, stack in stacks.items():
+        event = stack.shape[2:]
         header += [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)] \
             if event else [path]
     buf = io.StringIO()
     buf.write("# schema=trajectory/1\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for t, value in enumerate(traj.values[variable]):
-        flats = []
-        for path in value.paths:
-            payload = value.get(path)
-            arr = payload.data if isinstance(payload, Tensor) else payload
-            flats.append(arr.reshape(traj.batch, -1))
+    for t in range(traj.steps):
+        flats = [stack[t].reshape(traj.batch, -1) for stack in stacks.values()]
         for b in range(traj.batch):
             row = [str(t), str(b + traj.row_offset)]
             for arr in flats:

@@ -9,8 +9,8 @@ import ecosim.tensor as T
 from ecosim.behaviors import AffinityModel
 from ecosim.core import Value
 from ecosim.dist import NEG_INF, PlackettLuce, top_k
-from ecosim.logprob import ObservedTrajectory, log_probability_from_value_trajectory
-from ecosim.runtime import execute, trajectory
+from ecosim.logprob import log_probability_from_value_trajectory
+from ecosim.runtime import Trajectory, execute, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
                               build_porl_story, sample_true_alpha)
@@ -38,7 +38,7 @@ class TestPorlStory:
     def test_sampled_trajectory_scores_without_sentinel(self):
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, 3))
+        obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, 3))
         lp = float(log_probability_from_value_trajectory(net, obs, cfg.horizon - 1).data)
         assert lp > NEG_INF / 2 and np.isfinite(lp)
 
@@ -48,7 +48,7 @@ class TestPorlStory:
         # evaluation
         cfg = PorlConfig(**SMALL_PORL)
         net, _, metrics = build_porl_story(cfg)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=5))
+        obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=5))
         var, path = metrics["policy_log_prob"].split(".", 1)
         for t in range(cfg.horizon):
             dist = replay_slice(net, obs, t)[var].get(path)
@@ -74,10 +74,10 @@ class TestPorlStory:
             cfg = PorlConfig(population=100, horizon=20)
             oracle_net, _, _ = build_porl_story(cfg, policy="oracle")
             random_net, _, _ = build_porl_story(cfg, policy="random")
-            r_oracle = trajectory(oracle_net, cfg.horizon, seed).last_slice()[
-                "metrics"].get("cumulative_reward").data.mean()
-            r_random = trajectory(random_net, cfg.horizon, seed).last_slice()[
-                "metrics"].get("cumulative_reward").data.mean()
+            r_oracle = trajectory(oracle_net, cfg.horizon, seed).value(
+                "metrics", -1).get("cumulative_reward").data.mean()
+            r_random = trajectory(random_net, cfg.horizon, seed).value(
+                "metrics", -1).get("cumulative_reward").data.mean()
             results.append(r_oracle >= r_random)
         assert all(results)
 
@@ -121,9 +121,9 @@ class TestPorlStory:
         net, _, _ = build_porl_story(cfg, policy="oracle")
         traj = trajectory(net, cfg.horizon, 3)
         h = hashlib.sha256()
-        for name in sorted(traj.values):
-            for t in range(traj.horizon):
-                value = traj.values[name][t]
+        for name in sorted(traj.specs):
+            for t in range(traj.steps):
+                value = traj.value(name, t)
                 for path in value.paths:
                     payload = value.get(path)
                     arr = payload.data if isinstance(payload, Tensor) else np.asarray(payload)
@@ -141,7 +141,7 @@ class TestPorlStory:
         cfg = PorlConfig(population=1000, horizon=100, slate_size=2,
                          interest_dim=20)
         net, _, metrics = build_porl_story(cfg)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=0))
+        obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=0))
         policy = tuple(metrics["policy_log_prob"].split(".", 1))
         lp = stepwise_log_prob_rows(net, obs, cfg.horizon - 1, only=[policy]).data
         assert lp.shape == (1000,)
@@ -169,7 +169,7 @@ class TestLatentSatStory:
             items=prev.get("items")), deps=(slate.previous,))
         from ecosim.core import Network
         net2 = Network(list(net.variables))
-        obs = ObservedTrajectory.from_trajectory(net2, trajectory(net2, cfg.horizon, seed=1))
+        obs = Trajectory.from_trajectory(net2, trajectory(net2, cfg.horizon, seed=1))
         for t in range(1, cfg.horizon):
             dist = replay_slice(net2, obs, t)["satisfaction"].get("value")
             prev = obs.value("satisfaction", t - 1).get("value").data
@@ -227,10 +227,10 @@ class TestLatentSatStory:
         cfg = LatentSatConfig(population=8, horizon=6, interest_dim=2)
         net, alpha, held = self._nets(cfg)
         traj = trajectory(net, cfg.horizon, seed=4)
-        full = ObservedTrajectory.from_trajectory(net, traj)
+        full = Trajectory.from_trajectory(net, traj)
         lp = float(log_probability_from_value_trajectory(net, full, cfg.horizon - 1).data)
         assert lp > NEG_INF / 2
-        partial = ObservedTrajectory.from_trajectory(net, traj, hold_out=[held])
+        partial = Trajectory.from_trajectory(net, traj, hold_out=[held])
         z = traj.value("user_interest", 0).get("state").data
         filled = partial.inject(*held, [z] * cfg.horizon)
         lp2 = float(log_probability_from_value_trajectory(net, filled, cfg.horizon - 1).data)
@@ -310,7 +310,7 @@ class TestEcosystemStory:
     def test_sampled_trajectory_scores_without_sentinel(self):
         cfg = EcosystemConfig(**SMALL_ECO)
         net, _ = build_ecosystem_story(cfg)
-        obs = ObservedTrajectory.from_trajectory(net, trajectory(net, cfg.horizon, 5))
+        obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, 5))
         lp = float(log_probability_from_value_trajectory(net, obs, cfg.horizon - 1).data)
         assert lp > NEG_INF / 2 and np.isfinite(lp)
 

@@ -15,10 +15,9 @@ import pytest
 import ecosim.tensor as T
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Normal
-from ecosim.logprob import (LogProbError, ObservedTrajectory,
-                            log_probability_from_value_trajectory,
+from ecosim.logprob import (LogProbError, log_probability_from_value_trajectory,
                             trajectory_log_prob_rows)
-from ecosim.runtime import trajectory
+from ecosim.runtime import Trajectory, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
                               build_porl_story, sample_true_alpha)
@@ -78,8 +77,8 @@ def assert_matches_stepwise(net, obs, num_steps=None, **kw):
 
 
 def observe(net, horizon, seed, hold_out=()):
-    return ObservedTrajectory.from_trajectory(net, trajectory(net, horizon, seed),
-                                              hold_out=hold_out)
+    return Trajectory.from_trajectory(net, trajectory(net, horizon, seed),
+                                      hold_out=hold_out)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +196,8 @@ class TestStories:
         net, _ = build_ecosystem_story(cfg)
         traj = trajectory(net, cfg.horizon, 8)
         users = traj.value("users", 0).get("interest").data
-        obs = ObservedTrajectory.from_trajectory(net, traj,
-                                                 hold_out=[("users", "interest")])
-        full = ObservedTrajectory.from_trajectory(net, traj)
+        obs = Trajectory.from_trajectory(net, traj, hold_out=[("users", "interest")])
+        full = Trajectory.from_trajectory(net, traj)
         assert_matches_stepwise(net, full)
         _, grads = assert_matches_stepwise(net, obs, latent=(("users", "interest"), users))
         assert np.any(grads["latent"] != 0.0)
