@@ -223,9 +223,10 @@ def _dump(sections: dict[str, object], scenario: str) -> None:
 
 
 def _workers(tasks: int) -> int:
-    cap = os.environ.get("ECOSIM_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(tasks, limit))
+    cap = os.environ.get("ECOSIM_THREADS") or str(os.cpu_count() or 1)
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ConfigError(f"ECOSIM_THREADS must be an integer >= 1, got {cap!r}")
+    return max(1, min(tasks, int(cap)))
 
 
 def _lines(rows) -> list[str]:

@@ -6,7 +6,7 @@ against it (trajectory log-probability).  Sampling consumes uniforms
 from a keyed :class:`~ecosim.rng.RngStream` with a fixed per-row budget,
 so draws are reproducible per batch row: one uniform per element for a
 ``Uniform`` (the stream's draws themselves, strictly inside (0, 1)),
-one per row for a ``Categorical`` (inverse CDF of the softmax) and one
+one per draw for a ``Categorical`` (inverse CDF of the softmax) and one
 Gumbel per item for a ``PlackettLuce`` (Gumbel-top-k through
 :func:`top_k`).  ``log_prob`` is built from differentiable tensor ops
 and returns the log-probability of each independent draw, without
@@ -177,26 +177,34 @@ class Bernoulli(Distribution):
 class Categorical(Distribution):
     """Index draw over the last axis of ``logits``; samples are int64.
 
-    Sampling is by inverse CDF, one uniform per row: the uniform, scaled
+    ``shape`` is the sample shape, which the logits' leading axes must
+    broadcast to: ``(d,)`` logits with ``shape=(B, n)`` keep one CDF row.
+    Sampling is by inverse CDF, one uniform per draw: the uniform, scaled
     by the row total of ``p = exp(logits - max)``, selects the first index
     whose running sum of ``p`` exceeds it.  A category whose ``p``
     underflows to 0 is never drawn.
     """
 
-    def __init__(self, logits):
+    def __init__(self, logits, shape: tuple[int, ...] | None = None):
         self.logits = as_tensor(logits)
         if self.logits.ndim < 1:
             raise DistributionError("Categorical logits need at least one axis")
         if not np.all(np.isfinite(self.logits.data)):
             raise DistributionError("Categorical logits must be finite")
+        lead = self.logits.shape[:-1]
+        self._shape = lead if shape is None else tuple(int(n) for n in shape)
+        if len(lead) > len(self._shape) or any(
+                a not in (1, b) for a, b in zip(lead[::-1], self._shape[::-1])):
+            raise DistributionError(f"Categorical logits shape {self.logits.shape} does "
+                                    f"not broadcast to sample shape {self._shape}")
 
     @property
     def sample_shape(self) -> tuple[int, ...]:
-        return self.logits.shape[:-1]
+        return self._shape
 
     def sample(self, stream: RngStream) -> np.ndarray:
         logits = self.logits.data
-        u = stream.uniform_field(self.sample_shape + (1,))
+        u = stream.uniform_field(self._shape + (1,))
         cum = logits - logits.max(axis=-1, keepdims=True)
         np.exp(cum, out=cum)
         np.cumsum(cum, axis=-1, out=cum)
@@ -204,6 +212,8 @@ class Categorical(Distribution):
         # Kept below the row total, so the first index past it has p > 0
         # even where u * total rounds up to the total.
         target = np.minimum(u * total, np.nextafter(total, 0.0))
+        if cum.ndim == 1:  # one CDF row for every draw
+            return np.searchsorted(cum, target[..., 0], side="right").astype(np.int64)
         return np.argmax(cum > target, axis=-1).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:

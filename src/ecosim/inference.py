@@ -241,8 +241,7 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     def surrogate() -> Tensor:
         log_prob = trajectory_log_prob_rows(net, traj, cfg.horizon - 1,
                                             only=[(pvar, ppath)])
-        return T.div(T.neg(T.reduce_sum(T.mul(T.stop_gradient(Tensor(centered)),
-                                              log_prob))),
+        return T.div(T.neg(T.reduce_sum(T.mul(centered, log_prob))),
                      float(cfg.num_trajectories))
 
     _descend(registry, opt, surrogate)

@@ -9,9 +9,9 @@ the builders on the values (:mod:`ecosim.logprob`).
 
 A :class:`Trajectory` is the one record of a trajectory, sampled or
 observed: each field stacked on a leading time axis.  ``trajectory``
-writes each slice into it as the slice is sampled; the scorer windows its
-stacks and the CSV export reads their rows.  ``execute`` keeps only the
-slice being built and the previous one, and returns the final slice.
+writes each slice into it and builds the next from its rows; the scorer
+windows its stacks and the CSV export reads their rows.  ``execute``
+keeps only the slice being built and the previous one.
 """
 
 from __future__ import annotations
@@ -136,9 +136,11 @@ class Trajectory:
 
     def value(self, variable: str, step: int) -> Value:
         """Slice ``step`` of ``variable`` (negative counts from the end),
-        shaped ``(batch,) + event``."""
-        step = range(self.steps)[step]
-        return self._first[variable] if step == 0 else self.window(variable, step)
+        shaped ``(batch,) + event``; a carried field is step 0's payload."""
+        step, first = range(self.steps)[step], self._first[variable]
+        return first if step == 0 else Value.of({
+            path: _window(stack, step) if _array(stack).flags.writeable else first.get(path)
+            for path, stack in self.fields[variable].items()})
 
     def window(self, variable: str, steps: int | slice) -> Value:
         """The slices ``steps`` of ``variable`` as one Value of views."""
@@ -236,22 +238,16 @@ def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
     return current, batch
 
 
-def _slices(net: Network, count: int, seed: int, row_offset: int):
-    """Yield (slice, batch) for slices 0 .. count-1; each slice is built
-    from the one before it, and the generator holds no other."""
-    current = None
-    batch = None
-    for t in range(count):
-        current, batch = _eval_slice(net, t, current, seed, row_offset, batch)
-        yield current, batch
-
-
 def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) -> Trajectory:
-    """Sample slices 0 .. horizon-1, writing each into the record as it is
-    sampled."""
+    """Sample slices 0 .. horizon-1 into the record; each is built from the
+    record's rows of the one before, and dropped once written."""
     traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, row_offset)
-    for current, batch in _slices(net, horizon, seed, row_offset):
+    previous, batch = None, None
+    for t in range(horizon):
+        current, batch = _eval_slice(net, t, previous, seed, row_offset, batch)
         traj.append(current)
+        del current
+        previous = {name: traj.value(name, t) for name in traj.specs}
     traj.batch = batch
     return traj
 
@@ -265,8 +261,9 @@ def execute(net: Network, num_steps: int, seed: int, *, row_offset: int = 0) -> 
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    for current, _ in _slices(net, num_steps + 1, seed, row_offset):
-        pass
+    current, batch = None, None
+    for t in range(num_steps + 1):
+        current, batch = _eval_slice(net, t, current, seed, row_offset, batch)
     return current
 
 

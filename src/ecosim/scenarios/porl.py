@@ -48,14 +48,15 @@ class PorlConfig:
     param_seed: int = 0
 
     def __post_init__(self):
-        if self.interest_dim < 1:
-            raise ValueError("interest_dim must be >= 1")
+        for name in ("population", "interest_dim", "embed_dim", "history_length"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.hidden_width < (self.embed_dim or self.interest_dim):
+            raise ValueError("hidden_width must be >= embed_dim (default interest_dim)")
         if not 1 <= self.slate_size <= self.corpus_size:
             raise ValueError("slate_size must be in [1, corpus_size]")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
-        if self.history_length < 1:
-            raise ValueError("history_length must be >= 1")
 
 
 METRIC_PATHS = {
@@ -87,8 +88,6 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         hidden = cfg.hidden_width
         prng = np.random.default_rng(cfg.param_seed)
         if policy == "learned":
-            if hidden < e:
-                raise ValueError("hidden_width must be >= embedding dim")
             # Identity-pathway initialization: the tanh layer starts in its
             # near-linear regime with proj(h) ~ pooled history embedding, so
             # consumption histograms influence scores from the first step.
@@ -113,10 +112,8 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             d, sensitivity=cfg.sensitivity, noise_scale=cfg.noise_scale)
         history_buf = FiniteHistoryEstimator(cfg.history_length)
 
-        corpus_topics = Variable("corpus_topics", ValueSpec(
-            topic=FieldSpec((n,), "integer")))
-        corpus = Variable("corpus", ValueSpec(
-            features=FieldSpec((n, d)), quality=FieldSpec((n,))))
+        corpus_topics = Variable("corpus_topics", ValueSpec(topic=FieldSpec((n,), "integer")))
+        corpus = Variable("corpus", ValueSpec(quality=FieldSpec((n,))))
         user_state = Variable("user_state", ValueSpec(interest=FieldSpec((d,))))
         history = Variable("history", ValueSpec(
             records=FieldSpec((cfg.history_length, d + 1)),
@@ -129,17 +126,26 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         metrics = Variable("metrics", ValueSpec(cumulative_reward=FieldSpec(())))
 
         def sample_topics():
-            return Value(topic=Categorical(Tensor(np.zeros((B, n, d)))))
+            return Value(topic=Categorical(Tensor(np.zeros(d)), (B, n)))
+
+        feature_rows = cfg.feature_scale * np.eye(d)
+
+        def item_features(topics_v, docs=None) -> Tensor:
+            """``feature_scale · one_hot(topic)`` of the items ``docs`` (..., m)
+            indexes, (..., m, d), or of every item: derived, never recorded."""
+            topic = np.asarray(topics_v.get("topic"))
+            if docs is not None:
+                topic = np.take_along_axis(topic, docs, axis=-1)
+            return Tensor(feature_rows[topic])
 
         def build_corpus(topics_v):
             t = np.asarray(topics_v.get("topic"))
-            return Value(features=Tensor(cfg.feature_scale * np.eye(d)[t]),
-                         quality=Normal(Tensor(topic_means[t]), cfg.quality_scale))
+            return Value(quality=Normal(Tensor(topic_means[t]), cfg.quality_scale))
 
         def initial_interest():
             return Value(interest=Normal(Tensor(np.zeros((B, d))), 1.0))
 
-        def learned_slate(history_v, corpus_v):
+        def learned_slate(history_v, topics_v):
             records = history_v.get("records").data
             mask = history_v.get("mask").data
             denom = np.maximum(mask.sum(axis=-1), 1.0)
@@ -153,61 +159,61 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
                                   registry.get("policy_b1")))
             projection = T.add(T.matmul(belief, registry.get("policy_w2")),
                                registry.get("policy_b2"))
-            item_emb = T.matmul(corpus_v.get("features"), registry.get("item_embedding"))
-            scores = T.reduce_sum(T.mul(item_emb, T.expand_dims(projection, -2)), axis=-1)
+            # feature_scale · (item_embedding · projection), at each item's topic
+            topic_scores = T.reduce_sum(T.mul(registry.get("item_embedding"),
+                                              T.expand_dims(projection, -2)), axis=-1)
+            scores = T.take_along(T.mul(topic_scores, cfg.feature_scale),
+                                  np.asarray(topics_v.get("topic")), -1)
             return Value(doc_ranks=PlackettLuce(scores, k))
 
-        def random_slate(history_v, corpus_v):
+        def random_slate(history_v, topics_v):
             return Value(doc_ranks=PlackettLuce(Tensor(np.zeros((B, n))), k))
 
-        def oracle_slate_from(interest_v, corpus_v):
-            dist = np.linalg.norm(corpus_v.get("features").data
+        def oracle_slate_from(interest_v, topics_v, corpus_v):
+            dist = np.linalg.norm(item_features(topics_v).data
                                   - interest_v.get("interest").data[..., None, :], axis=-1)
             score = -dist + corpus_v.get("quality").data
             return Value(doc_ranks=top_k(score, k))
 
-        def make_choice(state_v, slate_v, corpus_v):
-            ranks = np.asarray(slate_v.get("doc_ranks"))
-            slate_feats = T.take_rows(corpus_v.get("features"), ranks)
+        def make_choice(state_v, slate_v, topics_v):
+            slate_feats = item_features(topics_v, np.asarray(slate_v.get("doc_ranks")))
             aff = choice_affinity.affinities(state_v.get("interest"), slate_feats)
             return Value(choice=user_choice.choice(aff))
 
-        def _chosen_doc(choice_v, slate_v):
-            ranks = np.asarray(slate_v.get("doc_ranks"))
-            return np.take_along_axis(ranks, np.asarray(choice_v.get("choice"))[..., None],
-                                      axis=-1)[..., 0]
+        def _chosen(choice_v, slate_v, topics_v):
+            """The chosen item's corpus index (..., 1) and feature row (..., 1, d)."""
+            doc = np.take_along_axis(np.asarray(slate_v.get("doc_ranks")),
+                                     np.asarray(choice_v.get("choice"))[..., None], axis=-1)
+            return doc, item_features(topics_v, doc)
 
         offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
                   else cfg.affinity_offset)
 
-        def engage(choice_v, slate_v, corpus_v, state_v):
-            doc = _chosen_doc(choice_v, slate_v)
-            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
-            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
-            match = T.add(T.squeeze(affinity.affinities(
-                state_v.get("interest"), T.expand_dims(feats, -2)), -1), offset)
+        def engage(choice_v, slate_v, topics_v, corpus_v, state_v):
+            doc, feats = _chosen(choice_v, slate_v, topics_v)
+            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc, -1), -1)
+            match = T.add(T.squeeze(affinity.affinities(state_v.get("interest"), feats), -1),
+                          offset)
             mean = T.add(T.add(T.mul(q, cfg.reward_quality_gain),
                                T.mul(match, cfg.reward_affinity_gain)),
                          cfg.reward_base)
             return Value(value=Normal(mean, cfg.reward_noise))
 
-        def consume(choice_v, slate_v, corpus_v, engagement_v):
+        def consume(choice_v, slate_v, topics_v, engagement_v):
             # records carry the consumed item's features scaled by how much
             # the consumption paid off, so pooled history estimates per-topic
             # engagement rather than a bare consumption histogram
-            doc = _chosen_doc(choice_v, slate_v)
-            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
+            feats = T.squeeze(_chosen(choice_v, slate_v, topics_v)[1], -2)
             eng = engagement_v.get("value")
             weight = T.mul(T.sub(eng, cfg.reward_base), cfg.record_scale)
             return Value(features=T.mul(feats, T.expand_dims(weight, -1)),
                          engagement=eng)
 
-        def next_interest(state_v, choice_v, slate_v, corpus_v):
-            doc = _chosen_doc(choice_v, slate_v)
-            feats = T.squeeze(T.take_rows(corpus_v.get("features"), doc[..., None]), -2)
-            q = T.squeeze(T.take_along(corpus_v.get("quality"), doc[..., None], -1), -1)
+        def next_interest(state_v, choice_v, slate_v, topics_v, corpus_v):
+            doc, feats = _chosen(choice_v, slate_v, topics_v)
+            q = T.take_along(corpus_v.get("quality"), doc, -1)
             prev = state_v.get("interest")
-            control = T.mul(T.expand_dims(q, -1), T.sub(feats, prev))
+            control = T.mul(q, T.sub(T.squeeze(feats, -2), prev))
             return Value(interest=interest_model.next_state(prev, control))
 
         def initial_history():
@@ -231,28 +237,28 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         corpus.bind_initial(build_corpus, deps=(corpus_topics,))
         corpus.bind_kernel(build_corpus, deps=(corpus_topics,))
         user_state.bind_initial(initial_interest)
-        user_state.bind_kernel(next_interest,
-                               deps=(user_state.previous, choice, slate, corpus))
+        user_state.bind_kernel(next_interest, deps=(user_state.previous, choice, slate,
+                                                    corpus_topics, corpus))
         history.bind_initial(initial_history)
         history.bind_kernel(push_history, deps=(history.previous, consumed.previous))
         if policy == "learned":
-            slate.bind_initial(learned_slate, deps=(history, corpus))
-            slate.bind_kernel(learned_slate, deps=(history, corpus))
+            slate.bind_initial(learned_slate, deps=(history, corpus_topics))
+            slate.bind_kernel(learned_slate, deps=(history, corpus_topics))
         elif policy == "random":
-            slate.bind_initial(random_slate, deps=(history, corpus))
-            slate.bind_kernel(random_slate, deps=(history, corpus))
+            slate.bind_initial(random_slate, deps=(history, corpus_topics))
+            slate.bind_kernel(random_slate, deps=(history, corpus_topics))
         else:
-            slate.bind_initial(oracle_slate_from, deps=(user_state, corpus))
-            slate.bind_kernel(
-                lambda prev_state, corpus_v: oracle_slate_from(prev_state, corpus_v),
-                deps=(user_state.previous, corpus))
-        choice.bind_initial(make_choice, deps=(user_state, slate, corpus))
-        choice.bind_kernel(make_choice, deps=(user_state.previous, slate, corpus))
-        engagement.bind_initial(engage, deps=(choice, slate, corpus, user_state))
-        engagement.bind_kernel(engage, deps=(choice, slate, corpus,
+            slate.bind_initial(oracle_slate_from, deps=(user_state, corpus_topics, corpus))
+            slate.bind_kernel(oracle_slate_from,
+                              deps=(user_state.previous, corpus_topics, corpus))
+        choice.bind_initial(make_choice, deps=(user_state, slate, corpus_topics))
+        choice.bind_kernel(make_choice, deps=(user_state.previous, slate, corpus_topics))
+        engagement.bind_initial(engage, deps=(choice, slate, corpus_topics, corpus,
+                                              user_state))
+        engagement.bind_kernel(engage, deps=(choice, slate, corpus_topics, corpus,
                                              user_state.previous))
-        consumed.bind_initial(consume, deps=(choice, slate, corpus, engagement))
-        consumed.bind_kernel(consume, deps=(choice, slate, corpus, engagement))
+        consumed.bind_initial(consume, deps=(choice, slate, corpus_topics, engagement))
+        consumed.bind_kernel(consume, deps=(choice, slate, corpus_topics, engagement))
         metrics.bind_initial(initial_metric, deps=(engagement,))
         metrics.bind_kernel(accumulate_metric, deps=(metrics.previous, engagement))
 

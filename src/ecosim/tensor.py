@@ -68,10 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        """The underlying buffer; treat it as read-only."""
-        return self.data
-
     def __repr__(self) -> str:
         taped = " taped" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{taped})\n{self.data!r}"
@@ -773,9 +769,3 @@ def squeeze(a, axis: int) -> Tensor:
     a = as_tensor(a)
     return _apply(lambda x: np.squeeze(x, axis), (a,),
                   (lambda g: np.expand_dims(g, axis),))
-
-
-def stop_gradient(a) -> Tensor:
-    """Value-identical tensor detached from any tape."""
-    a = as_tensor(a)
-    return Tensor(a.data)

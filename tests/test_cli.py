@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecosim.cli import _sweep_chunk, main
+from ecosim.cli import _sweep_chunk, _workers, main
 
 
 def run_cli(*argv):
@@ -92,6 +92,21 @@ class TestSimulate:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, field", [
+        ("population=0", "population"),
+        ("embed_dim=0", "embed_dim"),
+        ("hidden_width=4", "hidden_width"),
+        ("embed_dim=40", "hidden_width"),
+    ])
+    def test_bad_porl_setting_exits_2_naming_the_field(self, setting, field, tmp_path,
+                                                       capsys):
+        code = run_cli("simulate", "--scenario", "porl", "--set", setting,
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_override_key_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "count",
                        "--set", "bogus=1", "--out", str(tmp_path / "x"))
@@ -163,6 +178,23 @@ class TestTrainReinforce:
                        "--set", f"train.history_lengths={lengths}",
                        "--out", str(tmp_path / "x")) == 2
         assert "history_lengths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_ecosim_threads_is_a_configuration_error(self, threads, tmp_path,
+                                                          capsys, monkeypatch):
+        monkeypatch.setenv("ECOSIM_THREADS", threads)
+        assert run_cli("train-reinforce", *SMALL_TRAIN,
+                       "--out", str(tmp_path / "x")) == 2
+        assert "ECOSIM_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [None, ""])
+    def test_unset_or_empty_ecosim_threads_means_the_cpu_count(self, threads,
+                                                               monkeypatch):
+        if threads is None:
+            monkeypatch.delenv("ECOSIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ECOSIM_THREADS", threads)
+        assert _workers(10**6) == (os.cpu_count() or 1)
 
     def test_artifacts_match_golden_digests(self, tmp_path):
         # Pinned so that a change to sampling, replay scoring or the

@@ -18,6 +18,13 @@ def stream(seed=0, tag="test"):
     return RngStream(seed, tag, "x", 0)
 
 
+class GridStream:
+    """Uniforms j/8, so a scaled draw can land exactly on a running sum."""
+
+    def uniform_field(self, shape):
+        return (np.arange(math.prod(shape)) % 8 / 8.0).reshape(shape)
+
+
 class TestDeterministic:
     def test_sample_returns_loc_exactly(self):
         d = Deterministic(np.array([3.0, 4.0]))
@@ -168,6 +175,27 @@ class TestCategorical:
             solo = Categorical(Tensor(logits[row:row + 1])).sample(
                 RngStream(4, "v", "topic", 2, row_offset=row))
             np.testing.assert_array_equal(big[row:row + 1], solo)
+
+    @pytest.mark.parametrize("row", [np.zeros(20),
+                                     np.random.default_rng(7).normal(size=20) * 3.0,
+                                     np.array([-800.0, 0.0, 0.0, -800.0, 1.0])],
+                             ids=["equal", "random", "zero-mass"])
+    def test_one_row_with_a_shape_equals_the_row_broadcast(self, row):
+        B, n = 40, 50
+        one = Categorical(Tensor(row), (B, n))
+        full = Categorical(Tensor(np.broadcast_to(row, (B, n, row.size)).copy()))
+        drawn = one.sample(RngStream(5, "v", "topic", 3))
+        assert drawn.dtype == np.int64 and drawn.shape == (B, n)
+        np.testing.assert_array_equal(drawn, full.sample(RngStream(5, "v", "topic", 3)))
+        np.testing.assert_array_equal(one.sample(GridStream()), full.sample(GridStream()))
+        for lead in ((B, n), (4, B, n)):
+            idx = np.random.default_rng(1).integers(0, row.size, size=lead)
+            np.testing.assert_array_equal(one.log_prob(idx).data, full.log_prob(idx).data)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4), ()])
+    def test_shape_the_logits_do_not_broadcast_to_raises(self, shape):
+        with pytest.raises(DistributionError, match="Categorical"):
+            Categorical(Tensor(np.zeros((3, 5))), shape)
 
 
 class TestUniform:

@@ -98,8 +98,9 @@ class TestTrajectory:
         assert walked.shape == (4, 3) and walked.flags.c_contiguous
 
     def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self):
-        # The sampler holds the record, the previous slice, and the slice
-        # being built with its temporaries; the observed copy adds nothing.
+        # The sampler holds the record and the slice being built with its
+        # temporaries: it reads the previous slice from the record's rows.
+        # The observed copy adds nothing.
         cfg = PorlConfig()
         net, _, _ = build_porl_story(cfg)
         tracemalloc.start()

@@ -9,7 +9,7 @@ import ecosim.tensor as T
 from ecosim.behaviors import AffinityModel
 from ecosim.core import Value
 from ecosim.dist import NEG_INF, PlackettLuce, top_k
-from ecosim.logprob import log_probability_from_value_trajectory
+from ecosim.logprob import log_probability_from_value_trajectory, trajectory_log_prob_rows
 from ecosim.runtime import Trajectory, execute, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
@@ -18,7 +18,7 @@ from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.scenarios.latent_sat import HELD_OUT
 from ecosim.tensor import Tensor
 
-from stepwise_oracle import replay_slice, stepwise_log_prob_rows
+from stepwise_oracle import replay_slice
 
 
 SMALL_PORL = dict(population=12, horizon=5, corpus_size=10, slate_size=2,
@@ -87,18 +87,18 @@ class TestPorlStory:
         rng = np.random.default_rng(seed)
         n, d = cfg.corpus_size, cfg.interest_dim
         topics = rng.integers(0, 3, size=lead + (n,))
-        features = cfg.feature_scale * np.eye(d)[topics]
         quality = rng.integers(0, 2, size=lead + (n,)) * 0.5
         interest = rng.normal(size=lead + (d,))
-        return cfg, features, quality, interest
+        return cfg, topics, quality, interest
 
     @pytest.mark.parametrize("lead", [(12,), (3, 12)])
     def test_oracle_ranks_equal_stable_argsort_with_ties(self, lead):
-        cfg, features, quality, interest = self._oracle_inputs(lead, seed=len(lead))
+        cfg, topics, quality, interest = self._oracle_inputs(lead, seed=len(lead))
         net, _, _ = build_porl_story(cfg, policy="oracle")
         oracle = net.by_name["slate"].initial_fn
-        got = np.asarray(oracle(Value(interest=interest),
-                                Value(features=features, quality=quality)).get("doc_ranks"))
+        got = np.asarray(oracle(Value(interest=interest), Value(topic=topics),
+                                Value(quality=quality)).get("doc_ranks"))
+        features = cfg.feature_scale * np.eye(cfg.interest_dim)[topics]
         score = -np.linalg.norm(features - interest[..., None, :], axis=-1) + quality
         expected = np.argsort(-score, axis=-1, kind="stable")[..., :cfg.slate_size]
         rows = score.reshape(-1, cfg.corpus_size)
@@ -107,16 +107,18 @@ class TestPorlStory:
         np.testing.assert_array_equal(got, expected)
 
     def test_oracle_nan_score_raises(self):
-        cfg, features, quality, interest = self._oracle_inputs((12,), seed=0)
+        cfg, topics, quality, interest = self._oracle_inputs((12,), seed=0)
         quality[4, 2] = np.nan
         net, _, _ = build_porl_story(cfg, policy="oracle")
         with pytest.raises(ValueError, match="non-finite"):
-            net.by_name["slate"].initial_fn(Value(interest=interest),
-                                            Value(features=features, quality=quality))
+            net.by_name["slate"].initial_fn(Value(interest=interest), Value(topic=topics),
+                                            Value(quality=quality))
 
     def test_oracle_trajectory_digest_unchanged(self):
         # sha256 over every field of a seed-3 oracle trajectory, pinned
-        # under stream layout v3
+        # under stream layout v3 and re-pinned when the derivable
+        # corpus.features field was dropped (the kept fields' bytes did not
+        # move)
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg, policy="oracle")
         traj = trajectory(net, cfg.horizon, 3)
@@ -130,20 +132,18 @@ class TestPorlStory:
                     h.update(f"{name}|{path}|{t}|{arr.dtype.str}|{arr.shape}".encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == \
-            "7632f56ff3e3ccbf1eff4b60ec7b9b8f8c4108f9203a6973f6a8b303fbcbcb84"
+            "5ffb5cc4e8090fbaeae0b0550a0dbb0528b0c3b521bef1b52809c9f9d3628d37"
 
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score
         # finite at every step.  A slate's log-prob is at most 0, so the sum
-        # over steps is finite exactly when every step's term is.  The
-        # per-step oracle scores it: at this size the time-batched scorer
-        # stacks every step's payloads at once and needs several GB.
+        # over steps is finite exactly when every step's term is.
         cfg = PorlConfig(population=1000, horizon=100, slate_size=2,
                          interest_dim=20)
         net, _, metrics = build_porl_story(cfg)
         obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=0))
         policy = tuple(metrics["policy_log_prob"].split(".", 1))
-        lp = stepwise_log_prob_rows(net, obs, cfg.horizon - 1, only=[policy]).data
+        lp = trajectory_log_prob_rows(net, obs, cfg.horizon - 1, only=[policy]).data
         assert lp.shape == (1000,)
         assert np.isfinite(lp).all()
 

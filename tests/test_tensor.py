@@ -311,21 +311,6 @@ class TestSumAxis:
                                           np.signbit(np.sum(zeros, axis=axis)))
 
 
-class TestStopGradient:
-    def test_definition(self):
-        tape = Tape()
-        x = tape.watch([2.0, 3.0])
-        w = tape.watch([5.0, 7.0])
-        loss = T.reduce_sum(T.mul(T.stop_gradient(x), w))
-        grads = tape.backward(loss)
-        np.testing.assert_array_equal(grads[w].data, [2.0, 3.0])
-        np.testing.assert_array_equal(grads[x].data, [0.0, 0.0])
-
-    def test_value_identity(self):
-        x = Tensor([1.5, -2.5])
-        np.testing.assert_array_equal(T.stop_gradient(x).data, x.data)
-
-
 class TestExpit:
     """The logistic sigmoid behind softplus's gradient and Bernoulli sampling."""
 
