@@ -212,8 +212,6 @@ class Categorical(Distribution):
         # Kept below the row total, so the first index past it has p > 0
         # even where u * total rounds up to the total.
         target = np.minimum(u * total, np.nextafter(total, 0.0))
-        if cum.ndim == 1:  # one CDF row for every draw
-            return np.searchsorted(cum, target[..., 0], side="right").astype(np.int64)
         return np.argmax(cum > target, axis=-1).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:

@@ -159,11 +159,11 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
                                   registry.get("policy_b1")))
             projection = T.add(T.matmul(belief, registry.get("policy_w2")),
                                registry.get("policy_b2"))
-            # feature_scale · (item_embedding · projection), at each item's topic
-            topic_scores = T.reduce_sum(T.mul(registry.get("item_embedding"),
-                                              T.expand_dims(projection, -2)), axis=-1)
-            scores = T.take_along(T.mul(topic_scores, cfg.feature_scale),
-                                  np.asarray(topics_v.get("topic")), -1)
+            # (feature_scale · item_embedding) · projection, at each item's topic
+            topic_scores = T.reduce_sum(
+                T.mul(T.mul(registry.get("item_embedding"), cfg.feature_scale),
+                      T.expand_dims(projection, -2)), axis=-1)
+            scores = T.take_along(topic_scores, np.asarray(topics_v.get("topic")), -1)
             return Value(doc_ranks=PlackettLuce(scores, k))
 
         def random_slate(history_v, topics_v):
