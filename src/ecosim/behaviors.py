@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .core import CoreError, Value
+from .core import INTEGER, CoreError, Value, ValueSpec
 from .dist import Categorical, Deterministic, Distribution, Normal
+from .runtime import _array
 from .tensor import Tape, Tensor, as_tensor
 
 
@@ -86,30 +87,36 @@ class ControlledLinearGaussianStateModel:
 
 
 class FiniteHistoryEstimator:
-    """Ring buffer of the last ``capacity`` records per agent, FIFO with a
-    validity mask (1 = slot filled).  Bookkeeping only: not differentiable."""
+    """The last ``capacity`` records per agent, FIFO, with a validity mask
+    (1 = slot filled).  Each field of a record Value, integer or continuous,
+    slides through its own window, (..., capacity) + event.  Not differentiable."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise CoreError(f"history capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
 
-    def initial_state(self, batch: int, record_dim: int) -> Value:
-        return Value(
-            records=Tensor(np.zeros((batch, self.capacity, record_dim))),
-            mask=Tensor(np.zeros((batch, self.capacity))))
+    def initial_state(self, spec: ValueSpec, batch: int) -> Value:
+        """Zero windows, (batch, capacity) + event, for records of ``spec``."""
+        windows = {path: np.zeros((batch, self.capacity) + field.shape,
+                                  np.int64 if field.kind == INTEGER else np.float64)
+                   for path, field in spec.items()}
+        return Value(**windows, mask=np.zeros((batch, self.capacity)))
 
-    def push(self, state: Value, record) -> Value:
-        """Append one record per agent; any leading axes, records (..., dim)."""
-        records = state.get("records").data
+    def push(self, state: Value, record: Value) -> Value:
+        """Shift each field of ``record`` into its window; any leading axes."""
         mask = state.get("mask").data
-        rec = record.data if isinstance(record, Tensor) else np.asarray(record, np.float64)
-        want = records.shape[:-2] + records.shape[-1:]
-        if rec.shape != want:
-            raise CoreError(f"record shape {rec.shape} != (..., dim) = {want}")
-        new_records = np.concatenate([records[..., 1:, :], rec[..., None, :]], axis=-2)
+        axis = mask.ndim - 1
+        windows = {}
+        for path, payload in record.items():
+            window, rec = _array(state.get(path)), _array(payload)
+            want = window.shape[:axis] + window.shape[axis + 1:]
+            if rec.shape != want:
+                raise CoreError(f"record field {path!r} has shape {rec.shape}, expected {want}")
+            kept = window[(slice(None),) * axis + (slice(1, None),)]
+            windows[path] = np.concatenate([kept, np.expand_dims(rec, axis)], axis=axis)
         new_mask = np.concatenate([mask[..., 1:], np.ones(mask.shape[:-1] + (1,))], axis=-1)
-        return Value(records=Tensor(new_records), mask=Tensor(new_mask))
+        return Value(**windows, mask=new_mask)
 
 
 class Parameter:

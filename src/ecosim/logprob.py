@@ -31,7 +31,8 @@ reduces with negative axes and ``...``, and takes no shape from a batch
 size captured in a closure; a constant of shape ``(batch,) + event``
 that broadcasts against its inputs is fine.  A builder that breaks the
 contract fails with a LogProbError naming the variable (and the field,
-once the builder has returned).
+once the builder has returned); an index a builder finds out of range
+(``tensor.IndexRangeError``) is reported as out-of-range observed data.
 
 Step counting follows the ``horizon - 1`` convention: ``num_steps`` is
 the number of kernel applications, and slices 0 .. num_steps (the
@@ -144,6 +145,9 @@ def _score_slices(net: Network, current: dict[str, Value],
             fn, args = var.kernel_fn, _resolve_deps(var.kernel_deps, current, previous)
         try:
             out = fn(*args)
+        except T.IndexRangeError as e:
+            raise LogProbError(f"variable {var.name!r} at {where}: observed data out of "
+                               f"range ({e})") from e
         except (ValueError, IndexError) as e:
             raise LogProbError(
                 f"variable {var.name!r} at {where}: builder failed on payloads with "

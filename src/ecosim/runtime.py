@@ -148,14 +148,13 @@ class Trajectory:
                          for path, stack in self.fields[variable].items()})
 
     def inject(self, variable: str, path: str, values: Sequence) -> "Trajectory":
-        """A new trajectory with the held-out field filled per step.
+        """A new trajectory with the held-out field filled at every step.
 
-        ``values`` has one payload per step.  A static latent passes the
-        same (possibly taped) tensor for every step; it is checked once and
-        broadcast to the time axis with one tape node, and its gradient
-        accumulates across steps.  Distinct payloads are joined with one
-        ``T.stack`` node, so each step's gradient reaches its own leaf.  The
-        original trajectory is unmodified; the new one shares its stacks.
+        ``values`` has one entry per step, each the same payload: a static
+        latent, possibly a taped tensor.  It is checked once and broadcast
+        to the time axis with one tape node, and its gradient accumulates
+        across steps.  The original trajectory is unmodified; the new one
+        shares its stacks.
         """
         if variable not in self.specs:
             raise LogProbError(f"unknown variable {variable!r}")
@@ -167,21 +166,16 @@ class Trajectory:
         if len(values) != self.steps:
             raise LogProbError(
                 f"need one value per step ({self.steps}), got {len(values)}")
-        same = all(v is values[0] for v in values)
-        payloads = [Value.of({path: v}).get(path) for v in values[:1 if same else None]]
-        batch = self.batch
-        for t, payload in enumerate(payloads):
-            batch = spec.check_payload(path, payload, batch,
-                                       f"injected field {path!r} at step {t}")
-        if same:
-            stack = _broadcast(payloads[0], self.steps)
-        else:
-            stack = (T.stack if isinstance(payloads[0], Tensor) else np.stack)(payloads)
+        if any(v is not values[0] for v in values):
+            raise LogProbError(f"inject needs one payload for every step of {path!r}")
+        payload = Value.of({path: values[0]}).get(path)
+        batch = spec.check_payload(path, payload, self.batch, f"injected field {path!r}")
+        stack = _broadcast(payload, self.steps)
         return self._sharing(
             batch=batch,
             fields={**self.fields, variable: {**self.fields[variable], path: stack}},
             _first={**self._first, variable: self._first[variable].union(
-                Value.of({path: payloads[0]}))})
+                Value.of({path: payload}))})
 
 
 def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | None):

@@ -10,6 +10,7 @@ slate whose log-probability drives REINFORCE training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ class PorlConfig:
     reward_affinity_gain: float = 2.0   # engagement lift for well-matched items
     affinity_offset: float | None = None  # None: sqrt(d + feature_scale^2)
     reward_noise: float = 1.0
-    record_scale: float = 0.5      # history records: features * centered engagement
+    record_scale: float = 0.5      # history weight of a consumed topic: centered engagement * this
     embed_dim: int | None = None   # None: interest_dim, with near-identity init
     hidden_width: int = 32
     param_seed: int = 0
@@ -116,13 +117,14 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         corpus = Variable("corpus", ValueSpec(quality=FieldSpec((n,))))
         user_state = Variable("user_state", ValueSpec(interest=FieldSpec((d,))))
         history = Variable("history", ValueSpec(
-            records=FieldSpec((cfg.history_length, d + 1)),
+            topic=FieldSpec((cfg.history_length,), "integer"),
+            engagement=FieldSpec((cfg.history_length,)),
             mask=FieldSpec((cfg.history_length,))))
         slate = Variable("slate", ValueSpec(doc_ranks=FieldSpec((k,), "integer")))
         choice = Variable("choice", ValueSpec(choice=FieldSpec((), "integer")))
         engagement = Variable("engagement", ValueSpec(value=FieldSpec(())))
         consumed = Variable("consumed", ValueSpec(
-            features=FieldSpec((d,)), engagement=FieldSpec(())))
+            topic=FieldSpec((), "integer"), engagement=FieldSpec(())))
         metrics = Variable("metrics", ValueSpec(cumulative_reward=FieldSpec(())))
 
         def sample_topics():
@@ -130,40 +132,46 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
 
         feature_rows = cfg.feature_scale * np.eye(d)
 
+        def topic_of(value, docs=None) -> np.ndarray:
+            """``value``'s topics, each checked to lie in [0, d), at ``docs`` if given."""
+            topic = T.check_index(value.get("topic"), d, "topic")
+            return topic if docs is None else np.take_along_axis(topic, docs, axis=-1)
+
         def item_features(topics_v, docs=None) -> Tensor:
             """``feature_scale · one_hot(topic)`` of the items ``docs`` (..., m)
             indexes, (..., m, d), or of every item: derived, never recorded."""
-            topic = np.asarray(topics_v.get("topic"))
-            if docs is not None:
-                topic = np.take_along_axis(topic, docs, axis=-1)
-            return Tensor(feature_rows[topic])
+            return Tensor(feature_rows[topic_of(topics_v, docs)])
 
         def build_corpus(topics_v):
-            t = np.asarray(topics_v.get("topic"))
-            return Value(quality=Normal(Tensor(topic_means[t]), cfg.quality_scale))
+            return Value(quality=Normal(Tensor(topic_means[topic_of(topics_v)]),
+                                        cfg.quality_scale))
 
         def initial_interest():
             return Value(interest=Normal(Tensor(np.zeros((B, d))), 1.0))
 
         def learned_slate(history_v, topics_v):
-            records = history_v.get("records").data
-            mask = history_v.get("mask").data
+            # Σ feature_scale · one_hot(topic) · weight over the history: one
+            # topic histogram per row, times item_embedding
+            eng, mask = history_v.get("engagement").data, history_v.get("mask").data
+            lead = mask.shape[:-1]
             denom = np.maximum(mask.sum(axis=-1), 1.0)
-            pooled_feats = T.div(
-                T.reduce_sum(T.matmul(Tensor(records[..., :d] * mask[..., None]),
-                                      registry.get("item_embedding")), axis=-2),
-                Tensor(denom[..., None]))
-            pooled_eng = (records[..., d] * mask).sum(axis=-1) / denom
+            weight = cfg.feature_scale * ((eng - cfg.reward_base) * cfg.record_scale) * mask
+            cells = np.arange(math.prod(lead)).reshape(lead + (1,)) * d + topic_of(history_v)
+            hist = np.bincount(cells.ravel(), weights=weight.ravel(),
+                               minlength=math.prod(lead) * d)
+            embedding = registry.get("item_embedding")
+            pooled_feats = T.div(T.matmul(Tensor(hist.reshape(lead + (d,))), embedding),
+                                 Tensor(denom[..., None]))
+            pooled_eng = (eng * mask).sum(axis=-1) / denom
             policy_in = T.concat([pooled_feats, Tensor(pooled_eng[..., None])], axis=-1)
             belief = T.tanh(T.add(T.matmul(policy_in, registry.get("policy_w1")),
                                   registry.get("policy_b1")))
             projection = T.add(T.matmul(belief, registry.get("policy_w2")),
                                registry.get("policy_b2"))
             # (feature_scale · item_embedding) · projection, at each item's topic
-            topic_scores = T.reduce_sum(
-                T.mul(T.mul(registry.get("item_embedding"), cfg.feature_scale),
-                      T.expand_dims(projection, -2)), axis=-1)
-            scores = T.take_along(topic_scores, np.asarray(topics_v.get("topic")), -1)
+            topic_scores = T.squeeze(T.matmul(T.mul(embedding, cfg.feature_scale),
+                                              T.expand_dims(projection, -1)), -1)
+            scores = T.take_along(topic_scores, topic_of(topics_v), -1)
             return Value(doc_ranks=PlackettLuce(scores, k))
 
         def random_slate(history_v, topics_v):
@@ -180,17 +188,17 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             aff = choice_affinity.affinities(state_v.get("interest"), slate_feats)
             return Value(choice=user_choice.choice(aff))
 
-        def _chosen(choice_v, slate_v, topics_v):
-            """The chosen item's corpus index (..., 1) and feature row (..., 1, d)."""
-            doc = np.take_along_axis(np.asarray(slate_v.get("doc_ranks")),
-                                     np.asarray(choice_v.get("choice"))[..., None], axis=-1)
-            return doc, item_features(topics_v, doc)
+        def _chosen(choice_v, slate_v):
+            """The chosen item's corpus index, (..., 1)."""
+            return np.take_along_axis(np.asarray(slate_v.get("doc_ranks")),
+                                      np.asarray(choice_v.get("choice"))[..., None], axis=-1)
 
         offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
                   else cfg.affinity_offset)
 
         def engage(choice_v, slate_v, topics_v, corpus_v, state_v):
-            doc, feats = _chosen(choice_v, slate_v, topics_v)
+            doc = _chosen(choice_v, slate_v)
+            feats = item_features(topics_v, doc)
             q = T.squeeze(T.take_along(corpus_v.get("quality"), doc, -1), -1)
             match = T.add(T.squeeze(affinity.affinities(state_v.get("interest"), feats), -1),
                           offset)
@@ -200,30 +208,21 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             return Value(value=Normal(mean, cfg.reward_noise))
 
         def consume(choice_v, slate_v, topics_v, engagement_v):
-            # records carry the consumed item's features scaled by how much
-            # the consumption paid off, so pooled history estimates per-topic
-            # engagement rather than a bare consumption histogram
-            feats = T.squeeze(_chosen(choice_v, slate_v, topics_v)[1], -2)
-            eng = engagement_v.get("value")
-            weight = T.mul(T.sub(eng, cfg.reward_base), cfg.record_scale)
-            return Value(features=T.mul(feats, T.expand_dims(weight, -1)),
-                         engagement=eng)
+            # the learned policy weights each history topic by its centered
+            # engagement: a per-topic engagement estimate, not a bare count
+            return Value(topic=topic_of(topics_v, _chosen(choice_v, slate_v))[..., 0],
+                         engagement=engagement_v.get("value"))
 
         def next_interest(state_v, choice_v, slate_v, topics_v, corpus_v):
-            doc, feats = _chosen(choice_v, slate_v, topics_v)
+            doc = _chosen(choice_v, slate_v)
+            feats = item_features(topics_v, doc)
             q = T.take_along(corpus_v.get("quality"), doc, -1)
             prev = state_v.get("interest")
             control = T.mul(q, T.sub(T.squeeze(feats, -2), prev))
             return Value(interest=interest_model.next_state(prev, control))
 
         def initial_history():
-            return history_buf.initial_state(B, d + 1)
-
-        def push_history(history_v, consumed_v):
-            record = np.concatenate(
-                [consumed_v.get("features").data,
-                 consumed_v.get("engagement").data[..., None]], axis=-1)
-            return history_buf.push(history_v, record)
+            return history_buf.initial_state(consumed.spec, B)
 
         def initial_metric(engagement_v):
             return Value(cumulative_reward=T.relu(engagement_v.get("value")))
@@ -240,7 +239,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         user_state.bind_kernel(next_interest, deps=(user_state.previous, choice, slate,
                                                     corpus_topics, corpus))
         history.bind_initial(initial_history)
-        history.bind_kernel(push_history, deps=(history.previous, consumed.previous))
+        history.bind_kernel(history_buf.push, deps=(history.previous, consumed.previous))
         if policy == "learned":
             slate.bind_initial(learned_slate, deps=(history, corpus_topics))
             slate.bind_kernel(learned_slate, deps=(history, corpus_topics))

@@ -30,6 +30,10 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
 
 
+class IndexRangeError(ShapeError):
+    """Raised for an integer index outside the extent it indexes."""
+
+
 class TapeError(RuntimeError):
     """Raised on misuse of a Tape (wrong tape, non-scalar loss, ...)."""
 
@@ -462,7 +466,8 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     return tape._emit(data, partials)
 
 
-def _check_index(idx: np.ndarray, extent: int, op: str) -> np.ndarray:
+def check_index(idx, extent: int, op: str) -> np.ndarray:
+    """``idx`` as an integer array, each entry checked to lie in [0, extent)."""
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"{op}: indices must be integers, got dtype {idx.dtype}")
@@ -470,7 +475,7 @@ def _check_index(idx: np.ndarray, extent: int, op: str) -> np.ndarray:
         lo, hi = idx.min(), idx.max()
         if lo < 0 or hi >= extent:
             bad = int(lo) if lo < 0 else int(hi)
-            raise ShapeError(f"{op}: index {bad} out of range [0, {extent})")
+            raise IndexRangeError(f"{op}: index {bad} out of range [0, {extent})")
     return idx
 
 
@@ -487,7 +492,7 @@ def take_along(a, indices, axis: int) -> Tensor:
     """
     a = as_tensor(a)
     axis_ = axis % a.ndim
-    idx = _check_index(indices, a.shape[axis_], "take_along")
+    idx = check_index(indices, a.shape[axis_], "take_along")
     if (idx.ndim != a.ndim or idx.shape[:axis_] != a.shape[:axis_]
             or idx.shape[axis_ + 1:] != a.shape[axis_ + 1:]):
         raise ShapeError(f"take_along: index shape {idx.shape} differs from tensor "
@@ -515,7 +520,7 @@ def take_rows(a, indices) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"take_rows: tensor must have ndim >= 2, got shape {a.shape}")
     lead, (m, d) = a.shape[:-2], a.shape[-2:]
-    idx = _check_index(indices, m, "take_rows")
+    idx = check_index(indices, m, "take_rows")
     if idx.ndim == 0 or idx.shape[:-1] != lead:
         raise ShapeError(f"take_rows: index shape {idx.shape} does not match the "
                          f"leading shape {lead} of tensor shape {a.shape}")
@@ -732,18 +737,6 @@ def broadcast_to(a, shape) -> Tensor:
                 f"broadcast_to: shape {sa} does not broadcast to {shape}") from None
 
     return _apply(fwd, (a,), (lambda g: _unbroadcast(g, sa),))
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Join equally shaped tensors along a new axis, as one tape node."""
-    ts = [as_tensor(t) for t in tensors]
-    tape = _common_tape(ts)
-    data = np.stack([t.data for t in ts], axis=axis)
-    if tape is None:
-        return Tensor(data)
-    partials = [(t, lambda g, i=i: np.take(g, i, axis=axis))
-                for i, t in enumerate(ts) if t.tape is not None]
-    return tape._emit(data, partials)
 
 
 def index(a, key) -> Tensor:

@@ -118,17 +118,19 @@ class TestControlledLinearGaussian:
 
 
 class TestFiniteHistory:
+    SPEC = ValueSpec(x=FieldSpec((2,)))
+
     def test_fresh_buffer_mask_all_invalid(self):
-        state = FiniteHistoryEstimator(5).initial_state(3, 2)
+        state = FiniteHistoryEstimator(5).initial_state(self.SPEC, 3)
         np.testing.assert_array_equal(state.get("mask").data, np.zeros((3, 5)))
+        np.testing.assert_array_equal(state.get("x").data, np.zeros((3, 5, 2)))
 
     def test_fifo_eviction(self):
         est = FiniteHistoryEstimator(15)
-        state = est.initial_state(1, 1)
+        state = est.initial_state(ValueSpec(x=FieldSpec(())), 1)
         for i in range(1, 17):
-            state = est.push(state, np.array([[float(i)]]))
-        np.testing.assert_array_equal(state.get("records").data[0, :, 0],
-                                      np.arange(2.0, 17.0))
+            state = est.push(state, Value(x=Tensor(np.array([float(i)]))))
+        np.testing.assert_array_equal(state.get("x").data[0], np.arange(2.0, 17.0))
         np.testing.assert_array_equal(state.get("mask").data, np.ones((1, 15)))
 
     def test_push_is_batch_independent(self):
@@ -136,15 +138,36 @@ class TestFiniteHistory:
         est = FiniteHistoryEstimator(3)
         rng = np.random.default_rng(5)
         records = rng.normal(size=(6, 4, 2))  # 6 pushes, 4 rows, dim 2
-        state = est.initial_state(4, 2)
+        state = est.initial_state(self.SPEC, 4)
         for i in range(6):
-            state = est.push(state, records[i])
+            state = est.push(state, Value(x=Tensor(records[i])))
         for row in range(4):
-            solo = est.initial_state(1, 2)
+            solo = est.initial_state(self.SPEC, 1)
             for i in range(6):
-                solo = est.push(solo, records[i, row:row + 1])
-            np.testing.assert_array_equal(state.get("records").data[row],
-                                          solo.get("records").data[0])
+                solo = est.push(solo, Value(x=Tensor(records[i, row:row + 1])))
+            np.testing.assert_array_equal(state.get("x").data[row], solo.get("x").data[0])
+
+    def test_integer_field_keeps_its_kind_under_leading_axes(self):
+        # a time-batched push, (steps, batch) in front, as the scorer makes
+        est = FiniteHistoryEstimator(2)
+        spec = ValueSpec(topic=FieldSpec((), "integer"), w=FieldSpec(()))
+        assert est.initial_state(spec, 3).get("topic").dtype == np.int64
+        state = Value(topic=np.zeros((4, 3, 2), np.int64), w=np.zeros((4, 3, 2)),
+                      mask=np.zeros((4, 3, 2)))
+        topics = np.arange(12).reshape(4, 3)
+        for i in range(3):
+            state = est.push(state, Value(topic=topics + i, w=Tensor(np.full((4, 3), i / 2))))
+        assert state.get("topic").dtype == np.int64
+        np.testing.assert_array_equal(state.get("topic"),
+                                      np.stack([topics + 1, topics + 2], axis=-1))
+        np.testing.assert_array_equal(state.get("w").data, np.full((4, 3, 2), [0.5, 1.0]))
+        np.testing.assert_array_equal(state.get("mask").data, np.ones((4, 3, 2)))
+
+    def test_record_shape_mismatch_rejected(self):
+        est = FiniteHistoryEstimator(3)
+        state = est.initial_state(self.SPEC, 4)
+        with pytest.raises(CoreError, match=r"record field 'x' has shape \(4, 3\)"):
+            est.push(state, Value(x=Tensor(np.zeros((4, 3)))))
 
 
 class TestParameterCapture:

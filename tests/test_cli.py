@@ -39,6 +39,19 @@ ECOSYSTEM_GOLDEN = {
     "utility.csv": "5e76759fccd2862d81a03f8a797d18019bd53067d3980e9d26acc6fa8e4df2a8",
 }
 
+PORL_GOLDEN = {
+    "choice.csv": "9aa29b329d9dbbe3c820853fc2e421a73ca1653fbc1eba7320d1e9403089e58d",
+    "consumed.csv": "8bf81ffc9b4846b9e2346be2d9b35bb52bb2a37a6471c64237ac0842311614e3",
+    "corpus.csv": "c84141be572b5f735326fa961b7f08f695a266e384ed00cf3c826f95bc6c04f2",
+    "corpus_topics.csv": "d8266253de49b159716bd5b8a6a5bcfae4410668d41a96ee4adb5bc14058aa7b",
+    "engagement.csv": "1b1eb324a311aa57188bcf9db2a7723994205dee8287cefed518d58e1955fb09",
+    "history.csv": "612ef5983310d44628206546cd10301b60116058f4dce70f426570001b04c26c",
+    "metrics.csv": "9925bf055fa87ceb8865bf5df23ad7fad8cede71fa1a90672e46a39b6aad2e84",
+    "slate.csv": "cf608f74c795b59026889d54c42df92f56cb243438fa7bd8406f0f509d2c9b0b",
+    "summary.csv": "46f6292910fa699e3b3fd48957a6f4682a982d1ca8dcbb5e7ae899dc64e11812",
+    "user_state.csv": "15fdce7c12708d0eb31345fb4e528c7b9d7036cf44d224672eea4bb41447758e",
+}
+
 
 class TestSimulate:
     def test_count_scenario_produces_expected_column(self, tmp_path):
@@ -71,6 +84,16 @@ class TestSimulate:
         digests = {name: hashlib.sha256(data).hexdigest()
                    for name, data in tree_bytes(out).items()}
         assert digests == ECOSYSTEM_GOLDEN
+
+    def test_porl_export_matches_golden_digests(self, tmp_path):
+        # Every porl CSV at SMALL_TRAIN sizes, history.csv (each window's
+        # topics, engagement and mask) and consumed.csv included.
+        out = tmp_path / "porl"
+        assert run_cli("simulate", "--scenario", "porl", *SMALL_TRAIN[:8],
+                       "--out", str(out)) == 0
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in tree_bytes(out).items()}
+        assert digests == PORL_GOLDEN
 
     def test_ecosystem_choice_and_utility_at_default_population(self, tmp_path):
         # 200 users, 100 items, k=8, 10 runs: the sizes at which the choice

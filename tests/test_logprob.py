@@ -174,13 +174,15 @@ class TestObservedTrajectory:
         net = iid_normal_network(4)
         obs = Trajectory.from_trajectory(
             net, trajectory(net, 3, seed=1), hold_out=[("x", "v")])
-        values = [np.full(4, float(t)) for t in range(3)]
-        filled = obs.inject("x", "v", values)
+        z = np.arange(4.0)
+        filled = obs.inject("x", "v", [z] * 3)
         for t in range(3):
-            np.testing.assert_array_equal(filled.value("x", t).get("v").data,
-                                          values[t])
+            np.testing.assert_array_equal(filled.value("x", t).get("v").data, z)
         # original unmodified
         assert not obs.value("x", 0).has("v")
+        # one payload for every step: equal but distinct objects are rejected
+        with pytest.raises(LogProbError, match="one payload for every step"):
+            obs.inject("x", "v", [z, z.copy(), z])
 
     def test_injecting_observed_field_rejected(self):
         net = iid_normal_network(4)

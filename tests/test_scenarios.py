@@ -9,7 +9,8 @@ import ecosim.tensor as T
 from ecosim.behaviors import AffinityModel
 from ecosim.core import Value
 from ecosim.dist import NEG_INF, PlackettLuce, top_k
-from ecosim.logprob import log_probability_from_value_trajectory, trajectory_log_prob_rows
+from ecosim.logprob import (LogProbError, log_probability_from_value_trajectory, observe,
+                            trajectory_log_prob_rows)
 from ecosim.runtime import Trajectory, execute, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
@@ -117,8 +118,9 @@ class TestPorlStory:
     def test_oracle_trajectory_digest_unchanged(self):
         # sha256 over every field of a seed-3 oracle trajectory, pinned
         # under stream layout v3 and re-pinned when the derivable
-        # corpus.features field was dropped (the kept fields' bytes did not
-        # move)
+        # corpus.features field was dropped, then when history and consumed
+        # began recording topics and engagement (each time, the other
+        # fields' bytes did not move)
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg, policy="oracle")
         traj = trajectory(net, cfg.horizon, 3)
@@ -132,7 +134,69 @@ class TestPorlStory:
                     h.update(f"{name}|{path}|{t}|{arr.dtype.str}|{arr.shape}".encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == \
-            "5ffb5cc4e8090fbaeae0b0550a0dbb0528b0c3b521bef1b52809c9f9d3628d37"
+            "90b345b21c8b581003a39782c4d7fdc7daa63bb07cc20b03da08277138a394d9"
+
+    def test_learned_policy_equals_the_one_hot_formulas(self, monkeypatch):
+        # The policy pools its history as a topic histogram and scores
+        # topics with one matmul.  Both equal the one-hot formulas they
+        # replace, to 1e-12, on one step and on the time-batched window of a
+        # sampled trajectory whose history has filled and evicted.
+        cfg = PorlConfig(**{**SMALL_PORL, "horizon": 8})
+        net, registry, _ = build_porl_story(cfg)
+        obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=2))
+        p, d = registry.as_arrays(), cfg.interest_dim
+        pooled_seen, concat = [], T.concat
+
+        def spy(tensors, axis=-1):  # the policy's input: [pooled history, pooled engagement]
+            pooled_seen.append(tensors[0].data)
+            return concat(tensors, axis)
+
+        monkeypatch.setattr(T, "concat", spy)
+        for steps in (cfg.horizon - 1, slice(None)):
+            history = obs.window("history", steps)
+            topics = np.asarray(obs.window("corpus_topics", steps).get("topic"))
+            logits = net.by_name["slate"].kernel_fn(
+                history, Value(topic=topics)).get("doc_ranks").logits.data
+            topic = np.asarray(history.get("topic"))
+            eng, mask = history.get("engagement").data, history.get("mask").data
+            weight = (eng - cfg.reward_base) * cfg.record_scale
+            records = cfg.feature_scale * np.eye(d)[topic] * weight[..., None]
+            denom = np.maximum(mask.sum(axis=-1), 1.0)[..., None]
+            pooled = ((records * mask[..., None]) @ p["item_embedding"]).sum(axis=-2) / denom
+            np.testing.assert_allclose(pooled_seen.pop(), pooled, rtol=0, atol=1e-12)
+            pooled_eng = (eng * mask).sum(axis=-1, keepdims=True) / denom
+            belief = np.tanh(np.concatenate([pooled, pooled_eng], axis=-1) @ p["policy_w1"]
+                             + p["policy_b1"])
+            projection = belief @ p["policy_w2"] + p["policy_b2"]
+            topic_scores = (cfg.feature_scale * p["item_embedding"]
+                            * projection[..., None, :]).sum(axis=-1)
+            np.testing.assert_allclose(
+                logits, np.take_along_axis(topic_scores, topics, -1), rtol=0, atol=1e-12)
+        assert (np.asarray(obs.value("history", -1).get("mask").data) == 1).all()
+
+    @pytest.mark.parametrize("only", [None, [("slate", "doc_ranks")]], ids=["all", "slate"])
+    @pytest.mark.parametrize("field", ["corpus_topics", "history"])
+    def test_out_of_range_observed_topic_raises(self, field, only):
+        # A topic of -1 must not wrap to the last topic, in a corpus lookup
+        # or in the history's topic histogram.
+        cfg = PorlConfig(population=4, horizon=3, corpus_size=8, interest_dim=4,
+                         history_length=2)
+        net, _, _ = build_porl_story(cfg)
+        traj = trajectory(net, cfg.horizon, 0)
+        slices = [{name: traj.value(name, t) for name in traj.specs} for t in range(3)]
+        if field == "corpus_topics":
+            topic = np.array(slices[2]["corpus_topics"].get("topic"))
+            topic[1, 3] = -1
+            slices[2]["corpus_topics"] = Value(topic=topic)
+        else:  # consumed at step 1 enters the history at step 2
+            for t, name, at in ((1, "consumed", np.s_[1]), (2, "history", np.s_[1, -1])):
+                value = slices[t][name]
+                topic = np.array(value.get("topic"))
+                topic[at] = -1
+                slices[t][name] = Value.of({**dict(value.items()), "topic": topic})
+        with pytest.raises(LogProbError, match=r"at steps 1\.\.2: .*out of range") as err:
+            trajectory_log_prob_rows(net, observe(net, slices), 2, only=only)
+        assert "leading axes" not in str(err.value)
 
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score

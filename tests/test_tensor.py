@@ -378,8 +378,6 @@ class TestGradientSuite:
         "clip": (lambda x: T.clip(x, -0.5, 0.5), lambda r: [r.normal(size=(8,)) * 2]),
         "broadcast_to": (lambda x: T.broadcast_to(x, (4, 3, 5)),
                          lambda r: [r.normal(size=(3, 1))]),
-        "stack": (lambda a, b: T.stack([a, b, a], axis=1),
-                  lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 2))]),
         "index": (lambda x: T.index(x, (slice(1, 3), 0)),
                   lambda r: [r.normal(size=(4, 3))]),
     }
@@ -447,8 +445,6 @@ class TestRetention:
                       [(2, 5, 3)], [True], [False]),
         "concat": (lambda a, b: T.concat([a, b], axis=1), [(3, 2), (3, 3)],
                    [True, True], [False, False]),
-        "stack": (lambda a, b: T.stack([a, b], axis=1), [(3, 2), (3, 2)],
-                  [True, True], [False, False]),
         "expand_dims": (lambda x: T.expand_dims(x, 1), [(3, 2)], [True], [False]),
         "squeeze": (lambda x: T.squeeze(x, 1), [(3, 1)], [True], [False]),
         "log_softmax": (T.log_softmax, [(3, 5)], [True], [False]),

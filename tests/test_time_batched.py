@@ -132,24 +132,6 @@ class TestToyNetworks:
                                            latent=(("latent", "z"), z))
         assert set(grads) == {"bias", "latent"}
 
-    def test_distinct_injected_value_per_step(self):
-        # per-step payloads are stacked as one tape node; each step's
-        # gradient lands on its own leaf
-        net = iid_normal_network(batch=3)
-        obs = observe(net, 4, 2, hold_out=[("x", "v")])
-        values = np.random.default_rng(9).normal(size=(4, 3))
-        results = []
-        for scorer in (trajectory_log_prob_rows, stepwise_log_prob_rows):
-            tape = Tape()
-            leaves = [tape.watch(v) for v in values]
-            rows = scorer(net, obs.inject("x", "v", leaves), 3)
-            grads = tape.backward(T.reduce_sum(rows))
-            results.append((rows.data, np.stack([grads[leaf].data for leaf in leaves])))
-        (rows, grads), (oracle_rows, oracle_grads) = results
-        assert relative(rows, oracle_rows) <= TOLERANCE
-        assert relative(grads, oracle_grads) <= TOLERANCE
-        np.testing.assert_allclose(grads, -values, atol=1e-12)  # d/dx log N(x; 0, 1)
-
     def test_bandit_policy_field_only(self):
         net, registry = bandit_story(16)
         obs = observe(net, 4, 6)
