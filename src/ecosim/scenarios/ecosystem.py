@@ -10,9 +10,12 @@ capped at magnitude L, that redistributes exposure toward under-served
 providers (plus a small uniform jitter proportional to the boost).
 Welfare is the population-mean cumulative utility.
 
-The batch axis is the independent simulation run: R runs execute as one
-vectorized population, and per-row stream keying makes splitting runs
-across workers bit-identical to running them together.
+A batch row is one (boost cap, run) pair: R rows execute as one
+vectorized population, each clipping its boost at its own cap and
+drawing its numbers under its run id (:class:`ecosim.rng.RngStream`).
+Every cap's copy of run r thus samples the same ecosystem, and however
+the rows are split across tasks and workers, or stacked across caps,
+each row's result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -91,42 +94,53 @@ def _community_assignment(cfg: EcosystemConfig) -> np.ndarray:
 
 
 def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts proportional to ``raw``, each >= 1, summing to ``total``.
+    """Integer counts proportional to each row of ``raw`` (..., n), each
+    >= 1, each row summing to ``total`` (>= n).
 
     Largest-remainder apportionment with deterministic lowest-index
-    tie-breaking, then bounded fixups to restore the exact total.
+    tie-breaking, then bounded fixups to restore the exact total: while a
+    row has too many, its first largest count gives one back.  That count
+    is above 1, since a row of n ones would sum to at most ``total``.
     """
     raw = np.maximum(np.asarray(raw, np.float64), 1e-12)
-    n = raw.size
-    quota = raw * total / raw.sum()
-    counts = np.maximum(1, np.floor(quota).astype(np.int64))
-    remainder = quota - np.floor(quota)
-    order = np.lexsort((np.arange(n), -remainder))
-    i = 0
-    while counts.sum() < total:
-        counts[order[i % n]] += 1
-        i += 1
-    while counts.sum() > total:
-        candidates = np.flatnonzero(counts > 1)
-        j = candidates[np.argmax(counts[candidates])]
-        counts[j] -= 1
-    return counts
+    n = raw.shape[-1]
+    quota = raw * total / raw.sum(axis=-1, keepdims=True)
+    floor = np.floor(quota)
+    counts = np.maximum(1, floor.astype(np.int64)).reshape(-1, n)
+    # Rank of each entry by descending remainder, ties to the lower index.
+    order = np.argsort(-(quota - floor).reshape(-1, n), axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(n), axis=-1)
+    deficit = np.maximum(total - counts.sum(axis=-1, keepdims=True), 0)
+    # As a loop over ``order[i % n]`` would: each gets deficit // n, and the
+    # first deficit % n by rank (all of the deficit, which is below n) one more.
+    counts += deficit // n + (ranks < deficit % n)
+    excess = counts.sum(axis=-1) - total
+    while (over := np.flatnonzero(excess > 0)).size:
+        counts[over, np.argmax(counts[over], axis=-1)] -= 1
+        excess[over] -= 1
+    return counts.reshape(raw.shape)
 
 
 def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
     """Per-provider item counts for each run, (..., providers)."""
-    raw = np.maximum(1.0, np.rint(cfg.kappa * engagement))
-    rows = raw.reshape(-1, raw.shape[-1])
-    return np.stack([_apportion(row, cfg.num_items) for row in rows]).reshape(raw.shape)
+    return _apportion(np.maximum(1.0, np.rint(cfg.kappa * engagement)), cfg.num_items)
 
 
-def build_ecosystem_story(cfg: EcosystemConfig):
+def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
     """Returns (network, metric paths).
 
     The slate ranks items by affinity plus the capped engagement-balancing
-    boost; with ``cfg.boost_cap`` 0 it is the myopic pure-affinity top-k.
+    boost; at cap 0 it is the myopic pure-affinity top-k.  Every row's cap
+    is ``cfg.boost_cap`` unless ``boost_caps`` gives one per row
+    (``cfg.num_runs`` of them).
     """
     R, U, P, M = cfg.num_runs, cfg.num_users, cfg.num_providers, cfg.num_items
+    caps = np.full(R, cfg.boost_cap) if boost_caps is None else np.asarray(
+        boost_caps, np.float64)
+    if caps.shape != (R,) or not (caps >= 0).all():  # NaN fails too
+        raise ValueError(f"boost_caps must be {R} caps >= 0, got {caps!r}")
+    row_caps = caps[:, None]
     C, d, k = cfg.num_communities, cfg.interest_dim, cfg.slate_size
     gamma = cfg.engagement_discount
     beta = cfg.boost_gain / cfg.steady_engagement
@@ -165,12 +179,13 @@ def build_ecosystem_story(cfg: EcosystemConfig):
         return Value(interest=GaussianMixture(weights, locs, scales))
 
     def publish_items(providers_v, counts: np.ndarray):
-        rows = counts.reshape(-1, P)
-        assignment = np.stack([np.repeat(np.arange(P), row) for row in rows]).reshape(
+        # Each row's counts sum to M, so one repeat lays out every row.
+        providers_of = np.tile(np.arange(P, dtype=np.int64), counts.size // P)
+        assignment = np.repeat(providers_of, counts.ravel()).reshape(
             counts.shape[:-1] + (M,))
         cores = providers_v.get("interest").data
         loc = np.take_along_axis(cores, assignment[..., None], axis=-2)
-        return Value(provider=assignment.astype(np.int64),
+        return Value(provider=assignment,
                      features=Normal(Tensor(loc), cfg.item_scale))
 
     def initial_items(providers_v):
@@ -186,10 +201,12 @@ def build_ecosystem_story(cfg: EcosystemConfig):
 
     def _boost_per_item(engagement_prev: np.ndarray | None,
                         assignment: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if cfg.boost_cap == 0.0 or engagement_prev is None:
+        # A cap-0 row clips to -0.0 or 0.0 and adds the +0.0 jitter, so its
+        # adjustments are the +0.0 of the unboosted shortcut.
+        if not caps.any() or engagement_prev is None:
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
-        boost = np.clip(beta * gap, -cfg.boost_cap, cfg.boost_cap)
+        boost = np.clip(beta * gap, -row_caps, row_caps)
         per_item = np.take_along_axis(boost, assignment, axis=-1)
         return per_item + u * cfg.jitter_scale * np.abs(per_item)
 

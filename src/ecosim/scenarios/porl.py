@@ -133,9 +133,12 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         feature_rows = cfg.feature_scale * np.eye(d)
 
         def topic_of(value, docs=None) -> np.ndarray:
-            """``value``'s topics, each checked to lie in [0, d), at ``docs`` if given."""
+            """``value``'s topics, each checked to lie in [0, d), at the
+            corpus indices ``docs`` (checked to lie in [0, n)) if given."""
             topic = T.check_index(value.get("topic"), d, "topic")
-            return topic if docs is None else np.take_along_axis(topic, docs, axis=-1)
+            if docs is None:
+                return topic
+            return np.take_along_axis(topic, T.check_index(docs, n, "doc_ranks"), axis=-1)
 
         def item_features(topics_v, docs=None) -> Tensor:
             """``feature_scale · one_hot(topic)`` of the items ``docs`` (..., m)
@@ -189,9 +192,11 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             return Value(choice=user_choice.choice(aff))
 
         def _chosen(choice_v, slate_v):
-            """The chosen item's corpus index, (..., 1)."""
+            """The chosen item's corpus index, (..., 1); a choice outside the
+            slate raises rather than wrapping to another slot."""
+            slot = T.check_index(choice_v.get("choice"), k, "choice")
             return np.take_along_axis(np.asarray(slate_v.get("doc_ranks")),
-                                      np.asarray(choice_v.get("choice"))[..., None], axis=-1)
+                                      slot[..., None], axis=-1)
 
         offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
                   else cfg.affinity_offset)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecosim.cli import _sweep_chunk, _workers, main
+from ecosim.cli import _sweep_slices, _workers, main
+from ecosim.scenarios import EcosystemConfig
 
 
 def run_cli(*argv):
@@ -356,23 +357,24 @@ class TestEcosystemSweep:
         assert "boost_caps" in capsys.readouterr().err
 
     def test_deterministic_across_worker_counts(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
+        # 3 caps x 3 runs = 9 rows: 2 workers split them 5 + 4 and 4
+        # workers 3 + 2 + 2 + 2, so tasks stack rows of two caps and start
+        # mid-cap, and their row ids are not a contiguous range.
+        trees = {}
         env = os.environ.copy()
         try:
-            os.environ["ECOSIM_THREADS"] = "1"
-            assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
-                           "--set", "sweep.boost_caps=0,0.6",
-                           "--out", str(a)) == 0
-            # 4 workers split each cap's 3 rows into chunks of 2 and 1, so
-            # the second run exercises row_offset keying.
-            os.environ["ECOSIM_THREADS"] = "4"
-            assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
-                           "--set", "sweep.boost_caps=0,0.6",
-                           "--out", str(b)) == 0
+            for threads in ("1", "2", "3", "4"):
+                os.environ["ECOSIM_THREADS"] = threads
+                out = tmp_path / threads
+                assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
+                               "--set", "sweep.boost_caps=0,0.6,1.2",
+                               "--out", str(out)) == 0
+                trees[threads] = tree_bytes(out)
         finally:
             os.environ.clear()
             os.environ.update(env)
-        assert tree_bytes(a) == tree_bytes(b)
+        for threads in ("2", "3", "4"):
+            assert trees[threads] == trees["1"], threads
 
     def test_boosted_sweep_matches_golden_digests(self, tmp_path):
         # Pinned under stream layout v3; caps 0.6 and 1.2
@@ -421,14 +423,46 @@ def test_every_artifact_opens_with_schema_and_header(argv, tmp_path):
         assert SCHEMA_HEAD.match(path.read_bytes()), path.name
 
 
-@pytest.mark.parametrize("workers, chunk", [
-    (1, 10), (2, 5), (3, 10), (4, 5), (5, 10), (6, 10), (8, 10), (10, 5),
-    (16, 4)])
-def test_sweep_chunk_at_the_default_sweep_size(workers, chunk):
-    # 5 caps x 10 runs.  Halving the caps pays at 2 and 4 workers, where
-    # whole caps would leave workers idle in the last wave; where whole
-    # caps already fit in one wave (5 to 9 workers) they are not split.
-    assert _sweep_chunk(10, 5, workers) == chunk
+def sizes(slices):
+    return [hi - lo for lo, hi in slices]
+
+
+class TestSweepSlices:
+    """The sweep's (cap, run) rows split into contiguous task slices."""
+
+    def test_default_sweep_at_two_workers(self):
+        # 5 caps x 10 runs; the limit at the defaults is 13 rows.
+        slices = _sweep_slices(50, EcosystemConfig(), 2)
+        assert slices == [(0, 13), (13, 26), (26, 38), (38, 50)]
+
+    @pytest.mark.parametrize("rows, tasks", [(26, 2), (27, 3), (39, 3), (40, 4)])
+    def test_limit_at_the_defaults_is_13_rows(self, rows, tasks):
+        got = sizes(_sweep_slices(rows, EcosystemConfig(), 1))
+        assert len(got) == tasks and max(got) <= 13
+
+    # The fewest tasks within the limit is 4; more workers round it up.
+    @pytest.mark.parametrize("workers, tasks", [
+        (1, 4), (2, 4), (3, 6), (4, 4), (5, 5), (6, 6), (8, 8), (10, 10), (16, 16)])
+    def test_tasks_are_a_multiple_of_the_workers(self, workers, tasks):
+        got = sizes(_sweep_slices(50, EcosystemConfig(), workers))
+        assert len(got) == tasks
+        assert sum(got) == 50 and max(got) - min(got) <= 1 and max(got) <= 13
+
+    # One task's worth of rows (the limit at 20 users is 131), split
+    # between the workers, into at least two tasks, at most one per row.
+    @pytest.mark.parametrize("rows, workers, tasks", [
+        (9, 2, 2), (9, 4, 4), (3, 4, 3), (50, 7, 7), (9, 1, 2), (2, 1, 2), (1, 1, 1)])
+    def test_slices_tile_the_rows_within_one_row(self, rows, workers, tasks):
+        slices = _sweep_slices(rows, EcosystemConfig(num_users=20), workers)
+        assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+        assert slices[-1][1] == rows
+        got = sizes(slices)
+        assert min(got) >= 1 and max(got) - min(got) <= 1
+        assert len(got) == tasks
+
+    def test_wide_population_forces_one_row_tasks(self):
+        cfg = EcosystemConfig(num_users=2**18 // 100 + 1)
+        assert sizes(_sweep_slices(50, cfg, 2)) == [1] * 50
 
 
 @pytest.mark.parametrize("module", ["ecosim", "ecosim.cli"])

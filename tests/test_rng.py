@@ -100,6 +100,44 @@ def test_row_keying_is_batch_size_invariant():
         np.testing.assert_array_equal(big[row], solo[0])
 
 
+class TestRowIds:
+    """An id array keys row r by ids[r]; a bad id fails loudly, naming the stream."""
+
+    def test_rows_draw_what_batch_1_draws_at_their_id(self):
+        ids = np.array([3, 0, 3])
+        stacked = RngStream(11, "v", "x", 2, row_offset=ids).uniforms(3, 5)
+        for row, i in enumerate(ids):
+            solo = RngStream(11, "v", "x", 2, row_offset=int(i)).uniforms(1, 5)
+            np.testing.assert_array_equal(stacked[row], solo[0])
+
+    def test_contiguous_ids_equal_the_int_offset(self):
+        ids = np.arange(4, 9, dtype=np.uint32)
+        np.testing.assert_array_equal(
+            RngStream(5, "v", "p", 0, row_offset=ids).normals((5, 3)),
+            RngStream(5, "v", "p", 0, row_offset=4).normals((5, 3)))
+
+    def test_last_id_is_accepted(self):
+        RngStream(0, "v", "p", 0, row_offset=np.array([2**32 - 1, 0])).uniforms(2, 1)
+
+    @pytest.mark.parametrize("ids, what", [
+        (np.array([[0, 1]]), "1-D integer"),
+        (np.array([0.0, 1.0]), "1-D integer"),
+        (np.array([0, -1]), "row id -1 "),
+        (np.array([2**32, 0]), "row id 4294967296 "),
+        (np.array([0, 2**63], dtype=np.uint64), "row id 9223372036854775808 "),
+    ], ids=["2-d", "float", "negative", "past-the-word", "uint64"])
+    def test_bad_ids_raise(self, ids, what):
+        with pytest.raises(ValueError, match=f"variable 'v', path 'p', step 7: .*{what}"):
+            RngStream(0, "v", "p", 7, row_offset=ids)
+
+    @pytest.mark.parametrize("batch", [2, 4])
+    def test_wrong_length_raises(self, batch):
+        s = RngStream(0, "v", "p", 7, row_offset=np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="variable 'v', path 'p', step 7: "
+                                             f"3 row ids for a draw of {batch} rows"):
+            s.uniforms(batch, 2)
+
+
 class TestTwoDoublesPerBlock:
     """Block j's words (0, 1) give column 2j and words (2, 3) column 2j+1."""
 

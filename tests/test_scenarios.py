@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ecosim.tensor as T
 from ecosim.behaviors import AffinityModel
@@ -198,6 +201,43 @@ class TestPorlStory:
             trajectory_log_prob_rows(net, observe(net, slices), 2, only=only)
         assert "leading axes" not in str(err.value)
 
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "corpus_size"])
+    def test_out_of_range_observed_doc_raises(self, bad):
+        # A slate item outside the corpus must not wrap to another item's
+        # topic when a builder other than the slate's reads it.
+        cfg = PorlConfig(population=4, horizon=3, corpus_size=8, interest_dim=4,
+                         slate_size=2, history_length=2)
+        net, _, _ = build_porl_story(cfg)
+        traj = trajectory(net, cfg.horizon, 0)
+        slices = [{name: traj.value(name, t) for name in traj.specs} for t in range(3)]
+        ranks = np.array(slices[2]["slate"].get("doc_ranks"))
+        ranks[1, 0] = bad
+        slices[2]["slate"] = Value(doc_ranks=ranks)
+        with pytest.raises(LogProbError, match=r"at steps 1\.\.2: .*out of range") as err:
+            trajectory_log_prob_rows(net, observe(net, slices), 2, only=[("choice", "choice")])
+        message = str(err.value)
+        assert f"doc_ranks: index {bad} out of range" in message
+        assert "leading axes" not in message
+
+    @pytest.mark.parametrize("only", [None, [("slate", "doc_ranks")]], ids=["all", "slate"])
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["negative", "slate_size"])
+    def test_out_of_range_observed_choice_raises(self, bad, only):
+        # A choice of -1 must not wrap to the last slate slot, and a choice
+        # of k is bad data, not a builder that fails to broadcast.
+        cfg = PorlConfig(population=4, horizon=3, corpus_size=8, interest_dim=4,
+                         slate_size=2, history_length=2)
+        net, _, _ = build_porl_story(cfg)
+        traj = trajectory(net, cfg.horizon, 0)
+        slices = [{name: traj.value(name, t) for name in traj.specs} for t in range(3)]
+        choice = np.array(slices[2]["choice"].get("choice"))
+        choice[1] = bad
+        slices[2]["choice"] = Value(choice=choice)
+        with pytest.raises(LogProbError, match=r"at steps 1\.\.2: .*out of range") as err:
+            trajectory_log_prob_rows(net, observe(net, slices), 2, only=only)
+        message = str(err.value)
+        assert "choice" in message and f"index {bad} out of range" in message
+        assert "leading axes" not in message
+
     def test_paper_footnote_scale_smoke(self):
         # k=2, d=20, B=1000, T=100: one trajectory runs and its slates score
         # finite at every step.  A slate's log-prob is at most 0, so the sum
@@ -390,6 +430,30 @@ class TestEcosystemStory:
             np.testing.assert_array_equal(solo["metrics"].get("welfare").data,
                                           welfare[row:row + 1])
 
+    def test_stacked_caps_equal_each_cap_run_alone(self):
+        # One batch of (cap, run id) rows: each row's final slice is bit-
+        # identical to its cap's story run alone at that run's row offset.
+        cfg = EcosystemConfig(**SMALL_ECO)
+        caps, ids = [0.0, 1.2, 0.0, 0.6, 1.2], [2, 0, 0, 2, 1]
+        net, _ = build_ecosystem_story(dataclasses.replace(cfg, num_runs=5), boost_caps=caps)
+        stacked = execute(net, cfg.horizon - 1, seed=6, row_offset=np.array(ids))
+        for row, (cap, run_id) in enumerate(zip(caps, ids)):
+            solo_net, _ = build_ecosystem_story(
+                dataclasses.replace(cfg, num_runs=1, boost_cap=cap))
+            solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=run_id)
+            for name, value in solo.items():
+                for path, payload in value.items():
+                    got = stacked[name].get(path)
+                    np.testing.assert_array_equal(
+                        np.asarray(getattr(got, "data", got))[row:row + 1],
+                        np.asarray(getattr(payload, "data", payload)), err_msg=name)
+
+    @pytest.mark.parametrize("caps", [[0.0, 1.2], [0.0, -1.0, 1.2], [0.0, np.nan, 1.2]])
+    def test_bad_per_row_caps_raise(self, caps):
+        cfg = EcosystemConfig(**SMALL_ECO)
+        with pytest.raises(ValueError, match="boost_caps must be 3 caps >= 0"):
+            build_ecosystem_story(cfg, boost_caps=caps)
+
 
 def full_slate_utility_mean(u, f, ranks, choice):
     """The utility mean as the full-slate affinity's chosen column."""
@@ -486,7 +550,60 @@ class TestTopK:
             top_k(score, 2)
 
 
+def apportion_one_row(raw: np.ndarray, total: int) -> np.ndarray:
+    """The per-row largest-remainder rule the vectorized ``_apportion``
+    must reproduce: remainders fill the deficit in descending order, ties
+    to the lower index; then the first largest count above 1 gives one
+    back until the row sums to ``total``."""
+    raw = np.maximum(np.asarray(raw, np.float64), 1e-12)
+    n = raw.size
+    quota = raw * total / raw.sum()
+    counts = np.maximum(1, np.floor(quota).astype(np.int64))
+    remainder = quota - np.floor(quota)
+    order = np.lexsort((np.arange(n), -remainder))
+    i = 0
+    while counts.sum() < total:
+        counts[order[i % n]] += 1
+        i += 1
+    while counts.sum() > total:
+        candidates = np.flatnonzero(counts > 1)
+        j = candidates[np.argmax(counts[candidates])]
+        counts[j] -= 1
+    return counts
+
+
+@st.composite
+def engagement_cases(draw):
+    providers = draw(st.integers(1, 24))
+    items = draw(st.integers(providers, 4 * providers))
+    runs = draw(st.integers(1, 5))
+    engagement = draw(arrays(np.float64, (runs, providers),
+                             elements=st.floats(0.0, 1e4, allow_subnormal=False)))
+    kappa = draw(st.floats(1e-3, 10.0))
+    return engagement, items, kappa
+
+
 class TestApportionment:
+    @settings(max_examples=200, deadline=None)
+    @given(engagement_cases())
+    # Clamping the three small providers to 1 leaves an excess of 2.
+    @example((np.array([[300.0, 0.0, 0.0, 0.0]]), 4, 1.0))
+    def test_item_counts_match_the_per_row_rule(self, case):
+        engagement, items, kappa = case
+        providers = engagement.shape[-1]
+        cfg = EcosystemConfig(num_providers=providers, num_items=items, num_communities=1,
+                              community_sizes=(1.0,), slate_size=1,
+                              items_engagement_rate=kappa)
+        raw = np.maximum(1.0, np.rint(kappa * engagement))
+        expected = np.stack([apportion_one_row(row, items) for row in raw])
+        got = _item_counts(engagement, cfg)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        # Stacked on a leading time axis, each row apportions the same.
+        np.testing.assert_array_equal(
+            _item_counts(np.stack([engagement, engagement[::-1]]), cfg),
+            np.stack([expected, expected[::-1]]))
+
     def test_exact_total_and_floor(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
