@@ -17,12 +17,25 @@ Every file a command writes under ``--out`` is a deterministic artifact:
 a function of the resolved configuration and the seed alone, never of
 the time, the host or the worker count.  The one timing field kept by
 design is the ``wall_clock_ms`` column of ``fit-em``'s ``em_trace.csv``.
+
+``main`` pins glibc's heap thresholds before it runs a command: blocks up
+to 16 MiB come from the heap, not a fresh mapping, and the heap is trimmed
+only past 64 MiB free.  Commands allocate and free the same step- and
+gradient-sized temporaries (hundreds of kB to a few MB) over and over.
+Under glibc's defaults each is mapped fresh or carved from a heap top that
+is trimmed on free, so its pages fault in again on every call (about
+80,000 minor faults in a 1-iteration ``fit-em``), and their number
+depended on which arrays a builder happened to free, since freeing a
+mapped block raises glibc's dynamic threshold.  Pool workers pin the
+thresholds too.  Without glibc's ``mallopt`` the pin does nothing; it
+changes no result.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import math
 import os
@@ -222,6 +235,26 @@ def _dump(sections: dict[str, object], scenario: str) -> None:
             print(f"{name}.{f.name}={value}")
 
 
+# glibc mallopt parameters (malloc.h) and the values main pins them to.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 16 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds for this process (see the
+    module docstring); does nothing where ``mallopt`` is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _workers(tasks: int) -> int:
     cap = os.environ.get("ECOSIM_THREADS") or str(os.cpu_count() or 1)
     if not cap.strip().isdecimal() or int(cap) < 1:
@@ -317,7 +350,7 @@ def cmd_train_reinforce(args) -> int:
     tasks = [(scenarios[h], s, train) for h in histories for s in seeds]
     workers = _workers(len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_allocator) as pool:
             results = list(pool.map(_train_one, tasks))
     else:
         results = [_train_one(t) for t in tasks]
@@ -454,7 +487,7 @@ def cmd_ecosystem_sweep(args) -> int:
     slices = _sweep_slices(len(row_caps), cfg, workers)
     tasks = [(cfg, row_caps[lo:hi], run_ids[lo:hi], run.seed) for lo, hi in slices]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_allocator) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -519,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_allocator()
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -311,5 +311,13 @@ class Network:
             lambda v: (d.variable for d in v.initial_deps),
             "initial-slice")
 
+    def readers(self, name: str) -> tuple[Variable, ...]:
+        """The Variables whose initial or kernel builder reads Variable
+        ``name``, in the current or the previous slice, in declaration
+        order; a Variable that reads its own previous slice is included."""
+        target = self.by_name[name]
+        return tuple(v for v in self.variables
+                     if any(d.variable is target for d in v.initial_deps + v.kernel_deps))
+
     def __repr__(self) -> str:
         return f"Network([{', '.join(v.name for v in self.variables)}])"

@@ -281,6 +281,30 @@ class EmIteration:
     wall_clock_ms: float
 
 
+def _latent_target(net: Network, observed: Trajectory,
+                   held_out: tuple[str, str]) -> Callable[[Tensor], Tensor]:
+    """The E-step's HMC target: the log-probability, as a function of the
+    held-out field's one static value, of the factors that depend on it.
+
+    Those are the held-out variable's own fields and every field of each
+    variable that reads it (``Network.readers``).  Replay feeds every other
+    builder observed values, so each factor left out is constant in the
+    latent: its gradient is exactly zero and it cancels in the Metropolis
+    test.
+    """
+    var, path = held_out
+    factors = {(v.name, p) for v in (net.by_name[var],) + net.readers(var)
+               for p in v.spec.paths}
+    num_steps = observed.steps - 1
+
+    def target(zt: Tensor) -> Tensor:
+        injected = observed.inject(var, path, [zt] * observed.steps)
+        return T.reduce_sum(trajectory_log_prob_rows(net, injected, num_steps,
+                                                     only=factors))
+
+    return target
+
+
 def mc_em_fit(net: Network, observed: Trajectory,
               held_out: tuple[str, str] | None, hmc_cfg: HmcConfig, opt,
               num_iterations: int, seed: int, *,
@@ -294,21 +318,31 @@ def mc_em_fit(net: Network, observed: Trajectory,
     is persistent across EM iterations.  Raises after three consecutive
     E-steps with acceptance below 0.01.  Zero iterations give one row: the
     objective at the initial parameters and latent, with no update.
+
+    The HMC target scores only the factors that depend on the latent: the
+    held-out variable's fields and those of every variable that reads it
+    (see ``_latent_target``).  The other factors are constant in the
+    latent, so the chain is the one the full log-probability would drive.
+    The full log-probability is scored once at the initial latent, and a
+    non-finite value raises; the objective each iteration reports is the
+    M-step's full Monte-Carlo average.
     """
     num_steps = observed.steps - 1
-    trace: list[EmIteration] = []
+    scored = observed
     if held_out is not None:
         var, path = held_out
         if (var, path) not in observed.held_out():
             raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
+        if var not in net.by_name:
+            raise InferenceError(f"held-out variable {var!r} is not in the network")
         z = np.zeros((observed.batch,) + observed.specs[var].field(path).shape)
+        scored = observed.inject(var, path, [Tensor(z)] * observed.steps)
 
     if num_iterations == 0:
-        scored = observed if held_out is None else \
-            observed.inject(var, path, [Tensor(z)] * observed.steps)
         lp = log_probability_from_value_trajectory(net, scored, num_steps)
         return [EmIteration(0, float(lp.data), None, 0.0)]
 
+    trace: list[EmIteration] = []
     if held_out is None:
         for i in range(num_iterations):
             t0 = time.perf_counter()
@@ -317,10 +351,12 @@ def mc_em_fit(net: Network, observed: Trajectory,
                                      (time.perf_counter() - t0) * 1e3))
         return trace
 
-    def target(zt: Tensor) -> Tensor:
-        injected = observed.inject(var, path, [zt] * observed.steps)
-        return log_probability_from_value_trajectory(net, injected, num_steps)
-
+    # The E-step's target leaves out the factors constant in the latent, so
+    # only the full log-probability shows that one of those is not finite.
+    lp = float(log_probability_from_value_trajectory(net, scored, num_steps).data)
+    if not np.isfinite(lp):
+        raise InferenceError(f"log-probability is not finite at the initial latent ({lp})")
+    target = _latent_target(net, observed, held_out)
     low_acceptance_streak = 0
     for i in range(num_iterations):
         t0 = time.perf_counter()

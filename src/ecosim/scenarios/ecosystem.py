@@ -174,8 +174,12 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
     def sample_users(providers_v):
         cores = providers_v.get("interest").data
         locs = np.broadcast_to(cores[:, None, :, :], (R, U, P, d))
-        weights = np.full((R, U, P), 1.0 / P)
-        scales = np.full((R, U, P, d), cfg.user_scale)
+        # Constant weights and scales are read-only views of one scalar,
+        # with the same bits as filled arrays.  No builder's speed should
+        # rest on which arrays it frees: ``cli.main`` pins the allocator's
+        # thresholds, so step temporaries reuse the heap either way.
+        weights = np.broadcast_to(1.0 / P, (R, U, P))
+        scales = np.broadcast_to(cfg.user_scale, (R, U, P, d))
         return Value(interest=GaussianMixture(weights, locs, scales))
 
     def publish_items(providers_v, counts: np.ndarray):

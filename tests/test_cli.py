@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -485,3 +487,52 @@ def test_module_entry_point_runs_without_runtime_warning():
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ecosim.cli", "--help"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _has_mallopt() -> bool:
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+# Each case runs in a fresh interpreter, so the pytest process keeps
+# glibc's default thresholds, and counts the minor page faults the
+# measured call takes.
+PIN_CASES = {
+    # main pins the thresholds itself; unpinned it takes about 80,000
+    "fit-em": ("",
+               "cli.main(['fit-em', '--scenario', 'latent-sat', '--set', "
+               "'em.iterations=1', '--out', OUT])"),
+    # the first task of the default sweep: 13 rows, 10 at cap 0 and 3 at 0.6
+    "sweep-task": ("cli._pin_allocator()\n"
+                   "task = (EcosystemConfig(), (0.0,) * 10 + (0.6,) * 3, "
+                   "list(range(10)) + [0, 1, 2], 0)",
+                   "cli._sweep_one(task)"),
+}
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="glibc mallopt is not available")
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_pinned_allocator_reuses_heap_pages(case, tmp_path):
+    setup, call = PIN_CASES[case]
+    code = "\n".join([
+        "import resource, sys",
+        "import ecosim.cli as cli",
+        "from ecosim.scenarios import EcosystemConfig",
+        f"OUT = {str(tmp_path / 'out')!r}",
+        setup,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        call,
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "ECOSIM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 10_000

@@ -8,9 +8,12 @@ from ecosim.behaviors import ParameterRegistry
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Bernoulli, Categorical, Normal
 from ecosim.inference import (Adam, HmcConfig, InferenceError, ReinforceConfig,
-                              Sgd, _leapfrog, _momentum, _target_and_grad,
-                              hmc_sample, mc_em_fit, mle_step, reinforce_step)
+                              Sgd, _latent_target, _leapfrog, _momentum,
+                              _target_and_grad, hmc_sample, mc_em_fit, mle_step,
+                              reinforce_step)
+from ecosim.logprob import log_probability_from_value_trajectory, observe
 from ecosim.runtime import Trajectory, trajectory
+from ecosim.scenarios import LatentSatConfig, build_latent_sat_story, sample_true_alpha
 from ecosim.tensor import Tape, Tensor
 
 
@@ -366,3 +369,75 @@ class TestMcEm:
         with pytest.raises(InferenceError, match="retune"):
             mc_em_fit(net, data, ("latent", "z"), hmc, Adam(0.05), 5,
                       seed=1, registry=registry)
+
+
+class TestLatentTarget:
+    """The E-step's target scores only the factors that read the latent."""
+
+    def _latent_sat(self):
+        cfg = LatentSatConfig(population=6, horizon=5, interest_dim=2)
+        truth_net, _, held = build_latent_sat_story(cfg, true_alpha=sample_true_alpha(cfg, 1))
+        data = Trajectory.from_trajectory(
+            truth_net, trajectory(truth_net, cfg.horizon, seed=3), hold_out=[held])
+        net, _, _ = build_latent_sat_story(cfg)
+        return net, data, held
+
+    def test_gradient_matches_full_target_bit_for_bit(self):
+        net, data, held = self._latent_sat()
+        var, path = held
+
+        def full(zt):
+            return log_probability_from_value_trajectory(
+                net, data.inject(var, path, [zt] * data.steps), data.steps - 1)
+
+        restricted = _latent_target(net, data, held)
+        rng = np.random.default_rng(4)
+        offsets = []
+        for z in (np.zeros((6, 2)), rng.normal(size=(6, 2))):
+            lp_full, g_full = _target_and_grad(full, z)
+            lp_restricted, g_restricted = _target_and_grad(restricted, z)
+            assert np.array_equal(g_full, g_restricted)
+            offsets.append(lp_full - lp_restricted)
+        # the slate's factor is left out, and it is constant in the latent
+        assert offsets[0] < 0.0
+        assert abs(offsets[0] - offsets[1]) < 1e-9
+
+    def test_nonfinite_factor_outside_the_target_still_raises(self):
+        # "noise" reads nothing, so the E-step's target leaves it out; its
+        # observed inf scores -inf only in the full log-probability
+        batch, horizon = 4, 3
+        truth_net, _ = static_latent_story(batch, bias_init=1.0)
+        traj = trajectory(truth_net, horizon, seed=2)
+        net, registry = static_latent_story(batch, bias_init=0.0)
+        noise = Variable("noise", ValueSpec(x=FieldSpec(())))
+        emit = lambda: Value(x=Normal(Tensor(np.zeros(batch)), 1.0))
+        noise.bind_initial(emit)
+        noise.bind_kernel(emit)
+        net = Network(list(net.variables) + [noise])
+        slices = [{"latent": Value(), "obs": traj.value("obs", t),
+                   "noise": Value(x=np.full(batch, np.inf if t == 1 else 0.0))}
+                  for t in range(horizon)]
+        data = observe(net, slices)
+        assert np.isfinite(_latent_target(net, data, ("latent", "z"))(
+            Tensor(np.zeros(batch))).data)
+        hmc = HmcConfig(step_size=0.12, num_leapfrog=2, num_samples=2, burn_in=0)
+        with pytest.raises(InferenceError, match="not finite"):
+            mc_em_fit(net, data, ("latent", "z"), hmc, Adam(0.05), 1,
+                      seed=0, registry=registry)
+
+    def test_held_out_variable_missing_from_the_network_is_an_error(self):
+        batch, horizon = 4, 3
+        truth_net, _ = static_latent_story(batch, bias_init=1.0)
+        data = Trajectory.from_trajectory(
+            truth_net, trajectory(truth_net, horizon, seed=2), hold_out=[("latent", "z")])
+        registry = ParameterRegistry()
+        registry.create("bias", np.array(0.0))
+        obs = Variable("obs", ValueSpec(x=FieldSpec(())))
+        emit = lambda: Value(x=Normal(T.add(Tensor(np.zeros(batch)), registry.get("bias")),
+                                      1.0))
+        obs.bind_initial(emit)
+        obs.bind_kernel(emit)
+        hmc = HmcConfig(step_size=0.12, num_leapfrog=2, num_samples=2, burn_in=0)
+        with pytest.raises(InferenceError, match="not in the network"):
+            mc_em_fit(Network([obs]), data, ("latent", "z"), hmc, Adam(0.05), 1,
+                      seed=0, registry=registry)

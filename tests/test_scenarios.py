@@ -15,9 +15,10 @@ from ecosim.dist import NEG_INF, PlackettLuce, top_k
 from ecosim.logprob import (LogProbError, log_probability_from_value_trajectory, observe,
                             trajectory_log_prob_rows)
 from ecosim.runtime import Trajectory, execute, trajectory
-from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
-                              build_ecosystem_story, build_latent_sat_story,
-                              build_porl_story, sample_true_alpha)
+from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, PorlConfig,
+                              build_count_story, build_ecosystem_story,
+                              build_latent_sat_story, build_porl_story,
+                              sample_true_alpha)
 from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.scenarios.latent_sat import HELD_OUT
 from ecosim.tensor import Tensor
@@ -27,6 +28,31 @@ from stepwise_oracle import replay_slice
 
 SMALL_PORL = dict(population=12, horizon=5, corpus_size=10, slate_size=2,
                   interest_dim=6, history_length=4)
+
+
+def story_network(story: str):
+    if story == "count":
+        return build_count_story(CountConfig())
+    if story == "porl":
+        return build_porl_story(PorlConfig(**SMALL_PORL))[0]
+    if story == "latent-sat":
+        return build_latent_sat_story(LatentSatConfig())[0]
+    return build_ecosystem_story(EcosystemConfig())[0]
+
+
+@pytest.mark.parametrize("story, name, readers", [
+    ("count", "count", ("count",)),
+    ("porl", "user_state", ("user_state", "choice", "engagement")),
+    ("porl", "consumed", ("history",)),
+    ("latent-sat", "user_interest", ("user_interest", "satisfaction", "choice")),
+    ("latent-sat", "choice", ()),
+    ("ecosystem", "users", ("users", "slate", "choice", "utility")),
+    ("ecosystem", "engagement", ("engagement", "items", "slate")),
+])
+def test_network_readers_of_each_story(story, name, readers):
+    # a builder reads a variable in the current or the previous slice
+    net = story_network(story)
+    assert tuple(v.name for v in net.readers(name)) == readers
 
 
 class TestPorlStory:
