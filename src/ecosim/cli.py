@@ -40,7 +40,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -262,6 +261,18 @@ def _workers(tasks: int) -> int:
     return max(1, min(tasks, int(cap)))
 
 
+def _pool_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, on a process pool of ``workers`` (each
+    pinned by ``_pin_allocator``) when there are several workers and tasks.
+    The pool's modules are imported here, so that a serial command, and
+    every command's start-up, does without them."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_allocator) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _lines(rows) -> list[str]:
     """CSV body text, one line per row of cells that need no quoting."""
     return [",".join(map(str, row)) + "\n" for row in rows]
@@ -348,12 +359,7 @@ def cmd_train_reinforce(args) -> int:
         raise ConfigError(f"bad train.history_lengths: {e}") from None
     seeds = [derive_seed(run.seed, "train-seed", i) for i in range(run.runs)]
     tasks = [(scenarios[h], s, train) for h in histories for s in seeds]
-    workers = _workers(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_allocator) as pool:
-            results = list(pool.map(_train_one, tasks))
-    else:
-        results = [_train_one(t) for t in tasks]
+    results = _pool_map(_train_one, tasks, _workers(len(tasks)))
     curves = {(h, s): r for h, s, r in results}
     header = ["iteration"]
     for h in histories:
@@ -486,11 +492,7 @@ def cmd_ecosystem_sweep(args) -> int:
     workers = _workers(len(row_caps))
     slices = _sweep_slices(len(row_caps), cfg, workers)
     tasks = [(cfg, row_caps[lo:hi], run_ids[lo:hi], run.seed) for lo, hi in slices]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_allocator) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
+    results = _pool_map(_sweep_one, tasks, workers)
     welfare = np.zeros(len(row_caps))
     for (lo, hi), values in zip(slices, results):
         welfare[lo:hi] = values

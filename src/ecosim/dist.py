@@ -41,7 +41,7 @@ class DistributionError(ValueError):
 def _leading_shape(value: np.ndarray, params: tuple[int, ...], what: str) -> tuple[int, ...]:
     """Broadcast of a value's leading axes against the parameters' ones."""
     try:
-        return np.broadcast_shapes(value.shape, params)
+        return T._broadcast_shape(value.shape, params)
     except ValueError:
         raise DistributionError(
             f"{what} value shape {value.shape} does not broadcast against "
@@ -117,9 +117,9 @@ class Normal(Distribution):
     def __init__(self, loc, scale):
         self.loc = as_tensor(loc)
         self.scale = as_tensor(scale)
-        if not np.all(self.scale.data > 0.0):
+        if not (self.scale.data > 0.0).all():
             raise DistributionError("Normal scale must be positive elementwise")
-        self._shape = np.broadcast_shapes(self.loc.shape, self.scale.shape)
+        self._shape = T._broadcast_shape(self.loc.shape, self.scale.shape)
 
     @property
     def sample_shape(self) -> tuple[int, ...]:
@@ -189,7 +189,7 @@ class Categorical(Distribution):
         self.logits = as_tensor(logits)
         if self.logits.ndim < 1:
             raise DistributionError("Categorical logits need at least one axis")
-        if not np.all(np.isfinite(self.logits.data)):
+        if not np.isfinite(self.logits.data).all():
             raise DistributionError("Categorical logits must be finite")
         lead = self.logits.shape[:-1]
         self._shape = lead if shape is None else tuple(int(n) for n in shape)
@@ -215,11 +215,13 @@ class Categorical(Distribution):
         return np.argmax(cum > target, axis=-1).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:
-        idx = np.asarray(value.data if isinstance(value, Tensor) else value).astype(np.int64)
+        idx = np.asarray(value.data if isinstance(value, Tensor) else value)
+        idx = idx.astype(np.int64, copy=False)
         lead = _leading_shape(idx, self.sample_shape, "Categorical")
         lsm = _broadcast_logits(T.log_softmax(self.logits), lead)
-        picked = T.take_along(lsm, np.expand_dims(np.broadcast_to(idx, lead), -1), -1)
-        return T.squeeze(picked, -1)
+        if idx.shape != lead:
+            idx = np.broadcast_to(idx, lead)
+        return T.squeeze(T.take_along(lsm, idx.reshape(lead + (1,)), -1), -1)
 
 
 class GaussianMixture(Distribution):

@@ -21,6 +21,7 @@ Each op records one vjp (vector-Jacobian product) per taped operand.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,20 +256,65 @@ def _sum_axis(x: np.ndarray, axis: int) -> np.ndarray:
     followed only by length-1 axes) once it is 8 or longer, where it sums
     pairwise.  So for a C-contiguous ``x`` this adds the slices in order,
     from +0.0, and leaves the pairwise cases and other layouts to
-    ``np.sum``.
+    ``np.sum``.  This is the short-axis rule the reductions here share:
+    below 8, a loop of whole-plane numpy calls in order; from 8 on the
+    innermost axis, numpy's pairwise sum.
     """
     axis %= x.ndim
     n = x.shape[axis]
-    innermost = all(m == 1 for m in x.shape[axis + 1:])
+    innermost = math.prod(x.shape[axis + 1:]) == 1
     if n == 0 or (innermost and n >= 8) or not x.flags.c_contiguous:
         return np.sum(x, axis=axis)
-    index = [slice(None)] * x.ndim
-    index[axis] = 0
-    out = np.add(x[tuple(index)], 0.0)
+    lead = (slice(None),) * axis
+    out = np.add(x[lead + (0,)], 0.0)
     for i in range(1, n):
-        index[axis] = i
-        out += x[tuple(index)]
+        out += x[lead + (i,)]
     return out
+
+
+def _max_axis(x: np.ndarray, axis: int, argmax: bool = False):
+    """The max of ``x`` along one axis, read at the first index that
+    attains it (``np.argmax``'s choice), and with ``argmax`` that index.
+
+    Returns ``(max, index or None)`` without the axis.  The short-axis
+    rule of ``_sum_axis``: below 8, a loop of whole-plane numpy calls in
+    order, where ``np.maximum(x_i, m)`` keeps ``m`` on ties (so the first
+    of ``-0.0`` and ``0.0``) and a nan propagates; from 8, ``np.argmax``
+    and a flat take.  A nan max falls back to ``np.argmax`` for the
+    index, which points at the first nan.
+    """
+    n = x.shape[axis]
+    if n >= 8 or n == 0:
+        index = x.argmax(axis=axis)
+        kept = x.shape[:axis] + (1,) + x.shape[axis + 1:]
+        top = x.take(_flat_index(index.reshape(kept), x.shape, axis)).reshape(index.shape)
+        return top, index if argmax else None
+    lead = (slice(None),) * axis
+    m = x[lead + (0,)]
+    index = np.zeros(m.shape, np.intp) if argmax else None
+    for i in range(1, n):
+        xi = x[lead + (i,)]
+        if argmax:
+            np.copyto(index, i, where=xi > m)
+        m = np.maximum(xi, m)
+    if n == 1:
+        m = m.copy()
+    elif argmax and np.isnan(m).any():
+        index = x.argmax(axis=axis)
+    return m, index
+
+
+def _flat_index(idx: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """Flat C-order positions, in an array of ``shape``, of the indices
+    ``idx`` along ``axis`` (``idx`` has ``shape`` off ``axis``)."""
+    outer = math.prod(shape[:axis])
+    inner = np.intp(math.prod(shape[axis + 1:]))
+    flat = idx.reshape(outer, idx.shape[axis], inner).astype(np.intp, copy=False)
+    flat = flat * inner if inner > 1 else flat
+    flat = flat + (np.arange(outer) * (shape[axis] * inner))[:, None, None]
+    if inner > 1:
+        flat += np.arange(inner)
+    return flat.reshape(idx.shape)
 
 
 def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,6 +337,8 @@ def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _zeros(layout: tuple[tuple[int, ...], tuple[int, ...]]) -> np.ndarray:
     """Zeros of the shape and memory order ``_layout`` recorded."""
     shape, order = layout
+    if order == tuple(range(len(shape))):
+        return np.zeros(shape)
     return np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
 
 
@@ -326,11 +374,24 @@ def _apply(fwd: Callable, inputs: Sequence, vjps: Sequence[Callable | None]) -> 
 # elementwise and linear ops
 
 
-def _broadcast_guard(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape == b.shape:
-        return
+def _broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """``np.broadcast_shapes(a, b)`` for two shapes, without building the
+    arrays numpy's helper makes; raises ``ValueError`` if they conflict."""
+    if a == b:
+        return a
+    n = max(len(a), len(b))
+    out = []
+    for x, y in zip((1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b):
+        if x != y and x != 1 and y != 1:
+            raise ValueError(f"shapes {a} and {b} do not broadcast")
+        out.append(y if x == 1 else x)
+    return tuple(out)
+
+
+def _broadcast_guard(a: np.ndarray, b: np.ndarray, op: str) -> tuple[int, ...]:
+    """The shape ``a`` and ``b`` broadcast to; raises ``ShapeError`` if none."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return _broadcast_shape(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -449,13 +510,12 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     if tape is None:
         return Tensor(data)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
     partials = []
-    for i, t in enumerate(ts):
+    hi = 0
+    for t in ts:
+        lo, hi = hi, hi + t.shape[axis]
         if t.tape is None:
             continue
-        lo, hi = offsets[i], offsets[i + 1]
 
         def vjp(g, lo=lo, hi=hi):
             index = [slice(None)] * g.ndim
@@ -469,7 +529,7 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 def check_index(idx, extent: int, op: str) -> np.ndarray:
     """``idx`` as an integer array, each entry checked to lie in [0, extent)."""
     idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":
         raise ShapeError(f"{op}: indices must be integers, got dtype {idx.dtype}")
     if idx.size:
         lo, hi = idx.min(), idx.max()
@@ -479,16 +539,15 @@ def check_index(idx, extent: int, op: str) -> np.ndarray:
     return idx
 
 
-def _along_index(idx: np.ndarray, axis: int):
-    grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
-    grids[axis] = idx
-    return tuple(grids)
-
-
 def take_along(a, indices, axis: int) -> Tensor:
     """Batched selection along ``axis`` (numpy ``take_along_axis`` semantics).
 
     The index must have the tensor's shape on every axis but ``axis``.
+    Forward and backward address ``a`` by flat C-order position.  With one
+    index per row the gradient is put there (``g + 0.0``, as a scatter-add
+    into zeros gives ``+0.0`` for ``-0.0``); with several, repeated indices
+    accumulate in index order.  The gradient has the operand's memory
+    layout (``_layout``).
     """
     a = as_tensor(a)
     axis_ = axis % a.ndim
@@ -497,14 +556,25 @@ def take_along(a, indices, axis: int) -> Tensor:
             or idx.shape[axis_ + 1:] != a.shape[axis_ + 1:]):
         raise ShapeError(f"take_along: index shape {idx.shape} differs from tensor "
                          f"shape {a.shape} off axis {axis_}")
+    flat = _flat_index(idx, a.shape, axis_)
+    single = idx.shape[axis_] == 1
     layout = _layout(a.data)
+    shape, order = layout
 
     def vjp(g):
-        out = _zeros(layout)
-        np.add.at(out, _along_index(idx, axis_), g)
-        return out
+        out = np.zeros(math.prod(shape))
+        if single:
+            out.put(flat, g + 0.0)
+        else:
+            np.add.at(out, flat.reshape(-1), g.reshape(-1))
+        out = out.reshape(shape)
+        if order == tuple(range(len(shape))):
+            return out
+        laid = _zeros(layout)
+        laid[...] = out
+        return laid
 
-    return _apply(lambda x: np.take_along_axis(x, idx, axis=axis_), (a,), (vjp,))
+    return _apply(lambda x: x.take(flat), (a,), (vjp,))
 
 
 def take_rows(a, indices) -> Tensor:
@@ -576,21 +646,23 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Max along one axis; the gradient flows to the first argmax."""
     a = as_tensor(a)
     axis_ = axis % a.ndim
-    argmax = np.argmax(a.data, axis=axis_)
-    idx = np.expand_dims(argmax, axis_)
-    n, trailing = a.shape[axis_], a.ndim - axis_ - 1
-
-    def fwd(x):
-        out = np.take_along_axis(x, idx, axis=axis_)
-        return out if keepdims else np.squeeze(out, axis=axis_)
+    shape = a.shape
+    kept = shape[:axis_] + (1,) + shape[axis_ + 1:]
+    top, argmax = _max_axis(a.data, axis_, argmax=True)
+    out = top.reshape(kept) if keepdims else top
 
     def vjp(g):
-        gk = g if keepdims else np.expand_dims(g, axis_)
-        positions = np.arange(n).reshape((-1,) + (1,) * trailing)
+        grad = np.zeros(shape)
         # + 0.0 makes a -0.0 gradient +0.0, as a scatter-add into zeros does
-        return np.where(positions == idx, gk + 0.0, 0.0)
+        grad.put(_flat_index(argmax.reshape(kept), shape, axis_), g + 0.0)
+        return grad
 
-    return _apply(fwd, (a,), (vjp,))
+    return _apply(lambda x: out, (a,), (vjp,))
+
+
+def _d_last(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its leading axis moved last."""
+    return x.transpose(tuple(range(1, x.ndim)) + (0,)).copy()
 
 
 def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
@@ -602,45 +674,73 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     expand_dims, sub, mul(diff, diff), reduce_sum, sqrt, neg and mul(scale)
     in the same order, so values and gradients are bit-identical to it.
     The subgradient at a distance of exactly 0 is 0.
+
+    The d axis sits where the short-axis rule of ``_sum_axis`` wants it.
+    For 2 <= d < 8 it leads: ``diff``, its d-sum and both gradients run on
+    whole ``(..., slate)`` planes, and the d-sum and a slate shorter than
+    8 are summed by slice loops in order.  For d = 1 and d >= 8 it trails,
+    and numpy sums d >= 8 pairwise.  Each gradient comes back C-contiguous
+    with d last, as the composition gave it, so that reductions further
+    down the tape add in the same order.
     """
     targets, items = as_tensor(targets), as_tensor(items)
     if targets.ndim < 1 or items.ndim < 2 or targets.shape[-1] != items.shape[-1]:
         raise ShapeError(f"negative_euclidean: targets {targets.shape} and items "
                          f"{items.shape} are not (..., d) and (..., slate, d)")
+    d = items.shape[-1]
     t = targets.data[..., None, :]
-    _broadcast_guard(items.data, t, "negative_euclidean")
-    diff = items.data - t
-    tshape, ishape = t.shape, items.shape
-    root = np.sqrt(_sum_axis(diff * diff, -1))
+    full = _broadcast_guard(items.data, t, "negative_euclidean")
+    ax = 0 if 2 <= d < 8 else -1
+    if ax == 0:
+        diff = np.empty((d,) + full[:-1])
+        for k in range(d):
+            np.subtract(items.data[..., k], t[..., k], out=diff[k])
+    else:
+        diff = items.data - t
+    root = np.sqrt(_sum_axis(diff * diff, ax))
     out = np.negative(root)
     if scale is not None:
         scale = float(scale)
         out *= scale
+    tshape, ishape = t.shape, items.shape
+    lead = len(full) - len(tshape)  # targets with fewer leading axes than the items
+    axes = tuple(i for i, n in enumerate(tshape) if n == 1 and full[lead + i] != 1)
+    slate_only = axes == (len(tshape) - 2,)
 
     @_per_pass
     def grad_diff(g):
         if scale is not None:
             g = g * scale
         g = -g
-        safe = np.where(root > 0.0, root, 1.0)
-        g = np.where(root > 0.0, 0.5 * g / safe, 0.0)
-        gd = g[..., None] * diff
-        return gd + gd  # how the tape summed the two inputs of mul(diff, diff)
+        positive = root > 0.0
+        if positive.all():  # the masks below would change nothing
+            g = 0.5 * g / root
+        else:
+            safe = np.where(positive, root, 1.0)
+            g = np.where(positive, 0.5 * g / safe, 0.0)
+        gd = (g[None] if ax == 0 else g[..., None]) * diff
+        gd += gd  # how the tape summed the two inputs of mul(diff, diff)
+        return gd
 
     def vjp_targets(g):
         grad = -grad_diff(g)
-        lead = grad.ndim - len(tshape)
-        if lead > 0:  # targets with fewer leading axes than the items
+        if ax == 0:
+            if lead == 0 and slate_only and full[-2] < 8:
+                return _d_last(_sum_axis(grad, -1))
+            grad = _d_last(grad)
+        if lead > 0:
             grad = grad.sum(axis=tuple(range(lead)))
-        axes = tuple(i for i, n in enumerate(tshape) if n == 1 and grad.shape[i] != 1)
-        if axes == (len(tshape) - 2,):
+        if slate_only:
             return _sum_axis(grad, -2)
         if axes:
             grad = grad.sum(axis=axes, keepdims=True)
-        return np.squeeze(grad, -2)
+        return grad.reshape(tshape[:-2] + (d,))
 
-    return _apply(lambda *_: out, (targets, items),
-                  (vjp_targets, lambda g: _unbroadcast(grad_diff(g), ishape)))
+    def vjp_items(g):
+        grad = grad_diff(g)
+        return _unbroadcast(_d_last(grad) if ax == 0 else grad, ishape)
+
+    return _apply(lambda *_: out, (targets, items), (vjp_targets, vjp_items))
 
 
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
@@ -692,8 +792,16 @@ def normal_log_density(value, loc, scale) -> Tensor:
 
 
 def log_softmax(a) -> Tensor:
+    """Log-softmax along the last axis, shifted by the row max.
+
+    The max comes from ``_max_axis``, so on a tie of ``-0.0`` and ``0.0``
+    it may have the other sign than ``np.max``'s.  The output does not
+    depend on that: every entry that is not a zero is shifted by the same
+    amount, and a tie puts two ones into the exp-sum, so the zeros' output
+    is ``-lse`` with ``lse > 0`` either way.
+    """
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    shifted = a.data - _max_axis(a.data, a.ndim - 1)[0][..., None]
     lse = np.log(_sum_axis(np.exp(shifted), -1))[..., None]
     out = shifted - lse
 
@@ -709,11 +817,11 @@ def logsumexp(a) -> Tensor:
     m = a.data.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     ad = a.data
-    out = np.squeeze(m, -1) + np.log(np.sum(np.exp(ad - m), axis=-1))
+    out = m[..., 0] + np.log(np.sum(np.exp(ad - m), axis=-1))
 
     def vjp(g):
-        soft = np.exp(ad - np.expand_dims(out, -1))
-        return np.expand_dims(g, -1) * soft
+        soft = np.exp(ad - out[..., None])
+        return g[..., None] * soft
 
     return _apply(lambda x: out, (a,), (vjp,))
 
@@ -754,11 +862,19 @@ def index(a, key) -> Tensor:
 
 def expand_dims(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    return _apply(lambda x: np.expand_dims(x, axis), (a,),
-                  (lambda g: np.squeeze(g, axis),))
+    n = a.ndim + 1
+    if not -n <= axis < n:
+        raise ShapeError(f"expand_dims: axis {axis} out of range for {n} dimensions")
+    axis %= n
+    narrow = a.shape
+    wide = narrow[:axis] + (1,) + narrow[axis:]
+    return _apply(lambda x: x.reshape(wide), (a,), (lambda g: g.reshape(narrow),))
 
 
 def squeeze(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    return _apply(lambda x: np.squeeze(x, axis), (a,),
-                  (lambda g: np.expand_dims(g, axis),))
+    if not -a.ndim <= axis < a.ndim or a.shape[axis] != 1:
+        raise ShapeError(f"squeeze: axis {axis} of shape {a.shape} is not of length 1")
+    axis %= a.ndim
+    wide, narrow = a.shape, a.shape[:axis] + a.shape[axis + 1:]
+    return _apply(lambda x: x.reshape(narrow), (a,), (lambda g: g.reshape(wide),))

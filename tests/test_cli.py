@@ -480,6 +480,18 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a command starts a pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, ecosim.cli; "
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -402,6 +402,22 @@ class TestLatentTarget:
         assert offsets[0] < 0.0
         assert abs(offsets[0] - offsets[1]) < 1e-9
 
+    def test_value_and_gradient_bytes_at_the_default_sizes(self):
+        # B=50, d=3, slate 4, 40 steps: the shapes fit-em's E-step runs at
+        # (the small fits here use d=2), pinned so a kernel change that
+        # moves one bit of the chain's input shows
+        cfg = LatentSatConfig()
+        truth_net, _, held = build_latent_sat_story(cfg, true_alpha=sample_true_alpha(cfg, 1))
+        data = Trajectory.from_trajectory(
+            truth_net, trajectory(truth_net, cfg.horizon, seed=0), hold_out=[held])
+        net, _, _ = build_latent_sat_story(cfg)
+        z = np.random.default_rng(5).normal(size=(cfg.population, cfg.interest_dim))
+        lp, grad = _target_and_grad(_latent_target(net, data, held), z)
+        assert repr(lp) == "-10333.146161285442"
+        assert grad.shape == (50, 3)
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == \
+            "62c0cc8e7e7b301b024ca90d5d7ee7eb195bac84f9d6f725b5dd5b77a86e186b"
+
     def test_nonfinite_factor_outside_the_target_still_raises(self):
         # "noise" reads nothing, so the E-step's target leaves it out; its
         # observed inf scores -inf only in the full log-probability

@@ -203,8 +203,8 @@ def assert_bit_identical(new, old, inputs, rng):
 
 
 class TestFusedKernels:
-    @pytest.mark.parametrize("d", [1, 3, 8, 10])
-    @pytest.mark.parametrize("slate", [1, 4, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 10])      # d < 8 leads, d >= 8 trails
+    @pytest.mark.parametrize("slate", [1, 4, 7, 8, 9])
     @pytest.mark.parametrize("scale", [None, 0.7])
     @pytest.mark.parametrize("lead", [((5, 6), (5, 6)),     # same leading axes
                                       ((6,), (5, 6)),       # targets without the time axis
@@ -219,6 +219,16 @@ class TestFusedKernels:
         assert_bit_identical(lambda t, x: T.negative_euclidean(t, x, scale),
                              lambda t, x: old_negative_euclidean(t, x, scale),
                              [targets, items], rng)
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_negative_euclidean_gradient_sums_downstream_as_before(self, d, rng):
+        # a bias shared by every target sums the targets' gradient over 2,000
+        # rows, where numpy's order depends on the gradient's memory layout
+        x, bias = rng.normal(size=(40, 50, d)), rng.normal(size=d)
+        items = rng.normal(size=(40, 50, 4, d))
+        assert_bit_identical(lambda x, b: T.negative_euclidean(T.add(x, b), items),
+                             lambda x, b: old_negative_euclidean(T.add(x, b), Tensor(items)),
+                             [x, bias], rng)
 
     def test_negative_euclidean_zero_distance_is_zero_with_zero_gradient(self):
         tape = Tape()
@@ -283,6 +293,105 @@ class TestReduceMaxGradient:
         want = scatter_reduce_max_gradient(a, g, axis % 3)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def old_reduce_max(a, axis, keepdims):
+    """The kernel ``T.reduce_max`` had: ``np.argmax`` and a take at it."""
+    out = np.take_along_axis(a, np.expand_dims(np.argmax(a, axis=axis), axis), axis=axis)
+    return out if keepdims else np.squeeze(out, axis)
+
+
+def old_log_softmax(a):
+    """The kernel ``T.log_softmax`` had: shifted by ``np.max``."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1))[..., None]
+    return out, lambda g: g - np.exp(out) * np.sum(g, axis=-1)[..., None]
+
+
+def ties(rng, shape):
+    """Values with many equal maxima, ``-0.0`` and ``0.0`` among them."""
+    return rng.choice([-0.0, 0.0, 0.0, -1.5, 2.0, 2.0, -0.0], size=shape)
+
+
+def taped_grad(op, a, g):
+    """The gradient of ``sum(g * op(a))`` with respect to ``a``."""
+    tape = Tape()
+    x = tape.watch(a)
+    out = op(x)
+    grad = tape.backward(T.reduce_sum(T.mul(out, Tensor(g))))[x].data
+    return out.data, grad
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestShortAxisKernels:
+    """``reduce_max``, ``log_softmax`` and ``take_along`` against the numpy
+    kernels they replaced, bit for bit, on both sides of the length-8 rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_reduce_max_matches_argmax_kernel(self, n, axis, keepdims, rng):
+        shape = [3, 4, 5]
+        shape[axis] = n
+        a = ties(rng, shape)
+        want = old_reduce_max(a, axis, keepdims)
+        g = rng.normal(size=want.shape)
+        g.reshape(-1)[::3] = -0.0
+        value, grad = taped_grad(lambda x: T.reduce_max(x, axis=axis, keepdims=keepdims), a, g)
+        assert_same_bits(value, want)
+        gk = g if keepdims else np.expand_dims(g, axis)
+        assert_same_bits(grad, scatter_reduce_max_gradient(a, gk.squeeze(axis), axis % 3))
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_reduce_max_nan_picks_the_first_nan(self, n, rng):
+        a = rng.normal(size=(6, n))
+        a[1, n - 1] = a[2, 0] = a[2, 1] = a[3, 1] = np.nan
+        value, grad = taped_grad(lambda x: T.reduce_max(x), a, np.ones(6))
+        np.testing.assert_array_equal(value, old_reduce_max(a, -1, False))
+        np.testing.assert_array_equal(grad, scatter_reduce_max_gradient(a, np.ones(6), 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9])
+    def test_log_softmax_matches_max_reduce_kernel(self, n, rng):
+        a = ties(rng, (6, 7, n))
+        a[0, 0] = [-0.0] + [-800.0] * (n - 1)  # a row whose log-sum-exp is 0
+        a[0, 1] = [0.0, -0.0] * (n // 2) + [-0.0] * (n % 2)
+        want, want_vjp = old_log_softmax(a)
+        g = rng.normal(size=a.shape)
+        value, grad = taped_grad(T.log_softmax, a, g)
+        assert_same_bits(value, want)
+        assert_same_bits(grad, want_vjp(g))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_take_along_single_index_puts_positive_zero(self, axis, rng):
+        a = rng.normal(size=(3, 4, 5))
+        shape = list(a.shape)
+        shape[axis] = 1
+        idx = rng.integers(0, a.shape[axis], size=shape)
+        g = rng.normal(size=shape)
+        g.reshape(-1)[::2] = -0.0
+        value, grad = taped_grad(lambda x: T.take_along(x, idx, axis), a, g)
+        assert_same_bits(value, np.take_along_axis(a, idx, axis=axis))
+        want = np.zeros_like(a)
+        np.put_along_axis(want, idx, g + 0.0, axis=axis)
+        assert_same_bits(grad, want)
+        assert not np.signbit(grad[grad == 0.0]).any()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_take_along_repeated_indices_accumulate(self, order, rng):
+        a = np.asarray(rng.normal(size=(3, 5)), order=order)
+        idx = np.array([[1, 1, 4, 1], [0, 2, 2, 0], [3, 3, 3, 3]])
+        g = rng.normal(size=idx.shape) * 10.0 ** rng.uniform(-8, 8, size=idx.shape)
+        value, grad = taped_grad(lambda x: T.take_along(x, idx, 1), a, g)
+        assert_same_bits(value, np.take_along_axis(a, idx, axis=1))
+        want = np.zeros_like(a)
+        np.add.at(want, (np.arange(3)[:, None], idx), g)
+        assert_same_bits(grad, want)
+        assert grad.flags.c_contiguous == want.flags.c_contiguous
 
 
 class TestSumAxis:
