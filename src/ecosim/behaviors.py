@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .core import INTEGER, CoreError, Value, ValueSpec
-from .dist import Categorical, Deterministic, Distribution, Normal
+from .dist import Categorical, Distribution, Normal
 from .runtime import _array
 from .tensor import Tape, Tensor, as_tensor
 
@@ -65,8 +65,8 @@ class ChoiceModel:
 
 class ControlledLinearGaussianStateModel:
     """S' ~ Normal(S + sensitivity * u, sigma), which realizes interest
-    dynamics with control input u = q * (F - S).  Zero noise degrades to a
-    Deterministic field.
+    dynamics with control input u = q * (F - S).  With zero noise the next
+    state is the mean itself, a deterministic field.
     """
 
     def __init__(self, dim: int, sensitivity: float = 1.0, noise_scale: float = 0.0):
@@ -74,7 +74,7 @@ class ControlledLinearGaussianStateModel:
         self.sensitivity = float(sensitivity)
         self.noise_scale = float(noise_scale)
 
-    def next_state(self, state, control_input) -> Distribution:
+    def next_state(self, state, control_input) -> Tensor | Distribution:
         state = as_tensor(state)
         control_input = as_tensor(control_input)
         if state.shape != control_input.shape:
@@ -82,7 +82,7 @@ class ControlledLinearGaussianStateModel:
                 f"state {state.shape} and control input {control_input.shape} differ")
         loc = T.add(state, T.mul(control_input, self.sensitivity))
         if self.noise_scale == 0.0:
-            return Deterministic(loc)
+            return loc
         return Normal(loc, Tensor(np.full(self.dim, self.noise_scale)))
 
 

@@ -302,11 +302,7 @@ def _build_scenario(name: str, cfg, seed: int):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-def cmd_simulate(args) -> int:
-    sections = _resolve(args, None)
-    if args.dump_config:
-        _dump(sections, args.scenario)
-        return 0
+def cmd_simulate(args, sections) -> int:
     run = sections["run"]
     cfg = sections["scenario"]
     net, metrics = _build_scenario(args.scenario, cfg, run.seed)
@@ -344,14 +340,11 @@ def _train_one(task):
     return cfg.history_length, seed, rewards
 
 
-def cmd_train_reinforce(args) -> int:
-    sections = _resolve(args, "train")
-    if args.dump_config:
-        _dump(sections, args.scenario)
-        return 0
-    if args.scenario != "porl":
-        raise ConfigError("train-reinforce supports only the porl scenario")
+def cmd_train_reinforce(args, sections) -> int:
     run, cfg, train = sections["run"], sections["scenario"], sections["train"]
+    if cfg.param_seed != PorlConfig.param_seed:
+        raise ConfigError("train-reinforce derives scenario.param_seed from each run's "
+                          "seed; leave scenario.param_seed unset")
     histories = train.history_lengths or (cfg.history_length,)
     try:
         scenarios = {h: dataclasses.replace(cfg, history_length=h) for h in histories}
@@ -387,13 +380,7 @@ def cmd_train_reinforce(args) -> int:
 # fit-em
 
 
-def cmd_fit_em(args) -> int:
-    sections = _resolve(args, "em")
-    if args.dump_config:
-        _dump(sections, args.scenario)
-        return 0
-    if args.scenario != "latent-sat":
-        raise ConfigError("fit-em supports only the latent-sat scenario")
+def cmd_fit_em(args, sections) -> int:
     run, cfg, em = sections["run"], sections["scenario"], sections["em"]
     true_alpha = sample_true_alpha(cfg, derive_seed(run.seed, "alpha"))
     truth_net, _, _ = build_latent_sat_story(cfg, true_alpha=true_alpha)
@@ -467,13 +454,7 @@ def _sweep_slices(rows: int, cfg: EcosystemConfig, workers: int) -> list[tuple[i
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def cmd_ecosystem_sweep(args) -> int:
-    sections = _resolve(args, "sweep")
-    if args.dump_config:
-        _dump(sections, args.scenario)
-        return 0
-    if args.scenario != "ecosystem":
-        raise ConfigError("ecosystem-sweep supports only the ecosystem scenario")
+def cmd_ecosystem_sweep(args, sections) -> int:
     run, cfg, sweep = sections["run"], sections["scenario"], sections["sweep"]
     caps = sweep.boost_caps
     try:  # each cap through the config's own check
@@ -536,18 +517,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ecosim",
         description="Simulate, train, and fit multi-agent recommender ecosystems.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("simulate", help="sample a trajectory and export CSVs")
-    _add_common(p)
-    p.set_defaults(fn=cmd_simulate)
-    p = sub.add_parser("train-reinforce", help="policy-gradient training curves")
-    _add_common(p, default_scenario="porl")
-    p.set_defaults(fn=cmd_train_reinforce)
-    p = sub.add_parser("fit-em", help="Monte-Carlo EM latent-variable fitting")
-    _add_common(p, default_scenario="latent-sat")
-    p.set_defaults(fn=cmd_fit_em)
-    p = sub.add_parser("ecosystem-sweep", help="welfare sweep over boost caps")
-    _add_common(p, default_scenario="ecosystem")
-    p.set_defaults(fn=cmd_ecosystem_sweep)
+    # Each command's config section (searched by bare --set keys) and the one
+    # scenario it supports, if it supports one only, which is its default.
+    for name, fn, section, only, summary in (
+            ("simulate", cmd_simulate, None, None, "sample a trajectory and export CSVs"),
+            ("train-reinforce", cmd_train_reinforce, "train", "porl",
+             "policy-gradient training curves"),
+            ("fit-em", cmd_fit_em, "em", "latent-sat",
+             "Monte-Carlo EM latent-variable fitting"),
+            ("ecosystem-sweep", cmd_ecosystem_sweep, "sweep", "ecosystem",
+             "welfare sweep over boost caps")):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p, default_scenario=only)
+        p.set_defaults(fn=fn, section=section, only=only)
     return parser
 
 
@@ -556,7 +538,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _pin_allocator()
     try:
-        return args.fn(args)
+        sections = _resolve(args, args.section)
+        if args.dump_config:
+            _dump(sections, args.scenario)
+            return 0
+        if args.only is not None and args.scenario != args.only:
+            raise ConfigError(f"{args.command} supports only the {args.only} scenario")
+        return args.fn(args, sections)
     except ConfigError as e:
         print(f"ecosim: configuration error: {e}", file=sys.stderr)
         return 2

@@ -306,18 +306,17 @@ def _latent_target(net: Network, observed: Trajectory,
 
 
 def mc_em_fit(net: Network, observed: Trajectory,
-              held_out: tuple[str, str] | None, hmc_cfg: HmcConfig, opt,
+              held_out: tuple[str, str], hmc_cfg: HmcConfig, opt,
               num_iterations: int, seed: int, *,
               registry: ParameterRegistry, m_steps: int = 1) -> list[EmIteration]:
     """Monte-Carlo EM: HMC over the held-out field (E-step), gradient
     ascent on the Monte-Carlo average log-probability (M-step).
 
     The held-out field is treated as a static latent: one tensor is
-    injected at every step of the trajectory.  With nothing held out the
-    E-step degenerates and this is plain MLE gradient ascent.  The chain
-    is persistent across EM iterations.  Raises after three consecutive
-    E-steps with acceptance below 0.01.  Zero iterations give one row: the
-    objective at the initial parameters and latent, with no update.
+    injected at every step of the trajectory.  The chain is persistent
+    across EM iterations.  Raises after three consecutive E-steps with
+    acceptance below 0.01.  Zero iterations give one row: the objective at
+    the initial parameters and latent, with no update.
 
     The HMC target scores only the factors that depend on the latent: the
     held-out variable's fields and those of every variable that reads it
@@ -328,28 +327,17 @@ def mc_em_fit(net: Network, observed: Trajectory,
     M-step's full Monte-Carlo average.
     """
     num_steps = observed.steps - 1
-    scored = observed
-    if held_out is not None:
-        var, path = held_out
-        if (var, path) not in observed.held_out():
-            raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
-        if var not in net.by_name:
-            raise InferenceError(f"held-out variable {var!r} is not in the network")
-        z = np.zeros((observed.batch,) + observed.specs[var].field(path).shape)
-        scored = observed.inject(var, path, [Tensor(z)] * observed.steps)
+    var, path = held_out
+    if (var, path) not in observed.held_out():
+        raise InferenceError(f"field {var!r}.{path!r} is not held out in the data")
+    if var not in net.by_name:
+        raise InferenceError(f"held-out variable {var!r} is not in the network")
+    z = np.zeros((observed.batch,) + observed.specs[var].field(path).shape)
+    scored = observed.inject(var, path, [Tensor(z)] * observed.steps)
 
     if num_iterations == 0:
         lp = log_probability_from_value_trajectory(net, scored, num_steps)
         return [EmIteration(0, float(lp.data), None, 0.0)]
-
-    trace: list[EmIteration] = []
-    if held_out is None:
-        for i in range(num_iterations):
-            t0 = time.perf_counter()
-            objective = -mle_step(net, observed, registry, opt)
-            trace.append(EmIteration(i, objective, None,
-                                     (time.perf_counter() - t0) * 1e3))
-        return trace
 
     # The E-step's target leaves out the factors constant in the latent, so
     # only the full log-probability shows that one of those is not finite.
@@ -357,6 +345,7 @@ def mc_em_fit(net: Network, observed: Trajectory,
     if not np.isfinite(lp):
         raise InferenceError(f"log-probability is not finite at the initial latent ({lp})")
     target = _latent_target(net, observed, held_out)
+    trace: list[EmIteration] = []
     low_acceptance_streak = 0
     for i in range(num_iterations):
         t0 = time.perf_counter()

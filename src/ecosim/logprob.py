@@ -25,7 +25,8 @@ of the record's stacks.  Each field's log-probability is summed over
 every axis after the leading (time, batch) axes, then over time, to one
 value per batch row.
 
-The builder contract that follows: a kernel builder accepts any number
+Builders follow the contract :mod:`ecosim.runtime` states, and the
+batching adds to it: a kernel builder accepts any number
 of leading axes in front of a field's event axes.  It indexes and
 reduces with negative axes and ``...``, and takes no shape from a batch
 size captured in a closure; a constant of shape ``(batch,) + event``
@@ -46,13 +47,13 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .core import CoreError, Network, Value
+from .core import Network, Value
 from .dist import Deterministic, Distribution
-from .runtime import LogProbError, Trajectory, _resolve_deps
+from .runtime import LogProbError, Trajectory, builder_calls, check_output
 from .tensor import Tensor
 
 # The scorer's name for the record; perfbench imports it.  ROADMAP item
-# 2's perfbench follow-up removes it.
+# 8's perfbench part removes it.
 ObservedTrajectory = Trajectory
 
 
@@ -96,10 +97,7 @@ def _score_variable(var, out: Value, observed: Value, where: str, only,
     where = f"variable {var.name!r} at {where}"
     total: Tensor | None = None
     for path in var.spec.paths:
-        try:
-            emitted = out.get(path)
-        except CoreError as e:
-            raise LogProbError(f"{where}: builder did not emit field {path!r}") from e
+        emitted = out.get(path)
         if not observed.has(path):
             raise LogProbError(
                 f"{where}: field {path!r} is held out; inject a value before scoring")
@@ -138,11 +136,7 @@ def _score_slices(net: Network, current: dict[str, Value],
                   where: str) -> Tensor:
     """One call of every builder on (possibly time-batched) observed slices."""
     total: Tensor = T.zeros(lead)
-    for var in (net.initial_order if previous is None else net.order):
-        if previous is None:
-            fn, args = var.initial_fn, _resolve_deps(var.initial_deps, current, None)
-        else:
-            fn, args = var.kernel_fn, _resolve_deps(var.kernel_deps, current, previous)
+    for var, fn, args in builder_calls(net, current, previous):
         try:
             out = fn(*args)
         except T.IndexRangeError as e:
@@ -153,6 +147,7 @@ def _score_slices(net: Network, current: dict[str, Value],
                 f"variable {var.name!r} at {where}: builder failed on payloads with "
                 f"leading axes {lead}; builders must broadcast over leading axes "
                 f"({type(e).__name__}: {e})") from e
+        check_output(var, out, where, LogProbError)
         lp = _score_variable(var, out, current[var.name], where, only, lead)
         if lp is not None:
             total = T.add(total, lp)

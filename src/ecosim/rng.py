@@ -46,12 +46,14 @@ def philox4x32(c0, c1, c2, c3, key0: int, key1: int):
 
     Counters are uint64 arrays holding 32-bit values (broadcast against
     each other); the return is four uint64 arrays, each holding a 32-bit
-    output word.  The rounds run in place on C-ordered copies, so the
-    inputs are never modified.
+    output word.  The rounds run in place on fresh C-ordered lanes, each
+    filled by broadcast assignment, so the inputs are never modified.
     """
-    words = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
-    shape = np.broadcast_shapes(*(w.shape for w in words))
-    c0, c1, c2, c3 = (np.array(np.broadcast_to(w, shape), order="C") for w in words)
+    shape = np.broadcast(c0, c1, c2, c3).shape
+    lanes = [np.empty(shape, np.uint64) for _ in range(4)]
+    for lane, word in zip(lanes, (c0, c1, c2, c3)):
+        lane[...] = word
+    c0, c1, c2, c3 = lanes
     p0 = np.empty(shape, np.uint64)
     p1 = np.empty(shape, np.uint64)
     k0 = np.uint64(key0) & _MASK32

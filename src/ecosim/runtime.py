@@ -12,6 +12,14 @@ observed: each field stacked on a leading time axis.  ``trajectory``
 writes each slice into it and builds the next from its rows; the scorer
 windows its stacks and the CSV export reads their rows.  ``execute``
 keeps only the slice being built and the previous one.
+
+The builder contract, which the sampler and the scorer share: a slice's
+builders are called in the order :func:`builder_calls` walks them, each
+on the Values of its declared dependencies, and each returns a Value
+whose paths are exactly its Variable's spec's (:func:`check_output`).  A
+field is a Distribution, which the sampler samples and the scorer scores,
+or a payload, which is deterministic: the scorer checks it against the
+observed value.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -178,36 +186,53 @@ class Trajectory:
                 Value.of({path: payload}))})
 
 
-def _resolve_deps(deps, current: dict[str, Value], previous: dict[str, Value] | None):
-    args = []
-    for dep in deps:
-        if dep.previous:
-            assert previous is not None
-            args.append(previous[dep.variable.name])
-        else:
-            args.append(current[dep.variable.name])
-    return args
+def builder_calls(net: Network, current: Mapping[str, Value],
+                  previous: Mapping[str, Value] | None
+                  ) -> Iterator[tuple[Variable, Callable, list[Value]]]:
+    """Each Variable of a slice with its builder and the Values to call it
+    on, in evaluation order: the initial builders when there is no
+    ``previous`` slice, the kernel builders otherwise.
+
+    A Variable's arguments are read from ``current`` and ``previous`` when
+    its turn comes, so a caller that writes each Variable's Value into
+    ``current`` before it advances feeds it to the Variables after it.
+    """
+    initial = previous is None
+    for var in net.initial_order if initial else net.order:
+        fn, deps = ((var.initial_fn, var.initial_deps) if initial
+                    else (var.kernel_fn, var.kernel_deps))
+        yield var, fn, [(previous if dep.previous else current)[dep.variable.name]
+                        for dep in deps]
+
+
+def check_output(var: Variable, out, where: str, error: type[Exception]) -> Value:
+    """``out``, if it is a Value whose paths are exactly ``var``'s spec's;
+    otherwise raises ``error`` naming the variable and ``where``, its
+    step or steps."""
+    if not isinstance(out, Value):
+        raise error(f"variable {var.name!r} at {where}: builder returned "
+                    f"{type(out).__name__}, expected Value")
+    got, want = set(out.paths), set(var.spec.paths)
+    if got != want:
+        raise error(f"variable {var.name!r} at {where}: builder fields do not match "
+                    f"the spec (missing {sorted(want - got)}, "
+                    f"unexpected {sorted(got - want)})")
+    return out
 
 
 def _realize(var: Variable, out: Value, step: int, seed: int,
              row_offset: int | np.ndarray, batch: int | None):
-    """Sample stochastic fields, spec-check, and return (value, batch)."""
-    where = f"variable {var.name!r} at step {step}"
+    """Sample the stochastic fields of a checked builder output, spec-check
+    the result, and return (value, batch)."""
     realized: dict[str, object] = {}
     for path in var.spec.paths:
-        try:
-            payload = out.get(path)
-        except CoreError as e:
-            raise SimulationError(f"{where}: builder did not emit field {path!r}") from e
+        payload = out.get(path)
         if isinstance(payload, Distribution):
             payload = payload.sample(RngStream(seed, var.name, path, step, row_offset))
         realized[path] = payload
     value = Value.of(realized)
-    extra = set(out.paths) - set(var.spec.paths)
-    if extra:
-        raise SimulationError(f"{where}: builder emitted fields not in spec: {sorted(extra)}")
     try:
-        batch = var.spec.check_value(value, batch, where)
+        batch = var.spec.check_value(value, batch, f"variable {var.name!r} at step {step}")
     except CoreError as e:
         raise SimulationError(str(e)) from e
     return value, batch
@@ -216,18 +241,8 @@ def _realize(var: Variable, out: Value, step: int, seed: int,
 def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
                 seed: int, row_offset: int | np.ndarray, batch: int | None):
     current: dict[str, Value] = {}
-    order = net.initial_order if step == 0 else net.order
-    for var in order:
-        if step == 0:
-            args = _resolve_deps(var.initial_deps, current, None)
-            out = var.initial_fn(*args)
-        else:
-            args = _resolve_deps(var.kernel_deps, current, previous)
-            out = var.kernel_fn(*args)
-        if not isinstance(out, Value):
-            raise SimulationError(
-                f"variable {var.name!r} at step {step}: builder returned "
-                f"{type(out).__name__}, expected Value")
+    for var, fn, args in builder_calls(net, current, previous):
+        out = check_output(var, fn(*args), f"step {step}", SimulationError)
         current[var.name], batch = _realize(var, out, step, seed, row_offset, batch)
     return current, batch
 

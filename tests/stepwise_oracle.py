@@ -8,21 +8,19 @@ with one time-batched kernel call per Variable; the two must agree.
 
 import ecosim.tensor as T
 from ecosim.dist import Deterministic, Distribution
-from ecosim.runtime import _resolve_deps
 
 
 def replay_slice(net, obs, t):
     """What each builder emits at step t on the observed slices t and t-1,
     keyed by variable name in evaluation order."""
-    current = {name: obs.value(name, t) for name in obs.specs}
-    previous = {name: obs.value(name, t - 1) for name in obs.specs} if t > 0 else None
     emitted = {}
     for var in (net.initial_order if t == 0 else net.order):
         if t == 0:
-            emitted[var.name] = var.initial_fn(*_resolve_deps(var.initial_deps, current, None))
+            fn, deps = var.initial_fn, var.initial_deps
         else:
-            emitted[var.name] = var.kernel_fn(
-                *_resolve_deps(var.kernel_deps, current, previous))
+            fn, deps = var.kernel_fn, var.kernel_deps
+        emitted[var.name] = fn(*(obs.value(dep.variable.name, t - 1 if dep.previous else t)
+                                 for dep in deps))
     return emitted
 
 

@@ -197,6 +197,14 @@ class TestTrainReinforce:
         assert run_cli("train-reinforce", "--scenario", "count",
                        "--out", str(tmp_path / "x")) == 2
 
+    def test_param_seed_is_a_configuration_error(self, tmp_path, capsys):
+        # each run's parameters come from its own seed, so a set param_seed
+        # would be ignored
+        assert run_cli("train-reinforce", *SMALL_TRAIN, "--set", "param_seed=7",
+                       "--out", str(tmp_path / "x")) == 2
+        assert "param_seed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("lengths", ["a", "2,0"])
     def test_bad_history_lengths_is_a_configuration_error(self, lengths, tmp_path,
                                                            capsys):

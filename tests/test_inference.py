@@ -332,17 +332,6 @@ class TestMcEm:
         assert abs(fitted - oracle) / abs(oracle) < 0.05
         assert all(t.acceptance > 0.2 for t in trace)
 
-    def test_fully_observed_reduces_to_mle_ascent(self):
-        truth_net, _ = drift_walk_story(50, drift_init=0.4)
-        obs = Trajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=3))
-        net_a, reg_a = drift_walk_story(50, drift_init=0.0)
-        trace = mc_em_fit(net_a, obs, None, HmcConfig(), Adam(0.05), 10,
-                          seed=0, registry=reg_a)
-        net_b, reg_b = drift_walk_story(50, drift_init=0.0)
-        opt = Adam(0.05)
-        direct = [-mle_step(net_b, obs, reg_b, opt) for _ in range(10)]
-        np.testing.assert_array_equal([t.objective for t in trace], direct)
-
     def test_trace_is_reproducible_bit_exactly(self):
         batch, horizon = 10, 4
         truth_net, _ = static_latent_story(batch, bias_init=1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Normal
+from ecosim.logprob import LogProbError, trajectory_log_prob_rows
 from ecosim.runtime import (SimulationError, Trajectory, execute, export_trajectory,
                             trajectory)
 from ecosim.scenarios import PorlConfig, build_porl_story
@@ -116,6 +117,41 @@ class TestTrajectory:
         held = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
         assert obs.held_out() == {("choice", "choice")}
         assert peak <= 1.2 * held
+
+
+def walk_with_kernel(fault=None):
+    """A walk of Variable "w" whose kernel builder breaks the builder output
+    contract as ``fault`` names, or keeps it when ``fault`` is None."""
+    kernels = {
+        None: lambda prev: Value(x=Normal(prev.get("x"), 1.0)),
+        "dict": lambda prev: {"x": Normal(prev.get("x"), 1.0)},
+        "missing": lambda prev: Value(),
+        "extra": lambda prev: Value(x=Normal(prev.get("x"), 1.0), y=prev.get("x")),
+    }
+    w = Variable("w", ValueSpec(x=FieldSpec(())))
+    w.bind_initial(lambda: Value(x=Normal(Tensor(np.zeros(3)), 1.0)))
+    w.bind_kernel(kernels[fault], deps=(w.previous,))
+    return Network([w])
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("dict", "returned dict, expected Value"),
+    ("missing", r"missing \['x'\], unexpected \[\]"),
+    ("extra", r"missing \[\], unexpected \['y'\]"),
+], ids=["dict", "missing", "extra"])
+@pytest.mark.parametrize("mode", ["trajectory", "trajectory_log_prob_rows"])
+def test_sampler_and_scorer_hold_builders_to_one_output_contract(mode, fault, message):
+    net = walk_with_kernel(fault)
+    if mode == "trajectory":
+        error, where = SimulationError, "step 1"
+        run = lambda: trajectory(net, 3, seed=0)
+    else:
+        error, where = LogProbError, r"steps 1\.\.2"
+        good = walk_with_kernel()
+        observed = Trajectory.from_trajectory(good, trajectory(good, 3, seed=0))
+        run = lambda: trajectory_log_prob_rows(net, observed, 2)
+    with pytest.raises(error, match=rf"variable 'w' at {where}: .*{message}"):
+        run()
 
 
 class TestExecute:

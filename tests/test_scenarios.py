@@ -65,6 +65,23 @@ class TestPorlStory:
             np.testing.assert_array_equal(
                 traj.value("user_state", t).get("interest").data, first)
 
+    def test_corrupted_noise_free_interest_raises(self):
+        # Without noise the next interest is deterministic: a corrupted value
+        # is bad data, not a low score.
+        cfg = PorlConfig(noise_scale=0.0, **SMALL_PORL)
+        net, _, _ = build_porl_story(cfg)
+        traj = trajectory(net, cfg.horizon, 0)
+        slices = [{name: traj.value(name, t) for name in traj.specs}
+                  for t in range(cfg.horizon)]
+        assert np.isfinite(trajectory_log_prob_rows(net, observe(net, slices),
+                                                    cfg.horizon - 1).data).all()
+        interest = slices[2]["user_state"].get("interest").data.copy()
+        interest[1, 0] += 0.5
+        slices[2]["user_state"] = Value(interest=interest)
+        with pytest.raises(LogProbError, match=r"'user_state' at steps 1\.\.4: "
+                                               r"deterministic field 'interest'"):
+            trajectory_log_prob_rows(net, observe(net, slices), cfg.horizon - 1)
+
     def test_sampled_trajectory_scores_without_sentinel(self):
         cfg = PorlConfig(**SMALL_PORL)
         net, _, _ = build_porl_story(cfg)
