@@ -126,11 +126,18 @@ _SCENARIO_CONFIGS = {
 }
 
 
+def _finite(raw: str) -> float:
+    """``float(raw)``; nan and the infinities are no setting's value."""
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"non-finite {raw!r}")
+    return value
+
+
 def _convert(raw: str, annotation) -> object:
     text = str(annotation)
     raw = raw.strip()
     if "tuple" in text:
-        item = int if "int" in text else float
+        item = int if "int" in text else _finite
         return tuple(item(x) for x in raw.split(",")) if raw else ()
     if "bool" in text:
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -143,7 +150,7 @@ def _convert(raw: str, annotation) -> object:
     if "int" in text:
         return int(raw)
     if "float" in text:
-        return float(raw)
+        return _finite(raw)
     return raw
 
 
@@ -288,14 +295,14 @@ def _fmt(x) -> str:
 
 def _build_scenario(name: str, cfg, seed: int):
     if name == "count":
-        return build_count_story(cfg), {"final_count": "count.n"}
+        return build_count_story(cfg), {"final_count": ("count", "n")}
     if name == "porl":
         net, _, metrics = build_porl_story(cfg)
         return net, {"mean_cumulative_reward": metrics["reward"]}
     if name == "latent-sat":
         alpha = sample_true_alpha(cfg, derive_seed(seed, "alpha"))
         net, _, _ = build_latent_sat_story(cfg, true_alpha=alpha)
-        return net, {"mean_final_satisfaction": "satisfaction.value"}
+        return net, {"mean_final_satisfaction": ("satisfaction", "value")}
     if name == "ecosystem":
         net, metrics = build_ecosystem_story(cfg)
         return net, {"welfare": metrics["welfare"]}
@@ -310,8 +317,7 @@ def cmd_simulate(args, sections) -> int:
     outdir = Path(run.out)
     export_trajectory(traj, outdir)
     rows = []
-    for metric, fieldpath in metrics.items():
-        var, path = fieldpath.split(".", 1)
+    for metric, (var, path) in metrics.items():
         payload = traj.value(var, -1).get(path)
         arr = payload.data if isinstance(payload, Tensor) else np.asarray(payload)
         if args.scenario == "ecosystem":
@@ -331,8 +337,7 @@ def _train_one(task):
     cfg, seed, train = task
     scen = dataclasses.replace(cfg, param_seed=derive_seed(seed, "params"))
     net, registry, metrics = build_porl_story(scen)
-    rc = ReinforceConfig(num_trajectories=scen.population, horizon=scen.horizon,
-                         reward_field=metrics["reward"],
+    rc = ReinforceConfig(horizon=scen.horizon, reward_field=metrics["reward"],
                          policy_field=metrics["policy_log_prob"],
                          baseline=train.baseline)
     opt = make_optimizer(train.optimizer, train.learning_rate)
@@ -425,7 +430,7 @@ def _sweep_one(task):
     net, metrics = build_ecosystem_story(dataclasses.replace(cfg, num_runs=len(run_ids)),
                                          boost_caps=caps)
     final = execute(net, cfg.horizon - 1, seed, row_offset=np.array(run_ids))
-    var, path = metrics["welfare"].split(".", 1)
+    var, path = metrics["welfare"]
     return final[var].get(path).data.copy()
 
 
@@ -457,6 +462,8 @@ def _sweep_slices(rows: int, cfg: EcosystemConfig, workers: int) -> list[tuple[i
 def cmd_ecosystem_sweep(args, sections) -> int:
     run, cfg, sweep = sections["run"], sections["scenario"], sections["sweep"]
     caps = sweep.boost_caps
+    if not caps:
+        raise ConfigError("sweep.boost_caps must name at least one cap")
     try:  # each cap through the config's own check
         for cap in caps:
             dataclasses.replace(cfg, boost_cap=cap)

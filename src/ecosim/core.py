@@ -191,8 +191,8 @@ class Variable:
     """A named component random variable of the factored process.
 
     The name may not contain ``|``, which separates the parts of a random
-    stream's key, nor ``.``, which separates a variable from a field path
-    in ``"variable.path"`` references.
+    stream's key, nor ``.``, which messages and docs write between a
+    variable and a field path (``variable.path``).
     """
 
     def __init__(self, name: str, spec: ValueSpec):

@@ -71,7 +71,8 @@ class Distribution:
 
 
 class Deterministic(Distribution):
-    """A point mass.  Plain tensors emitted by behaviors are wrapped here.
+    """A point mass, which behaviors never emit: they emit a deterministic
+    field as its payload, and the scorer wraps that here only to check it.
 
     ``log_prob`` is 0 per element that equals ``loc`` or matches it within
     1e-12 (exactly, for integer payloads) and ``NEG_INF`` otherwise, so an

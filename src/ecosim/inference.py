@@ -114,7 +114,7 @@ class HmcConfig:
     burn_in: int = 100
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # NaN fails too
             raise InferenceError("step_size must be positive")
         if self.num_leapfrog < 1:
             raise InferenceError("num_leapfrog must be >= 1")
@@ -192,28 +192,18 @@ def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
 class ReinforceConfig:
     """Policy-gradient setup for a story with a stochastic action field.
 
-    Field paths use "variable.path" form: the first dot separates the
-    variable name from the field path inside it.
+    Each field is a (variable, path) pair.  The number of trajectories a
+    step samples is the story's batch, read from the sampled trajectory.
     """
 
-    num_trajectories: int
     horizon: int
-    reward_field: str
-    policy_field: str
+    reward_field: tuple[str, str]
+    policy_field: tuple[str, str]
     baseline: bool = False  # subtract the batch-mean reward (variance reduction)
 
     def __post_init__(self):
-        if self.num_trajectories < 1:
-            raise InferenceError("num_trajectories must be >= 1")
         if self.horizon < 2:
             raise InferenceError("horizon must be >= 2")
-
-    def split(self, which: str) -> tuple[str, str]:
-        spec = self.reward_field if which == "reward" else self.policy_field
-        if "." not in spec:
-            raise InferenceError(f"field path {spec!r} must be 'variable.path'")
-        var, path = spec.split(".", 1)
-        return var, path
 
 
 def reinforce_step(net: Network, registry: ParameterRegistry,
@@ -222,27 +212,21 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
 
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
-    surrogate is -<detached reward, log-prob> / B.  The replay scores the
-    sampled record itself.
+    surrogate is -<detached reward, log-prob> / B, B the sampled batch.
+    The replay scores the sampled record itself.
     """
     traj = trajectory(net, cfg.horizon, seed)
-    if traj.batch != cfg.num_trajectories:
-        raise InferenceError(
-            f"story batch {traj.batch} != cfg.num_trajectories {cfg.num_trajectories}")
-    rvar, rpath = cfg.split("reward")
-    if rvar not in traj.specs or rpath not in traj.specs[rvar].paths:
-        raise InferenceError(f"reward field {cfg.reward_field!r} not found in story")
-    pvar, ppath = cfg.split("policy")
-    if pvar not in traj.specs or ppath not in traj.specs[pvar].paths:
-        raise InferenceError(f"policy field {cfg.policy_field!r} not found in story")
+    for kind, (var, path) in (("reward", cfg.reward_field), ("policy", cfg.policy_field)):
+        if var not in traj.specs or path not in traj.specs[var].paths:
+            raise InferenceError(f"{kind} field {(var, path)!r} not found in story")
+    rvar, rpath = cfg.reward_field
     reward = traj.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
 
     def surrogate() -> Tensor:
         log_prob = trajectory_log_prob_rows(net, traj, cfg.horizon - 1,
-                                            only=[(pvar, ppath)])
-        return T.div(T.neg(T.reduce_sum(T.mul(centered, log_prob))),
-                     float(cfg.num_trajectories))
+                                            only=[cfg.policy_field])
+        return T.div(T.neg(T.reduce_sum(T.mul(centered, log_prob))), float(traj.batch))
 
     _descend(registry, opt, surrogate)
     return float(reward.mean())

@@ -107,6 +107,9 @@ def _score_variable(var, out: Value, observed: Value, where: str, only,
                 continue
             try:
                 lp = emitted.log_prob(obs)
+            except T.IndexRangeError as e:
+                raise LogProbError(f"{where}: field {path!r}: observed data out of "
+                                   f"range ({e})") from e
             except ValueError as e:
                 raise LogProbError(f"{where}: field {path!r} cannot be scored: {e}") from e
             if lp.shape[:len(lead)] != lead:

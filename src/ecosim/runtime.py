@@ -17,9 +17,9 @@ The builder contract, which the sampler and the scorer share: a slice's
 builders are called in the order :func:`builder_calls` walks them, each
 on the Values of its declared dependencies, and each returns a Value
 whose paths are exactly its Variable's spec's (:func:`check_output`).  A
-field is a Distribution, which the sampler samples and the scorer scores,
-or a payload, which is deterministic: the scorer checks it against the
-observed value.
+field is a Distribution other than ``Deterministic``, which the sampler
+samples and the scorer scores, or the payload itself, which is
+deterministic: the scorer checks it against the observed value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .core import CoreError, Network, Value, ValueSpec, Variable
-from .dist import Distribution
+from .dist import Deterministic, Distribution
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -206,9 +206,9 @@ def builder_calls(net: Network, current: Mapping[str, Value],
 
 
 def check_output(var: Variable, out, where: str, error: type[Exception]) -> Value:
-    """``out``, if it is a Value whose paths are exactly ``var``'s spec's;
-    otherwise raises ``error`` naming the variable and ``where``, its
-    step or steps."""
+    """``out``, if it is a Value whose paths are exactly ``var``'s spec's
+    and none of whose fields is a ``Deterministic``; otherwise raises
+    ``error`` naming the variable and ``where``, its step or steps."""
     if not isinstance(out, Value):
         raise error(f"variable {var.name!r} at {where}: builder returned "
                     f"{type(out).__name__}, expected Value")
@@ -217,6 +217,10 @@ def check_output(var: Variable, out, where: str, error: type[Exception]) -> Valu
         raise error(f"variable {var.name!r} at {where}: builder fields do not match "
                     f"the spec (missing {sorted(want - got)}, "
                     f"unexpected {sorted(got - want)})")
+    for path in var.spec.paths:
+        if isinstance(out.get(path), Deterministic):
+            raise error(f"variable {var.name!r} at {where}: field {path!r} is a "
+                        f"Deterministic; emit the payload itself")
     return out
 
 

@@ -84,7 +84,7 @@ class EcosystemConfig:
         return self.num_items / (self.num_providers * self.steady_engagement)
 
 
-METRIC_PATHS = {"welfare": "metrics.welfare"}
+METRIC_PATHS = {"welfare": ("metrics", "welfare")}
 
 
 def _community_assignment(cfg: EcosystemConfig) -> np.ndarray:
@@ -128,7 +128,7 @@ def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
 
 
 def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
-    """Returns (network, metric paths).
+    """Returns (network, metric (variable, path) pairs).
 
     The slate ranks items by affinity plus the capped engagement-balancing
     boost; at cap 0 it is the myopic pure-affinity top-k.  Every row's cap
@@ -240,10 +240,10 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         return _top_k_slate(users_v, items_v, adjust)
 
     def _chosen_item(slate_v, choice_v) -> np.ndarray:
-        """The item id each user consumed, (..., U)."""
-        ranks = np.asarray(slate_v.get("ranks"))
-        return np.take_along_axis(
-            ranks, np.asarray(choice_v.get("choice"))[..., None], axis=-1)[..., 0]
+        """The item id each user consumed, (..., U); a choice off the slate raises."""
+        slot = T.check_index(choice_v.get("choice"), k, "choice")
+        return np.take_along_axis(np.asarray(slate_v.get("ranks")), slot[..., None],
+                                  axis=-1)[..., 0]
 
     def make_choice(users_v, items_v, slate_v):
         # One flat row gather for the whole slate, (..., U*k, d), viewed as

@@ -61,8 +61,8 @@ class PorlConfig:
 
 
 METRIC_PATHS = {
-    "reward": "metrics.cumulative_reward",
-    "policy_log_prob": "slate.doc_ranks",
+    "reward": ("metrics", "cumulative_reward"),
+    "policy_log_prob": ("slate", "doc_ranks"),
 }
 
 
@@ -74,7 +74,7 @@ def _topic_quality_means(cfg: PorlConfig) -> np.ndarray:
 
 
 def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
-    """Returns (network, parameter registry, metric paths).
+    """Returns (network, parameter registry, metric (variable, path) pairs).
 
     ``policy`` selects the recommender: "learned" (trainable), "random"
     (uniform slates), or "oracle" (cheats: top-k by affinity-plus-quality
@@ -181,10 +181,8 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
             return Value(doc_ranks=PlackettLuce(Tensor(np.zeros((B, n))), k))
 
         def oracle_slate_from(interest_v, topics_v, corpus_v):
-            dist = np.linalg.norm(item_features(topics_v).data
-                                  - interest_v.get("interest").data[..., None, :], axis=-1)
-            score = -dist + corpus_v.get("quality").data
-            return Value(doc_ranks=top_k(score, k))
+            aff = affinity.affinities(interest_v.get("interest"), item_features(topics_v))
+            return Value(doc_ranks=top_k(aff.data + corpus_v.get("quality").data, k))
 
         def make_choice(state_v, slate_v, topics_v):
             slate_feats = item_features(topics_v, np.asarray(slate_v.get("doc_ranks")))

@@ -410,6 +410,28 @@ class TestEcosystemSweep:
         assert digests["1"] == SWEEP_GOLDEN
 
 
+@pytest.mark.parametrize("argv, setting, message", [
+    (("fit-em", *SMALL_EM), "em.learning_rate=nan", "bad value 'nan' for em.learning_rate"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "items_engagement_rate=nan",
+     "bad value 'nan' for scenario.items_engagement_rate"),
+    (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "sensitivity=-inf",
+     "bad value '-inf' for scenario.sensitivity"),
+    (("ecosystem-sweep", *SMALL_SWEEP), "sweep.boost_caps=nan",
+     "bad value 'nan' for sweep.boost_caps"),
+    (("ecosystem-sweep", *SMALL_SWEEP), "sweep.boost_caps=0.6,inf",
+     "bad value '0.6,inf' for sweep.boost_caps"),
+    (("ecosystem-sweep", *SMALL_SWEEP), "sweep.boost_caps=",
+     "sweep.boost_caps must name at least one cap"),
+], ids=["em-scalar", "optional-scalar", "negative-infinity", "cap", "cap-list-item",
+        "no-caps"])
+def test_non_finite_setting_or_empty_cap_list_exits_2(argv, setting, message, tmp_path,
+                                                      capsys):
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--set", setting, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 SCHEMA_HEAD = re.compile(rb"# schema=[a-z_]+/1\n[^\n]+\n")
 
 

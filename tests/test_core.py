@@ -101,7 +101,8 @@ class TestValueSpec:
 class TestNames:
     # "|" joins the parts of a stream key, so Variable "a|b" with field "c"
     # and Variable "a" with field "b|c" would draw from one random stream;
-    # "." splits "variable.path" references.
+    # messages and docs write a field as "variable.path", so "." would make
+    # one such name stand for two fields.
     @pytest.mark.parametrize("name", ["a|b", "a.b"])
     def test_separator_in_variable_name_rejected(self, name):
         with pytest.raises(CoreError, match=re.escape(f"variable name {name!r}")):

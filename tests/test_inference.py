@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,11 @@ class TestHmc:
         with pytest.raises(InferenceError, match="finite"), np.errstate(invalid="ignore"):
             hmc_sample(bad, np.array([-1.0]), HmcConfig(num_samples=2), seed=0)
 
+    @pytest.mark.parametrize("step_size", [0.0, -1.0, float("nan")])
+    def test_non_positive_step_size_rejected(self, step_size):
+        with pytest.raises(InferenceError, match="step_size must be positive"):
+            HmcConfig(step_size=step_size)
+
 
 # ---------------------------------------------------------------------------
 # bandit story used by REINFORCE tests
@@ -165,9 +171,8 @@ def bandit_analytic_gradient(theta: np.ndarray, horizon: int) -> np.ndarray:
 def reinforce_gradient_estimate(batch, horizon, seed):
     """Recover the surrogate gradient from one exact SGD step."""
     net, registry = bandit_story(batch)
-    cfg = ReinforceConfig(num_trajectories=batch, horizon=horizon,
-                          reward_field="metrics.cumulative_reward",
-                          policy_field="arm.choice")
+    cfg = ReinforceConfig(horizon=horizon, reward_field=("metrics", "cumulative_reward"),
+                          policy_field=("arm", "choice"))
     lr = 1e-3
     before = registry.as_arrays()["theta"]
     mean_reward = reinforce_step(net, registry, cfg, Sgd(lr), seed=seed)
@@ -224,18 +229,25 @@ class TestReinforce:
         metrics.bind_kernel(lambda prev: Value(cumulative_reward=prev.get("cumulative_reward")),
                             deps=(metrics.previous,))
         net = Network([arm, metrics])
-        cfg = ReinforceConfig(num_trajectories=batch, horizon=3,
-                              reward_field="metrics.cumulative_reward",
-                              policy_field="arm.choice")
+        cfg = ReinforceConfig(horizon=3, reward_field=("metrics", "cumulative_reward"),
+                              policy_field=("arm", "choice"))
         reinforce_step(net, registry, cfg, Sgd(0.5), seed=0)
         np.testing.assert_array_equal(registry.as_arrays()["theta"], [0.0, 0.0])
 
     def test_missing_field_is_an_error(self):
         net, registry = bandit_story(8)
-        cfg = ReinforceConfig(num_trajectories=8, horizon=2,
-                              reward_field="metrics.nope",
-                              policy_field="arm.choice")
-        with pytest.raises(InferenceError, match="reward field"):
+        cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "nope"),
+                              policy_field=("arm", "choice"))
+        with pytest.raises(InferenceError,
+                           match=re.escape("reward field ('metrics', 'nope') not found")):
+            reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
+
+    def test_missing_policy_field_is_an_error(self):
+        net, registry = bandit_story(8)
+        cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "cumulative_reward"),
+                              policy_field=("arm", "nope"))
+        with pytest.raises(InferenceError,
+                           match=re.escape("policy field ('arm', 'nope') not found")):
             reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
 
 

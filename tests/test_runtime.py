@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
-from ecosim.dist import Categorical, Normal
+from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.logprob import LogProbError, trajectory_log_prob_rows
 from ecosim.runtime import (SimulationError, Trajectory, execute, export_trajectory,
                             trajectory)
@@ -127,6 +127,7 @@ def walk_with_kernel(fault=None):
         "dict": lambda prev: {"x": Normal(prev.get("x"), 1.0)},
         "missing": lambda prev: Value(),
         "extra": lambda prev: Value(x=Normal(prev.get("x"), 1.0), y=prev.get("x")),
+        "deterministic": lambda prev: Value(x=Deterministic(prev.get("x"))),
     }
     w = Variable("w", ValueSpec(x=FieldSpec(())))
     w.bind_initial(lambda: Value(x=Normal(Tensor(np.zeros(3)), 1.0)))
@@ -138,7 +139,8 @@ def walk_with_kernel(fault=None):
     ("dict", "returned dict, expected Value"),
     ("missing", r"missing \['x'\], unexpected \[\]"),
     ("extra", r"missing \[\], unexpected \['y'\]"),
-], ids=["dict", "missing", "extra"])
+    ("deterministic", "field 'x' is a Deterministic; emit the payload itself"),
+], ids=["dict", "missing", "extra", "deterministic"])
 @pytest.mark.parametrize("mode", ["trajectory", "trajectory_log_prob_rows"])
 def test_sampler_and_scorer_hold_builders_to_one_output_contract(mode, fault, message):
     net = walk_with_kernel(fault)

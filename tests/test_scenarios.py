@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestPorlStory:
         cfg = PorlConfig(**SMALL_PORL)
         net, _, metrics = build_porl_story(cfg)
         obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=5))
-        var, path = metrics["policy_log_prob"].split(".", 1)
+        var, path = metrics["policy_log_prob"]
         for t in range(cfg.horizon):
             dist = replay_slice(net, obs, t)[var].get(path)
             assert isinstance(dist, PlackettLuce)
@@ -266,7 +267,9 @@ class TestPorlStory:
     @pytest.mark.parametrize("bad", [-1, 2], ids=["negative", "slate_size"])
     def test_out_of_range_observed_choice_raises(self, bad, only):
         # A choice of -1 must not wrap to the last slate slot, and a choice
-        # of k is bad data, not a builder that fails to broadcast.
+        # of k is bad data, not a builder that fails to broadcast.  The
+        # choice's own Categorical (all) and a builder reading the choice
+        # (slate) both report it as out-of-range data.
         cfg = PorlConfig(population=4, horizon=3, corpus_size=8, interest_dim=4,
                          slate_size=2, history_length=2)
         net, _, _ = build_porl_story(cfg)
@@ -275,7 +278,8 @@ class TestPorlStory:
         choice = np.array(slices[2]["choice"].get("choice"))
         choice[1] = bad
         slices[2]["choice"] = Value(choice=choice)
-        with pytest.raises(LogProbError, match=r"at steps 1\.\.2: .*out of range") as err:
+        with pytest.raises(LogProbError,
+                           match=r"at steps 1\.\.2: .*observed data out of range") as err:
             trajectory_log_prob_rows(net, observe(net, slices), 2, only=only)
         message = str(err.value)
         assert "choice" in message and f"index {bad} out of range" in message
@@ -289,7 +293,7 @@ class TestPorlStory:
                          interest_dim=20)
         net, _, metrics = build_porl_story(cfg)
         obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, seed=0))
-        policy = tuple(metrics["policy_log_prob"].split(".", 1))
+        policy = metrics["policy_log_prob"]
         lp = trajectory_log_prob_rows(net, obs, cfg.horizon - 1, only=[policy]).data
         assert lp.shape == (1000,)
         assert np.isfinite(lp).all()
@@ -460,6 +464,23 @@ class TestEcosystemStory:
         obs = Trajectory.from_trajectory(net, trajectory(net, cfg.horizon, 5))
         lp = float(log_probability_from_value_trajectory(net, obs, cfg.horizon - 1).data)
         assert lp > NEG_INF / 2 and np.isfinite(lp)
+
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["negative", "slate_size"])
+    def test_out_of_range_observed_choice_raises(self, bad):
+        # A choice of -1 must not wrap to the last slate slot and read as a
+        # mismatch of a deterministic field; the first builder that reads
+        # the choice reports it as out-of-range data.
+        cfg = EcosystemConfig(**dict(SMALL_ECO, horizon=3))
+        net, _ = build_ecosystem_story(cfg)
+        traj = trajectory(net, cfg.horizon, seed=0)
+        slices = [{name: traj.value(name, t) for name in traj.specs} for t in range(3)]
+        choice = np.array(slices[2]["choice"].get("choice"))
+        choice[1, 4] = bad
+        slices[2]["choice"] = Value(choice=choice)
+        with pytest.raises(LogProbError, match=re.escape(
+                f"at steps 1..2: observed data out of range "
+                f"(choice: index {bad} out of range [0, 8))")):
+            trajectory_log_prob_rows(net, observe(net, slices), 2, only=[("utility", "value")])
 
     def test_run_batching_equals_split_runs(self):
         cfg = EcosystemConfig(**SMALL_ECO)

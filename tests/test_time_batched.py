@@ -167,9 +167,9 @@ class TestStories:
         obs = observe(net, cfg.horizon, 7)
         _, grads = assert_matches_stepwise(net, obs, registry=registry)
         assert set(grads) == set(registry.names())
-        policy_field = tuple(metrics["policy_log_prob"].split(".", 1))
         if policy != "oracle":  # the oracle's slate is deterministic
-            assert_matches_stepwise(net, obs, registry=registry, only=[policy_field])
+            assert_matches_stepwise(net, obs, registry=registry,
+                                    only=[metrics["policy_log_prob"]])
 
     @pytest.mark.parametrize("boost_cap", [pytest.param(0.0, id="myopic"),
                                            pytest.param(1.0, id="boosted")])
