@@ -45,8 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import (Adam, HmcConfig, ReinforceConfig, make_optimizer, mc_em_fit,
-                        reinforce_training)
+from .inference import Adam, HmcConfig, ReinforceConfig, mc_em_fit, reinforce_training
 from .rng import derive_seed
 from .runtime import Trajectory, execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
@@ -76,7 +75,6 @@ class RunSettings:
 class TrainSettings:
     iterations: int = 50
     learning_rate: float = 0.02
-    optimizer: str = "adam"
     # The batch-mean baseline is the variance-reduction heuristic that makes
     # desk-scale policy-gradient runs learn reliably; reinforce_step itself
     # defaults to no baseline.
@@ -86,13 +84,14 @@ class TrainSettings:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
 class EmSettings:
     iterations: int = 30
     learning_rate: float = 0.05
-    m_steps: int = 1
     hmc_step_size: float = 0.02
     hmc_num_leapfrog: int = 10
     hmc_num_samples: int = 10
@@ -101,8 +100,8 @@ class EmSettings:
     def __post_init__(self):
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
-        if self.m_steps < 1:
-            raise ConfigError("m_steps must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive")
         if not self.hmc_step_size > 0:  # NaN fails too
             raise ConfigError("hmc_step_size must be positive")
         if self.hmc_num_leapfrog < 1:
@@ -289,6 +288,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _single_run(command: str, run: RunSettings) -> None:
+    if run.runs != 1:
+        raise ConfigError(f"{command} does one run; run.runs must be 1, got {run.runs}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -312,6 +316,7 @@ def _build_scenario(name: str, cfg, seed: int):
 def cmd_simulate(args, sections) -> int:
     run = sections["run"]
     cfg = sections["scenario"]
+    _single_run(args.command, run)
     net, metrics = _build_scenario(args.scenario, cfg, run.seed)
     traj = trajectory(net, cfg.horizon, run.seed)
     outdir = Path(run.out)
@@ -335,21 +340,17 @@ def cmd_simulate(args, sections) -> int:
 
 def _train_one(task):
     cfg, seed, train = task
-    scen = dataclasses.replace(cfg, param_seed=derive_seed(seed, "params"))
-    net, registry, metrics = build_porl_story(scen)
-    rc = ReinforceConfig(horizon=scen.horizon, reward_field=metrics["reward"],
+    net, registry, metrics = build_porl_story(cfg, param_seed=derive_seed(seed, "params"))
+    rc = ReinforceConfig(horizon=cfg.horizon, reward_field=metrics["reward"],
                          policy_field=metrics["policy_log_prob"],
                          baseline=train.baseline)
-    opt = make_optimizer(train.optimizer, train.learning_rate)
-    rewards = reinforce_training(net, registry, rc, opt, train.iterations, seed)
+    rewards = reinforce_training(net, registry, rc, Adam(train.learning_rate),
+                                 train.iterations, seed)
     return cfg.history_length, seed, rewards
 
 
 def cmd_train_reinforce(args, sections) -> int:
     run, cfg, train = sections["run"], sections["scenario"], sections["train"]
-    if cfg.param_seed != PorlConfig.param_seed:
-        raise ConfigError("train-reinforce derives scenario.param_seed from each run's "
-                          "seed; leave scenario.param_seed unset")
     histories = train.history_lengths or (cfg.history_length,)
     try:
         scenarios = {h: dataclasses.replace(cfg, history_length=h) for h in histories}
@@ -387,6 +388,7 @@ def cmd_train_reinforce(args, sections) -> int:
 
 def cmd_fit_em(args, sections) -> int:
     run, cfg, em = sections["run"], sections["scenario"], sections["em"]
+    _single_run(args.command, run)
     true_alpha = sample_true_alpha(cfg, derive_seed(run.seed, "alpha"))
     truth_net, _, _ = build_latent_sat_story(cfg, true_alpha=true_alpha)
     data = Trajectory.from_trajectory(
@@ -396,7 +398,7 @@ def cmd_fit_em(args, sections) -> int:
                     num_samples=em.hmc_num_samples, burn_in=em.hmc_burn_in)
     opt = Adam(em.learning_rate)
     trace = mc_em_fit(net, data, held, hmc, opt, em.iterations, run.seed,
-                      registry=registry, m_steps=em.m_steps)
+                      registry=registry)
     outdir = Path(run.out)
     write_csv(outdir / "em_trace.csv", "em_trace/1",
               ["iteration", "objective", "acceptance_rate", "wall_clock_ms"],

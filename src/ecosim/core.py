@@ -1,10 +1,11 @@
 """The network description layer: Values, specs, Variables, Networks.
 
-A Value is a dot-path-keyed map of fields and is the unit of state
-exchanged between behaviors.  A Variable names one component random
-variable of the factored process: its field specs, an initial-slice
-builder, a transition-kernel builder, and declared dependencies on other
-Variables (same slice or previous slice).  A Network validates a set of
+A Value is a flat map from field path to payload and is the unit of
+state exchanged between behaviors; a dotted path is one key, not a
+nesting.  A Variable names one component random variable of the
+factored process: its field specs, an initial-slice builder, a
+transition-kernel builder, and declared dependencies on other Variables
+(same slice or previous slice).  A Network validates a set of
 Variables and fixes a deterministic evaluation order.
 """
 
@@ -34,11 +35,12 @@ def _normalize(payload):
 
 
 class Value:
-    """An ordered map from dot-separated path to payload.
+    """An ordered map from path to payload.
 
     Payloads are Tensors (continuous), int64 arrays (integer), or
-    Distributions (stochastic fields awaiting sampling or scoring).
-    Nested Values passed as payloads are flattened into dotted paths.
+    Distributions (stochastic fields awaiting sampling or scoring).  A
+    path is one flat key: a Value holds no Value, and every lookup is
+    exact.
     """
 
     __slots__ = ("_fields",)
@@ -57,9 +59,8 @@ class Value:
 
     def _insert(self, key: str, payload) -> None:
         if isinstance(payload, Value):
-            for sub, p in payload.items():
-                self._insert(f"{key}.{sub}", p)
-            return
+            raise CoreError(f"field {key!r} is a Value; Values do not nest: write "
+                            f"each of its fields as the dotted path '{key}.<path>'")
         if key in self._fields:
             raise CoreError(f"duplicate path {key!r}")
         self._fields[key] = _normalize(payload)
@@ -72,17 +73,12 @@ class Value:
         return self._fields.items()
 
     def has(self, path: str) -> bool:
-        prefix = path + "."
-        return path in self._fields or any(k.startswith(prefix) for k in self._fields)
+        return path in self._fields
 
     def get(self, path: str):
-        """Exact payload at ``path``, or the sub-Value under that prefix."""
+        """The payload at ``path``."""
         if path in self._fields:
             return self._fields[path]
-        prefix = path + "."
-        sub = {k[len(prefix):]: p for k, p in self._fields.items() if k.startswith(prefix)}
-        if sub:
-            return Value.of(sub)
         close = difflib.get_close_matches(path, self._fields, n=5, cutoff=0.0)
         raise CoreError(f"path {path!r} not found; nearest available: {close}")
 

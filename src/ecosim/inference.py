@@ -11,7 +11,7 @@ different seeds are fully isolated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,14 +72,6 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** self._t)
             v_hat = v / (1.0 - self.beta2 ** self._t)
             p.assign(p.value - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon))
-
-
-def make_optimizer(kind: str = "adam", learning_rate: float = 1e-2):
-    if kind == "adam":
-        return Adam(learning_rate)
-    if kind == "sgd":
-        return Sgd(learning_rate)
-    raise InferenceError(f"unknown optimizer kind {kind!r}")
 
 
 def _descend(registry: ParameterRegistry, opt, loss_fn: Callable[[], Tensor]) -> float:
@@ -292,9 +284,9 @@ def _latent_target(net: Network, observed: Trajectory,
 def mc_em_fit(net: Network, observed: Trajectory,
               held_out: tuple[str, str], hmc_cfg: HmcConfig, opt,
               num_iterations: int, seed: int, *,
-              registry: ParameterRegistry, m_steps: int = 1) -> list[EmIteration]:
-    """Monte-Carlo EM: HMC over the held-out field (E-step), gradient
-    ascent on the Monte-Carlo average log-probability (M-step).
+              registry: ParameterRegistry) -> list[EmIteration]:
+    """Monte-Carlo EM: HMC over the held-out field (E-step), one gradient
+    ascent step on the Monte-Carlo average log-probability (M-step).
 
     The held-out field is treated as a static latent: one tensor is
     injected at every step of the trajectory.  The chain is persistent
@@ -318,14 +310,12 @@ def mc_em_fit(net: Network, observed: Trajectory,
         raise InferenceError(f"held-out variable {var!r} is not in the network")
     z = np.zeros((observed.batch,) + observed.specs[var].field(path).shape)
     scored = observed.inject(var, path, [Tensor(z)] * observed.steps)
-
+    lp = float(log_probability_from_value_trajectory(net, scored, num_steps).data)
     if num_iterations == 0:
-        lp = log_probability_from_value_trajectory(net, scored, num_steps)
-        return [EmIteration(0, float(lp.data), None, 0.0)]
+        return [EmIteration(0, lp, None, 0.0)]
 
     # The E-step's target leaves out the factors constant in the latent, so
     # only the full log-probability shows that one of those is not finite.
-    lp = float(log_probability_from_value_trajectory(net, scored, num_steps).data)
     if not np.isfinite(lp):
         raise InferenceError(f"log-probability is not finite at the initial latent ({lp})")
     target = _latent_target(net, observed, held_out)
@@ -354,8 +344,6 @@ def mc_em_fit(net: Network, observed: Trajectory,
             return T.neg(T.div(total, float(len(samples))))
 
         objective = -_descend(registry, opt, loss)
-        for _ in range(m_steps - 1):
-            _descend(registry, opt, loss)
         trace.append(EmIteration(i, objective, acceptance,
                                  (time.perf_counter() - t0) * 1e3))
     return trace

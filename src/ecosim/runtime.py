@@ -7,11 +7,12 @@ sampled field keeps only its realized value: the distribution a builder
 emitted is dropped once sampled, and log-probabilities come from replaying
 the builders on the values (:mod:`ecosim.logprob`).
 
+``trajectory`` and ``execute`` share one slice loop, which builds each
+slice from the sampled slice before it and keeps only that one.
 A :class:`Trajectory` is the one record of a trajectory, sampled or
 observed: each field stacked on a leading time axis.  ``trajectory``
-writes each slice into it and builds the next from its rows; the scorer
-windows its stacks and the CSV export reads their rows.  ``execute``
-keeps only the slice being built and the previous one.
+writes each slice into it; the scorer windows its stacks and the CSV
+export reads their rows.  ``execute`` keeps only the last slice.
 
 The builder contract, which the sampler and the scorer share: a slice's
 builders are called in the order :func:`builder_calls` walks them, each
@@ -57,10 +58,6 @@ def _broadcast(payload, steps: int):
     if isinstance(payload, Tensor):
         return T.broadcast_to(payload, shape)
     return np.broadcast_to(payload, shape)
-
-
-def _window(payload, key):
-    return T.index(payload, key) if isinstance(payload, Tensor) else payload[key]
 
 
 class Trajectory:
@@ -144,16 +141,15 @@ class Trajectory:
 
     def value(self, variable: str, step: int) -> Value:
         """Slice ``step`` of ``variable`` (negative counts from the end),
-        shaped ``(batch,) + event``; a carried field is step 0's payload."""
-        step, first = range(self.steps)[step], self._first[variable]
-        return first if step == 0 else Value.of({
-            path: _window(stack, step) if _array(stack).flags.writeable else first.get(path)
-            for path, stack in self.fields[variable].items()})
+        shaped ``(batch,) + event``: step 0's Value as given, and a Value
+        of views into the stacks at any later step."""
+        step = range(self.steps)[step]
+        return self._first[variable] if step == 0 else self.window(variable, step)
 
     def window(self, variable: str, steps: int | slice) -> Value:
         """The slices ``steps`` of ``variable`` as one Value of views."""
-        return Value.of({path: _window(stack, steps)
-                         for path, stack in self.fields[variable].items()})
+        return Value.of({path: T.index(stack, steps) if isinstance(stack, Tensor)
+                         else stack[steps] for path, stack in self.fields[variable].items()})
 
     def inject(self, variable: str, path: str, values: Sequence) -> "Trajectory":
         """A new trajectory with the held-out field filled at every step.
@@ -242,25 +238,25 @@ def _realize(var: Variable, out: Value, step: int, seed: int,
     return value, batch
 
 
-def _eval_slice(net: Network, step: int, previous: dict[str, Value] | None,
-                seed: int, row_offset: int | np.ndarray, batch: int | None):
-    current: dict[str, Value] = {}
-    for var, fn, args in builder_calls(net, current, previous):
-        out = check_output(var, fn(*args), f"step {step}", SimulationError)
-        current[var.name], batch = _realize(var, out, step, seed, row_offset, batch)
-    return current, batch
+def _slices(net: Network, num_steps: int, seed: int, row_offset: int | np.ndarray
+            ) -> Iterator[tuple[dict[str, Value], int | None]]:
+    """Sample slices 0 .. num_steps and yield each with the batch; each is
+    built from the slice yielded before it, the only one kept."""
+    previous, batch = None, None
+    for step in range(num_steps + 1):
+        current: dict[str, Value] = {}
+        for var, fn, args in builder_calls(net, current, previous):
+            out = check_output(var, fn(*args), f"step {step}", SimulationError)
+            current[var.name], batch = _realize(var, out, step, seed, row_offset, batch)
+        yield current, batch
+        previous = current
 
 
 def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) -> Trajectory:
-    """Sample slices 0 .. horizon-1 into the record; each is built from the
-    record's rows of the one before, and dropped once written."""
+    """Sample slices 0 .. horizon-1 and write each into the record."""
     traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, row_offset)
-    previous, batch = None, None
-    for t in range(horizon):
-        current, batch = _eval_slice(net, t, previous, seed, row_offset, batch)
+    for current, batch in _slices(net, horizon - 1, seed, row_offset):
         traj.append(current)
-        del current
-        previous = {name: traj.value(name, t) for name in traj.specs}
     traj.batch = batch
     return traj
 
@@ -278,10 +274,9 @@ def execute(net: Network, num_steps: int, seed: int, *,
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    current, batch = None, None
-    for t in range(num_steps + 1):
-        current, batch = _eval_slice(net, t, current, seed, row_offset, batch)
-    return current
+    for final, _ in _slices(net, num_steps, seed, row_offset):
+        pass
+    return final
 
 
 # ---------------------------------------------------------------------------

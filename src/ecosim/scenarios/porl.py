@@ -46,7 +46,6 @@ class PorlConfig:
     record_scale: float = 0.5      # history weight of a consumed topic: centered engagement * this
     embed_dim: int | None = None   # None: interest_dim, with near-identity init
     hidden_width: int = 32
-    param_seed: int = 0
 
     def __post_init__(self):
         for name in ("population", "interest_dim", "embed_dim", "history_length"):
@@ -73,12 +72,13 @@ def _topic_quality_means(cfg: PorlConfig) -> np.ndarray:
     return means
 
 
-def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
+def build_porl_story(cfg: PorlConfig, policy: str = "learned", param_seed: int = 0):
     """Returns (network, parameter registry, metric (variable, path) pairs).
 
     ``policy`` selects the recommender: "learned" (trainable), "random"
     (uniform slates), or "oracle" (cheats: top-k by affinity-plus-quality
     against the latent interest; a dominance baseline, no learning).
+    ``param_seed`` seeds the learned policy's initial parameters.
     """
     if policy not in ("learned", "random", "oracle"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -87,7 +87,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned"):
         B, d, n, k = cfg.population, cfg.interest_dim, cfg.corpus_size, cfg.slate_size
         e = cfg.interest_dim if cfg.embed_dim is None else cfg.embed_dim
         hidden = cfg.hidden_width
-        prng = np.random.default_rng(cfg.param_seed)
+        prng = np.random.default_rng(param_seed)
         if policy == "learned":
             # Identity-pathway initialization: the tanh layer starts in its
             # near-linear regime with proj(h) ~ pooled history embedding, so

@@ -197,14 +197,6 @@ class TestTrainReinforce:
         assert run_cli("train-reinforce", "--scenario", "count",
                        "--out", str(tmp_path / "x")) == 2
 
-    def test_param_seed_is_a_configuration_error(self, tmp_path, capsys):
-        # each run's parameters come from its own seed, so a set param_seed
-        # would be ignored
-        assert run_cli("train-reinforce", *SMALL_TRAIN, "--set", "param_seed=7",
-                       "--out", str(tmp_path / "x")) == 2
-        assert "param_seed" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize("lengths", ["a", "2,0"])
     def test_bad_history_lengths_is_a_configuration_error(self, lengths, tmp_path,
                                                            capsys):
@@ -285,11 +277,6 @@ class TestFitEm:
         assert alpha[1] == "user,true_alpha,estimated_alpha"
         assert len(alpha) - 2 == 6
         assert "alpha_pearson_r" in read(out / "summary.csv")
-
-    def test_zero_m_steps_is_a_configuration_error(self, tmp_path, capsys):
-        assert run_cli("fit-em", *SMALL_EM, "--set", "em.m_steps=0",
-                       "--out", str(tmp_path / "x")) == 2
-        assert "m_steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [
         "hmc_num_samples=0", "hmc_step_size=0", "hmc_step_size=-0.1", "hmc_step_size=nan",
@@ -422,13 +409,42 @@ class TestEcosystemSweep:
      "bad value '0.6,inf' for sweep.boost_caps"),
     (("ecosystem-sweep", *SMALL_SWEEP), "sweep.boost_caps=",
      "sweep.boost_caps must name at least one cap"),
+    (("fit-em", *SMALL_EM), "em.learning_rate=-1", "learning_rate must be positive"),
+    (("train-reinforce", *SMALL_TRAIN), "train.learning_rate=0",
+     "learning_rate must be positive"),
 ], ids=["em-scalar", "optional-scalar", "negative-infinity", "cap", "cap-list-item",
-        "no-caps"])
+        "no-caps", "em-negative-rate", "train-zero-rate"])
 def test_non_finite_setting_or_empty_cap_list_exits_2(argv, setting, message, tmp_path,
                                                       capsys):
     out = tmp_path / "x"
     assert run_cli(*argv, "--set", setting, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("train-reinforce", *SMALL_TRAIN, "--set", "param_seed=7"), "param_seed"),
+    (("train-reinforce", *SMALL_TRAIN, "--set", "train.optimizer=sgd"), "optimizer"),
+    (("fit-em", *SMALL_EM, "--set", "em.m_steps=2"), "m_steps"),
+], ids=["param_seed=7", "train.optimizer=sgd", "em.m_steps=2"])
+def test_removed_setting_is_an_unknown_key(argv, key, tmp_path, capsys):
+    # Each run's policy parameters come from its own seed, the optimizer is
+    # Adam and the EM does one M-step per iteration: none is a setting.
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scenario", "count", "--runs", "5"),
+    ("fit-em", *SMALL_EM, "--runs", "3"),
+], ids=["simulate", "fit-em"])
+def test_single_run_command_rejects_runs(argv, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "run.runs must be 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,8 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ecosim.core import (CoreError, FieldSpec, Network, Value, ValueSpec,
                          Variable)
@@ -15,11 +13,6 @@ from ecosim.tensor import Tensor
 class TestValue:
     def test_get_exact_payload(self):
         assert int(Value(n=0).get("n")) == 0
-
-    def test_get_prefix_returns_sub_value(self):
-        v = Value(**{"interest.state": np.array([1.0])})
-        sub = v.get("interest")
-        assert sub.paths == ("state",)
 
     def test_get_missing_lists_nearest_paths(self):
         with pytest.raises(CoreError, match="nearest available"):
@@ -39,40 +32,16 @@ class TestValue:
         with pytest.raises(CoreError, match="duplicate path 'x'"):
             Value(x=1.0).union(Value(x=2.0))
 
-    def test_hierarchical_composition_keys(self):
-        interest = Value(state=np.array([1.0]))
-        satisfaction = Value(state=np.array([2.0]))
-        composed = Value(interest=interest).union(Value(satisfaction=satisfaction))
-        assert set(composed.paths) == {"interest.state", "satisfaction.state"}
-
-    def test_nested_value_flattens(self):
-        v = Value(interest=Value(state=np.array([1.0])))
-        assert v.paths == ("interest.state",)
-
-    def test_round_trip_union_of_prefixed(self):
-        a = Value(state=np.array([1.0]))
-        b = Value(state=np.array([2.0]))
-        u = Value(i=a).union(Value(s=b))
-        got = u.get("s")
-        np.testing.assert_array_equal(got.get("state").data, [2.0])
+    def test_nested_value_payload_is_rejected(self):
+        with pytest.raises(CoreError, match=re.escape("field 'a' is a Value")) as info:
+            Value(a=Value(b=1.0))
+        assert "'a.<path>'" in str(info.value)
 
     def test_payload_normalization(self):
         v = Value(i=np.array([1, 2]), f=np.array([1.0]), d=Normal(0.0, 1.0))
         assert v.get("i").dtype == np.int64
         assert isinstance(v.get("f"), Tensor)
         assert isinstance(v.get("d"), Normal)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(alphabet="abcxyz", min_size=1, max_size=6),
-       st.lists(st.text(alphabet="abcde", min_size=1, max_size=4),
-                min_size=1, max_size=4, unique=True))
-def test_nested_value_then_get_is_identity(prefix, keys):
-    v = Value.of({k: np.array([float(i)]) for i, k in enumerate(keys)})
-    back = Value.of({prefix: v}).get(prefix)
-    assert set(back.paths) == set(v.paths)
-    for k in keys:
-        np.testing.assert_array_equal(back.get(k).data, v.get(k).data)
 
 
 class TestValueSpec:

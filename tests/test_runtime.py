@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ecosim.tensor as T
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.logprob import LogProbError, trajectory_log_prob_rows
@@ -29,7 +30,7 @@ def count_network(batch=1):
 def gaussian_walk(batch, drift=0.0, scale=1.0):
     walk = Variable("walk", ValueSpec(x=FieldSpec(())))
     walk.bind_initial(lambda: Value(x=Normal(Tensor(np.zeros(batch)), scale)))
-    walk.bind_kernel(lambda prev: Value(x=Normal(prev.get("x") + drift, scale)),
+    walk.bind_kernel(lambda prev: Value(x=Normal(T.add(prev.get("x"), drift), scale)),
                      deps=(walk.previous,))
     return Network([walk])
 
@@ -99,9 +100,9 @@ class TestTrajectory:
         assert walked.shape == (4, 3) and walked.flags.c_contiguous
 
     def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self):
-        # The sampler holds the record and the slice being built with its
-        # temporaries: it reads the previous slice from the record's rows.
-        # The observed copy adds nothing.
+        # The sampler holds the record, the sampled slice before the one it
+        # builds, and the slice being built with its temporaries.  The
+        # observed copy adds nothing.
         cfg = PorlConfig()
         net, _, _ = build_porl_story(cfg)
         tracemalloc.start()
@@ -240,7 +241,7 @@ class TestCsvExport:
             f=edges, i=extremes, m=np.arange(4.0 * batch).reshape(batch, 2, 2) / 3,
             c=Tensor(np.linspace(-1.0, 1.0, batch)), z=np.zeros(batch)))
         v.bind_kernel(lambda p: Value(
-            f=-p.get("f").data[::-1], i=np.roll(p.get("i"), 1), m=p.get("m") * 0.5,
+            f=-p.get("f").data[::-1], i=np.roll(p.get("i"), 1), m=T.mul(p.get("m"), 0.5),
             c=p.get("c"),                    # carried by identity
             z=-p.get("z").data),             # flips 0.0 / -0.0: equal, not identical
             deps=(v.previous,))
