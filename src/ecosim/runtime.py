@@ -14,6 +14,11 @@ observed: each field stacked on a leading time axis.  ``trajectory``
 writes each slice into it; the scorer windows its stacks and the CSV
 export reads their rows.  ``execute`` keeps only the last slice.
 
+The CSV export (:func:`export_trajectory`) writes each value's cell as
+exactly ``repr(float(v))`` or ``str(int(v))``.  It formats whole blocks of
+values with numpy (:mod:`ecosim.numtext`), a bounded group of steps at a
+time, and the oracle tests hold that formatter to ``repr`` and ``str``.
+
 The builder contract, which the sampler and the scorer share: a slice's
 builders are called in the order :func:`builder_calls` walks them, each
 on the Values of its declared dependencies, and each returns a Value
@@ -26,7 +31,6 @@ deterministic: the scorer checks it against the observed value.
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -35,6 +39,7 @@ import numpy as np
 from . import tensor as T
 from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Deterministic, Distribution
+from .numtext import CHUNK, row_texts
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -305,33 +310,45 @@ def _flat_columns(path: str, stack) -> list[str]:
     return [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)]
 
 
-def _row_texts(arr: np.ndarray, batch: int) -> list[str]:
-    """Each batch row of ``arr`` as comma-joined text: ``str`` of the Python
-    int for int64 payloads, ``repr`` of the Python float for float64 ones
-    (``Value`` normalizes every payload to one of the two)."""
-    fmt = str if arr.dtype.kind == "i" else repr
-    # The explicit event size keeps the reshape defined at batch 0.
-    rows = arr.reshape(batch, math.prod(arr.shape[1:])).tolist()
-    return [",".join(map(fmt, row)) for row in rows]
+def _row_texts(arr: np.ndarray, rows: int) -> list[str]:
+    """Each of the ``rows`` leading rows of ``arr`` (one step's batch rows,
+    or a group of steps') as comma-joined text.  A cell is exactly ``repr``
+    of the Python float for a float64 payload and ``str`` of the Python int
+    for an int64 one (``Value`` normalizes every payload to one of the
+    two), formatted a block at a time by :func:`numtext.row_texts`."""
+    # The explicit row size keeps the reshape defined at batch 0.
+    return row_texts(arr.reshape(rows, arr.size // rows if rows else 0))
 
 
 def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
     """A variable's CSV body, one text block per step, read from the rows
-    of its stacks.  A carried field's rows are one payload, formatted once."""
-    batch_ids = [str(b + traj.row_offset) for b in range(traj.batch)]
+    of its stacks.  A carried field's rows are one payload, formatted once;
+    the others are formatted a group of steps at a time, about
+    ``numtext.CHUNK`` values of the widest field, so the text held at once
+    does not grow with the horizon."""
+    batch = traj.batch
+    batch_ids = [str(b + traj.row_offset) for b in range(batch)]
     rows = {path: _array(stack) for path, stack in traj.fields[variable].items()}
-    carried = {path: _row_texts(arr[0], traj.batch)
+    carried = {path: _row_texts(arr[0], batch)
                for path, arr in rows.items() if not arr.flags.writeable}
-    for t in range(traj.steps):
-        columns = [[str(t)] * traj.batch, batch_ids]
-        columns += [carried[path] if path in carried else _row_texts(arr[t], traj.batch)
-                    for path, arr in rows.items()]
-        yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
+    stepped = {path: arr for path, arr in rows.items() if path not in carried}
+    group = max(1, CHUNK // max([1] + [arr[0].size for arr in stepped.values()]))
+    for t0 in range(0, traj.steps, group):
+        t1 = min(t0 + group, traj.steps)
+        texts = {path: _row_texts(arr[t0:t1], (t1 - t0) * batch)
+                 for path, arr in stepped.items()}
+        for t in range(t0, t1):
+            at = (t - t0) * batch
+            columns = [[str(t)] * batch, batch_ids]
+            columns += [carried[path] if path in carried else texts[path][at:at + batch]
+                        for path in rows]
+            yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
 
 
 def export_trajectory(traj: Trajectory, outdir: str | Path) -> list[Path]:
     """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
-    step, batch, then the flattened field paths."""
+    step, batch, then the flattened field paths.  Each value's cell is
+    ``repr(float(v))`` or ``str(int(v))`` exactly (:func:`_row_texts`)."""
     written = []
     for name, fields in traj.fields.items():
         header = ["step", "batch"]

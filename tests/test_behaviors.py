@@ -7,7 +7,7 @@ from ecosim.behaviors import (AffinityModel, ChoiceModel,
                               FiniteHistoryEstimator,
                               ParameterRegistry)
 from ecosim.core import CoreError, FieldSpec, Value, ValueSpec, Variable
-from ecosim.dist import Categorical, Normal
+from ecosim.dist import Normal
 from ecosim.rng import RngStream
 from ecosim.tensor import Tensor
 

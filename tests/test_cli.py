@@ -8,7 +8,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ecosim.cli import _sweep_slices, _workers, main

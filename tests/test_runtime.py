@@ -254,6 +254,34 @@ class TestCsvExport:
         assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
         assert [row[-1] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
 
+    @pytest.mark.parametrize("batch", [0, 3])
+    def test_integer_fields_match_per_value_formatting(self, tmp_path, batch):
+        v = Variable("v", ValueSpec(i=FieldSpec((), "integer"),
+                                    e=FieldSpec((2, 3), "integer")))
+        v.bind_initial(lambda: Value(i=np.arange(batch) - 1,
+                                     e=np.arange(6 * batch).reshape(batch, 2, 3) * -7))
+        v.bind_kernel(lambda p: Value(i=p.get("i") * 1000, e=p.get("e") + 1),
+                      deps=(v.previous,))
+        traj = trajectory(Network([v]), 3, seed=0)
+        [path] = export_trajectory(traj, tmp_path)
+        assert path.read_text(encoding="utf-8") == per_value_csv(traj, "v")
+
+    def test_export_peak_stays_small_beside_the_record(self, tmp_path):
+        # 100 steps of 10 rows of 1,000 floats: an 8 MB record and 18 MB of
+        # text, formatted a bounded group of steps at a time.
+        v = Variable("v", ValueSpec(x=FieldSpec((1000,))))
+        v.bind_initial(lambda: Value(x=np.random.default_rng(0).normal(size=(10, 1000))))
+        v.bind_kernel(lambda p: Value(x=p.get("x").data + 0.5), deps=(v.previous,))
+        traj = trajectory(Network([v]), 100, seed=0)
+        tracemalloc.start()
+        try:
+            [path] = export_trajectory(traj, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 18e6
+        assert peak < 8 * 2**20
+
 
 def per_value_csv(traj, variable):
     """The export as formatted one value at a time through csv.writer,
@@ -272,7 +300,8 @@ def per_value_csv(traj, variable):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for t in range(traj.steps):
-        flats = [stack[t].reshape(traj.batch, -1) for stack in stacks.values()]
+        flats = [stack[t].reshape(traj.batch, int(np.prod(stack.shape[2:])))
+                 for stack in stacks.values()]
         for b in range(traj.batch):
             row = [str(t), str(b + traj.row_offset)]
             for arr in flats:

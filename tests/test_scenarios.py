@@ -21,7 +21,6 @@ from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, Por
                               build_latent_sat_story, build_porl_story,
                               sample_true_alpha)
 from ecosim.scenarios.ecosystem import _apportion, _item_counts
-from ecosim.scenarios.latent_sat import HELD_OUT
 from ecosim.tensor import Tensor
 
 from stepwise_oracle import replay_slice
