@@ -20,8 +20,7 @@ import numpy as np
 from . import tensor as T
 from .core import INTEGER, CoreError, Value, ValueSpec
 from .dist import Categorical, Distribution, Normal
-from .runtime import _array
-from .tensor import Tape, Tensor, as_tensor
+from .tensor import Tape, Tensor, as_array, as_tensor
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class FiniteHistoryEstimator:
         axis = mask.ndim - 1
         windows = {}
         for path, payload in record.items():
-            window, rec = _array(state.get(path)), _array(payload)
+            window, rec = as_array(state.get(path)), as_array(payload)
             want = window.shape[:axis] + window.shape[axis + 1:]
             if rec.shape != want:
                 raise CoreError(f"record field {path!r} has shape {rec.shape}, expected {want}")

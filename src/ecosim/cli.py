@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import Adam, HmcConfig, ReinforceConfig, mc_em_fit, reinforce_training
+from .inference import Adam, HmcConfig, ReinforceConfig, mc_em_fit, reinforce_step
 from .rng import derive_seed
 from .runtime import Trajectory, execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
@@ -53,21 +53,29 @@ from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
                         build_latent_sat_story, build_porl_story,
                         sample_true_alpha)
 from .scenarios.latent_sat import HELD_OUT
-from .tensor import Tensor
+from .tensor import as_array
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _distinct(name: str, values: tuple) -> None:
+    """Each entry of a swept list labels its own columns or rows, so an
+    entry listed twice would write them twice under one label."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name} lists {value!r} more than once")
+
+
 @dataclass(frozen=True)
 class RunSettings:
     seed: int = 0
-    runs: int = 1
+    runs: int | None = None  # None: one run, or scenario.num_runs for ecosystem-sweep
     out: str = "out"
 
     def __post_init__(self):
-        if self.runs < 1:
+        if self.runs is not None and self.runs < 1:
             raise ConfigError("runs must be >= 1")
 
 
@@ -82,6 +90,7 @@ class TrainSettings:
     history_lengths: tuple[int, ...] = ()  # swept; empty = the scenario's default
 
     def __post_init__(self):
+        _distinct("train.history_lengths", self.history_lengths)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if not self.learning_rate > 0:
@@ -115,6 +124,9 @@ class EmSettings:
 @dataclass(frozen=True)
 class SweepSettings:
     boost_caps: tuple[float, ...] = (0.0, 0.6, 1.2, 2.4, 4.8)
+
+    def __post_init__(self):
+        _distinct("sweep.boost_caps", self.boost_caps)
 
 
 _SCENARIO_CONFIGS = {
@@ -289,7 +301,7 @@ def _fmt(x) -> str:
 
 
 def _single_run(command: str, run: RunSettings) -> None:
-    if run.runs != 1:
+    if run.runs not in (None, 1):
         raise ConfigError(f"{command} does one run; run.runs must be 1, got {run.runs}")
 
 
@@ -323,8 +335,7 @@ def cmd_simulate(args, sections) -> int:
     export_trajectory(traj, outdir)
     rows = []
     for metric, (var, path) in metrics.items():
-        payload = traj.value(var, -1).get(path)
-        arr = payload.data if isinstance(payload, Tensor) else np.asarray(payload)
+        arr = as_array(traj.value(var, -1).get(path))
         if args.scenario == "ecosystem":
             for r in range(arr.shape[0]):
                 rows.append([r, metric, _fmt(arr[r])])
@@ -344,8 +355,9 @@ def _train_one(task):
     rc = ReinforceConfig(horizon=cfg.horizon, reward_field=metrics["reward"],
                          policy_field=metrics["policy_log_prob"],
                          baseline=train.baseline)
-    rewards = reinforce_training(net, registry, rc, Adam(train.learning_rate),
-                                 train.iterations, seed)
+    opt = Adam(train.learning_rate)
+    rewards = [reinforce_step(net, registry, rc, opt, derive_seed(seed, "reinforce", i))
+               for i in range(train.iterations)]
     return cfg.history_length, seed, rewards
 
 
@@ -356,7 +368,7 @@ def cmd_train_reinforce(args, sections) -> int:
         scenarios = {h: dataclasses.replace(cfg, history_length=h) for h in histories}
     except ValueError as e:
         raise ConfigError(f"bad train.history_lengths: {e}") from None
-    seeds = [derive_seed(run.seed, "train-seed", i) for i in range(run.runs)]
+    seeds = [derive_seed(run.seed, "train-seed", i) for i in range(run.runs or 1)]
     tasks = [(scenarios[h], s, train) for h in histories for s in seeds]
     results = _pool_map(_train_one, tasks, _workers(len(tasks)))
     curves = {(h, s): r for h, s, r in results}
@@ -471,7 +483,7 @@ def cmd_ecosystem_sweep(args, sections) -> int:
             dataclasses.replace(cfg, boost_cap=cap)
     except ValueError as e:
         raise ConfigError(f"bad sweep.boost_caps: {e}") from None
-    total_runs = run.runs if run.runs > 1 else cfg.num_runs
+    total_runs = cfg.num_runs if run.runs is None else run.runs
     # The sweep is one flat list of (cap, run) rows, cap-major, and each
     # task steps a contiguous slice of it as one batch.  A row draws under
     # its run id, so every cap sees the same sampled ecosystems (shared

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .rng import RngStream
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_array, as_tensor
 
 NEG_INF = -1e30
 _DETERMINISTIC_ATOL = 1e-12
@@ -62,13 +62,6 @@ class Distribution:
     def log_prob(self, value) -> Tensor:
         raise NotImplementedError
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(sample_shape={self.sample_shape})"
-
 
 class Deterministic(Distribution):
     """A point mass, which behaviors never emit: they emit a deterministic
@@ -80,17 +73,9 @@ class Deterministic(Distribution):
     """
 
     def __init__(self, loc):
-        if isinstance(loc, Tensor):
-            self.loc = loc.data
-            self._integer = False
-        else:
-            arr = np.asarray(loc)
-            self._integer = np.issubdtype(arr.dtype, np.integer)
-            self.loc = arr.astype(np.int64) if self._integer else np.asarray(arr, np.float64)
-
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.loc.shape
+        arr = as_array(loc)
+        self._integer = np.issubdtype(arr.dtype, np.integer)
+        self.loc = arr.astype(np.int64) if self._integer else np.asarray(arr, np.float64)
 
     def sample(self, stream: RngStream):
         return self.loc.copy()
@@ -102,7 +87,7 @@ class Deterministic(Distribution):
             return (v == loc) | (np.abs(v - loc) <= _DETERMINISTIC_ATOL)
 
     def is_consistent(self, value) -> bool:
-        v = value.data if isinstance(value, Tensor) else np.asarray(value)
+        v = as_array(value)
         if v.shape != self.loc.shape:
             return False
         if np.array_equal(v, self.loc):
@@ -110,8 +95,7 @@ class Deterministic(Distribution):
         return not self._integer and bool(self._matches(v).all())
 
     def log_prob(self, value) -> Tensor:
-        v = value.data if isinstance(value, Tensor) else np.asarray(value)
-        return Tensor(np.where(self._matches(v), 0.0, NEG_INF))
+        return Tensor(np.where(self._matches(as_array(value)), 0.0, NEG_INF))
 
 
 class Normal(Distribution):
@@ -121,10 +105,6 @@ class Normal(Distribution):
         if not (self.scale.data > 0.0).all():
             raise DistributionError("Normal scale must be positive elementwise")
         self._shape = T._broadcast_shape(self.loc.shape, self.scale.shape)
-
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self._shape
 
     def sample(self, stream: RngStream) -> np.ndarray:
         z = stream.normals(self._shape)
@@ -141,15 +121,11 @@ class Uniform(Distribution):
     def __init__(self, shape: tuple[int, ...]):
         self._shape = tuple(int(n) for n in shape)
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self._shape
-
     def sample(self, stream: RngStream) -> np.ndarray:
         return stream.uniform_field(self._shape)
 
     def log_prob(self, value) -> Tensor:
-        v = np.asarray(value.data if isinstance(value, Tensor) else value, np.float64)
+        v = as_array(value)
         return Tensor(np.where((v > 0.0) & (v < 1.0), 0.0, NEG_INF))
 
 
@@ -161,17 +137,12 @@ class Bernoulli(Distribution):
         if not np.all(np.isfinite(self.logits.data)):
             raise DistributionError("Bernoulli logits must be finite")
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.logits.shape
-
     def sample(self, stream: RngStream) -> np.ndarray:
         u = stream.uniform_field(self.logits.shape)
         return (u < T._expit(self.logits.data)).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:
-        v = np.asarray(value.data if isinstance(value, Tensor) else value)
-        return T.sub(T.mul(Tensor(np.asarray(v, np.float64)), self.logits),
+        return T.sub(T.mul(Tensor(as_array(value)), self.logits),
                      T.softplus(self.logits))
 
 
@@ -199,10 +170,6 @@ class Categorical(Distribution):
             raise DistributionError(f"Categorical logits shape {self.logits.shape} does "
                                     f"not broadcast to sample shape {self._shape}")
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self._shape
-
     def sample(self, stream: RngStream) -> np.ndarray:
         logits = self.logits.data
         u = stream.uniform_field(self._shape + (1,))
@@ -216,9 +183,8 @@ class Categorical(Distribution):
         return np.argmax(cum > target, axis=-1).astype(np.int64)
 
     def log_prob(self, value) -> Tensor:
-        idx = np.asarray(value.data if isinstance(value, Tensor) else value)
-        idx = idx.astype(np.int64, copy=False)
-        lead = _leading_shape(idx, self.sample_shape, "Categorical")
+        idx = as_array(value).astype(np.int64, copy=False)
+        lead = _leading_shape(idx, self._shape, "Categorical")
         lsm = _broadcast_logits(T.log_softmax(self.logits), lead)
         if idx.shape != lead:
             idx = np.broadcast_to(idx, lead)
@@ -251,10 +217,6 @@ class GaussianMixture(Distribution):
             raise DistributionError(
                 f"weights have {self.weights.shape[-1]} components, locs have {self._m}")
         self._lead = np.broadcast_shapes(self.weights.shape[:-1], self.locs.shape[:-2])
-
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self._lead + (self._d,)
 
     def sample(self, stream: RngStream) -> np.ndarray:
         u = stream.uniform_field(self._lead + (1,))
@@ -296,15 +258,11 @@ class PlackettLuce(Distribution):
             raise DistributionError("PlackettLuce logits must be finite")
         self.k = int(k)
 
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.logits.shape[:-1] + (self.k,)
-
     def sample(self, stream: RngStream) -> np.ndarray:
         return top_k(self.logits.data + stream.gumbels(self.logits.shape), self.k)
 
     def log_prob(self, value) -> Tensor:
-        idx = np.asarray(value.data if isinstance(value, Tensor) else value).astype(np.int64)
+        idx = as_array(value).astype(np.int64)
         if idx.ndim < 1 or idx.shape[-1] != self.k:
             raise DistributionError(
                 f"PlackettLuce value shape {idx.shape} does not end in k={self.k}")

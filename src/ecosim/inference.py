@@ -224,17 +224,6 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     return float(reward.mean())
 
 
-def reinforce_training(net, registry: ParameterRegistry, cfg: ReinforceConfig,
-                       opt, num_iterations: int, seed: int) -> list[float]:
-    """Run ``num_iterations`` REINFORCE steps with derived per-step seeds;
-    returns the mean cumulative reward before each update."""
-    rewards = []
-    for i in range(num_iterations):
-        rewards.append(reinforce_step(net, registry, cfg, opt,
-                                      derive_seed(seed, "reinforce", i)))
-    return rewards
-
-
 # ---------------------------------------------------------------------------
 # maximum likelihood and Monte-Carlo EM
 

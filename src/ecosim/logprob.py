@@ -44,13 +44,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import tensor as T
 from .core import Network, Value
 from .dist import Deterministic, Distribution
 from .runtime import LogProbError, Trajectory, builder_calls, check_output
-from .tensor import Tensor
+from .tensor import Tensor, as_array
 
 # The scorer's name for the record; perfbench imports it.  ROADMAP item
 # 8's perfbench part removes it.
@@ -120,7 +118,7 @@ def _score_variable(var, out: Value, observed: Value, where: str, only,
                 lp = T.reduce_sum(lp, axis=tuple(range(len(lead), lp.ndim)))
         else:
             det = Deterministic(emitted)
-            shape = np.shape(obs.data if isinstance(obs, Tensor) else obs)
+            shape = as_array(obs).shape
             if det.loc.shape != shape:
                 raise LogProbError(
                     f"{where}: deterministic field {path!r} has shape {det.loc.shape}, "

@@ -41,7 +41,7 @@ from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Deterministic, Distribution
 from .numtext import CHUNK, row_texts
 from .rng import RngStream
-from .tensor import Tensor
+from .tensor import Tensor, as_array
 
 
 class SimulationError(RuntimeError):
@@ -50,10 +50,6 @@ class SimulationError(RuntimeError):
 
 class LogProbError(ValueError):
     """Raised for malformed observations or deterministic mismatches."""
-
-
-def _array(payload) -> np.ndarray:
-    return payload.data if isinstance(payload, Tensor) else payload
 
 
 def _broadcast(payload, steps: int):
@@ -107,14 +103,14 @@ class Trajectory:
                 continue
             fields, first = self.fields[name], self._first[name]
             for path, stack in fields.items():
-                payload, rows = value.get(path), _array(stack)
+                payload, rows = value.get(path), as_array(stack)
                 if not rows.flags.writeable:  # still the broadcast of step 0
                     if payload is first.get(path):
                         continue
                     rows = np.empty(rows.shape, rows.dtype)
-                    rows[:t] = _array(first.get(path))
+                    rows[:t] = as_array(first.get(path))
                     fields[path] = Tensor(rows) if isinstance(stack, Tensor) else rows
-                rows[t] = _array(payload)
+                rows[t] = as_array(payload)
         self._appended += 1
 
     @classmethod
@@ -328,7 +324,7 @@ def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
     does not grow with the horizon."""
     batch = traj.batch
     batch_ids = [str(b + traj.row_offset) for b in range(batch)]
-    rows = {path: _array(stack) for path, stack in traj.fields[variable].items()}
+    rows = {path: as_array(stack) for path, stack in traj.fields[variable].items()}
     carried = {path: _row_texts(arr[0], batch)
                for path, arr in rows.items() if not arr.flags.writeable}
     stepped = {path: arr for path, arr in rows.items() if path not in carried}

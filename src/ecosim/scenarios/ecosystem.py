@@ -56,6 +56,14 @@ class EcosystemConfig:
     items_engagement_rate: float | None = None  # kappa; None = auto
 
     def __post_init__(self):
+        for name in ("num_users", "num_providers", "num_items", "interest_dim",
+                     "num_communities"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("center_scale", "provider_scale", "user_scale", "item_scale",
+                     "utility_noise"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.boost_cap < 0:
             raise ValueError("boost_cap must be >= 0")
         if not 0.0 < self.engagement_discount < 1.0:

@@ -43,8 +43,9 @@ class LatentSatConfig:
             raise ValueError("population, interest_dim, slate_size must be >= 1")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
-        if self.satisfaction_noise <= 0:
-            raise ValueError("satisfaction_noise must be positive")
+        for name in ("satisfaction_noise", "item_scale", "interest_prior_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.alpha_init < 1.0:
             raise ValueError("alpha_init must lie in (0, 1)")
 

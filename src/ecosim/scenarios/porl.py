@@ -48,9 +48,15 @@ class PorlConfig:
     hidden_width: int = 32
 
     def __post_init__(self):
-        for name in ("population", "interest_dim", "embed_dim", "history_length"):
+        for name in ("population", "interest_dim", "corpus_size", "embed_dim",
+                     "history_length"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("quality_scale", "reward_noise"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.noise_scale < 0:  # 0: noise-free interest dynamics
+            raise ValueError("noise_scale must be >= 0")
         if self.hidden_width < (self.embed_dim or self.interest_dim):
             raise ValueError("hidden_width must be >= embed_dim (default interest_dim)")
         if not 1 <= self.slate_size <= self.corpus_size:

@@ -7,7 +7,11 @@ run the forward computation, call ``backward``, drop the tape.  Taped and
 untaped evaluation run the same numpy kernels, so forward values are
 bit-identical either way.
 
-Each op records one vjp (vector-Jacobian product) per taped operand.
+Every op is recorded one way: it computes its output data with numpy,
+then calls ``_record(data, (operand, vjp), ...)`` with a vjp
+(vector-Jacobian product) for each of its operands.  ``_record`` keeps
+the pairs whose operand is taped, raises ``TapeError`` for operands on
+two tapes, and records nothing when no operand is taped.
 
 - Retention: a vjp captures only what its formula reads: a shape, a
   mask, an index, an axis, or the ``.data`` of an operand or of the
@@ -77,6 +81,11 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def as_array(x) -> np.ndarray:
+    """The numbers of a payload: a Tensor's ``.data``, else ``np.asarray(x)``."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def zeros(shape) -> Tensor:
@@ -187,18 +196,6 @@ class Tape:
                 g = np.array(g, dtype=np.float64, copy=True)
             out[leaf] = Tensor(g)
         return out
-
-
-def _common_tape(tensors: Sequence[Tensor]) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise TapeError("operands recorded on different tapes")
-    return tape
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -323,16 +320,25 @@ def _per_pass(fn: Callable) -> Callable:
     return cached
 
 
-def _apply(fwd: Callable, inputs: Sequence, vjps: Sequence[Callable | None]) -> Tensor:
-    """Run ``fwd`` on raw buffers and record vjps for taped inputs."""
-    ts = [as_tensor(x) for x in inputs]
-    tape = _common_tape(ts)
-    data = fwd(*[t.data for t in ts])
+def _record(data: np.ndarray, *pairs: tuple[Tensor, Callable]) -> Tensor:
+    """An op's output ``data``, recorded with the vjp of each taped operand.
+
+    ``pairs`` are ``(operand, vjp)``; an operand may appear in several.
+    The pairs of untaped operands are dropped here, so neither their vjps
+    nor what those capture outlive the call.
+    """
+    tape, taped = None, []
+    for t, vjp in pairs:
+        if t.tape is None:
+            continue
+        if tape is None:
+            tape = t.tape
+        elif tape is not t.tape:
+            raise TapeError("operands recorded on different tapes")
+        taped.append((t, vjp))
     if tape is None:
         return Tensor(data)
-    partials = [(t, vjp) for t, vjp in zip(ts, vjps)
-                if t.tape is not None and vjp is not None]
-    return tape._emit(data, partials)
+    return tape._emit(data, taped)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +371,16 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "add")
     sa, sb = a.shape, b.shape
-    return _apply(np.add, (a, b),
-                  (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
+    return _record(np.add(a.data, b.data),
+                   (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "sub")
     sa, sb = a.shape, b.shape
-    return _apply(np.subtract, (a, b),
-                  (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
+    return _record(np.subtract(a.data, b.data),
+                   (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
@@ -384,46 +390,47 @@ def mul(a, b) -> Tensor:
     # untaped, its vjp is never recorded and the taped operand's data is
     # not kept
     ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    return _apply(np.multiply, (a, b),
-                  (lambda g: _unbroadcast(g * bd, sa), lambda g: _unbroadcast(g * ad, sb)))
+    return _record(np.multiply(ad, bd),
+                   (a, lambda g: _unbroadcast(g * bd, sa)),
+                   (b, lambda g: _unbroadcast(g * ad, sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_guard(a.data, b.data, "div")
     ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    return _apply(np.divide, (a, b),
-                  (lambda g: _unbroadcast(g / bd, sa),
-                   lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
+    return _record(np.divide(ad, bd),
+                   (a, lambda g: _unbroadcast(g / bd, sa)),
+                   (b, lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _apply(np.negative, (a,), (lambda g: -g,))
+    return _record(np.negative(a.data), (a, lambda g: -g))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
-    return _apply(np.log, (a,), (lambda g: g / ad,))
+    return _record(np.log(ad), (a, lambda g: g / ad))
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _apply(lambda x: out, (a,), (lambda g: g * (1.0 - out * out),))
+    return _record(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
-    return _apply(lambda x: np.maximum(x, 0.0), (a,), (lambda g: g * mask,))
+    return _record(np.maximum(a.data, 0.0), (a, lambda g: g * mask))
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
-    return _apply(lambda x: np.logaddexp(0.0, x), (a,), (lambda g: g * _expit(ad),))
+    return _record(np.logaddexp(0.0, ad), (a, lambda g: g * _expit(ad)))
 
 
 def maximum(a, b) -> Tensor:
@@ -432,9 +439,9 @@ def maximum(a, b) -> Tensor:
     _broadcast_guard(a.data, b.data, "maximum")
     mask = a.data >= b.data
     sa, sb = a.shape, b.shape
-    return _apply(np.maximum, (a, b),
-                  (lambda g: _unbroadcast(g * mask, sa),
-                   lambda g: _unbroadcast(g * ~mask, sb)))
+    return _record(np.maximum(a.data, b.data),
+                   (a, lambda g: _unbroadcast(g * mask, sa)),
+                   (b, lambda g: _unbroadcast(g * ~mask, sb)))
 
 
 def minimum(a, b) -> Tensor:
@@ -442,9 +449,9 @@ def minimum(a, b) -> Tensor:
     _broadcast_guard(a.data, b.data, "minimum")
     mask = a.data <= b.data
     sa, sb = a.shape, b.shape
-    return _apply(np.minimum, (a, b),
-                  (lambda g: _unbroadcast(g * mask, sa),
-                   lambda g: _unbroadcast(g * ~mask, sb)))
+    return _record(np.minimum(a.data, b.data),
+                   (a, lambda g: _unbroadcast(g * mask, sa)),
+                   (b, lambda g: _unbroadcast(g * ~mask, sb)))
 
 
 def clip(a, lo, hi) -> Tensor:
@@ -466,29 +473,23 @@ def matmul(a, b) -> Tensor:
     def vjp_b(g):
         return _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
 
-    return _apply(np.matmul, (a, b), (vjp_a, vjp_b))
+    return _record(np.matmul(ad, bd), (a, vjp_a), (b, vjp_b))
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    tape = _common_tape(ts)
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    if tape is None:
-        return Tensor(data)
-    partials = []
+    pairs = []
     hi = 0
     for t in ts:
         lo, hi = hi, hi + t.shape[axis]
-        if t.tape is None:
-            continue
 
         def vjp(g, lo=lo, hi=hi):
             index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
             return g[tuple(index)]
 
-        partials.append((t, vjp))
-    return tape._emit(data, partials)
+        pairs.append((t, vjp))
+    return _record(np.concatenate([t.data for t in ts], axis=axis), *pairs)
 
 
 def check_index(idx, extent: int, op: str) -> np.ndarray:
@@ -539,7 +540,7 @@ def take_along(a, indices, axis: int) -> Tensor:
         laid[...] = out
         return laid
 
-    return _apply(lambda x: x.take(flat), (a,), (vjp,))
+    return _record(a.data.take(flat), (a, vjp))
 
 
 def take_rows(a, indices) -> Tensor:
@@ -570,12 +571,12 @@ def take_rows(a, indices) -> Tensor:
         np.add.at(out, flat, g.reshape(flat.size, d))
         return out.reshape(shape)
 
-    return _apply(lambda x: np.take(x.reshape(rows, d), flat, axis=0).reshape(out_shape),
-                  (a,), (vjp,))
+    return _record(np.take(a.data.reshape(rows, d), flat, axis=0).reshape(out_shape),
+                   (a, vjp))
 
 
-def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None or keepdims:
+def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    if axis is None:
         return np.broadcast_to(g, shape)
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     axes = tuple(a % len(shape) for a in axes)
@@ -585,36 +586,27 @@ def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -
     return np.broadcast_to(g.reshape(expanded), shape)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
-    return _apply(lambda x: np.sum(x, axis=axis, keepdims=keepdims), (a,),
-                  (lambda g: _restore_axes(g, shape, axis, keepdims),))
+    return _record(np.sum(a.data, axis=axis), (a, lambda g: _restore_axes(g, shape, axis)))
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis: int) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
     shape = a.shape
-
-    def vjp(g):
-        return _restore_axes(g, shape, axis, keepdims) / count
-
-    return _apply(lambda x: np.mean(x, axis=axis, keepdims=keepdims), (a,), (vjp,))
+    count = shape[axis]
+    return _record(np.mean(a.data, axis=axis),
+                   (a, lambda g: _restore_axes(g, shape, axis) / count))
 
 
-def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def reduce_max(a, axis: int = -1) -> Tensor:
     """Max along one axis; the gradient flows to the first argmax."""
     a = as_tensor(a)
     axis_ = axis % a.ndim
     shape = a.shape
     kept = shape[:axis_] + (1,) + shape[axis_ + 1:]
     top, argmax = _max_axis(a.data, axis_, argmax=True)
-    out = top.reshape(kept) if keepdims else top
 
     def vjp(g):
         grad = np.zeros(shape)
@@ -622,7 +614,7 @@ def reduce_max(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         grad.put(_flat_index(argmax.reshape(kept), shape, axis_), g + 0.0)
         return grad
 
-    return _apply(lambda x: out, (a,), (vjp,))
+    return _record(top, (a, vjp))
 
 
 def _d_last(x: np.ndarray) -> np.ndarray:
@@ -705,7 +697,7 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
         grad = grad_diff(g)
         return _unbroadcast(_d_last(grad) if ax == 0 else grad, ishape)
 
-    return _apply(lambda *_: out, (targets, items), (vjp_targets, vjp_items))
+    return _record(out, (targets, vjp_targets), (items, vjp_items))
 
 
 _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
@@ -741,19 +733,11 @@ def normal_log_density(value, loc, scale) -> Tensor:
     def grad_diff(g):
         return _unbroadcast(grad_z(g) / sd, dshape)
 
-    tape = _common_tape((value, loc, scale))
-    if tape is None:
-        return Tensor(out)
-    partials = []
-    if scale.tape is not None:
-        partials += [
-            (scale, lambda g: _unbroadcast(-g, sshape) / sd),
-            (scale, lambda g: _unbroadcast(-grad_z(g) * diff / (sd * sd), sshape))]
-    if value.tape is not None:
-        partials.append((value, lambda g: _unbroadcast(grad_diff(g), vshape)))
-    if loc.tape is not None:
-        partials.append((loc, lambda g: _unbroadcast(-grad_diff(g), lshape)))
-    return tape._emit(out, partials)
+    return _record(out,
+                   (scale, lambda g: _unbroadcast(-g, sshape) / sd),
+                   (scale, lambda g: _unbroadcast(-grad_z(g) * diff / (sd * sd), sshape)),
+                   (value, lambda g: _unbroadcast(grad_diff(g), vshape)),
+                   (loc, lambda g: _unbroadcast(-grad_diff(g), lshape)))
 
 
 def log_softmax(a) -> Tensor:
@@ -773,7 +757,7 @@ def log_softmax(a) -> Tensor:
     def vjp(g):
         return g - np.exp(out) * _sum_axis(g, -1)[..., None]
 
-    return _apply(lambda x: out, (a,), (vjp,))
+    return _record(out, (a, vjp))
 
 
 def logsumexp(a) -> Tensor:
@@ -788,28 +772,24 @@ def logsumexp(a) -> Tensor:
         soft = np.exp(ad - out[..., None])
         return g[..., None] * soft
 
-    return _apply(lambda x: out, (a,), (vjp,))
+    return _record(out, (a, vjp))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     sa = a.shape
-    return _apply(lambda x: x.reshape(shape), (a,), (lambda g: g.reshape(sa),))
+    return _record(a.data.reshape(shape), (a, lambda g: g.reshape(sa)))
 
 
 def broadcast_to(a, shape) -> Tensor:
     """Read-only broadcast view; the gradient sums over the broadcast axes."""
     a = as_tensor(a)
     shape, sa = tuple(shape), a.shape
-
-    def fwd(x):
-        try:
-            return np.broadcast_to(x, shape)
-        except ValueError:
-            raise ShapeError(
-                f"broadcast_to: shape {sa} does not broadcast to {shape}") from None
-
-    return _apply(fwd, (a,), (lambda g: _unbroadcast(g, sa),))
+    try:
+        out = np.broadcast_to(a.data, shape)
+    except ValueError:
+        raise ShapeError(f"broadcast_to: shape {sa} does not broadcast to {shape}") from None
+    return _record(out, (a, lambda g: _unbroadcast(g, sa)))
 
 
 def index(a, key) -> Tensor:
@@ -822,7 +802,7 @@ def index(a, key) -> Tensor:
         out[key] = g
         return out
 
-    return _apply(lambda x: x[key], (a,), (vjp,))
+    return _record(a.data[key], (a, vjp))
 
 
 def expand_dims(a, axis: int) -> Tensor:
@@ -831,9 +811,7 @@ def expand_dims(a, axis: int) -> Tensor:
     if not -n <= axis < n:
         raise ShapeError(f"expand_dims: axis {axis} out of range for {n} dimensions")
     axis %= n
-    narrow = a.shape
-    wide = narrow[:axis] + (1,) + narrow[axis:]
-    return _apply(lambda x: x.reshape(wide), (a,), (lambda g: g.reshape(narrow),))
+    return reshape(a, a.shape[:axis] + (1,) + a.shape[axis:])
 
 
 def squeeze(a, axis: int) -> Tensor:
@@ -841,5 +819,4 @@ def squeeze(a, axis: int) -> Tensor:
     if not -a.ndim <= axis < a.ndim or a.shape[axis] != 1:
         raise ShapeError(f"squeeze: axis {axis} of shape {a.shape} is not of length 1")
     axis %= a.ndim
-    wide, narrow = a.shape, a.shape[:axis] + a.shape[axis + 1:]
-    return _apply(lambda x: x.reshape(narrow), (a,), (lambda g: g.reshape(wide),))
+    return reshape(a, a.shape[:axis] + a.shape[axis + 1:])

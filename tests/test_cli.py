@@ -345,6 +345,16 @@ class TestEcosystemSweep:
         row = read(out / "welfare_summary.csv").splitlines()[2]
         assert row.endswith(",")
 
+    @pytest.mark.parametrize("runs, rows", [(("--runs", "1"), 1), (("--runs", "3"), 3),
+                                            ((), 2)], ids=["runs-1", "runs-3", "no-flag"])
+    def test_explicit_run_count_wins_over_num_runs(self, runs, rows, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli("ecosystem-sweep", *SMALL_SWEEP, "--set", "num_runs=2", *runs,
+                       "--set", "sweep.boost_caps=0,0.6", "--out", str(out)) == 0
+        lines = read(out / "welfare.csv").splitlines()[2:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [cap, str(r)] for cap in ("0.0", "0.6") for r in range(rows)]
+
     @pytest.mark.parametrize("caps", ["0,x", "0.6,-1"])
     def test_bad_boost_caps_is_a_configuration_error(self, caps, tmp_path, capsys):
         assert run_cli("ecosystem-sweep", *SMALL_SWEEP,
@@ -411,8 +421,13 @@ class TestEcosystemSweep:
     (("fit-em", *SMALL_EM), "em.learning_rate=-1", "learning_rate must be positive"),
     (("train-reinforce", *SMALL_TRAIN), "train.learning_rate=0",
      "learning_rate must be positive"),
+    (("train-reinforce", *SMALL_TRAIN), "train.history_lengths=3,3",
+     "train.history_lengths lists 3 more than once"),
+    (("ecosystem-sweep", *SMALL_SWEEP), "sweep.boost_caps=1,1",
+     "sweep.boost_caps lists 1.0 more than once"),
 ], ids=["em-scalar", "optional-scalar", "negative-infinity", "cap", "cap-list-item",
-        "no-caps", "em-negative-rate", "train-zero-rate"])
+        "no-caps", "em-negative-rate", "train-zero-rate", "repeated-history",
+        "repeated-cap"])
 def test_non_finite_setting_or_empty_cap_list_exits_2(argv, setting, message, tmp_path,
                                                       capsys):
     out = tmp_path / "x"
@@ -444,6 +459,24 @@ def test_single_run_command_rejects_runs(argv, tmp_path, capsys):
     out = tmp_path / "x"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert "run.runs must be 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "utility_noise=0"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "num_users=0"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "interest_dim=0"),
+    (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "reward_noise=0"),
+    (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "quality_scale=-1"),
+    (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "noise_scale=-0.1"),
+    (("simulate", "--scenario", "latent-sat", *SMALL_EM[:6]), "item_scale=0"),
+], ids=lambda x: x if isinstance(x, str) else x[2])
+def test_bad_scenario_setting_exits_2_naming_it(argv, setting, tmp_path, capsys):
+    # Caught when the configuration resolves, before any work, instead of
+    # failing mid-run in a distribution or an arithmetic error.
+    out = tmp_path / "x"
+    assert run_cli(*argv, "--set", setting, "--out", str(out)) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
 
 
