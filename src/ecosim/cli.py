@@ -439,7 +439,7 @@ def cmd_fit_em(args, sections) -> int:
 
 
 def _sweep_one(task):
-    """Welfare of one contiguous slice of the sweep's (cap, run) rows."""
+    """Welfare of one contiguous slice of the sweep's (run, cap) rows."""
     cfg, caps, run_ids, seed = task
     net, metrics = build_ecosystem_story(dataclasses.replace(cfg, num_runs=len(run_ids)),
                                          boost_caps=caps)
@@ -484,13 +484,14 @@ def cmd_ecosystem_sweep(args, sections) -> int:
     except ValueError as e:
         raise ConfigError(f"bad sweep.boost_caps: {e}") from None
     total_runs = cfg.num_runs if run.runs is None else run.runs
-    # The sweep is one flat list of (cap, run) rows, cap-major, and each
+    # The sweep is one flat list of (run, cap) rows, run-major, and each
     # task steps a contiguous slice of it as one batch.  A row draws under
     # its run id, so every cap sees the same sampled ecosystems (shared
     # seed), and any split into tasks or workers is bit-identical to a
-    # serial run.
-    row_caps = [cap for cap in caps for _ in range(total_runs)]
-    run_ids = list(range(total_runs)) * len(caps)
+    # serial run.  Run-major, a task holds every cap's copy of few runs,
+    # and its streams draw each run's numbers once (``rng.RowIds``).
+    row_caps = list(caps) * total_runs
+    run_ids = [r for r in range(total_runs) for _ in caps]
     workers = _workers(len(row_caps))
     slices = _sweep_slices(len(row_caps), cfg, workers)
     tasks = [(cfg, row_caps[lo:hi], run_ids[lo:hi], run.seed) for lo, hi in slices]
@@ -498,7 +499,7 @@ def cmd_ecosystem_sweep(args, sections) -> int:
     welfare = np.zeros(len(row_caps))
     for (lo, hi), values in zip(slices, results):
         welfare[lo:hi] = values
-    welfare = welfare.reshape(len(caps), total_runs)
+    welfare = welfare.reshape(total_runs, len(caps)).T.copy()  # cap-major, as written
     outdir = Path(run.out)
     rows = [[repr(cap), r, _fmt(welfare[i, r])]
             for i, cap in enumerate(caps) for r in range(total_runs)]

@@ -154,7 +154,10 @@ class Categorical(Distribution):
     Sampling is by inverse CDF, one uniform per draw: the uniform, scaled
     by the row total of ``p = exp(logits - max)``, selects the first index
     whose running sum of ``p`` exceeds it.  A category whose ``p``
-    underflows to 0 is never drawn.
+    underflows to 0 is never drawn.  The max, the running sum and the
+    index are loops of whole-plane numpy calls over the categories: with
+    as few categories as the stories have, numpy's per-row reductions
+    cost more, and the loops give the same values.
     """
 
     def __init__(self, logits, shape: tuple[int, ...] | None = None):
@@ -172,15 +175,25 @@ class Categorical(Distribution):
 
     def sample(self, stream: RngStream) -> np.ndarray:
         logits = self.logits.data
-        u = stream.uniform_field(self._shape + (1,))
-        cum = logits - logits.max(axis=-1, keepdims=True)
+        u = stream.uniform_field(self._shape)
+        n = logits.shape[-1]
+        top = logits[..., 0]
+        for i in range(1, n):
+            top = np.maximum(top, logits[..., i])
+        cum = logits - np.asarray(top)[..., None]
         np.exp(cum, out=cum)
-        np.cumsum(cum, axis=-1, out=cum)
-        total = cum[..., -1:]
+        for i in range(1, n):  # np.cumsum's order
+            cum[..., i] += cum[..., i - 1]
+        total = cum[..., -1]
         # Kept below the row total, so the first index past it has p > 0
         # even where u * total rounds up to the total.
         target = np.minimum(u * total, np.nextafter(total, 0.0))
-        return np.argmax(cum > target, axis=-1).astype(np.int64)
+        # cum never decreases, so the first index past the target is the
+        # number of categories at or below it.
+        index = np.zeros(target.shape, np.int64)
+        for i in range(n - 1):
+            index += cum[..., i] <= target
+        return index
 
     def log_prob(self, value) -> Tensor:
         idx = as_array(value).astype(np.int64, copy=False)
@@ -296,11 +309,13 @@ def top_k(score: np.ndarray, k: int) -> np.ndarray:
     """
     if not np.isfinite(score).all():
         raise ValueError("top-k scores are non-finite (nan or inf)")
-    rows = score.reshape(-1, score.shape[-1])
-    index = np.arange(rows.shape[0])
+    m = score.shape[-1]
+    rows = np.ascontiguousarray(score).reshape(-1, m)
+    flat = rows.reshape(-1)  # a view, so winners are written by flat index
+    starts = np.arange(0, flat.size, m)
     ranks = np.empty((rows.shape[0], k), np.int64)
     for j in range(k):
         best = rows.argmax(axis=-1)
         ranks[:, j] = best
-        rows[index, best] = -np.inf
+        flat[starts + best] = -np.inf
     return ranks.reshape(score.shape[:-1] + (k,))

@@ -22,6 +22,12 @@ Stream layout v3: a 64-bit word maps to the double
 normal is the inverse normal CDF of one uniform, evaluated by Wichura's
 AS 241 (PPND16, *Applied Statistics* 37(3):477-484, 1988), so a normal
 costs one column of the row like any other draw.
+
+Row ids may repeat: the sweep keys every boost cap's copy of a run by
+the run's id.  A draw then runs Philox and its transform (the unit map,
+and the normal or Gumbel map) on the distinct ids only, and gathers the
+rows back by copying, so each row holds the same bits as a draw of its
+own id alone.
 """
 
 from __future__ import annotations
@@ -168,6 +174,31 @@ def derive_seed(root_seed: int, tag: str, index: int = 0) -> int:
     return _key64(root_seed, tag, "", index) >> 1
 
 
+class RowIds:
+    """A checked 1-D array of row ids and the distinct ids a draw runs on.
+
+    ``words`` are uint64 row words and ``inverse`` gathers them back:
+    ``words[inverse]`` is the ids.  Ids that are all distinct keep their
+    order in ``words``, with ``inverse`` None, so they need no gather.
+    Checking and deduplicating once lets every stream of a run share the
+    result.  A bad id raises before the cast, so a negative one cannot wrap.
+    """
+
+    def __init__(self, ids):
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"row ids must be a 1-D integer array, got dtype "
+                             f"{ids.dtype} and shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
+            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+            raise ValueError(f"row id {bad} is outside the 32-bit row word")
+        self.size = ids.size
+        words = ids.astype(np.uint64)
+        unique, inverse = np.unique(words, return_inverse=True)
+        self.words, self.inverse = ((words, None) if unique.size == words.size
+                                    else (unique, inverse))
+
+
 class RngStream:
     """A stream of uniforms keyed by (seed, variable, path, step).
 
@@ -175,52 +206,62 @@ class RngStream:
     counter ``(c // 2, w[r], 0, 0)``, where ``w`` are the row words: output
     words 0 and 1 give the even column, words 2 and 3 the odd one.
     ``row_offset`` sets the row words.  An int gives ``w[r] = row_offset +
-    r``; a 1-D integer array of ids (say, the run each row simulates)
-    gives ``w[r] = row_offset[r]``, and every draw must then have one row
-    per id.  Row ``i`` of a batched draw is thus identical to row 0 of a
-    batch-1 draw made with ``row_offset=w[i]``: batch size and row order
-    never change which numbers a row receives.  Successive draws continue
-    along the columns, so two draws of ``n`` equal one draw of ``2n``
-    whatever the parity of ``n``.  Rows and blocks are 32-bit counter
-    words: an int ``row_offset + batch`` may not exceed 2^32, an id must
-    lie in [0, 2^32), and a draw may not reach block 2^32 (column 2^33).
+    r``; a 1-D integer array of ids (say, the run each row simulates), or
+    a :class:`RowIds` made from one, gives ``w[r] = row_offset[r]``, and
+    every draw must then have one row per id.  Row ``i`` of a batched draw
+    is thus identical to row 0 of a batch-1 draw made with
+    ``row_offset=w[i]``: batch size and row order never change which
+    numbers a row receives.  Successive draws continue along the columns,
+    so two draws of ``n`` equal one draw of ``2n`` whatever the parity of
+    ``n``.  Rows and blocks are 32-bit counter words: an int ``row_offset +
+    batch`` may not exceed 2^32, an id must lie in [0, 2^32), and a draw
+    may not reach block 2^32 (column 2^33).
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
-                 step: int = 0, row_offset: int | np.ndarray = 0):
+                 step: int = 0, row_offset: int | np.ndarray | RowIds = 0):
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
         self._name = (variable, path, step)
         self._cursor = 0  # per-row uniforms already consumed
-        if isinstance(row_offset, (int, np.integer)):
-            self._row_offset, self._ids = int(row_offset), None
+        self._row_offset, self._ids = 0, None
+        if isinstance(row_offset, RowIds):
+            self._ids = row_offset
+        elif isinstance(row_offset, (int, np.integer)):
+            self._row_offset = int(row_offset)
         else:
-            self._row_offset, self._ids = 0, self._row_ids(row_offset)
+            try:
+                self._ids = RowIds(row_offset)
+            except ValueError as e:
+                raise self._error(str(e)) from None
 
     def _error(self, what: str) -> ValueError:
         variable, path, step = self._name
         return ValueError(f"Philox counter words in variable {variable!r}, "
                           f"path {path!r}, step {step}: {what}")
 
-    def _row_ids(self, ids) -> np.ndarray:
-        """``ids`` as uint64 row words, checked before the cast so that a
-        negative id cannot wrap."""
-        ids = np.asarray(ids)
-        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
-            raise self._error(f"row ids must be a 1-D integer array, got dtype "
-                              f"{ids.dtype} and shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
-            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-            raise self._error(f"row id {bad} is outside the 32-bit row word")
-        return ids.astype(np.uint64)
+    def uniforms(self, batch: int, per_row: int, transform=None) -> np.ndarray:
+        """A (batch, per_row) block of doubles in the open interval (0, 1).
 
-    def uniforms(self, batch: int, per_row: int) -> np.ndarray:
-        """A (batch, per_row) block of doubles in the open interval (0, 1)."""
+        ``transform``, an elementwise map such as the normal quantile, is
+        applied before repeated ids are gathered, so once per distinct id.
+        """
         if batch < 1 or per_row < 0:
             raise ValueError(f"invalid draw shape ({batch}, {per_row})")
         if per_row == 0:
             return np.zeros((batch, 0))
+        out = self._distinct_rows(batch, per_row)
+        if transform is not None:
+            out = transform(out)
+        if self._ids is not None and self._ids.inverse is not None:
+            out = out.take(self._ids.inverse, axis=0)
+        return out
+
+    def _distinct_rows(self, batch: int, per_row: int) -> np.ndarray:
+        """The next ``per_row`` uniforms of each distinct row word, in the
+        order of ``RowIds.words`` (of the rows, for an int offset).  Its
+        Philox buffers are freed when it returns, before any transform."""
         if self._ids is not None:
             if self._ids.size != batch:
                 raise self._error(f"{self._ids.size} row ids for a draw of {batch} rows")
@@ -234,30 +275,29 @@ class RngStream:
             raise self._error(
                 f"block {first + blocks - 1} passes the 32-bit block word")
         self._cursor += per_row
-        rows = (self._ids if self._ids is not None
+        rows = (self._ids.words if self._ids is not None
                 else np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset))
         cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)
         zero = np.uint64(0)
         w0, w1, w2, w3 = philox4x32(cols, rows[:, None], zero, zero,
                                     self._k0, self._k1)
-        bits = np.empty((batch, blocks, 2), np.uint64)
+        bits = np.empty((rows.size, blocks, 2), np.uint64)
         for hi, lo, half in ((w0, w1, bits[..., 0]), (w2, w3, bits[..., 1])):
             np.left_shift(hi, _SHIFT32, out=half)
             half |= lo
         # Strictly inside (0, 1), so inverse-CDF transforms stay finite.
-        return _unit(bits.reshape(batch, 2 * blocks)[:, skip:skip + per_row])
+        return _unit(bits.reshape(rows.size, 2 * blocks)[:, skip:skip + per_row])
 
-    def uniform_field(self, shape: tuple[int, ...]) -> np.ndarray:
+    def uniform_field(self, shape: tuple[int, ...], transform=None) -> np.ndarray:
         """Uniforms shaped ``shape``, with axis 0 as the keyed batch axis."""
         if len(shape) == 0:
-            return self.uniforms(1, 1).reshape(())
+            return self.uniforms(1, 1, transform).reshape(())
         batch = shape[0]
         per_row = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else 1
-        return self.uniforms(batch, per_row).reshape(shape)
+        return self.uniforms(batch, per_row, transform).reshape(shape)
 
     def normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        return _ndtri(self.uniform_field(shape))
+        return self.uniform_field(shape, _ndtri)
 
     def gumbels(self, shape: tuple[int, ...]) -> np.ndarray:
-        u = self.uniform_field(shape)
-        return -np.log(-np.log(u))
+        return self.uniform_field(shape, lambda u: -np.log(-np.log(u)))

@@ -40,7 +40,7 @@ from . import tensor as T
 from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Deterministic, Distribution
 from .numtext import CHUNK, row_texts
-from .rng import RngStream
+from .rng import RngStream, RowIds
 from .tensor import Tensor, as_array
 
 
@@ -222,7 +222,7 @@ def check_output(var: Variable, out, where: str, error: type[Exception]) -> Valu
 
 
 def _realize(var: Variable, out: Value, step: int, seed: int,
-             row_offset: int | np.ndarray, batch: int | None):
+             row_offset: int | RowIds, batch: int | None):
     """Sample the stochastic fields of a checked builder output, spec-check
     the result, and return (value, batch)."""
     realized: dict[str, object] = {}
@@ -239,7 +239,7 @@ def _realize(var: Variable, out: Value, step: int, seed: int,
     return value, batch
 
 
-def _slices(net: Network, num_steps: int, seed: int, row_offset: int | np.ndarray
+def _slices(net: Network, num_steps: int, seed: int, row_offset: int | RowIds
             ) -> Iterator[tuple[dict[str, Value], int | None]]:
     """Sample slices 0 .. num_steps and yield each with the batch; each is
     built from the slice yielded before it, the only one kept."""
@@ -271,10 +271,17 @@ def execute(net: Network, num_steps: int, seed: int, *,
     ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
     int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
     run ids keys it as ``row_offset[r]``, so rows that share an id draw
-    the same numbers.  ``num_steps=0`` returns the initial slice.
+    the same numbers.  The ids are checked and deduplicated once here,
+    and every stream of the run draws each distinct id once.
+    ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    if not isinstance(row_offset, (int, np.integer)):
+        try:
+            row_offset = RowIds(row_offset)
+        except ValueError as e:
+            raise ValueError(f"execute row_offset: {e}") from None
     for final, _ in _slices(net, num_steps, seed, row_offset):
         pass
     return final

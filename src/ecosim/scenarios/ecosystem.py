@@ -15,11 +15,15 @@ vectorized population, each clipping its boost at its own cap and
 drawing its numbers under its run id (:class:`ecosim.rng.RngStream`).
 Every cap's copy of run r thus samples the same ecosystem, and however
 the rows are split across tasks and workers, or stacked across caps,
-each row's result is bit-identical to running it alone.
+each row's result is bit-identical to running it alone.  The sweep lays
+its rows out run-major, (run, cap), so a batch holds every cap's copy of
+a few runs, and each draw computes a run's numbers once and copies them
+to the run's other rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +78,13 @@ class EcosystemConfig:
             raise ValueError("need at least one provider per community")
         if len(self.community_sizes) != self.num_communities:
             raise ValueError("community_sizes must have num_communities entries")
+        if not all(math.isfinite(x) and x > 0 for x in self.community_sizes):
+            raise ValueError("community_sizes must be finite and positive")
+        if not self.jitter_scale >= 0:
+            raise ValueError("jitter_scale must be >= 0")
+        # kappa = 0 gives every provider the same item count.
+        if self.items_engagement_rate is not None and not self.items_engagement_rate >= 0:
+            raise ValueError("items_engagement_rate must be >= 0")
         if not 1 <= self.slate_size <= self.num_items:
             raise ValueError("slate_size must be in [1, num_items]")
         if self.horizon < 1 or self.num_runs < 1:
@@ -133,6 +144,35 @@ def _apportion(raw: np.ndarray, total: int) -> np.ndarray:
 def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
     """Per-provider item counts for each run, (..., providers)."""
     return _apportion(np.maximum(1.0, np.rint(cfg.kappa * engagement)), cfg.num_items)
+
+
+def _flat(idx: np.ndarray, m: int) -> np.ndarray:
+    """Flat positions of ``idx`` (..., n) in the rows of an (..., m) array
+    with the same leading shape: ``a.take(_flat(idx, m))`` is
+    ``np.take_along_axis(a, idx, -1)``, as one flat take."""
+    rows = idx.size // idx.shape[-1]
+    return idx + np.arange(0, rows * m, m).reshape(idx.shape[:-1] + (1,))
+
+
+# The (users, items) scores the slate ranks per group of rows, about 0.5 MB:
+# each pass over a group's scores, and each of top-k's, then stays in
+# cache instead of streaming the whole batch's scores through memory.
+_SLATE_SCORES = 2**16
+
+
+def _slate_ranks(u: np.ndarray, f: np.ndarray, adjust: np.ndarray, k: int) -> np.ndarray:
+    """The top-k items of ``adjust - |u - f|`` for users (n, U, d), items
+    (n, M, d) and per-item adjustments (n, M), as (n, U, k) indices."""
+    # adjust - sqrt(max((|u|^2 + |f|^2) - 2 u.f, 0)) in one buffer.
+    score = np.add(np.sum(u * u, axis=-1)[..., :, None],
+                   np.sum(f * f, axis=-1)[..., None, :])
+    cross = np.matmul(u, np.swapaxes(f, -1, -2))
+    cross *= 2.0
+    score -= cross
+    np.maximum(score, 0.0, out=score)
+    np.sqrt(score, out=score)
+    np.subtract(adjust[..., None, :], score, out=score)
+    return top_k(score, k)
 
 
 def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
@@ -196,7 +236,7 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         assignment = np.repeat(providers_of, counts.ravel()).reshape(
             counts.shape[:-1] + (M,))
         cores = providers_v.get("interest").data
-        loc = np.take_along_axis(cores, assignment[..., None], axis=-2)
+        loc = cores.reshape(-1, d).take(_flat(assignment, P), axis=0)
         return Value(provider=assignment,
                      features=Normal(Tensor(loc), cfg.item_scale))
 
@@ -219,22 +259,22 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
         boost = np.clip(beta * gap, -row_caps, row_caps)
-        per_item = np.take_along_axis(boost, assignment, axis=-1)
+        per_item = boost.take(_flat(assignment, P))
         return per_item + u * cfg.jitter_scale * np.abs(per_item)
 
     def _top_k_slate(users_v, items_v, adjust: np.ndarray):
         u = users_v.get("interest").data
         f = items_v.get("features").data
-        # adjust - sqrt(max((|u|^2 + |f|^2) - 2 u.f, 0)) in one buffer.
-        score = np.add(np.sum(u * u, axis=-1)[..., :, None],
-                       np.sum(f * f, axis=-1)[..., None, :])
-        cross = np.matmul(u, np.swapaxes(f, -1, -2))
-        cross *= 2.0
-        score -= cross
-        np.maximum(score, 0.0, out=score)
-        np.sqrt(score, out=score)
-        np.subtract(adjust[..., None, :], score, out=score)
-        return Value(ranks=top_k(score, k))
+        lead = np.broadcast_shapes(u.shape[:-2], f.shape[:-2], adjust.shape[:-1])
+        rows = math.prod(lead)
+        u = np.broadcast_to(u, lead + (U, d)).reshape(rows, U, d)
+        f = np.broadcast_to(f, lead + (M, d)).reshape(rows, M, d)
+        adjust = np.broadcast_to(adjust, lead + (M,)).reshape(rows, M)
+        step = max(1, _SLATE_SCORES // (U * M))
+        ranks = np.concatenate([_slate_ranks(u[i:i + step], f[i:i + step],
+                                             adjust[i:i + step], k)
+                                for i in range(0, rows, step)])
+        return Value(ranks=ranks.reshape(lead + (U, k)))
 
     def initial_slate(users_v, items_v, jitter_v):
         adjust = _boost_per_item(None, np.asarray(items_v.get("provider")),
@@ -250,8 +290,7 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
     def _chosen_item(slate_v, choice_v) -> np.ndarray:
         """The item id each user consumed, (..., U); a choice off the slate raises."""
         slot = T.check_index(choice_v.get("choice"), k, "choice")
-        return np.take_along_axis(np.asarray(slate_v.get("ranks")), slot[..., None],
-                                  axis=-1)[..., 0]
+        return np.asarray(slate_v.get("ranks")).take(_flat(slot[..., None], k))[..., 0]
 
     def make_choice(users_v, items_v, slate_v):
         # One flat row gather for the whole slate, (..., U*k, d), viewed as
@@ -273,12 +312,12 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
 
     def _consumption_counts(items_v, slate_v, choice_v) -> np.ndarray:
         assignment = np.asarray(items_v.get("provider"))
-        chosen_provider = np.take_along_axis(assignment, _chosen_item(slate_v, choice_v),
-                                             axis=-1)
-        rows = chosen_provider.reshape(-1, chosen_provider.shape[-1])
-        counts = np.zeros((rows.shape[0], P))
-        np.add.at(counts, (np.arange(rows.shape[0])[:, None], rows), 1.0)
-        return counts.reshape(chosen_provider.shape[:-1] + (P,))
+        chosen_provider = assignment.take(_flat(_chosen_item(slate_v, choice_v), M))
+        lead = chosen_provider.shape[:-1]
+        # Integer counts per (row, provider), so exact in float64.
+        counts = np.bincount(_flat(chosen_provider, P).reshape(-1),
+                             minlength=math.prod(lead) * P)
+        return counts.reshape(lead + (P,)).astype(np.float64)
 
     def initial_engagement(items_v, slate_v, choice_v):
         return Value(value=Tensor(_consumption_counts(items_v, slate_v, choice_v)))

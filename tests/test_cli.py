@@ -363,9 +363,10 @@ class TestEcosystemSweep:
         assert "boost_caps" in capsys.readouterr().err
 
     def test_deterministic_across_worker_counts(self, tmp_path):
-        # 3 caps x 3 runs = 9 rows: 2 workers split them 5 + 4 and 4
-        # workers 3 + 2 + 2 + 2, so tasks stack rows of two caps and start
-        # mid-cap, and their row ids are not a contiguous range.
+        # 3 runs x 3 caps = 9 (run, cap) rows, run-major: 2 workers split
+        # them 5 + 4 and 4 workers 3 + 2 + 2 + 2, so tasks start mid-run,
+        # stack rows of two runs, and hold repeated run ids, which each
+        # draw computes once and gathers.
         trees = {}
         env = os.environ.copy()
         try:
@@ -466,6 +467,10 @@ def test_single_run_command_rejects_runs(argv, tmp_path, capsys):
     (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "utility_noise=0"),
     (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "num_users=0"),
     (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "interest_dim=0"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "community_sizes=1,0"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "community_sizes=-1,2"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "jitter_scale=-1"),
+    (("simulate", "--scenario", "ecosystem", *SMALL_SWEEP), "items_engagement_rate=-1"),
     (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "reward_noise=0"),
     (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "quality_scale=-1"),
     (("simulate", "--scenario", "porl", *SMALL_TRAIN[:8]), "noise_scale=-0.1"),
@@ -597,10 +602,11 @@ PIN_CASES = {
     "fit-em": ("",
                "cli.main(['fit-em', '--scenario', 'latent-sat', '--set', "
                "'em.iterations=1', '--out', OUT])"),
-    # the first task of the default sweep: 13 rows, 10 at cap 0 and 3 at 0.6
+    # the first task of the default sweep, run-major: 13 rows, runs 0 and 1
+    # at all 5 caps and run 2 at caps 0, 0.6 and 1.2
     "sweep-task": ("cli._pin_allocator()\n"
-                   "task = (EcosystemConfig(), (0.0,) * 10 + (0.6,) * 3, "
-                   "list(range(10)) + [0, 1, 2], 0)",
+                   "task = (EcosystemConfig(), (0.0, 0.6, 1.2, 2.4, 4.8) * 2 + "
+                   "(0.0, 0.6, 1.2), [0] * 5 + [1] * 5 + [2] * 3, 0)",
                    "cli._sweep_one(task)"),
 }
 

@@ -143,6 +143,34 @@ class TestCategorical:
         chi2 = float(((observed - n * p) ** 2 / (n * p)).sum())
         assert chi2 < 18.467
 
+    @staticmethod
+    def reductions_sample(logits, u):
+        """The inverse-CDF draw through numpy's reductions over the last
+        axis, which the sampler's plane loops must reproduce."""
+        cum = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(cum, out=cum)
+        np.cumsum(cum, axis=-1, out=cum)
+        total = cum[..., -1:]
+        target = np.minimum(u[..., None] * total, np.nextafter(total, 0.0))
+        return np.argmax(cum > target, axis=-1)
+
+    @pytest.mark.parametrize("logits_shape, shape", [
+        ((7, 1), None), ((7, 2), None), ((5, 6, 3), None), ((13, 20, 8), None),
+        ((4, 9), None), ((30, 20), None), ((20,), (6, 5)), ((1, 8), (3, 4))])
+    def test_sample_equals_numpys_reductions(self, logits_shape, shape):
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=logits_shape) * 3.0
+        logits[..., -1] = logits[..., 0]          # a tie at the max
+        logits.reshape(-1)[::5] = -800.0          # categories without mass
+        logits.reshape(-1)[1::7] = -0.0
+        d = Categorical(Tensor(logits), shape)
+        for draws in (stream(6), GridStream()):
+            u = draws.uniform_field(d._shape)
+            got = d.sample(type("Fixed", (), {"uniform_field": lambda self, s: u})())
+            want = self.reductions_sample(logits, u)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+
     def test_one_uniform_per_row(self):
         s = stream(4)
         Categorical(Tensor(np.zeros((6, 3, 20)))).sample(s)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ecosim.rng import RngStream, _ndtri, _unit, derive_seed, philox4x32
+from ecosim.rng import RngStream, RowIds, _ndtri, _unit, derive_seed, philox4x32
 
 
 def _block(c, k0, k1):
@@ -129,6 +129,45 @@ class TestRowIds:
     def test_bad_ids_raise(self, ids, what):
         with pytest.raises(ValueError, match=f"variable 'v', path 'p', step 7: .*{what}"):
             RngStream(0, "v", "p", 7, row_offset=ids)
+
+    @staticmethod
+    def draws(ids, splits=(5,)):
+        """Each draw kind's blocks of ``splits`` columns, continued along one
+        stream per kind, at row ids ``ids`` (an int for batch 1)."""
+        batch = 1 if isinstance(ids, int) else ids.size
+        out = {}
+        for kind in ("uniforms", "normals", "gumbels"):
+            s = RngStream(11, "v", kind, 2, row_offset=ids)
+            draw = (s.uniform_field if kind == "uniforms" else getattr(s, kind))
+            out[kind] = np.concatenate([draw((batch, n)) for n in splits], axis=1)
+        return out
+
+    @pytest.mark.parametrize("splits", [(5,), (3, 4), (1, 1, 6)])
+    def test_repeated_ids_draw_what_batch_1_draws_at_their_id(self, splits):
+        ids = np.array([3, 0, 3, 3, 1])
+        stacked = self.draws(ids, splits)
+        for row, i in enumerate(ids):
+            solo = self.draws(int(i), splits)
+            for kind, got in stacked.items():
+                assert got[row].tobytes() == solo[kind][0].tobytes(), (kind, row)
+
+    def test_repeated_ids_are_drawn_once_and_gathered(self):
+        ids = RowIds(np.array([3, 0, 3, 3, 1]))
+        np.testing.assert_array_equal(ids.words, [0, 1, 3])
+        np.testing.assert_array_equal(ids.words[ids.inverse], [3, 0, 3, 3, 1])
+        assert ids.size == 5
+
+    def test_distinct_ids_keep_their_order_and_bits(self):
+        ids = np.array([4, 1, 7])
+        checked = RowIds(ids)
+        assert checked.inverse is None
+        np.testing.assert_array_equal(checked.words, ids)
+        stacked = self.draws(ids, (3, 4))
+        for kind, got in self.draws(checked, (3, 4)).items():
+            assert got.tobytes() == stacked[kind].tobytes()
+        for row, i in enumerate(ids):
+            for kind, got in self.draws(int(i), (3, 4)).items():
+                assert got[0].tobytes() == stacked[kind][row].tobytes()
 
     @pytest.mark.parametrize("batch", [2, 4])
     def test_wrong_length_raises(self, batch):

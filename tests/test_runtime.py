@@ -189,6 +189,20 @@ class TestBatchSemantics:
                     batched.value("walk", t).get("x").data[row:row + 1],
                     solo.value("walk", t).get("x").data)
 
+    def test_repeated_row_ids_equal_single_rows(self):
+        ids = np.array([3, 0, 3, 1])
+        stacked = execute(gaussian_walk(4, drift=0.2), 5, seed=17, row_offset=ids)
+        for row, i in enumerate(ids):
+            solo = execute(gaussian_walk(1, drift=0.2), 5, seed=17, row_offset=int(i))
+            assert (stacked["walk"].get("x").data[row:row + 1].tobytes()
+                    == solo["walk"].get("x").data.tobytes())
+
+    @pytest.mark.parametrize("ids, what", [(np.array([0, -1]), "row id -1 "),
+                                           (np.array([[0, 1]]), "1-D integer")])
+    def test_bad_row_ids_raise_before_any_draw(self, ids, what):
+        with pytest.raises(ValueError, match=f"execute row_offset: .*{what}"):
+            execute(gaussian_walk(2), 1, seed=0, row_offset=ids)
+
     def test_markov_splice_statistics(self):
         ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
         # Re-simulating forward from an intermediate slice with fresh keyed

@@ -20,6 +20,7 @@ from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, Por
                               build_count_story, build_ecosystem_story,
                               build_latent_sat_story, build_porl_story,
                               sample_true_alpha)
+from ecosim.scenarios import ecosystem
 from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.tensor import Tensor
 
@@ -511,6 +512,26 @@ class TestEcosystemStory:
                         np.asarray(getattr(got, "data", got))[row:row + 1],
                         np.asarray(getattr(payload, "data", payload)), err_msg=name)
 
+    def test_slate_ranked_a_row_at_a_time_equals_the_whole_batch(self, monkeypatch):
+        # The default sizes rank the slate in groups of rows; groups of one
+        # row give the same bytes when sampled, and when the time-batched
+        # scorer replays the builder on broadcast (carried) users.
+        cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=1.2)
+        net, _ = build_ecosystem_story(cfg)
+        whole = trajectory(net, cfg.horizon, seed=7)
+        lp = log_probability_from_value_trajectory(
+            net, Trajectory.from_trajectory(net, whole), cfg.horizon - 1).data
+        monkeypatch.setattr(ecosystem, "_SLATE_SCORES", 1)
+        net, _ = build_ecosystem_story(cfg)
+        grouped = trajectory(net, cfg.horizon, seed=7)
+        for t in range(cfg.horizon):
+            for name, path in (("slate", "ranks"), ("metrics", "welfare")):
+                got, want = (np.asarray(T.as_array(traj.value(name, t).get(path)))
+                             for traj in (grouped, whole))
+                assert got.tobytes() == want.tobytes(), (name, t)
+        assert lp.tobytes() == log_probability_from_value_trajectory(
+            net, Trajectory.from_trajectory(net, grouped), cfg.horizon - 1).data.tobytes()
+
     @pytest.mark.parametrize("caps", [[0.0, 1.2], [0.0, -1.0, 1.2], [0.0, np.nan, 1.2]])
     def test_bad_per_row_caps_raise(self, caps):
         cfg = EcosystemConfig(**SMALL_ECO)
@@ -569,6 +590,12 @@ class TestTopK:
         rng = np.random.default_rng(0)
         for k in (1, 3, 8):
             self.check(rng.normal(size=(50, 20)), k)
+
+    def test_strided_scores(self):
+        rng = np.random.default_rng(3)
+        for score in (rng.normal(size=(50, 40))[:, ::2], rng.normal(size=(8, 6, 20))[::2],
+                      rng.normal(size=(20, 30)).T):
+            self.check(score, 3)
 
     def test_exact_ties_take_lowest_index(self):
         rng = np.random.default_rng(1)
@@ -680,6 +707,13 @@ class TestApportionment:
     def test_proportionality_on_easy_case(self):
         counts = _apportion(np.array([4.0, 3.0, 2.0, 1.0]), 20)
         np.testing.assert_array_equal(counts, [8, 6, 4, 2])
+
+    def test_zero_engagement_rate_gives_equal_item_counts(self):
+        cfg = EcosystemConfig(**{**SMALL_ECO, "items_engagement_rate": 0.0})
+        e = np.random.default_rng(1).uniform(0, 50, (3, cfg.num_providers))
+        counts = _item_counts(e, cfg)
+        np.testing.assert_array_equal(
+            counts, np.tile(_apportion(np.ones(cfg.num_providers), cfg.num_items), (3, 1)))
 
     def test_item_counts_deterministic(self):
         cfg = EcosystemConfig(**SMALL_ECO)

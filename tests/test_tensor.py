@@ -241,6 +241,35 @@ class TestFusedKernels:
                              lambda x, b: old_negative_euclidean(T.add(x, b), Tensor(items)),
                              [x, bias], rng)
 
+    # (8, 16, 8, d) squares hold 2**13 elements at d = 8, so every d of
+    # 8..15 takes _sum_planes; d >= 16 keeps numpy's sum.
+    @pytest.mark.parametrize("d", list(range(8, 25)) + [64, 128])
+    def test_negative_euclidean_above_the_plane_rule_matches_composition(self, d, rng):
+        targets = rng.normal(size=(8, 16, d))
+        items = rng.normal(size=(8, 16, 8, d)) * 10.0 ** rng.uniform(-3, 3)
+        assert_bit_identical(lambda t, x: T.negative_euclidean(t, x, 0.7),
+                             lambda t, x: old_negative_euclidean(t, x, 0.7),
+                             [targets, items], rng)
+
+    @pytest.mark.parametrize("t_shape, i_shape, used", [
+        ((8, 16, 10), (8, 16, 8, 10), True),
+        ((100, 10), (100, 2, 10), False),    # 2,000 squares, below the rule
+        ((100, 20), (100, 2, 20), False),    # porl's shape: d = 20
+        ((13, 200, 10), (13, 200, 8, 10), True),
+    ])
+    def test_plane_sum_only_above_the_size_rule(self, t_shape, i_shape, used, rng,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(T, "_sum_planes",
+                            lambda x, f=T._sum_planes: calls.append(x.shape) or f(x))
+        T.negative_euclidean(rng.normal(size=t_shape), rng.normal(size=i_shape))
+        assert calls == ([i_shape] if used else [])
+
+    @pytest.mark.parametrize("d", range(8, 16))
+    def test_sum_planes_is_numpys_pairwise_sum(self, d, rng):
+        x = rng.normal(size=(300, d)) * 10.0 ** rng.uniform(-9, 9, size=(300, d))
+        assert T._sum_planes(x).tobytes() == np.sum(x, axis=-1).tobytes()
+
     def test_negative_euclidean_zero_distance_is_zero_with_zero_gradient(self):
         tape = Tape()
         t = tape.watch(np.array([[1.0, 2.0]]))
