@@ -154,10 +154,10 @@ class Categorical(Distribution):
     Sampling is by inverse CDF, one uniform per draw: the uniform, scaled
     by the row total of ``p = exp(logits - max)``, selects the first index
     whose running sum of ``p`` exceeds it.  A category whose ``p``
-    underflows to 0 is never drawn.  The max, the running sum and the
-    index are loops of whole-plane numpy calls over the categories: with
-    as few categories as the stories have, numpy's per-row reductions
-    cost more, and the loops give the same values.
+    underflows to 0 is never drawn.  The categories are copied to the
+    leading axis, so the max, the running sum and the index are numpy
+    reductions over whole planes: a short last axis would cost numpy a
+    per-row overhead, and the values are the same.
     """
 
     def __init__(self, logits, shape: tuple[int, ...] | None = None):
@@ -176,24 +176,19 @@ class Categorical(Distribution):
     def sample(self, stream: RngStream) -> np.ndarray:
         logits = self.logits.data
         u = stream.uniform_field(self._shape)
-        n = logits.shape[-1]
-        top = logits[..., 0]
-        for i in range(1, n):
-            top = np.maximum(top, logits[..., i])
-        cum = logits - np.asarray(top)[..., None]
+        n, lead = logits.shape[-1], logits.shape[:-1]
+        cum = np.moveaxis(logits, -1, 0).copy()
+        cum -= cum.max(axis=0)
         np.exp(cum, out=cum)
-        for i in range(1, n):  # np.cumsum's order
-            cum[..., i] += cum[..., i - 1]
-        total = cum[..., -1]
+        np.cumsum(cum, axis=0, out=cum)  # in order, as along the last axis
+        total = cum[-1]
         # Kept below the row total, so the first index past it has p > 0
         # even where u * total rounds up to the total.
         target = np.minimum(u * total, np.nextafter(total, 0.0))
         # cum never decreases, so the first index past the target is the
         # number of categories at or below it.
-        index = np.zeros(target.shape, np.int64)
-        for i in range(n - 1):
-            index += cum[..., i] <= target
-        return index
+        below = cum[:-1].reshape((n - 1,) + (1,) * (u.ndim - len(lead)) + lead) <= target
+        return below.sum(axis=0, dtype=np.int64)
 
     def log_prob(self, value) -> Tensor:
         idx = as_array(value).astype(np.int64, copy=False)

@@ -177,11 +177,10 @@ def derive_seed(root_seed: int, tag: str, index: int = 0) -> int:
 class RowIds:
     """A checked 1-D array of row ids and the distinct ids a draw runs on.
 
-    ``words`` are uint64 row words and ``inverse`` gathers them back:
-    ``words[inverse]`` is the ids.  Ids that are all distinct keep their
-    order in ``words``, with ``inverse`` None, so they need no gather.
-    Checking and deduplicating once lets every stream of a run share the
-    result.  A bad id raises before the cast, so a negative one cannot wrap.
+    ``words`` are the sorted distinct ids as uint64 row words and
+    ``inverse`` gathers them back: ``words[inverse]`` is the ids.  Checking
+    and deduplicating once lets every stream of a run share the result.
+    A bad id raises before the cast, so a negative one cannot wrap.
     """
 
     def __init__(self, ids):
@@ -193,10 +192,7 @@ class RowIds:
             bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
             raise ValueError(f"row id {bad} is outside the 32-bit row word")
         self.size = ids.size
-        words = ids.astype(np.uint64)
-        unique, inverse = np.unique(words, return_inverse=True)
-        self.words, self.inverse = ((words, None) if unique.size == words.size
-                                    else (unique, inverse))
+        self.words, self.inverse = np.unique(ids.astype(np.uint64), return_inverse=True)
 
 
 class RngStream:
@@ -254,7 +250,7 @@ class RngStream:
         out = self._distinct_rows(batch, per_row)
         if transform is not None:
             out = transform(out)
-        if self._ids is not None and self._ids.inverse is not None:
+        if self._ids is not None:
             out = out.take(self._ids.inverse, axis=0)
         return out
 

@@ -242,9 +242,7 @@ def _sum_planes(x: np.ndarray) -> np.ndarray:
     the first eight terms, adds them as ``((a0 + a1) + (a2 + a3)) + ((a4 +
     a5) + (a6 + a7))``, then adds the leftover terms in order, and finally
     adds that to its +0.0 start.  The start is left out here: it changes
-    only a -0.0 total, which a sum of squares never is.  numpy pays a
-    per-row overhead, so from about a thousand rows the d - 1 plane adds
-    are faster.
+    only a -0.0 total, which a sum of squares never is.
     """
     p = [x[..., i] for i in range(x.shape[-1])]
     total = np.add(p[0], p[1])
@@ -645,12 +643,6 @@ def _d_last(x: np.ndarray) -> np.ndarray:
     return x.transpose(tuple(range(1, x.ndim)) + (0,)).copy()
 
 
-# The sizes of the squares, (..., slate, d), whose d-sum _sum_planes does
-# for 8 <= d < 16: from these on its plane adds are faster than numpy's
-# per-row sum, and past the larger one their strided reads leave the cache.
-_PLANES_MIN, _PLANES_MAX = 2**13, 2**19
-
-
 def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     """``-scale * sqrt(sum((items - targets[..., None, :])**2, -1))`` as one
     tape node: targets ``(..., d)`` and items ``(..., slate, d)`` broadcast
@@ -665,8 +657,8 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     For 2 <= d < 8 it leads: ``diff``, its d-sum and both gradients run on
     whole ``(..., slate)`` planes, and the d-sum and a slate shorter than
     8 are summed by slice loops in order.  For d = 1 and d >= 8 it trails,
-    and numpy sums d >= 8 pairwise; for 8 <= d < 16, at the sizes where
-    that is faster, ``_sum_planes`` does numpy's pairwise sum in plane adds.
+    and numpy sums d >= 16 pairwise; for 8 <= d < 16 ``_sum_planes`` does
+    numpy's pairwise sum in plane adds.
     Each gradient comes back C-contiguous with d last, as the composition
     gave it, so that reductions further down the tape add in the same order.
     """
@@ -685,8 +677,7 @@ def negative_euclidean(targets, items, scale: float | None = None) -> Tensor:
     else:
         diff = items.data - t
     sq = diff * diff
-    planes = 8 <= d < 16 and _PLANES_MIN <= sq.size <= _PLANES_MAX
-    root = np.sqrt(_sum_planes(sq) if planes else _sum_axis(sq, ax))
+    root = np.sqrt(_sum_planes(sq) if 8 <= d < 16 else _sum_axis(sq, ax))
     out = np.negative(root)
     if scale is not None:
         scale = float(scale)

@@ -146,7 +146,7 @@ class TestCategorical:
     @staticmethod
     def reductions_sample(logits, u):
         """The inverse-CDF draw through numpy's reductions over the last
-        axis, which the sampler's plane loops must reproduce."""
+        axis, which the sampler's plane reductions must reproduce."""
         cum = logits - logits.max(axis=-1, keepdims=True)
         np.exp(cum, out=cum)
         np.cumsum(cum, axis=-1, out=cum)
@@ -156,7 +156,8 @@ class TestCategorical:
 
     @pytest.mark.parametrize("logits_shape, shape", [
         ((7, 1), None), ((7, 2), None), ((5, 6, 3), None), ((13, 20, 8), None),
-        ((4, 9), None), ((30, 20), None), ((20,), (6, 5)), ((1, 8), (3, 4))])
+        ((4, 9), None), ((30, 20), None), ((13, 20, 101), None), ((20,), (6, 5)),
+        ((1, 8), (3, 4)), ((3, 1, 4), (2, 3, 5))])
     def test_sample_equals_numpys_reductions(self, logits_shape, shape):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=logits_shape) * 3.0

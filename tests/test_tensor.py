@@ -241,8 +241,7 @@ class TestFusedKernels:
                              lambda x, b: old_negative_euclidean(T.add(x, b), Tensor(items)),
                              [x, bias], rng)
 
-    # (8, 16, 8, d) squares hold 2**13 elements at d = 8, so every d of
-    # 8..15 takes _sum_planes; d >= 16 keeps numpy's sum.
+    # d of 8..15 takes _sum_planes; d >= 16 keeps numpy's sum.
     @pytest.mark.parametrize("d", list(range(8, 25)) + [64, 128])
     def test_negative_euclidean_above_the_plane_rule_matches_composition(self, d, rng):
         targets = rng.normal(size=(8, 16, d))
@@ -252,13 +251,15 @@ class TestFusedKernels:
                              [targets, items], rng)
 
     @pytest.mark.parametrize("t_shape, i_shape, used", [
-        ((8, 16, 10), (8, 16, 8, 10), True),
-        ((100, 10), (100, 2, 10), False),    # 2,000 squares, below the rule
+        ((4, 7), (4, 2, 7), False),
+        ((3, 8), (3, 2, 8), True),
+        ((100, 10), (100, 2, 10), True),
+        ((13, 200, 15), (13, 200, 8, 15), True),
+        ((100, 16), (100, 2, 16), False),
         ((100, 20), (100, 2, 20), False),    # porl's shape: d = 20
-        ((13, 200, 10), (13, 200, 8, 10), True),
     ])
-    def test_plane_sum_only_above_the_size_rule(self, t_shape, i_shape, used, rng,
-                                                monkeypatch):
+    def test_plane_sum_only_for_d_of_8_to_15(self, t_shape, i_shape, used, rng,
+                                             monkeypatch):
         calls = []
         monkeypatch.setattr(T, "_sum_planes",
                             lambda x, f=T._sum_planes: calls.append(x.shape) or f(x))
