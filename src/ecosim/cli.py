@@ -272,8 +272,16 @@ def _pin_allocator() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and cpusets narrow it), else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers(tasks: int) -> int:
-    cap = os.environ.get("ECOSIM_THREADS") or str(os.cpu_count() or 1)
+    cap = os.environ.get("ECOSIM_THREADS") or str(_cpus())
     if not cap.strip().isdecimal() or int(cap) < 1:
         raise ConfigError(f"ECOSIM_THREADS must be an integer >= 1, got {cap!r}")
     return max(1, min(tasks, int(cap)))
@@ -448,22 +456,31 @@ def _sweep_one(task):
     return final[var].get(path).data.copy()
 
 
-# A sweep task's element budget: its rows times a row's largest temporary,
-# the (users, items) slate distances or the (users, slate, dim) features
-# of the choice.  It keeps a worker's batch below the main process's
-# footprint: at the default config a task holds at most 13 rows.
-_TASK_ELEMENTS = 2**18
+# A sweep task's element budget: its rows times a row's (users, items)
+# slate distances or (users, slate, dim) choice features.  The slate and
+# the choice build those a group of rows at a time, so they no longer
+# bound a task's memory.  What grows with its rows is the slices' own
+# fields; each field's lookahead pass has a fixed bound (``rng.Lookahead``).
+# At the default config a task holds at most 26 rows, and a 25-row task's
+# traced peak is 4.3 MB, against 6.4 MB for the 13-row tasks of a budget
+# of 2^18 with the choice built as one batch.  A task pays a fixed cost
+# before its rows cost anything, so the default sweep runs as one task
+# per worker at two workers.
+_TASK_ELEMENTS = 2**19
 
 
 def _sweep_slices(rows: int, cfg: EcosystemConfig, workers: int) -> list[tuple[int, int]]:
     """Contiguous ``(lo, hi)`` slices of the sweep's ``rows``, one per task.
 
-    The fewest tasks within the rows limit, rounded up to a multiple of
-    ``workers``, at least two and at most one per row, with sizes differing
-    by at most one row, the larger first.  The minimum of two keeps the
-    two sweep tasks that ``perfbench/tests/test_bench_spans.py`` counts for
-    its one-worker sweep of 2 caps x 2 runs; it costs one task's fixed
-    overhead only where every row would fit in one task.
+    The fewest tasks within the rows limit (``_TASK_ELEMENTS``), rounded
+    up to a multiple of ``workers``, at least two and at most one per row,
+    with sizes differing by at most one row, the larger first.  Each task
+    pays a fixed cost before its rows cost anything, so the default sweep
+    at two workers runs as two tasks of 25 rows, one per worker.  The
+    minimum of two keeps the two sweep tasks that
+    ``perfbench/tests/test_bench_spans.py`` counts for its one-worker sweep
+    of 2 caps x 2 runs; it costs one task's fixed overhead only where every
+    row would fit in one task.
     """
     per_row = cfg.num_users * max(cfg.num_items, cfg.slate_size * cfg.interest_dim)
     limit = max(1, _TASK_ELEMENTS // per_row)

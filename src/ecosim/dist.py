@@ -279,13 +279,15 @@ class PlackettLuce(Distribution):
         idx = np.broadcast_to(idx, lead + (self.k,))
         total = None
         mask = np.zeros(logits.shape, dtype=np.float64)
+        # Each selection's flat position in ``mask``, written after its term.
+        flat = T._flat_index(idx, logits.shape, logits.ndim - 1)
         for j in range(self.k):
-            sel = np.expand_dims(idx[..., j], -1)
+            sel = idx[..., j:j + 1]
             masked = T.add(logits, Tensor(mask * NEG_INF))
             term = T.sub(T.squeeze(T.take_along(logits, sel, -1), -1),
                          T.logsumexp(masked))
             total = term if total is None else T.add(total, term)
-            np.put_along_axis(mask, sel, 1.0, axis=-1)
+            mask.put(flat[..., j], 1.0)
         return total
 
 

@@ -28,6 +28,16 @@ the run's id.  A draw then runs Philox and its transform (the unit map,
 and the normal or Gumbel map) on the distinct ids only, and gathers the
 rows back by copying, so each row holds the same bits as a draw of its
 own id alone.
+
+A counter-based generator computes any step's numbers out of order, so a
+run may draw later steps early.  :func:`ecosim.runtime.execute` gives its
+streams a :class:`Lookahead`: a field whose draw keeps its shape from one
+step to the next draws the following steps in the same pass, one Philox
+call over a key per step, and the lookahead holds their distinct rows,
+transformed and not yet gathered, until those steps ask for them.  It
+holds at most one pass per field, of at most ``_LOOKAHEAD_LANES`` Philox
+lanes.  Every draw, held or not, is checked as it is made, and runs the
+one draw path: a stream without a lookahead draws one step a pass.
 """
 
 from __future__ import annotations
@@ -47,23 +57,26 @@ _ROUNDS = 10
 _COUNTER_LIMIT = 2**32  # rows and blocks are 32-bit counter words
 
 
-def philox4x32(c0, c1, c2, c3, key0: int, key1: int):
+def philox4x32(c0, c1, c2, c3, key0, key1):
     """One Philox4x32-10 block per counter lane.
 
-    Counters are uint64 arrays holding 32-bit values (broadcast against
-    each other); the return is four uint64 arrays, each holding a 32-bit
-    output word.  The rounds run in place on fresh C-ordered lanes, each
-    filled by broadcast assignment, so the inputs are never modified.
+    Counters are uint64 arrays holding 32-bit values, and the key words
+    ints or uint64 arrays of 32-bit values; all six broadcast against each
+    other, so a ``(W, 1, 1)`` key gives W keys' blocks of the same
+    counters in one call.  The return is four uint64 arrays, each holding
+    a 32-bit output word.  The rounds run in place on fresh C-ordered
+    lanes, each filled by broadcast assignment, so the inputs are never
+    modified.
     """
-    shape = np.broadcast(c0, c1, c2, c3).shape
+    k0 = np.asarray(key0, np.uint64) & _MASK32
+    k1 = np.asarray(key1, np.uint64) & _MASK32
+    shape = np.broadcast(c0, c1, c2, c3, k0, k1).shape
     lanes = [np.empty(shape, np.uint64) for _ in range(4)]
     for lane, word in zip(lanes, (c0, c1, c2, c3)):
         lane[...] = word
     c0, c1, c2, c3 = lanes
     p0 = np.empty(shape, np.uint64)
     p1 = np.empty(shape, np.uint64)
-    k0 = np.uint64(key0) & _MASK32
-    k1 = np.uint64(key1) & _MASK32
     for r in range(_ROUNDS):
         if r:
             k0 = (k0 + _W0) & _MASK32
@@ -195,6 +208,51 @@ class RowIds:
         self.words, self.inverse = np.unique(ids.astype(np.uint64), return_inverse=True)
 
 
+# Lanes (distinct rows times blocks, over all steps) one lookahead pass
+# draws at most.  The draws of a 25-row default sweep task took 45 ms at
+# 2^13 against 106 ms one step a pass; 2^14 and 2^15 saved under 5% more,
+# 2^16 was slower, and each doubling doubles what a pass holds.
+_LOOKAHEAD_LANES = 2**13
+
+
+class Lookahead:
+    """Draws of a run's later steps, made early and held per field.
+
+    A field's first draw at step t (cursor 0) whose signature ``(batch,
+    per_row, transform)`` matches the field's draw at step t - 1 draws
+    steps t .. t + W - 1 in one pass: W keys' Philox blocks in one call,
+    then the 64-bit assembly, the unit map and the transform once.  W is
+    the most steps within ``_LOOKAHEAD_LANES`` Philox lanes, at least 1
+    and at most the steps left to ``last_step``.  The distinct rows of the
+    later steps are held; a later step takes them if its draw has the
+    signature, and otherwise they are dropped and it draws its own.  Each
+    block depends only on its counter and key, so the numbers are those of
+    the steps drawn one at a time.  One lookahead serves one run, whose
+    row words are fixed: at most one pass is held per field.
+    """
+
+    def __init__(self, last_step: int):
+        self.last_step = last_step
+        # (variable, path) -> (signature, the next step, its held rows)
+        self._fields: dict[tuple[str, str], tuple[tuple, int, list]] = {}
+
+    def draw(self, stream: "RngStream", signature: tuple, lanes: int) -> np.ndarray:
+        """The stream's transformed distinct rows at its step, for a first
+        draw of ``lanes`` Philox lanes."""
+        variable, path, step = stream._name
+        batch, per_row, transform = signature
+        held_signature, at, held = self._fields.get((variable, path), (None, -1, []))
+        if held_signature != signature or at != step:  # a new shape, or a gap
+            held, steps = [], 1
+        else:
+            steps = max(1, min(_LOOKAHEAD_LANES // lanes, self.last_step - step + 1))
+        if not held:
+            held = list(stream._draw(batch, 0, per_row, transform, steps))
+        rows = held.pop(0)
+        self._fields[variable, path] = (signature, step + 1, held)
+        return rows
+
+
 class RngStream:
     """A stream of uniforms keyed by (seed, variable, path, step).
 
@@ -212,14 +270,20 @@ class RngStream:
     ``n``.  Rows and blocks are 32-bit counter words: an int ``row_offset +
     batch`` may not exceed 2^32, an id must lie in [0, 2^32), and a draw
     may not reach block 2^32 (column 2^33).
+
+    With a ``lookahead``, the stream's first draw may come from, or make,
+    a pass over later steps (:class:`Lookahead`); the numbers are the same.
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
-                 step: int = 0, row_offset: int | np.ndarray | RowIds = 0):
+                 step: int = 0, row_offset: int | np.ndarray | RowIds = 0,
+                 lookahead: Lookahead | None = None):
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
+        self._root_seed = root_seed
         self._name = (variable, path, step)
+        self._lookahead = lookahead
         self._cursor = 0  # per-row uniforms already consumed
         self._row_offset, self._ids = 0, None
         if isinstance(row_offset, RowIds):
@@ -247,17 +311,6 @@ class RngStream:
             raise ValueError(f"invalid draw shape ({batch}, {per_row})")
         if per_row == 0:
             return np.zeros((batch, 0))
-        out = self._distinct_rows(batch, per_row)
-        if transform is not None:
-            out = transform(out)
-        if self._ids is not None:
-            out = out.take(self._ids.inverse, axis=0)
-        return out
-
-    def _distinct_rows(self, batch: int, per_row: int) -> np.ndarray:
-        """The next ``per_row`` uniforms of each distinct row word, in the
-        order of ``RowIds.words`` (of the rows, for an int offset).  Its
-        Philox buffers are freed when it returns, before any transform."""
         if self._ids is not None:
             if self._ids.size != batch:
                 raise self._error(f"{self._ids.size} row ids for a draw of {batch} rows")
@@ -270,19 +323,50 @@ class RngStream:
         if first + blocks > _COUNTER_LIMIT:
             raise self._error(
                 f"block {first + blocks - 1} passes the 32-bit block word")
+        if self._lookahead is not None and self._cursor == 0:
+            rows = batch if self._ids is None else self._ids.words.size
+            out = self._lookahead.draw(self, (batch, per_row, transform), rows * blocks)
+        else:
+            out = self._draw(batch, self._cursor, per_row, transform, 1)[0]
         self._cursor += per_row
+        if self._ids is not None:
+            out = out.take(self._ids.inverse, axis=0)
+        return out
+
+    def _draw(self, batch: int, cursor: int, per_row: int, transform,
+              steps: int) -> np.ndarray:
+        """Columns ``cursor .. cursor + per_row - 1`` of each distinct row
+        word, transformed, at this stream's step and the ``steps - 1``
+        after it: ``(steps, rows, per_row)``."""
+        out = self._distinct_rows(batch, cursor, per_row, steps)
+        return out if transform is None else transform(out)
+
+    def _distinct_rows(self, batch: int, cursor: int, per_row: int,
+                       steps: int) -> np.ndarray:
+        """The uniforms of :meth:`_draw`, in the order of ``RowIds.words``
+        (of the rows, for an int offset).  Its Philox buffers are freed
+        when it returns, before any transform."""
+        if steps == 1:  # scalar keys, which numpy applies without broadcasting
+            k0, k1 = np.uint64(self._k0), np.uint64(self._k1)
+        else:
+            variable, path, step = self._name
+            keys = [_key64(self._root_seed, variable, path, s)
+                    for s in range(step, step + steps)]
+            k0 = np.array([k & 0xFFFFFFFF for k in keys], np.uint64)[:, None, None]
+            k1 = np.array([k >> 32 for k in keys], np.uint64)[:, None, None]
         rows = (self._ids.words if self._ids is not None
                 else np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset))
+        first, skip = divmod(cursor, 2)
+        blocks = (skip + per_row + 1) // 2
         cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)
         zero = np.uint64(0)
-        w0, w1, w2, w3 = philox4x32(cols, rows[:, None], zero, zero,
-                                    self._k0, self._k1)
-        bits = np.empty((rows.size, blocks, 2), np.uint64)
+        w0, w1, w2, w3 = philox4x32(cols, rows[:, None], zero, zero, k0, k1)
+        bits = np.empty((steps, rows.size, blocks, 2), np.uint64)
         for hi, lo, half in ((w0, w1, bits[..., 0]), (w2, w3, bits[..., 1])):
             np.left_shift(hi, _SHIFT32, out=half)
             half |= lo
         # Strictly inside (0, 1), so inverse-CDF transforms stay finite.
-        return _unit(bits.reshape(rows.size, 2 * blocks)[:, skip:skip + per_row])
+        return _unit(bits.reshape(steps, rows.size, 2 * blocks)[..., skip:skip + per_row])
 
     def uniform_field(self, shape: tuple[int, ...], transform=None) -> np.ndarray:
         """Uniforms shaped ``shape``, with axis 0 as the keyed batch axis."""
@@ -296,4 +380,10 @@ class RngStream:
         return self.uniform_field(shape, _ndtri)
 
     def gumbels(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self.uniform_field(shape, lambda u: -np.log(-np.log(u)))
+        return self.uniform_field(shape, _gumbel)
+
+
+def _gumbel(u: np.ndarray) -> np.ndarray:
+    """The standard Gumbel quantile of ``u``: a module-level function, so a
+    lookahead signature compares it by identity."""
+    return -np.log(-np.log(u))

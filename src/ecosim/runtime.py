@@ -40,7 +40,7 @@ from . import tensor as T
 from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Deterministic, Distribution
 from .numtext import CHUNK, row_texts
-from .rng import RngStream, RowIds
+from .rng import Lookahead, RngStream, RowIds
 from .tensor import Tensor, as_array
 
 
@@ -222,14 +222,15 @@ def check_output(var: Variable, out, where: str, error: type[Exception]) -> Valu
 
 
 def _realize(var: Variable, out: Value, step: int, seed: int,
-             row_offset: int | RowIds, batch: int | None):
+             row_offset: int | RowIds, batch: int | None, lookahead: Lookahead | None):
     """Sample the stochastic fields of a checked builder output, spec-check
     the result, and return (value, batch)."""
     realized: dict[str, object] = {}
     for path in var.spec.paths:
         payload = out.get(path)
         if isinstance(payload, Distribution):
-            payload = payload.sample(RngStream(seed, var.name, path, step, row_offset))
+            payload = payload.sample(
+                RngStream(seed, var.name, path, step, row_offset, lookahead))
         realized[path] = payload
     value = Value.of(realized)
     try:
@@ -239,16 +240,19 @@ def _realize(var: Variable, out: Value, step: int, seed: int,
     return value, batch
 
 
-def _slices(net: Network, num_steps: int, seed: int, row_offset: int | RowIds
+def _slices(net: Network, num_steps: int, seed: int, row_offset: int | RowIds,
+            lookahead: Lookahead | None = None
             ) -> Iterator[tuple[dict[str, Value], int | None]]:
     """Sample slices 0 .. num_steps and yield each with the batch; each is
-    built from the slice yielded before it, the only one kept."""
+    built from the slice yielded before it, the only one kept.  Every
+    stream draws through ``lookahead`` when one is given."""
     previous, batch = None, None
     for step in range(num_steps + 1):
         current: dict[str, Value] = {}
         for var, fn, args in builder_calls(net, current, previous):
             out = check_output(var, fn(*args), f"step {step}", SimulationError)
-            current[var.name], batch = _realize(var, out, step, seed, row_offset, batch)
+            current[var.name], batch = _realize(var, out, step, seed, row_offset, batch,
+                                                lookahead)
         yield current, batch
         previous = current
 
@@ -266,14 +270,17 @@ def execute(net: Network, num_steps: int, seed: int, *,
             row_offset: int | np.ndarray = 0) -> dict[str, Value]:
     """Run ``num_steps`` kernel applications after the initial slice and
     return only the final slice.  Memory-light: besides the slice being
-    built, only the previous one is kept.
+    built and the previous one, it holds at most one lookahead pass per
+    stochastic field, of at most ``rng._LOOKAHEAD_LANES`` Philox lanes.
 
     ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
     int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
     run ids keys it as ``row_offset[r]``, so rows that share an id draw
     the same numbers.  The ids are checked and deduplicated once here,
-    and every stream of the run draws each distinct id once.
-    ``num_steps=0`` returns the initial slice.
+    and every stream of the run draws each distinct id once.  A field
+    whose draws keep their shape draws several steps' numbers in one pass
+    (:class:`ecosim.rng.Lookahead`), the same numbers ``trajectory``
+    draws a step at a time.  ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
@@ -282,7 +289,7 @@ def execute(net: Network, num_steps: int, seed: int, *,
             row_offset = RowIds(row_offset)
         except ValueError as e:
             raise ValueError(f"execute row_offset: {e}") from None
-    for final, _ in _slices(net, num_steps, seed, row_offset):
+    for final, _ in _slices(net, num_steps, seed, row_offset, Lookahead(num_steps)):
         pass
     return final
 

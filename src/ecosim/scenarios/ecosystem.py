@@ -19,6 +19,13 @@ each row's result is bit-identical to running it alone.  The sweep lays
 its rows out run-major, (run, cap), so a batch holds every cap's copy of
 a few runs, and each draw computes a run's numbers once and copies them
 to the run's other rows.
+
+The slate and the choice, whose (users, items) distances and (users,
+slate, dim) features are a step's largest temporaries, compute them a
+group of rows at a time (``_SLATE_SCORES``, ``_CHOICE_ELEMENTS``).  Each
+value is computed per element, so a group's bits are those of the whole
+batch, and those temporaries do not grow with the batch.  A choice whose
+inputs are on a gradient tape is computed as one batch.
 """
 
 from __future__ import annotations
@@ -160,6 +167,12 @@ def _flat(idx: np.ndarray, m: int) -> np.ndarray:
 _SLATE_SCORES = 2**16
 
 
+# The (users, slate, dim) features the choice gathers per group of rows,
+# about 0.5 MB: the gathered features, their differences from the users
+# and the squares are each that large, however many rows the batch holds.
+_CHOICE_ELEMENTS = 2**16
+
+
 def _slate_ranks(u: np.ndarray, f: np.ndarray, adjust: np.ndarray, k: int) -> np.ndarray:
     """The top-k items of ``adjust - |u - f|`` for users (n, U, d), items
     (n, M, d) and per-item adjustments (n, M), as (n, U, k) indices."""
@@ -292,14 +305,30 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         slot = T.check_index(choice_v.get("choice"), k, "choice")
         return np.asarray(slate_v.get("ranks")).take(_flat(slot[..., None], k))[..., 0]
 
-    def make_choice(users_v, items_v, slate_v):
-        # One flat row gather for the whole slate, (..., U*k, d), viewed as
+    def _slate_affinities(targets, features, ranks: np.ndarray) -> Tensor:
+        # One flat row gather for the slate, (..., U*k, d), viewed as
         # (..., U, k, d).
-        ranks = np.asarray(slate_v.get("ranks"))
-        flat = T.take_rows(items_v.get("features"), ranks.reshape(ranks.shape[:-2] + (-1,)))
+        flat = T.take_rows(features, ranks.reshape(ranks.shape[:-2] + (-1,)))
         feats = T.reshape(flat, ranks.shape + flat.shape[-1:])
-        aff = choice_affinity.affinities(users_v.get("interest"), feats)
-        return Value(choice=chooser.choice(aff))
+        return choice_affinity.affinities(targets, feats)
+
+    def make_choice(users_v, items_v, slate_v):
+        targets, features = users_v.get("interest"), items_v.get("features")
+        ranks = np.asarray(slate_v.get("ranks"))
+        if targets.tape is not None or features.tape is not None:
+            # A gradient flows through: one batch, one tape node per op.
+            return Value(choice=chooser.choice(_slate_affinities(targets, features, ranks)))
+        lead = ranks.shape[:-2]
+        rows = math.prod(lead)
+        u = np.broadcast_to(targets.data, lead + (U, d)).reshape(rows, U, d)
+        f = features.data.reshape(rows, M, d)
+        ranks = ranks.reshape(rows, U, k)
+        aff = np.empty((rows, U, k))
+        step = max(1, _CHOICE_ELEMENTS // (U * k * d))
+        for i in range(0, rows, step):
+            aff[i:i + step] = _slate_affinities(Tensor(u[i:i + step]), Tensor(f[i:i + step]),
+                                                ranks[i:i + step]).data
+        return Value(choice=chooser.choice(Tensor(aff.reshape(lead + (U, k)))))
 
     def consume_utility(users_v, items_v, slate_v, choice_v):
         # Only the chosen item's distance: the same sub/mul/sum over one

@@ -219,7 +219,20 @@ class TestTrainReinforce:
             monkeypatch.delenv("ECOSIM_THREADS", raising=False)
         else:
             monkeypatch.setenv("ECOSIM_THREADS", threads)
-        assert _workers(10**6) == (os.cpu_count() or 1)
+        assert _workers(10**6) == (len(os.sched_getaffinity(0))
+                                   if hasattr(os, "sched_getaffinity")
+                                   else os.cpu_count() or 1)
+
+    def test_default_worker_count_follows_the_cpu_affinity(self, monkeypatch):
+        # Under taskset or a cpuset the process may use fewer CPUs than
+        # the machine has; the default must not oversubscribe them.
+        monkeypatch.delenv("ECOSIM_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert _workers(10**6) == 3
+        assert _workers(2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers(10**6) == 64
 
     def test_artifacts_match_golden_digests(self, tmp_path):
         # Pinned so that a change to sampling, replay scoring or the
@@ -364,9 +377,11 @@ class TestEcosystemSweep:
 
     def test_deterministic_across_worker_counts(self, tmp_path):
         # 3 runs x 3 caps = 9 (run, cap) rows, run-major: 2 workers split
-        # them 5 + 4 and 4 workers 3 + 2 + 2 + 2, so tasks start mid-run,
-        # stack rows of two runs, and hold repeated run ids, which each
-        # draw computes once and gathers.
+        # them 5 + 4, 3 workers 3 + 3 + 3 and 4 workers 3 + 2 + 2 + 2, so
+        # tasks start mid-run, stack rows of one or two runs, and hold
+        # repeated run ids, which each draw computes once and gathers.
+        # A task's lookahead windows depend on its distinct runs, so they
+        # differ between the tasks and the splits.
         trees = {}
         env = os.environ.copy()
         try:
@@ -516,24 +531,25 @@ class TestSweepSlices:
     """The sweep's (cap, run) rows split into contiguous task slices."""
 
     def test_default_sweep_at_two_workers(self):
-        # 5 caps x 10 runs; the limit at the defaults is 13 rows.
+        # 5 caps x 10 runs; the limit at the defaults is 26 rows, so one
+        # task per worker.
         slices = _sweep_slices(50, EcosystemConfig(), 2)
-        assert slices == [(0, 13), (13, 26), (26, 38), (38, 50)]
+        assert slices == [(0, 25), (25, 50)]
 
-    @pytest.mark.parametrize("rows, tasks", [(26, 2), (27, 3), (39, 3), (40, 4)])
-    def test_limit_at_the_defaults_is_13_rows(self, rows, tasks):
+    @pytest.mark.parametrize("rows, tasks", [(52, 2), (53, 3), (78, 3), (79, 4)])
+    def test_limit_at_the_defaults_is_26_rows(self, rows, tasks):
         got = sizes(_sweep_slices(rows, EcosystemConfig(), 1))
-        assert len(got) == tasks and max(got) <= 13
+        assert len(got) == tasks and max(got) <= 26
 
-    # The fewest tasks within the limit is 4; more workers round it up.
+    # The fewest tasks within the limit is 2; more workers round it up.
     @pytest.mark.parametrize("workers, tasks", [
-        (1, 4), (2, 4), (3, 6), (4, 4), (5, 5), (6, 6), (8, 8), (10, 10), (16, 16)])
+        (1, 2), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (8, 8), (10, 10), (16, 16)])
     def test_tasks_are_a_multiple_of_the_workers(self, workers, tasks):
         got = sizes(_sweep_slices(50, EcosystemConfig(), workers))
         assert len(got) == tasks
-        assert sum(got) == 50 and max(got) - min(got) <= 1 and max(got) <= 13
+        assert sum(got) == 50 and max(got) - min(got) <= 1 and max(got) <= 26
 
-    # One task's worth of rows (the limit at 20 users is 131), split
+    # One task's worth of rows (the limit at 20 users is 262), split
     # between the workers, into at least two tasks, at most one per row.
     @pytest.mark.parametrize("rows, workers, tasks", [
         (9, 2, 2), (9, 4, 4), (3, 4, 3), (50, 7, 7), (9, 1, 2), (2, 1, 2), (1, 1, 1)])
@@ -546,7 +562,7 @@ class TestSweepSlices:
         assert len(got) == tasks
 
     def test_wide_population_forces_one_row_tasks(self):
-        cfg = EcosystemConfig(num_users=2**18 // 100 + 1)
+        cfg = EcosystemConfig(num_users=2**19 // 100 + 1)
         assert sizes(_sweep_slices(50, cfg, 2)) == [1] * 50
 
 
@@ -602,11 +618,11 @@ PIN_CASES = {
     "fit-em": ("",
                "cli.main(['fit-em', '--scenario', 'latent-sat', '--set', "
                "'em.iterations=1', '--out', OUT])"),
-    # the first task of the default sweep, run-major: 13 rows, runs 0 and 1
-    # at all 5 caps and run 2 at caps 0, 0.6 and 1.2
+    # the first task of the default sweep at two workers, run-major: 25
+    # rows, runs 0 to 4 at all 5 caps
     "sweep-task": ("cli._pin_allocator()\n"
-                   "task = (EcosystemConfig(), (0.0, 0.6, 1.2, 2.4, 4.8) * 2 + "
-                   "(0.0, 0.6, 1.2), [0] * 5 + [1] * 5 + [2] * 3, 0)",
+                   "task = (EcosystemConfig(), (0.0, 0.6, 1.2, 2.4, 4.8) * 5, "
+                   "[r for r in range(5) for _ in range(5)], 0)",
                    "cli._sweep_one(task)"),
 }
 

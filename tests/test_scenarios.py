@@ -22,7 +22,7 @@ from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, Por
                               sample_true_alpha)
 from ecosim.scenarios import ecosystem
 from ecosim.scenarios.ecosystem import _apportion, _item_counts
-from ecosim.tensor import Tensor
+from ecosim.tensor import Tape, Tensor
 
 from stepwise_oracle import replay_slice
 
@@ -571,6 +571,77 @@ class TestChosenItemUtility:
         mean = out.get("value").loc.data
         assert mean.shape == lead + (U,)
         assert np.array_equal(mean, full_slate_utility_mean(u, f, ranks, choice))
+
+
+def one_batch_choice_logits(u, f, ranks, scale):
+    """The choice's logits as one batch: one gather and one distance op."""
+    flat = T.take_rows(f, ranks.reshape(ranks.shape[:-2] + (-1,)))
+    feats = T.reshape(flat, ranks.shape + f.shape[-1:])
+    return AffinityModel(scale=scale).affinities(u, feats)
+
+
+class TestGroupedChoice:
+    """``make_choice`` gathers and scores the slate a group of rows at a
+    time; every logit has the bits of the one-batch computation."""
+
+    U, M, k = 9, 12, 5
+
+    def inputs(self, lead, d, broadcast_users=False):
+        cfg = EcosystemConfig(num_users=self.U, num_providers=3, num_items=self.M,
+                              num_runs=lead[-1], interest_dim=d, num_communities=1,
+                              community_sizes=(1.0,), slate_size=self.k, horizon=2)
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=lead[-1:] + (self.U, d)) * 3.0
+        u = np.broadcast_to(u, lead + u.shape[1:]) if broadcast_users else rng.normal(
+            size=lead + (self.U, d)) * 3.0
+        f = rng.normal(size=lead + (self.M, d)) * 3.0
+        ranks = np.argsort(rng.uniform(size=lead + (self.U, self.M)), axis=-1)[..., :self.k]
+        return cfg, u, f, ranks
+
+    @pytest.mark.parametrize("d", [3, 10, 17])
+    @pytest.mark.parametrize("lead, broadcast_users", [
+        ((1,), False), ((4,), False), ((5,), False), ((13,), False),
+        ((3, 5), True)], ids=["1", "4", "5", "13", "T,R-carried-users"])
+    def test_groups_of_4_rows_equal_one_batch(self, lead, broadcast_users, d, monkeypatch):
+        cfg, u, f, ranks = self.inputs(lead, d, broadcast_users)
+        monkeypatch.setattr(ecosystem, "_CHOICE_ELEMENTS", 4 * self.U * self.k * d)
+        make_choice = build_ecosystem_story(cfg)[0].by_name["choice"].kernel_fn
+        got = make_choice(Value(interest=Tensor(u)), Value(features=Tensor(f)),
+                          Value(ranks=ranks)).get("choice").logits
+        want = one_batch_choice_logits(Tensor(u), Tensor(f), ranks, cfg.choice_sharpness)
+        assert got.shape == lead + (self.U, self.k)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_taped_users_take_one_batch_with_their_gradient(self):
+        cfg, u, f, ranks = self.inputs((5,), 10)
+        make_choice = build_ecosystem_story(cfg)[0].by_name["choice"].kernel_fn
+        grads = []
+        for choice_of in (make_choice, None):
+            tape = Tape()
+            users = tape.watch(u)
+            if choice_of is None:
+                logits = one_batch_choice_logits(users, Tensor(f), ranks, cfg.choice_sharpness)
+            else:
+                logits = choice_of(Value(interest=users), Value(features=Tensor(f)),
+                                   Value(ranks=ranks)).get("choice").logits
+            grads.append((logits.data, tape.backward(T.reduce_sum(logits))[users].data))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*grads))
+
+    def test_choice_grouped_a_row_at_a_time_equals_the_whole_batch(self, monkeypatch):
+        # Sampled, and replayed by the time-batched scorer on carried users.
+        cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=1.2)
+        results = []
+        for elements in (1, 2**62):
+            monkeypatch.setattr(ecosystem, "_CHOICE_ELEMENTS", elements)
+            net, _ = build_ecosystem_story(cfg)
+            traj = trajectory(net, cfg.horizon, seed=7)
+            lp = trajectory_log_prob_rows(net, Trajectory.from_trajectory(net, traj),
+                                          cfg.horizon - 1)
+            results.append([lp.data.tobytes()] + [
+                np.asarray(T.as_array(traj.value(name, t).get(path))).tobytes()
+                for t in range(cfg.horizon)
+                for name, path in (("choice", "choice"), ("metrics", "welfare"))])
+        assert results[0] == results[1]
 
 
 def stable_top_k(score, k):
