@@ -330,7 +330,6 @@ def _build_scenario(name: str, cfg, seed: int):
     if name == "ecosystem":
         net, metrics = build_ecosystem_story(cfg)
         return net, {"welfare": metrics["welfare"]}
-    raise ConfigError(f"unknown scenario {name!r}")
 
 
 def cmd_simulate(args, sections) -> int:
@@ -460,7 +459,7 @@ def _sweep_one(task):
 # slate distances or (users, slate, dim) choice features.  The slate and
 # the choice build those a group of rows at a time, so they no longer
 # bound a task's memory.  What grows with its rows is the slices' own
-# fields; each field's lookahead pass has a fixed bound (``rng.Lookahead``).
+# fields; each field's lookahead pass has a fixed bound (``rng.Rows.ahead``).
 # At the default config a task holds at most 26 rows, and a 25-row task's
 # traced peak is 4.3 MB, against 6.4 MB for the 13-row tasks of a budget
 # of 2^18 with the choice built as one batch.  A task pays a fixed cost
@@ -506,7 +505,7 @@ def cmd_ecosystem_sweep(args, sections) -> int:
     # its run id, so every cap sees the same sampled ecosystems (shared
     # seed), and any split into tasks or workers is bit-identical to a
     # serial run.  Run-major, a task holds every cap's copy of few runs,
-    # and its streams draw each run's numbers once (``rng.RowIds``).
+    # and its streams draw each run's numbers once (``rng.Rows``).
     row_caps = list(caps) * total_runs
     run_ids = [r for r in range(total_runs) for _ in caps]
     workers = _workers(len(row_caps))

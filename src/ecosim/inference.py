@@ -2,8 +2,8 @@
 
 Covers first-order optimizers (SGD, Adam), a native Hamiltonian Monte
 Carlo sampler (leapfrog + Metropolis correction, identity mass matrix),
-REINFORCE policy-gradient steps over story-defined slate policies,
-maximum-likelihood fitting, and Monte-Carlo EM with an HMC E-step.
+REINFORCE policy-gradient steps over story-defined slate policies, and
+Monte-Carlo EM with an HMC E-step.
 Every driver owns its tape, RNG streams, and optimizer state; runs with
 different seeds are fully isolated.
 """
@@ -225,17 +225,7 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
 
 
 # ---------------------------------------------------------------------------
-# maximum likelihood and Monte-Carlo EM
-
-
-def mle_step(net: Network, traj: Trajectory, registry: ParameterRegistry, opt) -> float:
-    """One gradient step on the negative log-probability of all of
-    ``traj``; returns the loss value before the update."""
-
-    def loss() -> Tensor:
-        return T.neg(log_probability_from_value_trajectory(net, traj, traj.steps - 1))
-
-    return _descend(registry, opt, loss)
+# Monte-Carlo EM
 
 
 @dataclass

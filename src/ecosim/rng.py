@@ -23,21 +23,23 @@ normal is the inverse normal CDF of one uniform, evaluated by Wichura's
 AS 241 (PPND16, *Applied Statistics* 37(3):477-484, 1988), so a normal
 costs one column of the row like any other draw.
 
-Row ids may repeat: the sweep keys every boost cap's copy of a run by
-the run's id.  A draw then runs Philox and its transform (the unit map,
-and the normal or Gumbel map) on the distinct ids only, and gathers the
-rows back by copying, so each row holds the same bits as a draw of its
-own id alone.
+A run's row key is one :class:`Rows`: an int offset, or an array of row
+ids checked once.  Ids may repeat: the sweep keys every boost cap's copy
+of a run by the run's id.  A draw then runs Philox and its transform (the
+unit map, and the normal or Gumbel map) on the distinct ids only, and
+gathers the rows back by copying, so each row holds the same bits as a
+draw of its own id alone.
 
 A counter-based generator computes any step's numbers out of order, so a
-run may draw later steps early.  :func:`ecosim.runtime.execute` gives its
-streams a :class:`Lookahead`: a field whose draw keeps its shape from one
-step to the next draws the following steps in the same pass, one Philox
-call over a key per step, and the lookahead holds their distinct rows,
-transformed and not yet gathered, until those steps ask for them.  It
-holds at most one pass per field, of at most ``_LOOKAHEAD_LANES`` Philox
-lanes.  Every draw, held or not, is checked as it is made, and runs the
-one draw path: a stream without a lookahead draws one step a pass.
+run may draw later steps early.  :func:`ecosim.runtime.execute` keys its
+streams by ``Rows(row_offset, last_step)``: a field whose draw keeps its
+shape from one step to the next draws the following steps in the same
+pass, one Philox call over a key per step, and the ``Rows`` hold their
+distinct rows, transformed and not yet gathered, until those steps ask
+for them.  They hold at most one pass per field, of at most
+``_LOOKAHEAD_LANES`` Philox lanes, and only for their own key.  Every
+draw, held or not, is checked as it is made, and runs the one draw path:
+rows without a ``last_step`` draw one step a pass.
 """
 
 from __future__ import annotations
@@ -187,27 +189,6 @@ def derive_seed(root_seed: int, tag: str, index: int = 0) -> int:
     return _key64(root_seed, tag, "", index) >> 1
 
 
-class RowIds:
-    """A checked 1-D array of row ids and the distinct ids a draw runs on.
-
-    ``words`` are the sorted distinct ids as uint64 row words and
-    ``inverse`` gathers them back: ``words[inverse]`` is the ids.  Checking
-    and deduplicating once lets every stream of a run share the result.
-    A bad id raises before the cast, so a negative one cannot wrap.
-    """
-
-    def __init__(self, ids):
-        ids = np.asarray(ids)
-        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError(f"row ids must be a 1-D integer array, got dtype "
-                             f"{ids.dtype} and shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
-            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-            raise ValueError(f"row id {bad} is outside the 32-bit row word")
-        self.size = ids.size
-        self.words, self.inverse = np.unique(ids.astype(np.uint64), return_inverse=True)
-
-
 # Lanes (distinct rows times blocks, over all steps) one lookahead pass
 # draws at most.  The draws of a 25-row default sweep task took 45 ms at
 # 2^13 against 106 ms one step a pass; 2^14 and 2^15 saved under 5% more,
@@ -215,33 +196,60 @@ class RowIds:
 _LOOKAHEAD_LANES = 2**13
 
 
-class Lookahead:
-    """Draws of a run's later steps, made early and held per field.
+class Rows:
+    """A run's row key, checked once, and with ``last_step`` its lookahead.
 
-    A field's first draw at step t (cursor 0) whose signature ``(batch,
-    per_row, transform)`` matches the field's draw at step t - 1 draws
-    steps t .. t + W - 1 in one pass: W keys' Philox blocks in one call,
-    then the 64-bit assembly, the unit map and the transform once.  W is
-    the most steps within ``_LOOKAHEAD_LANES`` Philox lanes, at least 1
-    and at most the steps left to ``last_step``.  The distinct rows of the
-    later steps are held; a later step takes them if its draw has the
-    signature, and otherwise they are dropped and it draws its own.  Each
-    block depends only on its counter and key, so the numbers are those of
-    the steps drawn one at a time.  One lookahead serves one run, whose
-    row words are fixed: at most one pass is held per field.
+    An int ``row_offset`` keys batch row ``r`` by the row word ``row_offset
+    + r``.  A 1-D integer array of ids keys it by ``ids[r]``: ``words``
+    are the sorted distinct ids as uint64 row words, and ``inverse``
+    gathers them back (``words[inverse]`` is the ids).  A bad id raises
+    before the cast, so a negative one cannot wrap.  Every stream of a run
+    shares its ``Rows``, so the ids are checked and deduplicated once.
+
+    With ``last_step``, the rows hold their run's draws of later steps
+    (:meth:`ahead`), at most one pass per field.  They are the draws of
+    this key alone: a stream with another key has other ``Rows``.
     """
 
-    def __init__(self, last_step: int):
+    def __init__(self, row_offset: int | np.ndarray = 0, last_step: int | None = None):
         self.last_step = last_step
         # (variable, path) -> (signature, the next step, its held rows)
-        self._fields: dict[tuple[str, str], tuple[tuple, int, list]] = {}
+        self._held: dict[tuple[str, str], tuple[tuple, int, list]] = {}
+        if isinstance(row_offset, (int, np.integer)):
+            self.offset, self.ids = int(row_offset), None
+            return
+        ids = np.asarray(row_offset)
+        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"row ids must be a 1-D integer array, got dtype "
+                             f"{ids.dtype} and shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
+            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+            raise ValueError(f"row id {bad} is outside the 32-bit row word")
+        self.offset, self.ids = 0, ids
+        self.words, self.inverse = np.unique(ids.astype(np.uint64), return_inverse=True)
 
-    def draw(self, stream: "RngStream", signature: tuple, lanes: int) -> np.ndarray:
+    def keys(self, batch: int) -> np.ndarray:
+        """Each of ``batch`` rows' key: ``offset + r``, or ``ids[r]``."""
+        return np.arange(self.offset, self.offset + batch) if self.ids is None else self.ids
+
+    def ahead(self, stream: "RngStream", signature: tuple, lanes: int) -> np.ndarray:
         """The stream's transformed distinct rows at its step, for a first
-        draw of ``lanes`` Philox lanes."""
+        draw of ``lanes`` Philox lanes.
+
+        A field's first draw at step t (cursor 0) whose signature ``(batch,
+        per_row, transform)`` matches the field's draw at step t - 1 draws
+        steps t .. t + W - 1 in one pass: W keys' Philox blocks in one
+        call, then the 64-bit assembly, the unit map and the transform
+        once.  W is the most steps within ``_LOOKAHEAD_LANES`` Philox
+        lanes, at least 1 and at most the steps left to ``last_step``.  The
+        distinct rows of the later steps are held; a later step takes them
+        if its draw has the signature, and otherwise they are dropped and
+        it draws its own.  Each block depends only on its counter and key,
+        so the numbers are those of the steps drawn one at a time.
+        """
         variable, path, step = stream._name
         batch, per_row, transform = signature
-        held_signature, at, held = self._fields.get((variable, path), (None, -1, []))
+        held_signature, at, held = self._held.get((variable, path), (None, -1, []))
         if held_signature != signature or at != step:  # a new shape, or a gap
             held, steps = [], 1
         else:
@@ -249,7 +257,7 @@ class Lookahead:
         if not held:
             held = list(stream._draw(batch, 0, per_row, transform, steps))
         rows = held.pop(0)
-        self._fields[variable, path] = (signature, step + 1, held)
+        self._held[variable, path] = (signature, step + 1, held)
         return rows
 
 
@@ -259,11 +267,11 @@ class RngStream:
     Column ``c`` of batch row ``r`` comes from the Philox block with
     counter ``(c // 2, w[r], 0, 0)``, where ``w`` are the row words: output
     words 0 and 1 give the even column, words 2 and 3 the odd one.
-    ``row_offset`` sets the row words.  An int gives ``w[r] = row_offset +
-    r``; a 1-D integer array of ids (say, the run each row simulates), or
-    a :class:`RowIds` made from one, gives ``w[r] = row_offset[r]``, and
-    every draw must then have one row per id.  Row ``i`` of a batched draw
-    is thus identical to row 0 of a batch-1 draw made with
+    ``row_offset`` is the row key, a :class:`Rows` or what makes one.  An
+    int gives ``w[r] = row_offset + r``; a 1-D integer array of ids (say,
+    the run each row simulates) gives ``w[r] = row_offset[r]``, and every
+    draw must then have one row per id.  Row ``i`` of a batched draw is
+    thus identical to row 0 of a batch-1 draw made with
     ``row_offset=w[i]``: batch size and row order never change which
     numbers a row receives.  Successive draws continue along the columns,
     so two draws of ``n`` equal one draw of ``2n`` whatever the parity of
@@ -271,30 +279,23 @@ class RngStream:
     batch`` may not exceed 2^32, an id must lie in [0, 2^32), and a draw
     may not reach block 2^32 (column 2^33).
 
-    With a ``lookahead``, the stream's first draw may come from, or make,
-    a pass over later steps (:class:`Lookahead`); the numbers are the same.
+    With a ``last_step`` on its :class:`Rows`, the stream's first draw may
+    come from, or make, a pass over later steps (:meth:`Rows.ahead`); the
+    numbers are the same.
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
-                 step: int = 0, row_offset: int | np.ndarray | RowIds = 0,
-                 lookahead: Lookahead | None = None):
+                 step: int = 0, row_offset: int | np.ndarray | Rows = 0):
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
         self._root_seed = root_seed
         self._name = (variable, path, step)
-        self._lookahead = lookahead
         self._cursor = 0  # per-row uniforms already consumed
-        self._row_offset, self._ids = 0, None
-        if isinstance(row_offset, RowIds):
-            self._ids = row_offset
-        elif isinstance(row_offset, (int, np.integer)):
-            self._row_offset = int(row_offset)
-        else:
-            try:
-                self._ids = RowIds(row_offset)
-            except ValueError as e:
-                raise self._error(str(e)) from None
+        try:
+            self._rows = row_offset if isinstance(row_offset, Rows) else Rows(row_offset)
+        except ValueError as e:
+            raise self._error(str(e)) from None
 
     def _error(self, what: str) -> ValueError:
         variable, path, step = self._name
@@ -311,26 +312,26 @@ class RngStream:
             raise ValueError(f"invalid draw shape ({batch}, {per_row})")
         if per_row == 0:
             return np.zeros((batch, 0))
-        if self._ids is not None:
-            if self._ids.size != batch:
-                raise self._error(f"{self._ids.size} row ids for a draw of {batch} rows")
-        elif self._row_offset + batch > _COUNTER_LIMIT:
+        rows = self._rows
+        if rows.ids is not None:
+            if rows.ids.size != batch:
+                raise self._error(f"{rows.ids.size} row ids for a draw of {batch} rows")
+        elif rows.offset + batch > _COUNTER_LIMIT:
             raise self._error(
-                f"rows {self._row_offset}..{self._row_offset + batch - 1} "
-                f"pass the 32-bit row word")
+                f"rows {rows.offset}..{rows.offset + batch - 1} pass the 32-bit row word")
         first, skip = divmod(self._cursor, 2)
         blocks = (skip + per_row + 1) // 2
         if first + blocks > _COUNTER_LIMIT:
             raise self._error(
                 f"block {first + blocks - 1} passes the 32-bit block word")
-        if self._lookahead is not None and self._cursor == 0:
-            rows = batch if self._ids is None else self._ids.words.size
-            out = self._lookahead.draw(self, (batch, per_row, transform), rows * blocks)
+        if rows.last_step is not None and self._cursor == 0:
+            distinct = batch if rows.ids is None else rows.words.size
+            out = rows.ahead(self, (batch, per_row, transform), distinct * blocks)
         else:
             out = self._draw(batch, self._cursor, per_row, transform, 1)[0]
         self._cursor += per_row
-        if self._ids is not None:
-            out = out.take(self._ids.inverse, axis=0)
+        if rows.ids is not None:
+            out = out.take(rows.inverse, axis=0)
         return out
 
     def _draw(self, batch: int, cursor: int, per_row: int, transform,
@@ -343,7 +344,7 @@ class RngStream:
 
     def _distinct_rows(self, batch: int, cursor: int, per_row: int,
                        steps: int) -> np.ndarray:
-        """The uniforms of :meth:`_draw`, in the order of ``RowIds.words``
+        """The uniforms of :meth:`_draw`, in the order of ``Rows.words``
         (of the rows, for an int offset).  Its Philox buffers are freed
         when it returns, before any transform."""
         if steps == 1:  # scalar keys, which numpy applies without broadcasting
@@ -354,8 +355,8 @@ class RngStream:
                     for s in range(step, step + steps)]
             k0 = np.array([k & 0xFFFFFFFF for k in keys], np.uint64)[:, None, None]
             k1 = np.array([k >> 32 for k in keys], np.uint64)[:, None, None]
-        rows = (self._ids.words if self._ids is not None
-                else np.arange(batch, dtype=np.uint64) + np.uint64(self._row_offset))
+        rows = (self._rows.words if self._rows.ids is not None
+                else np.arange(batch, dtype=np.uint64) + np.uint64(self._rows.offset))
         first, skip = divmod(cursor, 2)
         blocks = (skip + per_row + 1) // 2
         cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)

@@ -40,7 +40,7 @@ from . import tensor as T
 from .core import CoreError, Network, Value, ValueSpec, Variable
 from .dist import Deterministic, Distribution
 from .numtext import CHUNK, row_texts
-from .rng import Lookahead, RngStream, RowIds
+from .rng import RngStream, Rows
 from .tensor import Tensor, as_array
 
 
@@ -77,10 +77,11 @@ class Trajectory:
     and from then on each payload is written into its own row.
     """
 
-    def __init__(self, specs: dict[str, ValueSpec], steps: int, row_offset: int = 0):
+    def __init__(self, specs: dict[str, ValueSpec], steps: int, rows: Rows | None = None):
         if steps < 1:
             raise ValueError(f"need at least one step (horizon >= 1), got {steps}")
-        self.specs, self.steps, self.row_offset = specs, steps, row_offset
+        self.specs, self.steps = specs, steps
+        self.rows = Rows() if rows is None else rows
         self.batch: int | None = None
         self.fields: dict[str, dict[str, object]] = {name: {} for name in specs}
         self._first: dict[str, Value] = {}
@@ -221,16 +222,15 @@ def check_output(var: Variable, out, where: str, error: type[Exception]) -> Valu
     return out
 
 
-def _realize(var: Variable, out: Value, step: int, seed: int,
-             row_offset: int | RowIds, batch: int | None, lookahead: Lookahead | None):
+def _realize(var: Variable, out: Value, step: int, seed: int, rows: Rows,
+             batch: int | None):
     """Sample the stochastic fields of a checked builder output, spec-check
     the result, and return (value, batch)."""
     realized: dict[str, object] = {}
     for path in var.spec.paths:
         payload = out.get(path)
         if isinstance(payload, Distribution):
-            payload = payload.sample(
-                RngStream(seed, var.name, path, step, row_offset, lookahead))
+            payload = payload.sample(RngStream(seed, var.name, path, step, rows))
         realized[path] = payload
     value = Value.of(realized)
     try:
@@ -240,28 +240,44 @@ def _realize(var: Variable, out: Value, step: int, seed: int,
     return value, batch
 
 
-def _slices(net: Network, num_steps: int, seed: int, row_offset: int | RowIds,
-            lookahead: Lookahead | None = None
+def _slices(net: Network, num_steps: int, seed: int, rows: Rows
             ) -> Iterator[tuple[dict[str, Value], int | None]]:
     """Sample slices 0 .. num_steps and yield each with the batch; each is
     built from the slice yielded before it, the only one kept.  Every
-    stream draws through ``lookahead`` when one is given."""
+    stream draws under the run's row key ``rows``."""
     previous, batch = None, None
     for step in range(num_steps + 1):
         current: dict[str, Value] = {}
         for var, fn, args in builder_calls(net, current, previous):
             out = check_output(var, fn(*args), f"step {step}", SimulationError)
-            current[var.name], batch = _realize(var, out, step, seed, row_offset, batch,
-                                                lookahead)
+            current[var.name], batch = _realize(var, out, step, seed, rows, batch)
         yield current, batch
         previous = current
 
 
-def trajectory(net: Network, horizon: int, seed: int, *, row_offset: int = 0) -> Trajectory:
-    """Sample slices 0 .. horizon-1 and write each into the record."""
-    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, row_offset)
-    for current, batch in _slices(net, horizon - 1, seed, row_offset):
+def _run_rows(command: str, row_offset, last_step: int | None = None) -> Rows:
+    """A run's row key, with ``command`` naming the run in a bad id's error."""
+    try:
+        return Rows(row_offset, last_step)
+    except ValueError as e:
+        raise ValueError(f"{command} row_offset: {e}") from None
+
+
+def trajectory(net: Network, horizon: int, seed: int, *,
+               row_offset: int | np.ndarray = 0) -> Trajectory:
+    """Sample slices 0 .. horizon-1 and write each into the record.
+
+    ``row_offset`` is the rows' key, as for :func:`execute`; the record
+    keeps it as its ``rows``, and the export writes each row's key, so ids
+    must number the rows even where no field draws.  Each field draws one
+    step a pass.
+    """
+    rows = _run_rows("trajectory", row_offset)
+    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, rows)
+    for current, batch in _slices(net, horizon - 1, seed, rows):
         traj.append(current)
+    if rows.ids is not None and rows.ids.size != batch:
+        raise ValueError(f"trajectory row_offset: {rows.ids.size} row ids for {batch} rows")
     traj.batch = batch
     return traj
 
@@ -276,20 +292,16 @@ def execute(net: Network, num_steps: int, seed: int, *,
     ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
     int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
     run ids keys it as ``row_offset[r]``, so rows that share an id draw
-    the same numbers.  The ids are checked and deduplicated once here,
-    and every stream of the run draws each distinct id once.  A field
-    whose draws keep their shape draws several steps' numbers in one pass
-    (:class:`ecosim.rng.Lookahead`), the same numbers ``trajectory``
-    draws a step at a time.  ``num_steps=0`` returns the initial slice.
+    the same numbers.  It becomes the run's one :class:`ecosim.rng.Rows`,
+    so the ids are checked and deduplicated once, and every stream of the
+    run draws each distinct id once.  A field whose draws keep their shape
+    draws several steps' numbers in one pass (:meth:`ecosim.rng.Rows.ahead`),
+    the same numbers ``trajectory`` draws a step at a time.
+    ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    if not isinstance(row_offset, (int, np.integer)):
-        try:
-            row_offset = RowIds(row_offset)
-        except ValueError as e:
-            raise ValueError(f"execute row_offset: {e}") from None
-    for final, _ in _slices(net, num_steps, seed, row_offset, Lookahead(num_steps)):
+    for final, _ in _slices(net, num_steps, seed, _run_rows("execute", row_offset, num_steps)):
         pass
     return final
 
@@ -337,7 +349,7 @@ def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
     ``numtext.CHUNK`` values of the widest field, so the text held at once
     does not grow with the horizon."""
     batch = traj.batch
-    batch_ids = [str(b + traj.row_offset) for b in range(batch)]
+    batch_ids = [str(key) for key in traj.rows.keys(batch).tolist()]
     rows = {path: as_array(stack) for path, stack in traj.fields[variable].items()}
     carried = {path: _row_texts(arr[0], batch)
                for path, arr in rows.items() if not arr.flags.writeable}

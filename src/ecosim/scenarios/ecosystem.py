@@ -22,16 +22,17 @@ to the run's other rows.
 
 The slate and the choice, whose (users, items) distances and (users,
 slate, dim) features are a step's largest temporaries, compute them a
-group of rows at a time (``_SLATE_SCORES``, ``_CHOICE_ELEMENTS``).  Each
-value is computed per element, so a group's bits are those of the whole
-batch, and those temporaries do not grow with the batch.  A choice whose
-inputs are on a gradient tape is computed as one batch.
+group of rows at a time (``_by_groups``).  Each value is computed per
+element, so a group's bits are those of the whole batch, and those
+temporaries do not grow with the batch.  A choice whose inputs are on a
+gradient tape is computed as one batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -153,24 +154,22 @@ def _item_counts(engagement: np.ndarray, cfg: EcosystemConfig) -> np.ndarray:
     return _apportion(np.maximum(1.0, np.rint(cfg.kappa * engagement)), cfg.num_items)
 
 
-def _flat(idx: np.ndarray, m: int) -> np.ndarray:
-    """Flat positions of ``idx`` (..., n) in the rows of an (..., m) array
-    with the same leading shape: ``a.take(_flat(idx, m))`` is
-    ``np.take_along_axis(a, idx, -1)``, as one flat take."""
-    rows = idx.size // idx.shape[-1]
-    return idx + np.arange(0, rows * m, m).reshape(idx.shape[:-1] + (1,))
+# The elements of a group of rows' largest temporary, about 0.5 MB: the
+# slate's (users, items) scores, or the choice's gathered (users, slate,
+# dim) features, their differences from the users and the squares.  Each
+# pass over a group's temporaries then stays in cache instead of streaming
+# the whole batch's through memory, however many rows the batch holds.
+_GROUP_ELEMENTS = 2**16
 
 
-# The (users, items) scores the slate ranks per group of rows, about 0.5 MB:
-# each pass over a group's scores, and each of top-k's, then stays in
-# cache instead of streaming the whole batch's scores through memory.
-_SLATE_SCORES = 2**16
-
-
-# The (users, slate, dim) features the choice gathers per group of rows,
-# about 0.5 MB: the gathered features, their differences from the users
-# and the squares are each that large, however many rows the batch holds.
-_CHOICE_ELEMENTS = 2**16
+def _by_groups(out: np.ndarray, per_row: int, group: Callable[[slice], np.ndarray]
+               ) -> np.ndarray:
+    """``out`` with each group of its rows, of about ``_GROUP_ELEMENTS``
+    elements at ``per_row`` a row, written by ``group`` of the rows' slice."""
+    step = max(1, _GROUP_ELEMENTS // per_row)
+    for i in range(0, len(out), step):
+        out[i:i + step] = group(slice(i, i + step))
+    return out
 
 
 def _slate_ranks(u: np.ndarray, f: np.ndarray, adjust: np.ndarray, k: int) -> np.ndarray:
@@ -249,7 +248,8 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         assignment = np.repeat(providers_of, counts.ravel()).reshape(
             counts.shape[:-1] + (M,))
         cores = providers_v.get("interest").data
-        loc = cores.reshape(-1, d).take(_flat(assignment, P), axis=0)
+        loc = cores.reshape(-1, d).take(
+            T._flat_index(assignment, counts.shape, assignment.ndim - 1), axis=0)
         return Value(provider=assignment,
                      features=Normal(Tensor(loc), cfg.item_scale))
 
@@ -272,7 +272,7 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
         boost = np.clip(beta * gap, -row_caps, row_caps)
-        per_item = boost.take(_flat(assignment, P))
+        per_item = T._take_last(boost, assignment)
         return per_item + u * cfg.jitter_scale * np.abs(per_item)
 
     def _top_k_slate(users_v, items_v, adjust: np.ndarray):
@@ -283,10 +283,8 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         u = np.broadcast_to(u, lead + (U, d)).reshape(rows, U, d)
         f = np.broadcast_to(f, lead + (M, d)).reshape(rows, M, d)
         adjust = np.broadcast_to(adjust, lead + (M,)).reshape(rows, M)
-        step = max(1, _SLATE_SCORES // (U * M))
-        ranks = np.concatenate([_slate_ranks(u[i:i + step], f[i:i + step],
-                                             adjust[i:i + step], k)
-                                for i in range(0, rows, step)])
+        ranks = _by_groups(np.empty((rows, U, k), np.int64), U * M,
+                           lambda g: _slate_ranks(u[g], f[g], adjust[g], k))
         return Value(ranks=ranks.reshape(lead + (U, k)))
 
     def initial_slate(users_v, items_v, jitter_v):
@@ -303,7 +301,7 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
     def _chosen_item(slate_v, choice_v) -> np.ndarray:
         """The item id each user consumed, (..., U); a choice off the slate raises."""
         slot = T.check_index(choice_v.get("choice"), k, "choice")
-        return np.asarray(slate_v.get("ranks")).take(_flat(slot[..., None], k))[..., 0]
+        return T._take_last(np.asarray(slate_v.get("ranks")), slot[..., None])[..., 0]
 
     def _slate_affinities(targets, features, ranks: np.ndarray) -> Tensor:
         # One flat row gather for the slate, (..., U*k, d), viewed as
@@ -323,11 +321,8 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
         u = np.broadcast_to(targets.data, lead + (U, d)).reshape(rows, U, d)
         f = features.data.reshape(rows, M, d)
         ranks = ranks.reshape(rows, U, k)
-        aff = np.empty((rows, U, k))
-        step = max(1, _CHOICE_ELEMENTS // (U * k * d))
-        for i in range(0, rows, step):
-            aff[i:i + step] = _slate_affinities(Tensor(u[i:i + step]), Tensor(f[i:i + step]),
-                                                ranks[i:i + step]).data
+        aff = _by_groups(np.empty((rows, U, k)), U * k * d, lambda g: _slate_affinities(
+            Tensor(u[g]), Tensor(f[g]), ranks[g]).data)
         return Value(choice=chooser.choice(Tensor(aff.reshape(lead + (U, k)))))
 
     def consume_utility(users_v, items_v, slate_v, choice_v):
@@ -341,11 +336,11 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
 
     def _consumption_counts(items_v, slate_v, choice_v) -> np.ndarray:
         assignment = np.asarray(items_v.get("provider"))
-        chosen_provider = assignment.take(_flat(_chosen_item(slate_v, choice_v), M))
+        chosen_provider = T._take_last(assignment, _chosen_item(slate_v, choice_v))
         lead = chosen_provider.shape[:-1]
         # Integer counts per (row, provider), so exact in float64.
-        counts = np.bincount(_flat(chosen_provider, P).reshape(-1),
-                             minlength=math.prod(lead) * P)
+        cells = T._flat_index(chosen_provider, lead + (P,), len(lead))
+        counts = np.bincount(cells.reshape(-1), minlength=math.prod(lead) * P)
         return counts.reshape(lead + (P,)).astype(np.float64)
 
     def initial_engagement(items_v, slate_v, choice_v):

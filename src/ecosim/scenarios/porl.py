@@ -24,13 +24,6 @@ from ..dist import Categorical, Normal, PlackettLuce, top_k
 from ..tensor import Tensor
 
 
-def _take_last(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``np.take_along_axis(a, idx, -1)`` as one flat take, for in-range
-    ``idx``; ``a`` is broadcast to ``idx``'s leading shape."""
-    a = np.broadcast_to(a, idx.shape[:-1] + a.shape[-1:])
-    return a.take(T._flat_index(idx, a.shape, a.ndim - 1))
-
-
 @dataclass(frozen=True)
 class PorlConfig:
     population: int = 100          # users simulated in parallel (= trajectories)
@@ -151,7 +144,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned", param_seed: int =
             topic = T.check_index(value.get("topic"), d, "topic")
             if docs is None:
                 return topic
-            return _take_last(topic, T.check_index(docs, n, "doc_ranks"))
+            return T._take_last(topic, T.check_index(docs, n, "doc_ranks"))
 
         def item_features(topics_v, docs=None) -> Tensor:
             """``feature_scale · one_hot(topic)`` of the items ``docs`` (..., m)
@@ -172,7 +165,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned", param_seed: int =
             lead = mask.shape[:-1]
             denom = np.maximum(mask.sum(axis=-1), 1.0)
             weight = cfg.feature_scale * ((eng - cfg.reward_base) * cfg.record_scale) * mask
-            cells = np.arange(math.prod(lead)).reshape(lead + (1,)) * d + topic_of(history_v)
+            cells = T._flat_index(topic_of(history_v), lead + (d,), len(lead))
             hist = np.bincount(cells.ravel(), weights=weight.ravel(),
                                minlength=math.prod(lead) * d)
             embedding = registry.get("item_embedding")
@@ -206,7 +199,7 @@ def build_porl_story(cfg: PorlConfig, policy: str = "learned", param_seed: int =
             """The chosen item's corpus index, (..., 1); a choice outside the
             slate raises rather than wrapping to another slot."""
             slot = T.check_index(choice_v.get("choice"), k, "choice")
-            return _take_last(np.asarray(slate_v.get("doc_ranks")), slot[..., None])
+            return T._take_last(np.asarray(slate_v.get("doc_ranks")), slot[..., None])
 
         offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
                   else cfg.affinity_offset)

@@ -300,6 +300,13 @@ def _flat_index(idx: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarra
     return flat.reshape(idx.shape)
 
 
+def _take_last(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, -1)`` as one flat take, for in-range
+    ``idx``; ``a`` is broadcast to ``idx``'s leading shape."""
+    a = np.broadcast_to(a, idx.shape[:-1] + a.shape[-1:])
+    return a.take(_flat_index(idx, a.shape, a.ndim - 1))
+
+
 def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The shape of ``x`` and the memory order of its axes, outermost first,
     that ``np.zeros_like(x)`` would give: C or F order for a contiguous

@@ -10,7 +10,7 @@ from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Bernoulli, Categorical, Normal
 from ecosim.inference import (Adam, HmcConfig, InferenceError, ReinforceConfig,
                               Sgd, _latent_target, _leapfrog, _momentum,
-                              _target_and_grad, hmc_sample, mc_em_fit, mle_step,
+                              _target_and_grad, hmc_sample, mc_em_fit,
                               reinforce_step)
 from ecosim.logprob import log_probability_from_value_trajectory, observe
 from ecosim.runtime import Trajectory, trajectory
@@ -252,7 +252,7 @@ class TestReinforce:
 
 
 # ---------------------------------------------------------------------------
-# MLE and MC-EM
+# MC-EM
 
 
 def drift_walk_story(batch, drift_init=0.0, scale=1.0):
@@ -264,39 +264,6 @@ def drift_walk_story(batch, drift_init=0.0, scale=1.0):
         lambda prev: Value(x=Normal(T.add(prev.get("x"), registry.get("drift")), scale)),
         deps=(walk.previous,))
     return Network([walk]), registry
-
-
-class TestMle:
-    def test_drift_recovery_matches_sample_mean_oracle(self):
-        true_drift, batch, horizon = 0.7, 1000, 6
-        truth_net, truth_reg = drift_walk_story(batch, drift_init=true_drift)
-        traj = trajectory(truth_net, horizon, seed=22)
-        obs = Trajectory.from_trajectory(truth_net, traj)
-        xs = np.stack([traj.value("walk", t).get("x").data for t in range(horizon)])
-        increments = np.diff(xs, axis=0)
-        oracle = increments.mean()  # closed-form MLE
-        se = increments.std() / np.sqrt(increments.size)
-        net, registry = drift_walk_story(batch, drift_init=0.0)
-        opt = Adam(0.05)
-        for _ in range(200):
-            mle_step(net, obs, registry, opt)
-        fitted = float(registry.as_arrays()["drift"])
-        assert abs(fitted - oracle) < 0.01  # converged to the MLE
-        assert abs(fitted - true_drift) < 2.0 * se  # MLE near the truth
-
-    def test_zero_learning_rate_keeps_params(self):
-        net, registry = drift_walk_story(16, drift_init=0.2)
-        obs = Trajectory.from_trajectory(net, trajectory(net, 4, seed=2))
-        mle_step(net, obs, registry, Sgd(0.0))
-        assert float(registry.as_arrays()["drift"]) == 0.2
-
-    def test_loss_decreases_over_training(self):
-        truth_net, _ = drift_walk_story(200, drift_init=-0.5)
-        obs = Trajectory.from_trajectory(truth_net, trajectory(truth_net, 5, seed=8))
-        net, registry = drift_walk_story(200, drift_init=0.5)
-        opt = Adam(0.05)
-        losses = [mle_step(net, obs, registry, opt) for _ in range(100)]
-        assert losses[-1] < losses[0]
 
 
 def static_latent_story(batch, bias_init, scale=0.7, registry=None):

@@ -1,6 +1,6 @@
 """``execute`` draws several steps of a field's numbers in one pass
-(``rng.Lookahead``); the numbers are those ``trajectory`` draws a step at
-a time."""
+(``rng.Rows`` with a ``last_step``); the numbers are those ``trajectory``
+draws a step at a time."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import ecosim.tensor as T
 from ecosim import rng
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Distribution
-from ecosim.rng import Lookahead, RngStream, philox4x32
+from ecosim.rng import RngStream, Rows, philox4x32
 from ecosim.runtime import execute, trajectory
 from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_count_story, build_ecosystem_story,
@@ -99,15 +99,18 @@ def test_synthetic_draws_match_trajectory(case, width, splits, transform, row_of
     assert_final_slice_matches(walk(3, width, splits, transform), 12, 5, row_offset)
 
 
-def step_draws(lookahead, steps, batch=3, per_row=5, transform=None, row_offset=2):
-    return [RngStream(9, "v", "p", t, row_offset, lookahead).uniforms(batch, per_row, transform)
+def step_draws(rows, steps, batch=3, per_row=5, transform=None):
+    """Field ``v.p``'s draw at each of ``steps`` under the row key ``rows``:
+    a ``Rows`` that holds its lookahead, or an offset or ids that make
+    fresh rows for each stream, so each step is drawn alone."""
+    return [RngStream(9, "v", "p", t, rows).uniforms(batch, per_row, transform)
             for t in steps]
 
 
 class TestLookahead:
     def test_served_draws_equal_fresh_draws(self):
-        got = step_draws(Lookahead(9), range(10), transform=rng._ndtri)
-        want = step_draws(None, range(10), transform=rng._ndtri)
+        got = step_draws(Rows(2, 9), range(10), transform=rng._ndtri)
+        want = step_draws(2, range(10), transform=rng._ndtri)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("lanes, held", [
@@ -118,42 +121,54 @@ class TestLookahead:
     ])
     def test_window_is_bounded_by_lanes_and_the_steps_left(self, lanes, held, monkeypatch):
         monkeypatch.setattr(rng, "_LOOKAHEAD_LANES", lanes)
-        ahead, kept = Lookahead(9), []
+        ahead, kept = Rows(2, 9), []
         for t in range(10):
             step_draws(ahead, [t])
-            kept.append(len(ahead._fields["v", "p"][2]))
+            kept.append(len(ahead._held["v", "p"][2]))
         assert kept == held
 
-    @pytest.mark.parametrize("change", [dict(per_row=4), dict(batch=4, row_offset=1),
+    @pytest.mark.parametrize("change", [dict(per_row=4), dict(batch=4),
                                         dict(transform=rng._ndtri)],
                              ids=["per-row", "batch", "transform"])
     def test_a_changed_signature_drops_the_held_rows(self, change):
-        ahead = Lookahead(9)
+        ahead = Rows(2, 9)
         step_draws(ahead, [0, 1])
-        assert len(ahead._fields["v", "p"][2]) == 8
+        assert len(ahead._held["v", "p"][2]) == 8
         got = step_draws(ahead, [2], **change)[0]
-        assert got.tobytes() == step_draws(None, [2], **change)[0].tobytes()
-        assert ahead._fields["v", "p"][2] == []
+        assert got.tobytes() == step_draws(2, [2], **change)[0].tobytes()
+        assert ahead._held["v", "p"][2] == []
+
+    @pytest.mark.parametrize("first, second", [
+        (2, 5), (np.array([0, 1, 2]), np.array([7, 8, 9]))], ids=["offset", "ids"])
+    def test_two_keys_each_draw_their_own_rows(self, first, second):
+        # The same field names and signature under two keys: the second key
+        # asks for the steps the first key's pass holds, and each key's rows
+        # serve only its own draws.
+        a, b = Rows(first, 9), Rows(second, 9)
+        got = step_draws(a, [0, 1]) + step_draws(b, [2, 3]) + step_draws(a, [2, 3])
+        want = (step_draws(first, [0, 1]) + step_draws(second, [2, 3])
+                + step_draws(first, [2, 3]))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_a_skipped_step_draws_afresh(self):
-        ahead = Lookahead(9)
+        ahead = Rows(2, 9)
         step_draws(ahead, [0, 1])
         got = step_draws(ahead, [5])[0]
-        assert got.tobytes() == step_draws(None, [5])[0].tobytes()
+        assert got.tobytes() == step_draws(2, [5])[0].tobytes()
 
     def test_a_second_draw_continues_the_stream(self):
-        ahead = Lookahead(9)
+        ahead = Rows(2, 9)
         step_draws(ahead, [0])
-        s = RngStream(9, "v", "p", 1, 2, ahead)
+        s = RngStream(9, "v", "p", 1, ahead)
         both = np.concatenate([s.uniforms(3, 5), s.uniforms(3, 4)], axis=1)
-        assert both.tobytes() == step_draws(None, [1], per_row=9)[0].tobytes()
+        assert both.tobytes() == step_draws(2, [1], per_row=9)[0].tobytes()
 
     def test_gumbel_draws_share_a_pass(self):
         # The Gumbel transform is one function, so two steps' signatures match.
-        ahead = Lookahead(9)
+        ahead = Rows(2, 9)
         for t in (0, 1):
-            RngStream(9, "v", "p", t, 2, ahead).gumbels((3, 5))
-        assert len(ahead._fields["v", "p"][2]) == 8
+            RngStream(9, "v", "p", t, ahead).gumbels((3, 5))
+        assert len(ahead._held["v", "p"][2]) == 8
 
 
 def growing_batch(sizes):
@@ -213,11 +228,25 @@ class TestKeyArrays:
 
 def test_windowed_draws_hold_one_pass_per_field():
     # A field's held rows are views of its one pass, (W, rows, per_row).
-    ahead = Lookahead(50)
+    ahead = Rows(2, 50)
     step_draws(ahead, [0, 1], per_row=100)
-    held = ahead._fields["v", "p"][2]
+    held = ahead._held["v", "p"][2]
     assert len(held) == 49 and all(h.base is held[0].base for h in held)
     assert held[0].base.nbytes <= 2 * rng._LOOKAHEAD_LANES * 8
+
+
+@pytest.mark.parametrize("run", [execute, trajectory])
+def test_a_run_checks_and_deduplicates_its_ids_once(run, monkeypatch):
+    made = []
+    make = Rows.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        make(self, *args)
+
+    monkeypatch.setattr(Rows, "__init__", counted)
+    run(walk(3, 4, lambda t: (2, 2), rng._ndtri), 6, 5, row_offset=np.array([4, 1, 4]))
+    assert len(made) == 1
 
 
 def test_execute_rows_with_lookahead_are_batch_size_invariant():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ecosim.rng import RngStream, RowIds, _ndtri, _unit, derive_seed, philox4x32
+from ecosim.rng import RngStream, Rows, _ndtri, _unit, derive_seed, philox4x32
 
 
 def _block(c, k0, k1):
@@ -133,8 +133,8 @@ class TestRowIds:
     @staticmethod
     def draws(ids, splits=(5,)):
         """Each draw kind's blocks of ``splits`` columns, continued along one
-        stream per kind, at row ids ``ids`` (an int for batch 1)."""
-        batch = 1 if isinstance(ids, int) else ids.size
+        stream per kind, at row ids ``ids`` (an int for batch 1, or Rows)."""
+        batch = (ids if isinstance(ids, Rows) else Rows(ids)).keys(1).size
         out = {}
         for kind in ("uniforms", "normals", "gumbels"):
             s = RngStream(11, "v", kind, 2, row_offset=ids)
@@ -152,14 +152,14 @@ class TestRowIds:
                 assert got[row].tobytes() == solo[kind][0].tobytes(), (kind, row)
 
     def test_repeated_ids_are_drawn_once_and_gathered(self):
-        ids = RowIds(np.array([3, 0, 3, 3, 1]))
+        ids = Rows(np.array([3, 0, 3, 3, 1]))
         np.testing.assert_array_equal(ids.words, [0, 1, 3])
         np.testing.assert_array_equal(ids.words[ids.inverse], [3, 0, 3, 3, 1])
-        assert ids.size == 5
+        np.testing.assert_array_equal(ids.keys(5), [3, 0, 3, 3, 1])
 
     def test_distinct_ids_keep_their_order_and_bits(self):
         ids = np.array([4, 1, 7])
-        checked = RowIds(ids)
+        checked = Rows(ids)
         stacked = self.draws(ids, (3, 4))
         for kind, got in self.draws(checked, (3, 4)).items():
             assert got.tobytes() == stacked[kind].tobytes()

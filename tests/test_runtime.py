@@ -203,6 +203,14 @@ class TestBatchSemantics:
         with pytest.raises(ValueError, match=f"execute row_offset: .*{what}"):
             execute(gaussian_walk(2), 1, seed=0, row_offset=ids)
 
+    def test_trajectory_names_itself_on_bad_row_ids(self):
+        with pytest.raises(ValueError, match="trajectory row_offset: row id -1 "):
+            trajectory(gaussian_walk(2), 2, seed=0, row_offset=np.array([0, -1]))
+
+    def test_ids_must_number_the_rows_where_nothing_draws(self):
+        with pytest.raises(ValueError, match="trajectory row_offset: 1 row ids for 3 rows"):
+            trajectory(count_network(batch=3), 2, seed=0, row_offset=np.array([5]))
+
     def test_markov_splice_statistics(self):
         ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
         # Re-simulating forward from an intermediate slice with fresh keyed
@@ -268,6 +276,13 @@ class TestCsvExport:
         assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
         assert [row[-1] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
 
+    def test_id_keyed_rows_export_each_rows_id(self, tmp_path):
+        traj = trajectory(gaussian_walk(2), 3, seed=0, row_offset=np.array([5, 7]))
+        [path] = export_trajectory(traj, tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_value_csv(traj, "walk")
+        assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["5", "7"] * 3
+
     @pytest.mark.parametrize("batch", [0, 3])
     def test_integer_fields_match_per_value_formatting(self, tmp_path, batch):
         v = Variable("v", ValueSpec(i=FieldSpec((), "integer"),
@@ -304,6 +319,9 @@ def per_value_csv(traj, variable):
         return str(int(x)) if isinstance(x, (np.integer, int)) else repr(float(x))
 
     stacks = {path: array(stack) for path, stack in traj.fields[variable].items()}
+    rows = traj.rows
+    keys = (range(rows.offset, rows.offset + traj.batch) if rows.ids is None
+            else rows.ids.tolist())
     header = ["step", "batch"]
     for path, stack in stacks.items():
         event = stack.shape[2:]
@@ -316,8 +334,8 @@ def per_value_csv(traj, variable):
     for t in range(traj.steps):
         flats = [stack[t].reshape(traj.batch, int(np.prod(stack.shape[2:])))
                  for stack in stacks.values()]
-        for b in range(traj.batch):
-            row = [str(t), str(b + traj.row_offset)]
+        for b, key in enumerate(keys):
+            row = [str(t), str(key)]
             for arr in flats:
                 row.extend(fmt(x) for x in arr[b])
             writer.writerow(row)

@@ -521,7 +521,7 @@ class TestEcosystemStory:
         whole = trajectory(net, cfg.horizon, seed=7)
         lp = log_probability_from_value_trajectory(
             net, Trajectory.from_trajectory(net, whole), cfg.horizon - 1).data
-        monkeypatch.setattr(ecosystem, "_SLATE_SCORES", 1)
+        monkeypatch.setattr(ecosystem, "_GROUP_ELEMENTS", 1)
         net, _ = build_ecosystem_story(cfg)
         grouped = trajectory(net, cfg.horizon, seed=7)
         for t in range(cfg.horizon):
@@ -604,7 +604,7 @@ class TestGroupedChoice:
         ((3, 5), True)], ids=["1", "4", "5", "13", "T,R-carried-users"])
     def test_groups_of_4_rows_equal_one_batch(self, lead, broadcast_users, d, monkeypatch):
         cfg, u, f, ranks = self.inputs(lead, d, broadcast_users)
-        monkeypatch.setattr(ecosystem, "_CHOICE_ELEMENTS", 4 * self.U * self.k * d)
+        monkeypatch.setattr(ecosystem, "_GROUP_ELEMENTS", 4 * self.U * self.k * d)
         make_choice = build_ecosystem_story(cfg)[0].by_name["choice"].kernel_fn
         got = make_choice(Value(interest=Tensor(u)), Value(features=Tensor(f)),
                           Value(ranks=ranks)).get("choice").logits
@@ -632,7 +632,7 @@ class TestGroupedChoice:
         cfg = dataclasses.replace(EcosystemConfig(**SMALL_ECO), boost_cap=1.2)
         results = []
         for elements in (1, 2**62):
-            monkeypatch.setattr(ecosystem, "_CHOICE_ELEMENTS", elements)
+            monkeypatch.setattr(ecosystem, "_GROUP_ELEMENTS", elements)
             net, _ = build_ecosystem_story(cfg)
             traj = trajectory(net, cfg.horizon, seed=7)
             lp = trajectory_log_prob_rows(net, Trajectory.from_trajectory(net, traj),
