@@ -47,7 +47,7 @@ import numpy as np
 
 from .inference import Adam, HmcConfig, ReinforceConfig, mc_em_fit, reinforce_step
 from .rng import derive_seed
-from .runtime import Trajectory, execute, export_trajectory, trajectory, write_csv
+from .runtime import Run, Trajectory, execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
                         PorlConfig, build_count_story, build_ecosystem_story,
                         build_latent_sat_story, build_porl_story,
@@ -337,12 +337,17 @@ def cmd_simulate(args, sections) -> int:
     cfg = sections["scenario"]
     _single_run(args.command, run)
     net, metrics = _build_scenario(args.scenario, cfg, run.seed)
-    traj = trajectory(net, cfg.horizon, run.seed)
+    # The export samples the run as it writes: each slice goes to the CSVs
+    # and is dropped, so memory does not grow with the horizon, and only
+    # the final slice is kept, for summary.csv.  The draws are execute's,
+    # several steps a pass, and the bytes are those of exporting the
+    # trajectory() record.
+    sampled = Run(net, cfg.horizon, run.seed)
     outdir = Path(run.out)
-    export_trajectory(traj, outdir)
+    export_trajectory(sampled, outdir)
     rows = []
     for metric, (var, path) in metrics.items():
-        arr = as_array(traj.value(var, -1).get(path))
+        arr = as_array(sampled.final[var].get(path))
         if args.scenario == "ecosystem":
             for r in range(arr.shape[0]):
                 rows.append([r, metric, _fmt(arr[r])])

@@ -39,7 +39,10 @@ distinct rows, transformed and not yet gathered, until those steps ask
 for them.  They hold at most one pass per field, of at most
 ``_LOOKAHEAD_LANES`` Philox lanes, and only for their own key.  Every
 draw, held or not, is checked as it is made, and runs the one draw path:
-rows without a ``last_step`` draw one step a pass.
+rows without a ``last_step`` draw one step a pass.  ``simulate`` samples
+through ``execute`` too, with the CSV writer as its per-slice callback, so
+its run draws ahead as the sweep's do.  ``trajectory``, which samples the
+records that ``fit-em`` and REINFORCE score, draws one step a pass.
 """
 
 from __future__ import annotations

@@ -11,13 +11,20 @@ the builders on the values (:mod:`ecosim.logprob`).
 slice from the sampled slice before it and keeps only that one.
 A :class:`Trajectory` is the one record of a trajectory, sampled or
 observed: each field stacked on a leading time axis.  ``trajectory``
-writes each slice into it; the scorer windows its stacks and the CSV
-export reads their rows.  ``execute`` keeps only the last slice.
+writes each slice into it; the scorer windows its stacks.  ``execute``
+keeps only the last slice, and hands each slice to an optional callback
+as it is sampled.
 
-The CSV export (:func:`export_trajectory`) writes each value's cell as
-exactly ``repr(float(v))`` or ``str(int(v))``.  It formats whole blocks of
-values with numpy (:mod:`ecosim.numtext`), a bounded group of steps at a
-time, and the oracle tests hold that formatter to ``repr`` and ``str``.
+The CSV export (:func:`export_trajectory`) is one writer that takes
+slices in step order and never needs the whole record.  It replays a
+:class:`Trajectory`, or it samples a :class:`Run` through ``execute`` and
+writes each slice as it comes, so the run's memory does not grow with its
+horizon.  It writes each value's cell as exactly ``repr(float(v))`` or
+``str(int(v))``, formatting whole blocks of values with numpy
+(:mod:`ecosim.numtext`) a bounded group of steps at a time; the oracle
+tests hold that formatter to ``repr`` and ``str``.  Each file is written
+under a temporary name and renamed into place after the last step, so a
+run that fails leaves no truncated file.
 
 The builder contract, which the sampler and the scorer share: a slice's
 builders are called in the order :func:`builder_calls` walks them, each
@@ -31,6 +38,7 @@ deterministic: the scorer checks it against the observed value.
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -75,6 +83,11 @@ class Trajectory:
     step's payload is that same object (a carried field).  At its first
     other payload it becomes a C-contiguous buffer, as ``np.stack`` gives,
     and from then on each payload is written into its own row.
+
+    The record grows with the horizon.  The scorer and the EM and
+    REINFORCE paths need it whole; the CSV export does not, and
+    ``simulate`` writes its CSVs from a :class:`Run` without one.
+    :func:`export_trajectory` replays a record a slice at a time.
     """
 
     def __init__(self, specs: dict[str, ValueSpec], steps: int, rows: Rows | None = None):
@@ -283,11 +296,18 @@ def trajectory(net: Network, horizon: int, seed: int, *,
 
 
 def execute(net: Network, num_steps: int, seed: int, *,
-            row_offset: int | np.ndarray = 0) -> dict[str, Value]:
+            row_offset: int | np.ndarray = 0,
+            on_slice: Callable[[dict[str, Value], int | None], None] | None = None
+            ) -> dict[str, Value]:
     """Run ``num_steps`` kernel applications after the initial slice and
     return only the final slice.  Memory-light: besides the slice being
     built and the previous one, it holds at most one lookahead pass per
     stochastic field, of at most ``rng._LOOKAHEAD_LANES`` Philox lanes.
+
+    ``on_slice(values, batch)``, if given, is called with each slice in
+    step order, 0 .. ``num_steps``, as soon as it is sampled; it may keep
+    what it needs of the slice, which ``execute`` drops when the next one
+    is built.  The CSV writer samples a :class:`Run` this way.
 
     ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
     int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
@@ -301,8 +321,10 @@ def execute(net: Network, num_steps: int, seed: int, *,
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    for final, _ in _slices(net, num_steps, seed, _run_rows("execute", row_offset, num_steps)):
-        pass
+    rows = _run_rows("execute", row_offset, num_steps)
+    for final, batch in _slices(net, num_steps, seed, rows):
+        if on_slice is not None:
+            on_slice(final, batch)
     return final
 
 
@@ -310,23 +332,29 @@ def execute(net: Network, num_steps: int, seed: int, *,
 # CSV artifacts
 
 
+def _open_csv(path: Path, schema: str, header: Sequence[str]):
+    """``path`` opened for writing, with the ``# schema=<schema>`` line and
+    the header (through ``csv.writer``, so a field name that needs quoting
+    is quoted) written."""
+    fh = path.open("w", encoding="utf-8", newline="")
+    fh.write(f"# schema={schema}\n")
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    return fh
+
+
 def write_csv(path: str | Path, schema: str, header: Sequence[str],
               lines: Iterable[str]) -> Path:
-    """Write one CSV artifact: a ``# schema=<schema>`` line, the header
-    through ``csv.writer`` (so a field name that needs quoting is quoted),
+    """Write one CSV artifact: a ``# schema=<schema>`` line, the header,
     then ``lines``, body text already comma-joined and newline-terminated.
     Makes the parent directory; returns ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    with _open_csv(path, schema, header) as fh:
         fh.writelines(lines)
     return path
 
 
-def _flat_columns(path: str, stack) -> list[str]:
-    event = stack.shape[2:]
+def _flat_columns(path: str, event: tuple[int, ...]) -> list[str]:
     if not event:
         return [path]
     return [f"{path}[{'.'.join(map(str, idx))}]" for idx in np.ndindex(*event)]
@@ -342,40 +370,156 @@ def _row_texts(arr: np.ndarray, rows: int) -> list[str]:
     return row_texts(arr.reshape(rows, arr.size // rows if rows else 0))
 
 
-def _step_blocks(traj: Trajectory, variable: str) -> Iterator[str]:
-    """A variable's CSV body, one text block per step, read from the rows
-    of its stacks.  A carried field's rows are one payload, formatted once;
-    the others are formatted a group of steps at a time, about
-    ``numtext.CHUNK`` values of the widest field, so the text held at once
-    does not grow with the horizon."""
-    batch = traj.batch
-    batch_ids = [str(key) for key in traj.rows.keys(batch).tolist()]
-    rows = {path: as_array(stack) for path, stack in traj.fields[variable].items()}
-    carried = {path: _row_texts(arr[0], batch)
-               for path, arr in rows.items() if not arr.flags.writeable}
-    stepped = {path: arr for path, arr in rows.items() if path not in carried}
-    group = max(1, CHUNK // max([1] + [arr[0].size for arr in stepped.values()]))
-    for t0 in range(0, traj.steps, group):
-        t1 = min(t0 + group, traj.steps)
-        texts = {path: _row_texts(arr[t0:t1], (t1 - t0) * batch)
-                 for path, arr in stepped.items()}
-        for t in range(t0, t1):
-            at = (t - t0) * batch
-            columns = [[str(t)] * batch, batch_ids]
-            columns += [carried[path] if path in carried else texts[path][at:at + batch]
-                        for path in rows]
-            yield "".join([",".join(cells) + "\n" for cells in zip(*columns)])
+class _VariableCsv:
+    """One variable's ``trajectory/1`` CSV, fed its payloads (a Value, or a
+    dict from path to payload) a step at a time, and written under a
+    temporary name beside ``path``.
 
+    Steps are written a group at a time: as many as hold about
+    ``numtext.CHUNK`` values of the widest field, and at least one.  A
+    payload that is the previous step's own object (a carried field)
+    reuses that step's text, so a field carried through the run is
+    formatted once.  The others are copied into a buffer per field, made
+    with the file, and formatted as one block per group.  What is held
+    at once does not grow with the horizon.
+    """
 
-def export_trajectory(traj: Trajectory, outdir: str | Path) -> list[Path]:
-    """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
-    step, batch, then the flattened field paths.  Each value's cell is
-    ``repr(float(v))`` or ``str(int(v))`` exactly (:func:`_row_texts`)."""
-    written = []
-    for name, fields in traj.fields.items():
+    def __init__(self, path: Path, first: Mapping, keys: list[str]):
+        self.path, self.part, self.keys = path, path.with_name(f".{path.name}.part"), keys
+        self.paths = [name for name, _ in first.items()]
+        arrays = [as_array(first.get(name)) for name in self.paths]
+        self._steps = max(1, CHUNK // max([1] + [arr.size for arr in arrays]))  # a group's
+        self._buffers = [np.empty((self._steps,) + arr.shape, arr.dtype) for arr in arrays]
         header = ["step", "batch"]
-        for path, stack in fields.items():
-            header.extend(_flat_columns(path, stack))
-        written.append(write_csv(Path(outdir) / f"{name}.csv", "trajectory/1", header,
-                                 _step_blocks(traj, name)))
-    return written
+        for name, arr in zip(self.paths, arrays):
+            header += _flat_columns(name, arr.shape[1:])
+        self._fh = _open_csv(self.part, "trajectory/1", header)
+        self._last = [None] * len(self.paths)  # the previous step's payloads
+        self._texts: list[list[str]] = [[] for _ in self.paths]  # and their text
+        self._group: list[tuple[int, list[bool]]] = []  # (step, which payloads are new)
+        self._held = [0] * len(self.paths)  # new payloads in the group, per field
+
+    def add(self, step: int, value: Mapping) -> None:
+        payloads = [value.get(path) for path in self.paths]
+        new = [payload is not last for payload, last in zip(payloads, self._last)]
+        for i, payload in enumerate(payloads):
+            if new[i]:
+                self._buffers[i][self._held[i]] = as_array(payload)
+                self._held[i] += 1
+        self._group.append((step, new))
+        self._last = payloads
+        if len(self._group) == self._steps:
+            self.flush()
+
+    def flush(self) -> None:
+        """Format the group's new payloads, one block per field, and write
+        its steps' rows."""
+        batch = len(self.keys)
+        fresh = []
+        for buffer, held in zip(self._buffers, self._held):
+            texts = _row_texts(buffer[:held], held * batch)
+            fresh.append(iter([texts[j * batch:(j + 1) * batch] for j in range(held)]))
+        for step, new in self._group:
+            for i in range(len(self.paths)):
+                if new[i]:
+                    self._texts[i] = next(fresh[i])
+            columns = [[str(step)] * batch, self.keys, *self._texts]
+            self._fh.write("".join([",".join(cells) + "\n" for cells in zip(*columns)]))
+        self._group, self._held = [], [0] * len(self.paths)
+
+    def close(self) -> None:
+        """Write the rest of the group and close the temporary file."""
+        self.flush()
+        self._fh.close()
+
+    def discard(self) -> None:
+        self._fh.close()
+        self.part.unlink(missing_ok=True)
+
+
+class _CsvWriter:
+    """The CSVs of the slices it is called with in step order, an
+    ``execute`` callback: one :class:`_VariableCsv` per variable of
+    ``names``, made when step 0 comes.  ``rows`` key the batch column."""
+
+    def __init__(self, outdir: Path, names: list[str], rows: Rows):
+        self.outdir, self.names, self.rows = outdir, names, rows
+        self.files: list[_VariableCsv] = []
+        self.step = 0
+
+    def __call__(self, values: Mapping[str, Mapping], batch: int | None) -> None:
+        if self.step == 0:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            keys = [str(key) for key in self.rows.keys(batch).tolist()]
+            for name in self.names:
+                self.files.append(
+                    _VariableCsv(self.outdir / f"{name}.csv", values[name], keys))
+        for name, file in zip(self.names, self.files):
+            file.add(self.step, values[name])
+        self.step += 1
+
+    def finish(self) -> list[Path]:
+        """Write what is held, then rename every file into place."""
+        for file in self.files:
+            file.close()
+        for file in self.files:
+            os.replace(file.part, file.path)
+        return [file.path for file in self.files]
+
+    def discard(self) -> None:
+        """Remove every file written so far, leaving ``outdir`` as it was."""
+        for file in self.files:
+            file.discard()
+
+
+class Run:
+    """A run that :func:`export_trajectory` samples as it writes:
+    ``execute(net, horizon - 1, seed)``, each slice written and dropped.
+    After the export, ``final`` is the run's last slice."""
+
+    def __init__(self, net: Network, horizon: int, seed: int):
+        if horizon < 1:
+            raise ValueError(f"need at least one step (horizon >= 1), got {horizon}")
+        self.net, self.horizon, self.seed = net, horizon, seed
+        self.final: dict[str, Value] | None = None
+
+
+def _replay(traj: Trajectory, writer: _CsvWriter) -> None:
+    """Feed ``writer`` the record's slices in step order.  A stack of time
+    stride 0, a broadcast, gives one payload object at every step."""
+    stacks = {name: {path: as_array(stack) for path, stack in fields.items()}
+              for name, fields in traj.fields.items()}
+    carried = {(name, path): arr[0] for name, fields in stacks.items()
+               for path, arr in fields.items() if arr.strides[0] == 0}
+    for t in range(traj.steps):
+        writer({name: {path: carried[name, path] if (name, path) in carried else arr[t]
+                       for path, arr in fields.items()}
+                for name, fields in stacks.items()}, traj.batch)
+
+
+def export_trajectory(traj: Trajectory | Run, outdir: str | Path) -> list[Path]:
+    """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
+    step, batch (the row's key), then the flattened field paths.  Each
+    value's cell is ``repr(float(v))`` or ``str(int(v))`` exactly
+    (:func:`_row_texts`).  Returns the paths, in the variables' order.
+
+    ``traj`` is a record, replayed a slice at a time, or a :class:`Run`,
+    sampled through :func:`execute` with the writer as its per-slice
+    callback, so only a group of steps is held at once.  Each file is
+    written as ``.<variable>.csv.part`` and renamed into place after the
+    last step; if sampling or writing raises, every such file is removed
+    and no file in ``outdir`` has changed.
+    """
+    if isinstance(traj, Run):
+        writer = _CsvWriter(Path(outdir), [v.name for v in traj.net.variables], Rows())
+    else:
+        writer = _CsvWriter(Path(outdir), list(traj.fields), traj.rows)
+    try:
+        if isinstance(traj, Run):
+            traj.final = execute(traj.net, traj.horizon - 1, traj.seed, on_slice=writer)
+        else:
+            _replay(traj, writer)
+        return writer.finish()
+    except BaseException:
+        writer.discard()
+        raise

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from ecosim.cli import _sweep_slices, _workers, main
+from ecosim.cli import _build_scenario, _resolve, _sweep_slices, _workers, build_parser, main
+from ecosim.runtime import export_trajectory, trajectory, write_csv
 from ecosim.scenarios import EcosystemConfig
+from ecosim.tensor import as_array
 
 
 def run_cli(*argv):
@@ -498,6 +500,47 @@ def test_bad_scenario_setting_exits_2_naming_it(argv, setting, tmp_path, capsys)
     assert run_cli(*argv, "--set", setting, "--out", str(out)) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def simulate_from_the_record(argv, out: Path) -> dict[str, bytes]:
+    """``simulate`` as a reference: sample the whole trajectory() record,
+    export it, and write summary.csv from its last slice."""
+    args = build_parser().parse_args([*argv, "--out", str(out)])
+    sections = _resolve(args, args.section)
+    run, cfg = sections["run"], sections["scenario"]
+    net, metrics = _build_scenario(args.scenario, cfg, run.seed)
+    traj = trajectory(net, cfg.horizon, run.seed)
+    export_trajectory(traj, out)
+    lines = []
+    for metric, (var, path) in metrics.items():
+        final = as_array(traj.value(var, -1).get(path))
+        values = enumerate(final) if args.scenario == "ecosystem" else [(0, final.mean())]
+        lines += [f"{r},{metric},{float(v)!r}\n" for r, v in values]
+    write_csv(out / "summary.csv", "summary/1", ["run", "metric", "value"], lines)
+    return tree_bytes(out)
+
+
+STORY_ARGS = {
+    "count": ("--set", "population=3", "--set", "horizon=4"),
+    "porl": SMALL_TRAIN[:8],
+    "latent-sat": SMALL_EM[:6],
+    "ecosystem": SMALL_SWEEP,
+}
+
+
+@pytest.mark.parametrize("story, horizon", [(story, None) for story in STORY_ARGS]
+                         + [("count", 1), ("ecosystem", 1)])  # porl, latent-sat need 2
+@pytest.mark.parametrize("seed", [0, 3])
+def test_simulate_writes_what_the_record_exports(story, seed, horizon, tmp_path):
+    # simulate samples as it writes and keeps no record; every artifact,
+    # summary.csv included, is the record's.
+    argv = ["simulate", "--scenario", story, "--seed", str(seed), *STORY_ARGS[story]]
+    if horizon is not None:
+        argv += ["--horizon", str(horizon)]
+    out = tmp_path / "streamed"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(tree_bytes(out))
+    assert tree_bytes(out) == simulate_from_the_record(argv, tmp_path / "record")
 
 
 SCHEMA_HEAD = re.compile(rb"# schema=[a-z_]+/1\n[^\n]+\n")

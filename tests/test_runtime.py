@@ -9,9 +9,10 @@ import ecosim.tensor as T
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.logprob import LogProbError, trajectory_log_prob_rows
-from ecosim.runtime import (SimulationError, Trajectory, execute, export_trajectory,
+from ecosim.runtime import (Run, SimulationError, Trajectory, execute, export_trajectory,
                             trajectory)
-from ecosim.scenarios import PorlConfig, build_porl_story
+from ecosim.scenarios import (EcosystemConfig, PorlConfig, build_ecosystem_story,
+                              build_porl_story)
 from ecosim.tensor import Tensor
 
 
@@ -177,6 +178,14 @@ class TestExecute:
                     via_execute["walk"].get("x").data,
                     via_traj.get("x").data)
 
+    def test_on_slice_sees_each_slice_in_step_order(self):
+        seen = []
+        final = execute(count_network(batch=2), 3, seed=0,
+                        on_slice=lambda values, batch: seen.append(
+                            (values["count"].get("n").tolist(), batch)))
+        assert seen == [([t, t], 2) for t in range(4)]
+        assert final["count"].get("n").tolist() == [3, 3]
+
 
 class TestBatchSemantics:
     def test_batched_equals_independent_single_rows(self):
@@ -258,15 +267,30 @@ class TestCsvExport:
         extremes = np.array([-2**63, 2**63 - 1, 0, -1, 1, 7, 42], np.int64)
         v = Variable("v", ValueSpec(f=FieldSpec(()), i=FieldSpec((), "integer"),
                                     m=FieldSpec((2, 2)), c=FieldSpec(()),
-                                    z=FieldSpec(())))
-        v.bind_initial(lambda: Value(
-            f=edges, i=extremes, m=np.arange(4.0 * batch).reshape(batch, 2, 2) / 3,
-            c=Tensor(np.linspace(-1.0, 1.0, batch)), z=np.zeros(batch)))
-        v.bind_kernel(lambda p: Value(
-            f=-p.get("f").data[::-1], i=np.roll(p.get("i"), 1), m=T.mul(p.get("m"), 0.5),
-            c=p.get("c"),                    # carried by identity
-            z=-p.get("z").data),             # flips 0.0 / -0.0: equal, not identical
-            deps=(v.previous,))
+                                    z=FieldSpec(()), r=FieldSpec(()), q=FieldSpec(())))
+        first = {}  # this run's step-0 q and its kernel step
+
+        def initial():
+            first["q"], first["step"] = Tensor(np.arange(batch) / 7), 0
+            return Value(f=edges, i=extremes,
+                         m=np.arange(4.0 * batch).reshape(batch, 2, 2) / 3,
+                         c=Tensor(np.linspace(-1.0, 1.0, batch)), z=np.zeros(batch),
+                         r=np.arange(batch) / 3, q=first["q"])
+
+        def kernel(p):
+            first["step"] += 1
+            step = first["step"]
+            return Value(
+                f=-p.get("f").data[::-1], i=np.roll(p.get("i"), 1), m=T.mul(p.get("m"), 0.5),
+                c=p.get("c"),                    # carried by identity
+                z=-p.get("z").data,              # flips 0.0 / -0.0: equal, not identical
+                # carried, then replaced, then carried again
+                r=p.get("r").data + 1 if step == 2 else p.get("r"),
+                # step 0's own object again at step 2, after another at step 1
+                q=first["q"] if step == 2 else -p.get("q").data)
+
+        v.bind_initial(initial)
+        v.bind_kernel(kernel, deps=(v.previous,))
         traj = trajectory(Network([v]), 4, seed=0, row_offset=5)
         assert traj.fields["v"]["c"].data.strides[0] == 0
         [path] = export_trajectory(traj, tmp_path)
@@ -274,7 +298,16 @@ class TestCsvExport:
         assert text == per_value_csv(traj, "v")
         rows = [line.split(",") for line in text.splitlines()[2:]]
         assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
-        assert [row[-1] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert [row[-3] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert [row[-2] for row in rows[1::batch]] == ["0.3333333333333333"] * 2 + \
+            ["1.3333333333333333"] * 2
+        assert [row[-1] for row in rows[1::batch]] == \
+            ["0.14285714285714285", "-0.14285714285714285", "0.14285714285714285",
+             "-0.14285714285714285"]
+        # The streamed run writes the same rows, keyed from 0.
+        [streamed] = export_trajectory(Run(Network([v]), 4, seed=0), tmp_path / "run")
+        assert streamed.read_text(encoding="utf-8") == per_value_csv(
+            trajectory(Network([v]), 4, seed=0), "v")
 
     def test_id_keyed_rows_export_each_rows_id(self, tmp_path):
         traj = trajectory(gaussian_walk(2), 3, seed=0, row_offset=np.array([5, 7]))
@@ -310,6 +343,58 @@ class TestCsvExport:
             tracemalloc.stop()
         assert path.stat().st_size > 18e6
         assert peak < 8 * 2**20
+
+
+    @pytest.mark.parametrize("net, horizon", [
+        (count_network(batch=0), 3), (count_network(batch=0), 1),
+        (count_network(batch=3), 1), (gaussian_walk(4), 1), (gaussian_walk(4), 5)],
+        ids=["batch0", "batch0-horizon1", "count-horizon1", "walk-horizon1", "walk"])
+    def test_streamed_run_writes_what_the_record_exports(self, tmp_path, net, horizon):
+        [streamed] = export_trajectory(Run(net, horizon, seed=3), tmp_path / "run")
+        [recorded] = export_trajectory(trajectory(net, horizon, seed=3), tmp_path / "record")
+        assert streamed.read_bytes() == recorded.read_bytes()
+
+    def test_a_run_that_fails_leaves_no_file_and_an_older_one_as_it_was(self, tmp_path):
+        # Each step is 9,000 values, a group of its own, so steps 0 and 1
+        # are written before the kernel raises at step 2.
+        v = Variable("v", ValueSpec(x=FieldSpec((3000,))))
+        calls = []
+        v.bind_initial(lambda: Value(x=Normal(Tensor(np.zeros((3, 3000))), 1.0)))
+
+        def kernel(prev):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("kernel fails at step 2")
+            return Value(x=Normal(prev.get("x"), 1.0))
+
+        v.bind_kernel(kernel, deps=(v.previous,))
+        (tmp_path / "v.csv").write_bytes(b"an older run's v.csv\n")
+        with pytest.raises(RuntimeError, match="step 2"):
+            export_trajectory(Run(Network([v]), 5, seed=0), tmp_path)
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+        assert (tmp_path / "v.csv").read_bytes() == b"an older run's v.csv\n"
+        [path] = export_trajectory(Run(Network([v]), 2, seed=0), tmp_path)
+        assert path.read_bytes() != b"an older run's v.csv\n"
+
+    def test_streamed_run_peak_does_not_grow_with_the_horizon(self, tmp_path):
+        # Sampling and writing hold a slice, its predecessor, a group of
+        # steps and a lookahead pass per field, whatever the horizon: the
+        # peak grows 1.10x from 20 to 80 steps, as the passes reach their
+        # lane bound.  users.csv's carried text is large beside that, so a
+        # writer that held its steps' rows to the end grows 2.2x, and the
+        # record of the same runs grows 1.5x.
+        peaks = {}
+        for horizon in (20, 80):
+            cfg = EcosystemConfig(num_runs=2, num_users=200, num_items=20, horizon=horizon)
+            net, _ = build_ecosystem_story(cfg)
+            tracemalloc.start()
+            try:
+                export_trajectory(Run(net, horizon, seed=0), tmp_path / str(horizon))
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[80] <= 1.2 * peaks[20]
 
 
 def per_value_csv(traj, variable):
