@@ -31,18 +31,17 @@ gathers the rows back by copying, so each row holds the same bits as a
 draw of its own id alone.
 
 A counter-based generator computes any step's numbers out of order, so a
-run may draw later steps early.  :func:`ecosim.runtime.execute` keys its
-streams by ``Rows(row_offset, last_step)``: a field whose draw keeps its
-shape from one step to the next draws the following steps in the same
-pass, one Philox call over a key per step, and the ``Rows`` hold their
-distinct rows, transformed and not yet gathered, until those steps ask
-for them.  They hold at most one pass per field, of at most
+run may draw later steps early.  Every run of :mod:`ecosim.runtime` keys
+its streams by ``Rows(row_offset, last_step)``: a field whose draw keeps
+its shape from one step to the next draws the following steps in the
+same pass, one Philox call over a key per step, and the ``Rows`` hold
+their distinct rows, transformed and not yet gathered, until those steps
+ask for them.  They hold at most one pass per field, of at most
 ``_LOOKAHEAD_LANES`` Philox lanes, and only for their own key.  Every
-draw, held or not, is checked as it is made, and runs the one draw path:
-rows without a ``last_step`` draw one step a pass.  ``simulate`` samples
-through ``execute`` too, with the CSV writer as its per-slice callback, so
-its run draws ahead as the sweep's do.  ``trajectory``, which samples the
-records that ``fit-em`` and REINFORCE score, draws one step a pass.
+draw, held or not, is checked as it is made, and runs the one draw path.
+So ``simulate``, the sweep, and the records that ``fit-em`` and REINFORCE
+score all draw ahead; only a standalone stream, whose rows have no
+``last_step`` (HMC's momenta and acceptance draws), draws one step a pass.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ emitted is dropped once sampled, and log-probabilities come from replaying
 the builders on the values (:mod:`ecosim.logprob`).
 
 ``trajectory`` and ``execute`` share one slice loop, which builds each
-slice from the sampled slice before it and keeps only that one.
+slice from the sampled slice before it and keeps only that one, and
+draws several steps of a field's numbers in one pass (:mod:`ecosim.rng`).
 A :class:`Trajectory` is the one record of a trajectory, sampled or
 observed: each field stacked on a leading time axis.  ``trajectory``
 writes each slice into it; the scorer windows its stacks.  ``execute``
@@ -253,23 +254,26 @@ def _realize(var: Variable, out: Value, step: int, seed: int, rows: Rows,
     return value, batch
 
 
-def _slices(net: Network, num_steps: int, seed: int, rows: Rows
+def _slices(command: str, net: Network, num_steps: int, seed: int, rows: Rows
             ) -> Iterator[tuple[dict[str, Value], int | None]]:
     """Sample slices 0 .. num_steps and yield each with the batch; each is
     built from the slice yielded before it, the only one kept.  Every
-    stream draws under the run's row key ``rows``."""
+    stream draws under the run's row key ``rows``; step 0 checks that its
+    ids number the rows, even where no field draws, naming ``command``."""
     previous, batch = None, None
     for step in range(num_steps + 1):
         current: dict[str, Value] = {}
         for var, fn, args in builder_calls(net, current, previous):
             out = check_output(var, fn(*args), f"step {step}", SimulationError)
             current[var.name], batch = _realize(var, out, step, seed, rows, batch)
+        if step == 0 and rows.ids is not None and rows.ids.size != batch:
+            raise ValueError(f"{command} row_offset: {rows.ids.size} row ids for {batch} rows")
         yield current, batch
         previous = current
 
 
-def _run_rows(command: str, row_offset, last_step: int | None = None) -> Rows:
-    """A run's row key, with ``command`` naming the run in a bad id's error."""
+def _run_rows(command: str, row_offset, last_step: int) -> Rows:
+    """A run's row key, drawing ahead to ``last_step``; ``command`` names the run."""
     try:
         return Rows(row_offset, last_step)
     except ValueError as e:
@@ -281,17 +285,14 @@ def trajectory(net: Network, horizon: int, seed: int, *,
     """Sample slices 0 .. horizon-1 and write each into the record.
 
     ``row_offset`` is the rows' key, as for :func:`execute`; the record
-    keeps it as its ``rows``, and the export writes each row's key, so ids
-    must number the rows even where no field draws.  Each field draws one
-    step a pass.
+    keeps it as its ``rows``, and the export writes each row's key.  The
+    run samples through the slice loop ``execute`` runs and draws ahead as
+    it does, so the record holds the numbers ``execute`` draws.
     """
-    rows = _run_rows("trajectory", row_offset)
+    rows = _run_rows("trajectory", row_offset, horizon - 1)
     traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, rows)
-    for current, batch in _slices(net, horizon - 1, seed, rows):
+    for current, traj.batch in _slices("trajectory", net, horizon - 1, seed, rows):
         traj.append(current)
-    if rows.ids is not None and rows.ids.size != batch:
-        raise ValueError(f"trajectory row_offset: {rows.ids.size} row ids for {batch} rows")
-    traj.batch = batch
     return traj
 
 
@@ -316,13 +317,13 @@ def execute(net: Network, num_steps: int, seed: int, *,
     so the ids are checked and deduplicated once, and every stream of the
     run draws each distinct id once.  A field whose draws keep their shape
     draws several steps' numbers in one pass (:meth:`ecosim.rng.Rows.ahead`),
-    the same numbers ``trajectory`` draws a step at a time.
+    the numbers a stream of that step alone draws.
     ``num_steps=0`` returns the initial slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     rows = _run_rows("execute", row_offset, num_steps)
-    for final, batch in _slices(net, num_steps, seed, rows):
+    for final, batch in _slices("execute", net, num_steps, seed, rows):
         if on_slice is not None:
             on_slice(final, batch)
     return final

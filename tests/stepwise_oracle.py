@@ -1,4 +1,9 @@
-"""Per-step replay scoring, kept only as a test oracle.
+"""Per-step sampling and replay scoring, kept only as test oracles.
+
+:func:`stepwise_slices` samples a run one step a pass: every stream of
+step t draws step t's numbers alone, under a ``Rows`` with no lookahead.
+``ecosim.runtime`` draws several steps of a field in one pass; the two
+must give the same slices.
 
 Slice t is scored by one call of every builder on the observed slices t
 and t-1, for t = 0 .. num_steps, and each field's log-probability is
@@ -7,7 +12,26 @@ with one time-batched kernel call per Variable; the two must agree.
 """
 
 import ecosim.tensor as T
+from ecosim.core import Value
 from ecosim.dist import Deterministic, Distribution
+from ecosim.rng import RngStream, Rows
+from ecosim.runtime import builder_calls
+
+
+def stepwise_slices(net, horizon, seed, row_offset=0):
+    """Slices 0 .. horizon-1 of ``net``, each a dict from variable name to
+    Value, every stochastic field drawn one step a pass."""
+    rows, slices, previous = Rows(row_offset), [], None
+    for step in range(horizon):
+        current = {}
+        for var, fn, args in builder_calls(net, current, previous):
+            current[var.name] = Value.of({
+                path: payload.sample(RngStream(seed, var.name, path, step, rows))
+                if isinstance(payload, Distribution) else payload
+                for path, payload in fn(*args).items()})
+        slices.append(current)
+        previous = current
+    return slices
 
 
 def replay_slice(net, obs, t):

@@ -1,6 +1,7 @@
-"""``execute`` draws several steps of a field's numbers in one pass
-(``rng.Rows`` with a ``last_step``); the numbers are those ``trajectory``
-draws a step at a time."""
+"""Every run in ``ecosim.runtime``, ``execute`` and ``trajectory`` alike,
+draws several steps of a field's numbers in one pass (``rng.Rows`` with a
+``last_step``); the numbers are those that ``stepwise_oracle`` draws one
+step a pass, as a standalone stream does."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ecosim.scenarios import (CountConfig, EcosystemConfig, LatentSatConfig, Por
                               build_count_story, build_ecosystem_story,
                               build_latent_sat_story, build_porl_story,
                               sample_true_alpha)
+from stepwise_oracle import stepwise_slices
 
 
 def payload_bytes(value: Value) -> dict[str, bytes]:
@@ -22,10 +24,17 @@ def payload_bytes(value: Value) -> dict[str, bytes]:
 
 
 def assert_final_slice_matches(net: Network, horizon: int, seed: int, row_offset):
+    """``execute``'s final slice and every slice of ``trajectory``'s record
+    hold the bytes the one-step-a-pass oracle samples."""
+    want = stepwise_slices(net, horizon, seed, row_offset)
     final = execute(net, horizon - 1, seed, row_offset=row_offset)
     traj = trajectory(net, horizon, seed, row_offset=row_offset)
+    assert final.keys() == want[-1].keys()
     for name, value in final.items():
-        assert payload_bytes(value) == payload_bytes(traj.value(name, -1)), name
+        assert payload_bytes(value) == payload_bytes(want[-1][name]), name
+    for t, slice_ in enumerate(want):
+        for name, value in slice_.items():
+            assert payload_bytes(traj.value(name, t)) == payload_bytes(value), (name, t)
 
 
 def count_story(batch):
@@ -233,6 +242,25 @@ def test_windowed_draws_hold_one_pass_per_field():
     held = ahead._held["v", "p"][2]
     assert len(held) == 49 and all(h.base is held[0].base for h in held)
     assert held[0].base.nbytes <= 2 * rng._LOOKAHEAD_LANES * 8
+
+
+def test_trajectory_draws_several_steps_a_pass(monkeypatch):
+    # porl draws six stochastic fields, each once a step: one Philox call
+    # each a step when drawn one step a pass.
+    net, horizon = porl_story(6)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return philox4x32(*args)
+
+    monkeypatch.setattr(rng, "philox4x32", counted)
+    stepwise_slices(net, horizon, 11)
+    stepwise = len(calls)
+    calls.clear()
+    trajectory(net, horizon, 11)
+    assert stepwise == 6 * horizon
+    assert len(calls) < 6 * horizon
 
 
 @pytest.mark.parametrize("run", [execute, trajectory])

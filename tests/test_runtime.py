@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ecosim.tensor as T
+from ecosim import rng
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.logprob import LogProbError, trajectory_log_prob_rows
@@ -102,23 +103,33 @@ class TestTrajectory:
 
     def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self):
         # The sampler holds the record, the sampled slice before the one it
-        # builds, and the slice being built with its temporaries.  The
-        # observed copy adds nothing.
-        cfg = PorlConfig()
-        net, _, _ = build_porl_story(cfg)
-        tracemalloc.start()
-        try:
-            traj = trajectory(net, cfg.horizon, 0)
-            obs = Trajectory.from_trajectory(net, traj, hold_out=[("choice", "choice")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        arrays = [array(p) for name in traj.specs for _, p in traj.value(name, 0).items()]
-        arrays += [array(stack) for fields in traj.fields.values()
-                   for stack in fields.values() if array(stack).flags.writeable]
-        held = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
-        assert obs.held_out() == {("choice", "choice")}
-        assert peak <= 1.2 * held
+        # builds, and the slice being built with its temporaries.  It also
+        # draws ahead: each stochastic field holds at most one pass of
+        # rng._LOOKAHEAD_LANES Philox lanes, two doubles a lane, and the
+        # pass being drawn adds Philox's six words and the two-word assembly
+        # a lane.  Neither grows with the horizon, so doubling it grows the
+        # peak by about what it grows the record.  The observed copy adds
+        # nothing.
+        peaks, helds = [], []
+        for horizon in (20, 40):
+            net, _, _ = build_porl_story(PorlConfig(horizon=horizon))
+            tracemalloc.start()
+            try:
+                traj = trajectory(net, horizon, 0)
+                obs = Trajectory.from_trajectory(net, traj, hold_out=[("choice", "choice")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = [array(p) for name in traj.specs for _, p in traj.value(name, 0).items()]
+            arrays += [array(stack) for fields in traj.fields.values()
+                       for stack in fields.values() if array(stack).flags.writeable]
+            held = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
+            drawn_ahead = len(traj.rows._held)  # the fields that drew with lookahead
+            assert obs.held_out() == {("choice", "choice")}
+            assert peak <= 1.2 * held + (16 * drawn_ahead + 64) * rng._LOOKAHEAD_LANES
+            peaks.append(peak)
+            helds.append(held)
+        assert peaks[1] - peaks[0] <= 1.2 * (helds[1] - helds[0])
 
 
 def walk_with_kernel(fault=None):
@@ -219,6 +230,17 @@ class TestBatchSemantics:
     def test_ids_must_number_the_rows_where_nothing_draws(self):
         with pytest.raises(ValueError, match="trajectory row_offset: 1 row ids for 3 rows"):
             trajectory(count_network(batch=3), 2, seed=0, row_offset=np.array([5]))
+
+    @pytest.mark.parametrize("run", [execute, trajectory])
+    def test_ids_are_checked_at_step_0_where_nothing_draws(self, run):
+        kernel_calls = []
+        count = Variable("count", ValueSpec(n=FieldSpec((), "integer")))
+        count.bind_initial(lambda: Value(n=np.zeros(4, np.int64)))
+        count.bind_kernel(lambda prev: kernel_calls.append(None) or Value(n=prev.get("n") + 1),
+                          deps=(count.previous,))
+        with pytest.raises(ValueError, match=f"^{run.__name__} row_offset: 2 row ids for 4 rows$"):
+            run(Network([count]), 3, seed=0, row_offset=np.array([1, 2]))
+        assert kernel_calls == []
 
     def test_markov_splice_statistics(self):
         ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
