@@ -63,13 +63,13 @@ class ChoiceModel:
 
 
 class ControlledLinearGaussianStateModel:
-    """S' ~ Normal(S + sensitivity * u, sigma), which realizes interest
-    dynamics with control input u = q * (F - S).  With zero noise the next
-    state is the mean itself, a deterministic field.
+    """S' ~ Normal(S + sensitivity * u, noise_scale), which realizes interest
+    dynamics with control input u = q * (F - S); the state's shape is the
+    control input's.  With zero noise the next state is the mean itself, a
+    deterministic field.
     """
 
-    def __init__(self, dim: int, sensitivity: float = 1.0, noise_scale: float = 0.0):
-        self.dim = int(dim)
+    def __init__(self, sensitivity: float = 1.0, noise_scale: float = 0.0):
         self.sensitivity = float(sensitivity)
         self.noise_scale = float(noise_scale)
 
@@ -82,7 +82,7 @@ class ControlledLinearGaussianStateModel:
         loc = T.add(state, T.mul(control_input, self.sensitivity))
         if self.noise_scale == 0.0:
             return loc
-        return Normal(loc, Tensor(np.full(self.dim, self.noise_scale)))
+        return Normal(loc, self.noise_scale)
 
 
 class FiniteHistoryEstimator:
@@ -154,15 +154,6 @@ class ParameterRegistry:
 
     def get(self, name: str) -> Tensor:
         return self._params[name].tensor()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._params)
 
     def parameters(self) -> tuple[Parameter, ...]:
         return tuple(self._params.values())

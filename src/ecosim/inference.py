@@ -46,15 +46,16 @@ class Sgd:
             p.assign(p.value - self.learning_rate * grad_map[p.leaf].data)
 
 
-class Adam:
-    """Adam with bias correction; moments keyed by parameter name."""
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(self, learning_rate: float = 1e-2, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction and the usual fixed moment decays
+    (``_BETA1``, ``_BETA2``) and denominator guard (``_EPSILON``); moments
+    keyed by parameter name."""
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -67,11 +68,11 @@ class Adam:
             g = grad_map[p.leaf].data
             m = self._m.setdefault(p.name, np.zeros_like(p.value))
             v = self._v.setdefault(p.name, np.zeros_like(p.value))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / (1.0 - self.beta1 ** self._t)
-            v_hat = v / (1.0 - self.beta2 ** self._t)
-            p.assign(p.value - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon))
+            m += (1.0 - _BETA1) * (g - m)
+            v += (1.0 - _BETA2) * (g * g - v)
+            m_hat = m / (1.0 - _BETA1 ** self._t)
+            v_hat = v / (1.0 - _BETA2 ** self._t)
+            p.assign(p.value - self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON))
 
 
 def _descend(registry: ParameterRegistry, opt, loss_fn: Callable[[], Tensor]) -> float:
@@ -207,10 +208,10 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     surrogate is -<detached reward, log-prob> / B, B the sampled batch.
     The replay scores the sampled record itself.
     """
-    traj = trajectory(net, cfg.horizon, seed)
     for kind, (var, path) in (("reward", cfg.reward_field), ("policy", cfg.policy_field)):
-        if var not in traj.specs or path not in traj.specs[var].paths:
+        if var not in net.by_name or path not in net.by_name[var].spec.paths:
             raise InferenceError(f"{kind} field {(var, path)!r} not found in story")
+    traj = trajectory(net, cfg.horizon, seed)
     rvar, rpath = cfg.reward_field
     reward = traj.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward

@@ -51,7 +51,7 @@ from .runtime import LogProbError, Trajectory, builder_calls, check_output
 from .tensor import Tensor, as_array
 
 # The scorer's name for the record; perfbench imports it.  ROADMAP item
-# 8's perfbench part removes it.
+# 9's perfbench part removes it.
 ObservedTrajectory = Trajectory
 
 

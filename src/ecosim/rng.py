@@ -204,9 +204,9 @@ class Rows:
     An int ``row_offset`` keys batch row ``r`` by the row word ``row_offset
     + r``.  A 1-D integer array of ids keys it by ``ids[r]``: ``words``
     are the sorted distinct ids as uint64 row words, and ``inverse``
-    gathers them back (``words[inverse]`` is the ids).  A bad id raises
-    before the cast, so a negative one cannot wrap.  Every stream of a run
-    shares its ``Rows``, so the ids are checked and deduplicated once.
+    gathers them back (``words[inverse]`` is the ids).  A bad offset or id
+    raises before the cast, so no negative one can wrap.  Every stream of
+    a run shares its ``Rows``, so the ids are checked and deduplicated once.
 
     With ``last_step``, the rows hold their run's draws of later steps
     (:meth:`ahead`), at most one pass per field.  They are the draws of
@@ -218,6 +218,8 @@ class Rows:
         # (variable, path) -> (signature, the next step, its held rows)
         self._held: dict[tuple[str, str], tuple[tuple, int, list]] = {}
         if isinstance(row_offset, (int, np.integer)):
+            if row_offset < 0:  # it would wrap in the uint64 row words
+                raise ValueError(f"row offset {row_offset} is outside the 32-bit row word")
             self.offset, self.ids = int(row_offset), None
             return
         ids = np.asarray(row_offset)

@@ -65,66 +65,62 @@ def build_latent_sat_story(cfg: LatentSatConfig, true_alpha: np.ndarray | None =
     it, sensitivity becomes the trainable parameter "alpha" and interest
     is meant to be held out for posterior inference.
     """
-
-    def story(registry: ParameterRegistry):
-        B, d, m = cfg.population, cfg.interest_dim, cfg.slate_size
-        if true_alpha is None:
-            registry.create("alpha", np.full(B, cfg.alpha_init))
-
-            def alpha():
-                return registry.get("alpha")
-        else:
-            if np.shape(true_alpha) != (B,):
-                raise ValueError(f"true_alpha must have shape ({B},)")
-            fixed = Tensor(np.asarray(true_alpha, np.float64))
-
-            def alpha():
-                return fixed
-
-        affinity = AffinityModel()
-        chooser = ChoiceModel(no_choice_logit=cfg.no_choice_logit)
-
-        user_interest = Variable("user_interest", ValueSpec(state=FieldSpec((d,))))
-        slate = Variable("slate", ValueSpec(items=FieldSpec((m, d))))
-        satisfaction = Variable("satisfaction", ValueSpec(value=FieldSpec(())))
-        choice = Variable("choice", ValueSpec(choice=FieldSpec((), "integer")))
-
-        def initial_interest():
-            return Value(state=Normal(Tensor(np.zeros((B, d))), cfg.interest_prior_scale))
-
-        def carry_interest(prev):
-            return Value(state=prev.get("state"))
-
-        def sample_slate():
-            return Value(items=Normal(Tensor(np.zeros((B, m, d))), cfg.item_scale))
-
-        def initial_satisfaction():
-            return Value(value=Tensor(np.full(B, cfg.initial_satisfaction)))
-
-        def next_satisfaction(sat_prev, interest_v, slate_v, slate_prev):
-            interest = interest_v.get("state")
-            best_now = T.reduce_max(affinity.affinities(interest, slate_v.get("items")))
-            best_before = T.reduce_max(affinity.affinities(interest, slate_prev.get("items")))
-            shift = T.mul(alpha(), T.clip(T.sub(best_now, best_before), -1.0, 1.0))
-            return Value(value=Normal(T.add(sat_prev.get("value"), shift),
-                                      cfg.satisfaction_noise))
-
-        def make_choice(interest_v, slate_v, sat_v):
-            aff = affinity.affinities(interest_v.get("state"), slate_v.get("items"))
-            return Value(choice=chooser.choice(aff, extra_logit_boost=sat_v.get("value")))
-
-        user_interest.bind_initial(initial_interest)
-        user_interest.bind_kernel(carry_interest, deps=(user_interest.previous,))
-        slate.bind_initial(sample_slate)
-        slate.bind_kernel(sample_slate)
-        satisfaction.bind_initial(initial_satisfaction)
-        satisfaction.bind_kernel(next_satisfaction,
-                                 deps=(satisfaction.previous, user_interest,
-                                       slate, slate.previous))
-        choice.bind_initial(make_choice, deps=(user_interest, slate, satisfaction))
-        choice.bind_kernel(make_choice, deps=(user_interest, slate, satisfaction))
-
-        return [user_interest, slate, satisfaction, choice]
-
     registry = ParameterRegistry()
-    return Network(story(registry)), registry, HELD_OUT
+    B, d, m = cfg.population, cfg.interest_dim, cfg.slate_size
+    if true_alpha is None:
+        registry.create("alpha", np.full(B, cfg.alpha_init))
+
+        def alpha():
+            return registry.get("alpha")
+    else:
+        if np.shape(true_alpha) != (B,):
+            raise ValueError(f"true_alpha must have shape ({B},)")
+        fixed = Tensor(np.asarray(true_alpha, np.float64))
+
+        def alpha():
+            return fixed
+
+    affinity = AffinityModel()
+    chooser = ChoiceModel(no_choice_logit=cfg.no_choice_logit)
+
+    user_interest = Variable("user_interest", ValueSpec(state=FieldSpec((d,))))
+    slate = Variable("slate", ValueSpec(items=FieldSpec((m, d))))
+    satisfaction = Variable("satisfaction", ValueSpec(value=FieldSpec(())))
+    choice = Variable("choice", ValueSpec(choice=FieldSpec((), "integer")))
+
+    def initial_interest():
+        return Value(state=Normal(Tensor(np.zeros((B, d))), cfg.interest_prior_scale))
+
+    def carry_interest(prev):
+        return Value(state=prev.get("state"))
+
+    def sample_slate():
+        return Value(items=Normal(Tensor(np.zeros((B, m, d))), cfg.item_scale))
+
+    def initial_satisfaction():
+        return Value(value=Tensor(np.full(B, cfg.initial_satisfaction)))
+
+    def next_satisfaction(sat_prev, interest_v, slate_v, slate_prev):
+        interest = interest_v.get("state")
+        best_now = T.reduce_max(affinity.affinities(interest, slate_v.get("items")))
+        best_before = T.reduce_max(affinity.affinities(interest, slate_prev.get("items")))
+        shift = T.mul(alpha(), T.clip(T.sub(best_now, best_before), -1.0, 1.0))
+        return Value(value=Normal(T.add(sat_prev.get("value"), shift),
+                                  cfg.satisfaction_noise))
+
+    def make_choice(interest_v, slate_v, sat_v):
+        aff = affinity.affinities(interest_v.get("state"), slate_v.get("items"))
+        return Value(choice=chooser.choice(aff, extra_logit_boost=sat_v.get("value")))
+
+    user_interest.bind_initial(initial_interest)
+    user_interest.bind_kernel(carry_interest, deps=(user_interest.previous,))
+    slate.bind_initial(sample_slate)
+    slate.bind_kernel(sample_slate)
+    satisfaction.bind_initial(initial_satisfaction)
+    satisfaction.bind_kernel(next_satisfaction,
+                             deps=(satisfaction.previous, user_interest,
+                                   slate, slate.previous))
+    choice.bind_initial(make_choice, deps=(user_interest, slate, satisfaction))
+    choice.bind_kernel(make_choice, deps=(user_interest, slate, satisfaction))
+
+    return Network([user_interest, slate, satisfaction, choice]), registry, HELD_OUT

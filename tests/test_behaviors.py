@@ -84,7 +84,7 @@ class TestChoiceModel:
 
 class TestControlledLinearGaussian:
     def test_zero_noise_full_pull_reaches_item_exactly(self):
-        m = ControlledLinearGaussianStateModel(2, sensitivity=1.0, noise_scale=0.0)
+        m = ControlledLinearGaussianStateModel(sensitivity=1.0, noise_scale=0.0)
         state = Tensor(np.array([[0.5, -1.0]]))
         item = np.array([[2.0, 3.0]])
         control = T.sub(Tensor(item), state)  # q = 1
@@ -93,26 +93,26 @@ class TestControlledLinearGaussian:
         np.testing.assert_allclose(mean.data, item, atol=1e-15)
 
     def test_zero_control_is_identity(self):
-        m = ControlledLinearGaussianStateModel(3, sensitivity=0.7, noise_scale=0.0)
+        m = ControlledLinearGaussianStateModel(sensitivity=0.7, noise_scale=0.0)
         state = np.random.default_rng(0).normal(size=(4, 3))
         mean = m.next_state(Tensor(state), Tensor(np.zeros((4, 3))))
         np.testing.assert_array_equal(mean.data, state)
 
     def test_hand_computed_half_sensitivity(self):
         # lambda=0.5, S=[0], F=[2], q=-1 -> loc = 0 + 0.5 * (-1) * (2 - 0) = -1
-        m = ControlledLinearGaussianStateModel(1, sensitivity=0.5, noise_scale=0.0)
+        m = ControlledLinearGaussianStateModel(sensitivity=0.5, noise_scale=0.0)
         control = Tensor(np.array([[-1.0 * (2.0 - 0.0)]]))
         mean = m.next_state(Tensor(np.zeros((1, 1))), control)
         np.testing.assert_allclose(mean.data, [[-1.0]])
 
     def test_positive_noise_yields_normal_with_same_loc(self):
-        m = ControlledLinearGaussianStateModel(2, sensitivity=1.0, noise_scale=0.3)
+        m = ControlledLinearGaussianStateModel(sensitivity=1.0, noise_scale=0.3)
         d = m.next_state(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))))
         assert isinstance(d, Normal)
         np.testing.assert_array_equal(d.loc.data, np.ones((2, 2)))
 
     def test_shape_mismatch_rejected(self):
-        m = ControlledLinearGaussianStateModel(2)
+        m = ControlledLinearGaussianStateModel()
         with pytest.raises(CoreError, match="differ"):
             m.next_state(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))))
 
@@ -182,7 +182,7 @@ class TestParameterCapture:
         registry = ParameterRegistry()
         variables = self._story(registry)
         assert len(variables) == 1
-        assert registry.names() == ("embedding",)
+        assert tuple(registry.as_arrays()) == ("embedding",)
         assert registry.as_arrays()["embedding"].shape == (10, 20)
 
     def test_duplicate_parameter_name_rejected(self):

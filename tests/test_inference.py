@@ -234,18 +234,27 @@ class TestReinforce:
         reinforce_step(net, registry, cfg, Sgd(0.5), seed=0)
         np.testing.assert_array_equal(registry.as_arrays()["theta"], [0.0, 0.0])
 
-    def test_missing_field_is_an_error(self):
+    @staticmethod
+    def _forbid_sampling(monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("the fields are checked before sampling")
+
+        monkeypatch.setattr("ecosim.inference.trajectory", sample)
+
+    def test_missing_field_is_an_error(self, monkeypatch):
         net, registry = bandit_story(8)
         cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "nope"),
                               policy_field=("arm", "choice"))
+        self._forbid_sampling(monkeypatch)
         with pytest.raises(InferenceError,
                            match=re.escape("reward field ('metrics', 'nope') not found")):
             reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
 
-    def test_missing_policy_field_is_an_error(self):
+    def test_missing_policy_field_is_an_error(self, monkeypatch):
         net, registry = bandit_story(8)
         cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "cumulative_reward"),
                               policy_field=("arm", "nope"))
+        self._forbid_sampling(monkeypatch)
         with pytest.raises(InferenceError,
                            match=re.escape("policy field ('arm', 'nope') not found")):
             reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
@@ -266,11 +275,10 @@ def drift_walk_story(batch, drift_init=0.0, scale=1.0):
     return Network([walk]), registry
 
 
-def static_latent_story(batch, bias_init, scale=0.7, registry=None):
+def static_latent_story(batch, bias_init, scale=0.7):
     """z ~ N(0,1) static; x_t ~ N(z + bias, scale); bias trainable."""
-    registry = registry or ParameterRegistry()
-    if "bias" not in registry:
-        registry.create("bias", np.array(bias_init))
+    registry = ParameterRegistry()
+    registry.create("bias", np.array(bias_init))
     latent = Variable("latent", ValueSpec(z=FieldSpec(())))
     obs = Variable("obs", ValueSpec(x=FieldSpec(())))
     latent.bind_initial(lambda: Value(z=Normal(Tensor(np.zeros(batch)), 1.0)))

@@ -215,6 +215,11 @@ class TestCounterLimits:
         with pytest.raises(ValueError, match="variable 'v', path 'p', step 7"):
             s.uniforms(batch, 2)
 
+    def test_negative_row_offset_raises_by_name(self):
+        with pytest.raises(ValueError, match="variable 'v', path 'p', step 3: "
+                                             "row offset -1 is outside the 32-bit row word"):
+            RngStream(0, "v", "p", 3, row_offset=-1).uniforms(1, 1)
+
     def test_last_block_is_accepted_and_the_next_raises(self):
         s = RngStream(0, "v", "p", 7)
         s._cursor = 2 * (2**32 - 1)

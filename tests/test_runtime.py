@@ -16,6 +16,8 @@ from ecosim.scenarios import (EcosystemConfig, PorlConfig, build_ecosystem_story
                               build_porl_story)
 from ecosim.tensor import Tensor
 
+from stepwise_oracle import stepwise_slices
+
 
 def array(payload):
     return payload.data if isinstance(payload, Tensor) else payload
@@ -178,16 +180,17 @@ class TestExecute:
         final = execute(count_network(), 0, seed=0)
         assert int(final["count"].get("n")[0]) == 0
 
-    def test_equivalent_to_trajectory_last_slice(self):
+    def test_equivalent_to_stepwise_last_slice(self):
+        # the one-step-a-pass oracle, not trajectory(): that runs execute's loop
         rng = np.random.default_rng(0)
         for seed in rng.integers(0, 2**31, size=5):
             for steps in (0, 1, 4):
                 net = gaussian_walk(6, drift=0.1)
                 via_execute = execute(net, steps, int(seed))
-                via_traj = trajectory(net, steps + 1, int(seed)).value("walk", -1)
+                via_oracle = stepwise_slices(net, steps + 1, int(seed))[-1]
                 np.testing.assert_array_equal(
                     via_execute["walk"].get("x").data,
-                    via_traj.get("x").data)
+                    via_oracle["walk"].get("x").data)
 
     def test_on_slice_sees_each_slice_in_step_order(self):
         seen = []
@@ -218,7 +221,8 @@ class TestBatchSemantics:
                     == solo["walk"].get("x").data.tobytes())
 
     @pytest.mark.parametrize("ids, what", [(np.array([0, -1]), "row id -1 "),
-                                           (np.array([[0, 1]]), "1-D integer")])
+                                           (np.array([[0, 1]]), "1-D integer"),
+                                           (-1, "row offset -1 ")])
     def test_bad_row_ids_raise_before_any_draw(self, ids, what):
         with pytest.raises(ValueError, match=f"execute row_offset: .*{what}"):
             execute(gaussian_walk(2), 1, seed=0, row_offset=ids)
@@ -230,6 +234,10 @@ class TestBatchSemantics:
     def test_ids_must_number_the_rows_where_nothing_draws(self):
         with pytest.raises(ValueError, match="trajectory row_offset: 1 row ids for 3 rows"):
             trajectory(count_network(batch=3), 2, seed=0, row_offset=np.array([5]))
+
+    def test_negative_offset_raises_where_nothing_draws(self):
+        with pytest.raises(ValueError, match="^trajectory row_offset: row offset -1 is outside"):
+            trajectory(count_network(batch=2), 2, seed=0, row_offset=-1)
 
     @pytest.mark.parametrize("run", [execute, trajectory])
     def test_ids_are_checked_at_step_0_where_nothing_draws(self, run):

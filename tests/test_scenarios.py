@@ -24,6 +24,7 @@ from ecosim.scenarios import ecosystem
 from ecosim.scenarios.ecosystem import _apportion, _item_counts
 from ecosim.tensor import Tape, Tensor
 
+from porl_baselines import porl_story
 from stepwise_oracle import replay_slice
 
 
@@ -120,8 +121,8 @@ class TestPorlStory:
         results = []
         for seed in range(5):
             cfg = PorlConfig(population=100, horizon=20)
-            oracle_net, _, _ = build_porl_story(cfg, policy="oracle")
-            random_net, _, _ = build_porl_story(cfg, policy="random")
+            oracle_net, _, _ = porl_story(cfg, "oracle")
+            random_net, _, _ = porl_story(cfg, "random")
             r_oracle = trajectory(oracle_net, cfg.horizon, seed).value(
                 "metrics", -1).get("cumulative_reward").data.mean()
             r_random = trajectory(random_net, cfg.horizon, seed).value(
@@ -142,7 +143,7 @@ class TestPorlStory:
     @pytest.mark.parametrize("lead", [(12,), (3, 12)])
     def test_oracle_ranks_equal_stable_argsort_with_ties(self, lead):
         cfg, topics, quality, interest = self._oracle_inputs(lead, seed=len(lead))
-        net, _, _ = build_porl_story(cfg, policy="oracle")
+        net, _, _ = porl_story(cfg, "oracle")
         oracle = net.by_name["slate"].initial_fn
         got = np.asarray(oracle(Value(interest=interest), Value(topic=topics),
                                 Value(quality=quality)).get("doc_ranks"))
@@ -157,7 +158,7 @@ class TestPorlStory:
     def test_oracle_nan_score_raises(self):
         cfg, topics, quality, interest = self._oracle_inputs((12,), seed=0)
         quality[4, 2] = np.nan
-        net, _, _ = build_porl_story(cfg, policy="oracle")
+        net, _, _ = porl_story(cfg, "oracle")
         with pytest.raises(ValueError, match="non-finite"):
             net.by_name["slate"].initial_fn(Value(interest=interest), Value(topic=topics),
                                             Value(quality=quality))
@@ -169,7 +170,7 @@ class TestPorlStory:
         # began recording topics and engagement (each time, the other
         # fields' bytes did not move)
         cfg = PorlConfig(**SMALL_PORL)
-        net, _, _ = build_porl_story(cfg, policy="oracle")
+        net, _, _ = porl_story(cfg, "oracle")
         traj = trajectory(net, cfg.horizon, 3)
         h = hashlib.sha256()
         for name in sorted(traj.specs):

@@ -20,10 +20,11 @@ from ecosim.logprob import (LogProbError, log_probability_from_value_trajectory,
 from ecosim.runtime import Trajectory, trajectory
 from ecosim.scenarios import (EcosystemConfig, LatentSatConfig, PorlConfig,
                               build_ecosystem_story, build_latent_sat_story,
-                              build_porl_story, sample_true_alpha)
+                              sample_true_alpha)
 from ecosim.scenarios.latent_sat import HELD_OUT
 from ecosim.tensor import Tape, Tensor
 
+from porl_baselines import porl_story
 from stepwise_oracle import stepwise_log_prob_rows
 from test_inference import bandit_story, drift_walk_story, static_latent_story
 from test_logprob import count_network, iid_normal_network
@@ -163,10 +164,10 @@ class TestStories:
     @pytest.mark.parametrize("policy", ["learned", "random", "oracle"])
     def test_porl(self, policy):
         cfg = PorlConfig(**SMALL_PORL)
-        net, registry, metrics = build_porl_story(cfg, policy=policy)
+        net, registry, metrics = porl_story(cfg, policy)
         obs = observe(net, cfg.horizon, 7)
         _, grads = assert_matches_stepwise(net, obs, registry=registry)
-        assert set(grads) == set(registry.names())
+        assert set(grads) == {p.name for p in registry.parameters()}
         if policy != "oracle":  # the oracle's slate is deterministic
             assert_matches_stepwise(net, obs, registry=registry,
                                     only=[metrics["policy_log_prob"]])
