@@ -45,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import Adam, HmcConfig, ReinforceConfig, mc_em_fit, reinforce_step
+from .inference import (Adam, HmcConfig, InferenceError, ReinforceConfig, mc_em_fit,
+                        reinforce_step)
 from .rng import derive_seed
 from .runtime import Run, Trajectory, execute, export_trajectory, trajectory, write_csv
 from .scenarios import (CountConfig, EcosystemConfig, LatentSatConfig,
@@ -111,14 +112,15 @@ class EmSettings:
             raise ConfigError("iterations must be >= 0")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
-        if not self.hmc_step_size > 0:  # NaN fails too
-            raise ConfigError("hmc_step_size must be positive")
-        if self.hmc_num_leapfrog < 1:
-            raise ConfigError("hmc_num_leapfrog must be >= 1")
-        if self.hmc_num_samples < 1:
-            raise ConfigError("hmc_num_samples must be >= 1")
-        if self.hmc_burn_in < 0:
-            raise ConfigError("hmc_burn_in must be >= 0")
+        try:
+            self.hmc()
+        except InferenceError as e:
+            raise ConfigError(f"em.hmc_{e}") from None
+
+    def hmc(self) -> HmcConfig:
+        """The sampler's settings; ``HmcConfig`` decides which are valid."""
+        return HmcConfig(step_size=self.hmc_step_size, num_leapfrog=self.hmc_num_leapfrog,
+                         num_samples=self.hmc_num_samples, burn_in=self.hmc_burn_in)
 
 
 @dataclass(frozen=True)
@@ -418,11 +420,8 @@ def cmd_fit_em(args, sections) -> int:
     data = Trajectory.from_trajectory(
         truth_net, trajectory(truth_net, cfg.horizon, run.seed), hold_out=[HELD_OUT])
     net, registry, held = build_latent_sat_story(cfg)
-    hmc = HmcConfig(step_size=em.hmc_step_size, num_leapfrog=em.hmc_num_leapfrog,
-                    num_samples=em.hmc_num_samples, burn_in=em.hmc_burn_in)
-    opt = Adam(em.learning_rate)
-    trace = mc_em_fit(net, data, held, hmc, opt, em.iterations, run.seed,
-                      registry=registry)
+    trace = mc_em_fit(net, data, held, em.hmc(), Adam(em.learning_rate), em.iterations,
+                      run.seed, registry=registry)
     outdir = Path(run.out)
     write_csv(outdir / "em_trace.csv", "em_trace/1",
               ["iteration", "objective", "acceptance_rate", "wall_clock_ms"],
@@ -455,7 +454,7 @@ def _sweep_one(task):
     cfg, caps, run_ids, seed = task
     net, metrics = build_ecosystem_story(dataclasses.replace(cfg, num_runs=len(run_ids)),
                                          boost_caps=caps)
-    final = execute(net, cfg.horizon - 1, seed, row_offset=np.array(run_ids))
+    final = execute(net, cfg.horizon - 1, seed, row_ids=np.array(run_ids))
     var, path = metrics["welfare"]
     return final[var].get(path).data.copy()
 

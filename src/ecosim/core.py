@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,25 +45,13 @@ class Value:
 
     __slots__ = ("_fields",)
 
-    def __init__(self, **fields):
+    def __init__(self, /, **fields):
         self._fields: dict[str, object] = {}
         for key, payload in fields.items():
-            self._insert(key, payload)
-
-    @classmethod
-    def of(cls, mapping: Mapping[str, object]) -> "Value":
-        v = cls()
-        for key, payload in mapping.items():
-            v._insert(key, payload)
-        return v
-
-    def _insert(self, key: str, payload) -> None:
-        if isinstance(payload, Value):
-            raise CoreError(f"field {key!r} is a Value; Values do not nest: write "
-                            f"each of its fields as the dotted path '{key}.<path>'")
-        if key in self._fields:
-            raise CoreError(f"duplicate path {key!r}")
-        self._fields[key] = _normalize(payload)
+            if isinstance(payload, Value):
+                raise CoreError(f"field {key!r} is a Value; Values do not nest: write "
+                                f"each of its fields as the dotted path '{key}.<path>'")
+            self._fields[key] = _normalize(payload)
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -81,15 +69,6 @@ class Value:
             return self._fields[path]
         close = difflib.get_close_matches(path, self._fields, n=5, cutoff=0.0)
         raise CoreError(f"path {path!r} not found; nearest available: {close}")
-
-    def union(self, other: "Value") -> "Value":
-        merged = Value()
-        merged._fields = dict(self._fields)
-        for k, p in other.items():
-            if k in merged._fields:
-                raise CoreError(f"duplicate path {k!r}")
-            merged._fields[k] = p
-        return merged
 
     def __repr__(self) -> str:
         return f"Value({', '.join(self._fields)})"

@@ -10,10 +10,10 @@ The generator is Philox4x32-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3"), vectorized over numpy uint64 lanes and validated
 against the published known-answer vectors.  A stream's counter is
 ``(block, row, 0, 0)`` under a 64-bit key hashed from (seed, variable,
-path, step), where the row word is the batch row plus an offset or the
-row's own id; each block's four 32-bit output words make two 64-bit
-words, so one Philox lane serves two columns of a row.  Counter words
-are 32 bits wide: a draw whose row or block index would reach 2^32
+path, step), where the row word is the batch row or the row's own id;
+each block's four 32-bit output words make two 64-bit words, so one
+Philox lane serves two columns of a row.  Counter words are 32 bits
+wide: an id outside [0, 2^32), or a draw that would reach block 2^32,
 raises instead of wrapping.
 
 Stream layout v3: a 64-bit word maps to the double
@@ -23,16 +23,16 @@ normal is the inverse normal CDF of one uniform, evaluated by Wichura's
 AS 241 (PPND16, *Applied Statistics* 37(3):477-484, 1988), so a normal
 costs one column of the row like any other draw.
 
-A run's row key is one :class:`Rows`: an int offset, or an array of row
-ids checked once.  Ids may repeat: the sweep keys every boost cap's copy
-of a run by the run's id.  A draw then runs Philox and its transform (the
-unit map, and the normal or Gumbel map) on the distinct ids only, and
-gathers the rows back by copying, so each row holds the same bits as a
-draw of its own id alone.
+A run's row key is one :class:`Rows`, in one of two forms: no ids, where
+batch row r is row word r, or an array of row ids checked once.  Ids may
+repeat: the sweep keys every boost cap's copy of a run by the run's id.
+A draw then runs Philox and its transform (the unit map, and the normal
+or Gumbel map) on the distinct ids only, and gathers the rows back by
+copying, so each row holds the same bits as a draw of its own id alone.
 
 A counter-based generator computes any step's numbers out of order, so a
 run may draw later steps early.  Every run of :mod:`ecosim.runtime` keys
-its streams by ``Rows(row_offset, last_step)``: a field whose draw keeps
+its streams by ``Rows(row_ids, last_step)``: a field whose draw keeps
 its shape from one step to the next draws the following steps in the
 same pass, one Philox call over a key per step, and the ``Rows`` hold
 their distinct rows, transformed and not yet gathered, until those steps
@@ -201,40 +201,33 @@ _LOOKAHEAD_LANES = 2**13
 class Rows:
     """A run's row key, checked once, and with ``last_step`` its lookahead.
 
-    An int ``row_offset`` keys batch row ``r`` by the row word ``row_offset
-    + r``.  A 1-D integer array of ids keys it by ``ids[r]``: ``words``
-    are the sorted distinct ids as uint64 row words, and ``inverse``
-    gathers them back (``words[inverse]`` is the ids).  A bad offset or id
-    raises before the cast, so no negative one can wrap.  Every stream of
-    a run shares its ``Rows``, so the ids are checked and deduplicated once.
+    With no ``ids``, batch row ``r`` is the row word ``r``.  A 1-D integer
+    array of ids keys it by ``ids[r]``: ``words`` are the sorted distinct
+    ids as uint64 row words, and ``inverse`` gathers them back
+    (``words[inverse]`` is the ids).  A bad id raises before the cast, so
+    no negative one can wrap.  Every stream of a run shares its ``Rows``,
+    so the ids are checked and deduplicated once.
 
     With ``last_step``, the rows hold their run's draws of later steps
     (:meth:`ahead`), at most one pass per field.  They are the draws of
     this key alone: a stream with another key has other ``Rows``.
     """
 
-    def __init__(self, row_offset: int | np.ndarray = 0, last_step: int | None = None):
-        self.last_step = last_step
+    def __init__(self, ids: np.ndarray | None = None, last_step: int | None = None):
+        self.ids, self.last_step = None, last_step
         # (variable, path) -> (signature, the next step, its held rows)
         self._held: dict[tuple[str, str], tuple[tuple, int, list]] = {}
-        if isinstance(row_offset, (int, np.integer)):
-            if row_offset < 0:  # it would wrap in the uint64 row words
-                raise ValueError(f"row offset {row_offset} is outside the 32-bit row word")
-            self.offset, self.ids = int(row_offset), None
+        if ids is None:
             return
-        ids = np.asarray(row_offset)
+        ids = np.asarray(ids)
         if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
             raise ValueError(f"row ids must be a 1-D integer array, got dtype "
                              f"{ids.dtype} and shape {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= _COUNTER_LIMIT):
             bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
             raise ValueError(f"row id {bad} is outside the 32-bit row word")
-        self.offset, self.ids = 0, ids
+        self.ids = ids
         self.words, self.inverse = np.unique(ids.astype(np.uint64), return_inverse=True)
-
-    def keys(self, batch: int) -> np.ndarray:
-        """Each of ``batch`` rows' key: ``offset + r``, or ``ids[r]``."""
-        return np.arange(self.offset, self.offset + batch) if self.ids is None else self.ids
 
     def ahead(self, stream: "RngStream", signature: tuple, lanes: int) -> np.ndarray:
         """The stream's transformed distinct rows at its step, for a first
@@ -271,17 +264,16 @@ class RngStream:
     Column ``c`` of batch row ``r`` comes from the Philox block with
     counter ``(c // 2, w[r], 0, 0)``, where ``w`` are the row words: output
     words 0 and 1 give the even column, words 2 and 3 the odd one.
-    ``row_offset`` is the row key, a :class:`Rows` or what makes one.  An
-    int gives ``w[r] = row_offset + r``; a 1-D integer array of ids (say,
-    the run each row simulates) gives ``w[r] = row_offset[r]``, and every
-    draw must then have one row per id.  Row ``i`` of a batched draw is
-    thus identical to row 0 of a batch-1 draw made with
-    ``row_offset=w[i]``: batch size and row order never change which
-    numbers a row receives.  Successive draws continue along the columns,
-    so two draws of ``n`` equal one draw of ``2n`` whatever the parity of
-    ``n``.  Rows and blocks are 32-bit counter words: an int ``row_offset +
-    batch`` may not exceed 2^32, an id must lie in [0, 2^32), and a draw
-    may not reach block 2^32 (column 2^33).
+    ``rows`` is the row key, a :class:`Rows` or the ids that make one.
+    With no ids, ``w[r] = r``; a 1-D integer array of ids (say, the run
+    each row simulates) gives ``w[r] = ids[r]``, and every draw must then
+    have one row per id.  Row ``i`` of a batched draw is thus identical to
+    row 0 of a batch-1 draw made with ``rows=np.array([w[i]])``: batch
+    size and row order never change which numbers a row receives.
+    Successive draws continue along the columns, so two draws of ``n``
+    equal one draw of ``2n`` whatever the parity of ``n``.  Rows and
+    blocks are 32-bit counter words: an id must lie in [0, 2^32), and a
+    draw may not reach block 2^32 (column 2^33).
 
     With a ``last_step`` on its :class:`Rows`, the stream's first draw may
     come from, or make, a pass over later steps (:meth:`Rows.ahead`); the
@@ -289,7 +281,7 @@ class RngStream:
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
-                 step: int = 0, row_offset: int | np.ndarray | Rows = 0):
+                 step: int = 0, rows: np.ndarray | Rows | None = None):
         key = _key64(root_seed, variable, path, step)
         self._k0 = key & 0xFFFFFFFF
         self._k1 = key >> 32
@@ -297,7 +289,7 @@ class RngStream:
         self._name = (variable, path, step)
         self._cursor = 0  # per-row uniforms already consumed
         try:
-            self._rows = row_offset if isinstance(row_offset, Rows) else Rows(row_offset)
+            self._rows = rows if isinstance(rows, Rows) else Rows(rows)
         except ValueError as e:
             raise self._error(str(e)) from None
 
@@ -317,12 +309,8 @@ class RngStream:
         if per_row == 0:
             return np.zeros((batch, 0))
         rows = self._rows
-        if rows.ids is not None:
-            if rows.ids.size != batch:
-                raise self._error(f"{rows.ids.size} row ids for a draw of {batch} rows")
-        elif rows.offset + batch > _COUNTER_LIMIT:
-            raise self._error(
-                f"rows {rows.offset}..{rows.offset + batch - 1} pass the 32-bit row word")
+        if rows.ids is not None and rows.ids.size != batch:
+            raise self._error(f"{rows.ids.size} row ids for a draw of {batch} rows")
         first, skip = divmod(self._cursor, 2)
         blocks = (skip + per_row + 1) // 2
         if first + blocks > _COUNTER_LIMIT:
@@ -349,8 +337,8 @@ class RngStream:
     def _distinct_rows(self, batch: int, cursor: int, per_row: int,
                        steps: int) -> np.ndarray:
         """The uniforms of :meth:`_draw`, in the order of ``Rows.words``
-        (of the rows, for an int offset).  Its Philox buffers are freed
-        when it returns, before any transform."""
+        (of the rows, with no ids).  Its Philox buffers are freed when it
+        returns, before any transform."""
         if steps == 1:  # scalar keys, which numpy applies without broadcasting
             k0, k1 = np.uint64(self._k0), np.uint64(self._k1)
         else:
@@ -360,7 +348,7 @@ class RngStream:
             k0 = np.array([k & 0xFFFFFFFF for k in keys], np.uint64)[:, None, None]
             k1 = np.array([k >> 32 for k in keys], np.uint64)[:, None, None]
         rows = (self._rows.words if self._rows.ids is not None
-                else np.arange(batch, dtype=np.uint64) + np.uint64(self._rows.offset))
+                else np.arange(batch, dtype=np.uint64))
         first, skip = divmod(cursor, 2)
         blocks = (skip + per_row + 1) // 2
         cols = np.arange(blocks, dtype=np.uint64) + np.uint64(first)

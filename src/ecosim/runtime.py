@@ -91,11 +91,10 @@ class Trajectory:
     :func:`export_trajectory` replays a record a slice at a time.
     """
 
-    def __init__(self, specs: dict[str, ValueSpec], steps: int, rows: Rows | None = None):
+    def __init__(self, specs: dict[str, ValueSpec], steps: int):
         if steps < 1:
             raise ValueError(f"need at least one step (horizon >= 1), got {steps}")
         self.specs, self.steps = specs, steps
-        self.rows = Rows() if rows is None else rows
         self.batch: int | None = None
         self.fields: dict[str, dict[str, object]] = {name: {} for name in specs}
         self._first: dict[str, Value] = {}
@@ -143,7 +142,7 @@ class Trajectory:
 
         return traj._sharing(
             fields={name: kept(name, f.items()) for name, f in traj.fields.items()},
-            _first={name: Value.of(kept(name, v.items())) for name, v in traj._first.items()})
+            _first={name: Value(**kept(name, v.items())) for name, v in traj._first.items()})
 
     def _sharing(self, **changes) -> "Trajectory":
         """A record holding this one's attributes, with ``changes`` applied."""
@@ -164,8 +163,8 @@ class Trajectory:
 
     def window(self, variable: str, steps: int | slice) -> Value:
         """The slices ``steps`` of ``variable`` as one Value of views."""
-        return Value.of({path: T.index(stack, steps) if isinstance(stack, Tensor)
-                         else stack[steps] for path, stack in self.fields[variable].items()})
+        return Value(**{path: T.index(stack, steps) if isinstance(stack, Tensor)
+                        else stack[steps] for path, stack in self.fields[variable].items()})
 
     def inject(self, variable: str, path: str, values: Sequence) -> "Trajectory":
         """A new trajectory with the held-out field filled at every step.
@@ -188,14 +187,14 @@ class Trajectory:
                 f"need one value per step ({self.steps}), got {len(values)}")
         if any(v is not values[0] for v in values):
             raise LogProbError(f"inject needs one payload for every step of {path!r}")
-        payload = Value.of({path: values[0]}).get(path)
+        payload = Value(**{path: values[0]}).get(path)
         batch = spec.check_payload(path, payload, self.batch, f"injected field {path!r}")
         stack = _broadcast(payload, self.steps)
         return self._sharing(
             batch=batch,
             fields={**self.fields, variable: {**self.fields[variable], path: stack}},
-            _first={**self._first, variable: self._first[variable].union(
-                Value.of({path: payload}))})
+            _first={**self._first,
+                    variable: Value(**dict(self._first[variable].items()), **{path: payload})})
 
 
 def builder_calls(net: Network, current: Mapping[str, Value],
@@ -246,7 +245,7 @@ def _realize(var: Variable, out: Value, step: int, seed: int, rows: Rows,
         if isinstance(payload, Distribution):
             payload = payload.sample(RngStream(seed, var.name, path, step, rows))
         realized[path] = payload
-    value = Value.of(realized)
+    value = Value(**realized)
     try:
         batch = var.spec.check_value(value, batch, f"variable {var.name!r} at step {step}")
     except CoreError as e:
@@ -254,50 +253,35 @@ def _realize(var: Variable, out: Value, step: int, seed: int, rows: Rows,
     return value, batch
 
 
-def _slices(command: str, net: Network, num_steps: int, seed: int, rows: Rows
+def _slices(net: Network, num_steps: int, seed: int, rows: Rows
             ) -> Iterator[tuple[dict[str, Value], int | None]]:
     """Sample slices 0 .. num_steps and yield each with the batch; each is
     built from the slice yielded before it, the only one kept.  Every
-    stream draws under the run's row key ``rows``; step 0 checks that its
-    ids number the rows, even where no field draws, naming ``command``."""
+    stream draws under the run's row key ``rows``."""
     previous, batch = None, None
     for step in range(num_steps + 1):
         current: dict[str, Value] = {}
         for var, fn, args in builder_calls(net, current, previous):
             out = check_output(var, fn(*args), f"step {step}", SimulationError)
             current[var.name], batch = _realize(var, out, step, seed, rows, batch)
-        if step == 0 and rows.ids is not None and rows.ids.size != batch:
-            raise ValueError(f"{command} row_offset: {rows.ids.size} row ids for {batch} rows")
         yield current, batch
         previous = current
 
 
-def _run_rows(command: str, row_offset, last_step: int) -> Rows:
-    """A run's row key, drawing ahead to ``last_step``; ``command`` names the run."""
-    try:
-        return Rows(row_offset, last_step)
-    except ValueError as e:
-        raise ValueError(f"{command} row_offset: {e}") from None
-
-
-def trajectory(net: Network, horizon: int, seed: int, *,
-               row_offset: int | np.ndarray = 0) -> Trajectory:
+def trajectory(net: Network, horizon: int, seed: int) -> Trajectory:
     """Sample slices 0 .. horizon-1 and write each into the record.
 
-    ``row_offset`` is the rows' key, as for :func:`execute`; the record
-    keeps it as its ``rows``, and the export writes each row's key.  The
-    run samples through the slice loop ``execute`` runs and draws ahead as
-    it does, so the record holds the numbers ``execute`` draws.
+    The run samples through the slice loop ``execute`` runs, with batch
+    row ``r`` keyed as row word ``r``, and draws ahead as it does, so the
+    record holds the numbers ``execute`` draws with no ``row_ids``.
     """
-    rows = _run_rows("trajectory", row_offset, horizon - 1)
-    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon, rows)
-    for current, traj.batch in _slices("trajectory", net, horizon - 1, seed, rows):
+    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon)
+    for current, traj.batch in _slices(net, horizon - 1, seed, Rows(None, horizon - 1)):
         traj.append(current)
     return traj
 
 
-def execute(net: Network, num_steps: int, seed: int, *,
-            row_offset: int | np.ndarray = 0,
+def execute(net: Network, num_steps: int, seed: int, *, row_ids: np.ndarray | None = None,
             on_slice: Callable[[dict[str, Value], int | None], None] | None = None
             ) -> dict[str, Value]:
     """Run ``num_steps`` kernel applications after the initial slice and
@@ -310,20 +294,26 @@ def execute(net: Network, num_steps: int, seed: int, *,
     what it needs of the slice, which ``execute`` drops when the next one
     is built.  The CSV writer samples a :class:`Run` this way.
 
-    ``row_offset`` gives the rows' counter words (:class:`RngStream`): an
-    int keys batch row ``r`` as ``row_offset + r``, a 1-D integer array of
-    run ids keys it as ``row_offset[r]``, so rows that share an id draw
-    the same numbers.  It becomes the run's one :class:`ecosim.rng.Rows`,
-    so the ids are checked and deduplicated once, and every stream of the
-    run draws each distinct id once.  A field whose draws keep their shape
-    draws several steps' numbers in one pass (:meth:`ecosim.rng.Rows.ahead`),
-    the numbers a stream of that step alone draws.
-    ``num_steps=0`` returns the initial slice.
+    Batch row ``r`` draws at row word ``r`` (:class:`RngStream`), or, with
+    ``row_ids``, a 1-D integer array of run ids, at ``row_ids[r]``, so rows
+    that share an id draw the same numbers.  The ids become the run's one
+    :class:`ecosim.rng.Rows`, so they are checked and deduplicated once,
+    and every stream of the run draws each distinct id once.  They must
+    number the rows, which the initial slice checks even where no field
+    draws.  A field whose draws keep their shape draws several steps'
+    numbers in one pass (:meth:`ecosim.rng.Rows.ahead`), the numbers a
+    stream of that step alone draws.  ``num_steps=0`` returns the initial
+    slice.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    rows = _run_rows("execute", row_offset, num_steps)
-    for final, batch in _slices("execute", net, num_steps, seed, rows):
+    try:
+        rows = Rows(row_ids, num_steps)
+    except ValueError as e:
+        raise ValueError(f"execute row_ids: {e}") from None
+    for final, batch in _slices(net, num_steps, seed, rows):
+        if rows.ids is not None and rows.ids.size != batch:  # one batch at every step
+            raise ValueError(f"execute row_ids: {rows.ids.size} row ids for {batch} rows")
         if on_slice is not None:
             on_slice(final, batch)
     return final
@@ -441,17 +431,18 @@ class _VariableCsv:
 class _CsvWriter:
     """The CSVs of the slices it is called with in step order, an
     ``execute`` callback: one :class:`_VariableCsv` per variable of
-    ``names``, made when step 0 comes.  ``rows`` key the batch column."""
+    ``names``, made when step 0 comes.  The batch column numbers the rows
+    from 0."""
 
-    def __init__(self, outdir: Path, names: list[str], rows: Rows):
-        self.outdir, self.names, self.rows = outdir, names, rows
+    def __init__(self, outdir: Path, names: list[str]):
+        self.outdir, self.names = outdir, names
         self.files: list[_VariableCsv] = []
         self.step = 0
 
     def __call__(self, values: Mapping[str, Mapping], batch: int | None) -> None:
         if self.step == 0:
             self.outdir.mkdir(parents=True, exist_ok=True)
-            keys = [str(key) for key in self.rows.keys(batch).tolist()]
+            keys = [str(row) for row in range(batch)]
             for name in self.names:
                 self.files.append(
                     _VariableCsv(self.outdir / f"{name}.csv", values[name], keys))
@@ -500,7 +491,7 @@ def _replay(traj: Trajectory, writer: _CsvWriter) -> None:
 
 def export_trajectory(traj: Trajectory | Run, outdir: str | Path) -> list[Path]:
     """One ``trajectory/1`` CSV per variable, ``<outdir>/<variable>.csv``:
-    step, batch (the row's key), then the flattened field paths.  Each
+    step, batch (the row, from 0), then the flattened field paths.  Each
     value's cell is ``repr(float(v))`` or ``str(int(v))`` exactly
     (:func:`_row_texts`).  Returns the paths, in the variables' order.
 
@@ -511,10 +502,8 @@ def export_trajectory(traj: Trajectory | Run, outdir: str | Path) -> list[Path]:
     last step; if sampling or writing raises, every such file is removed
     and no file in ``outdir`` has changed.
     """
-    if isinstance(traj, Run):
-        writer = _CsvWriter(Path(outdir), [v.name for v in traj.net.variables], Rows())
-    else:
-        writer = _CsvWriter(Path(outdir), list(traj.fields), traj.rows)
+    writer = _CsvWriter(Path(outdir), [v.name for v in traj.net.variables]
+                        if isinstance(traj, Run) else list(traj.fields))
     try:
         if isinstance(traj, Run):
             traj.final = execute(traj.net, traj.horizon - 1, traj.seed, on_slice=writer)

@@ -18,14 +18,14 @@ from ecosim.rng import RngStream, Rows
 from ecosim.runtime import builder_calls
 
 
-def stepwise_slices(net, horizon, seed, row_offset=0):
+def stepwise_slices(net, horizon, seed, row_ids=None):
     """Slices 0 .. horizon-1 of ``net``, each a dict from variable name to
     Value, every stochastic field drawn one step a pass."""
-    rows, slices, previous = Rows(row_offset), [], None
+    rows, slices, previous = Rows(row_ids), [], None
     for step in range(horizon):
         current = {}
         for var, fn, args in builder_calls(net, current, previous):
-            current[var.name] = Value.of({
+            current[var.name] = Value(**{
                 path: payload.sample(RngStream(seed, var.name, path, step, rows))
                 if isinstance(payload, Distribution) else payload
                 for path, payload in fn(*args).items()})

@@ -1,0 +1,100 @@
+"""Contracts that hold for every story, whatever runs them.
+
+- A batch row's draws do not depend on the batch: row i of a run on a
+  batch of B equals a batch-1 run keyed by the row id i, at every step and
+  in every field.  Checked here for count, porl and latent-sat; the
+  ecosystem story's check is in ``test_scenarios.py``.
+- The number of BLAS threads moves no byte of a command's artifacts.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ecosim.runtime import execute
+from ecosim.scenarios import (CountConfig, LatentSatConfig, PorlConfig, build_count_story,
+                              build_latent_sat_story, build_porl_story, sample_true_alpha)
+from ecosim.tensor import as_array
+
+HORIZON = 6
+
+
+def count_runs(batch):
+    """The count story on ``batch`` rows, and each row's story on its own."""
+    story = lambda b: build_count_story(CountConfig(horizon=HORIZON, population=b))
+    return story(batch), lambda row: story(1)
+
+
+def porl_runs(batch):
+    story = lambda b: build_porl_story(
+        PorlConfig(population=b, interest_dim=4, corpus_size=8, horizon=HORIZON))[0]
+    return story(batch), lambda row: story(1)
+
+
+def latent_sat_runs(batch):
+    cfg = LatentSatConfig(population=batch, horizon=HORIZON)
+    alpha = sample_true_alpha(cfg, 0)
+
+    def alone(row):
+        solo = LatentSatConfig(population=1, horizon=HORIZON)
+        return build_latent_sat_story(solo, true_alpha=alpha[row:row + 1])[0]
+
+    return build_latent_sat_story(cfg, true_alpha=alpha)[0], alone
+
+
+def slice_rows(net, seed, row_ids=None):
+    """Every slice's fields as arrays, step by step."""
+    slices = []
+    execute(net, HORIZON - 1, seed, row_ids=row_ids, on_slice=lambda values, batch: slices.append(
+        {(name, path): np.array(as_array(payload)) for name, value in values.items()
+         for path, payload in value.items()}))
+    return slices
+
+
+@pytest.mark.parametrize("runs", [count_runs, porl_runs, latent_sat_runs],
+                         ids=["count", "porl", "latent-sat"])
+def test_batch_row_equals_a_batch_1_run_at_its_id(runs):
+    batch = 4
+    net, alone = runs(batch)
+    stacked = slice_rows(net, 5)
+    for row in range(batch):
+        solo = slice_rows(alone(row), 5, row_ids=np.array([row]))
+        for t, (got, want) in enumerate(zip(stacked, solo)):
+            assert got.keys() == want.keys()
+            for field, arr in want.items():
+                assert got[field][row:row + 1].tobytes() == arr.tobytes(), (row, t, field)
+
+
+# Sizes at which the largest matmuls take two OpenBLAS threads when they
+# may (on a 2-vCPU machine each took about twice its wall time in CPU):
+# the policy's weight gradients, such as (21, 3000) @ (3000, 32), and
+# the slate's distances, (1000, 10) @ (10, 500) a run.  At population
+# 1000 the policy's products stayed on one thread.
+BLAS_RUNS = {
+    "train-reinforce": ["train-reinforce", "--set", "population=3000", "--set", "horizon=3",
+                        "--set", "train.iterations=1"],
+    "ecosystem-simulate": ["simulate", "--scenario", "ecosystem", "--set", "horizon=3",
+                           "--set", "num_runs=1", "--set", "num_users=1000",
+                           "--set", "num_items=500"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLAS_RUNS))
+def test_blas_threads_move_no_byte(command, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "ecosim.cli", *BLAS_RUNS[command],
+                               "--seed", "3", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+    assert files["1"] and files["1"] == files["2"]

@@ -20,17 +20,13 @@ class TestValue:
 
     def test_int64_payload_is_kept_without_a_copy(self):
         a = np.arange(6, dtype=np.int64)
-        assert np.shares_memory(Value.of({"x": a}).get("x"), a)
+        assert np.shares_memory(Value(x=a).get("x"), a)
         narrow = np.arange(6, dtype=np.int32)
-        assert Value.of({"x": narrow}).get("x").dtype == np.int64
+        assert Value(x=narrow).get("x").dtype == np.int64
 
-    def test_union_keeps_both_sides(self):
-        u = Value(x=1.0).union(Value(y=2.0))
-        assert set(u.paths) == {"x", "y"}
-
-    def test_union_collision_names_duplicate_path(self):
-        with pytest.raises(CoreError, match="duplicate path 'x'"):
-            Value(x=1.0).union(Value(x=2.0))
+    def test_any_path_is_a_field_name(self):
+        v = Value(self=1.0, **{"a.b": 2.0})
+        assert v.paths == ("self", "a.b")
 
     def test_nested_value_payload_is_rejected(self):
         with pytest.raises(CoreError, match=re.escape("field 'a' is a Value")) as info:

@@ -202,7 +202,7 @@ class TestCategorical:
         big = Categorical(Tensor(logits)).sample(RngStream(4, "v", "topic", 2))
         for row in range(6):
             solo = Categorical(Tensor(logits[row:row + 1])).sample(
-                RngStream(4, "v", "topic", 2, row_offset=row))
+                RngStream(4, "v", "topic", 2, np.array([row])))
             np.testing.assert_array_equal(big[row:row + 1], solo)
 
     @pytest.mark.parametrize("row", [np.zeros(20),
@@ -244,7 +244,7 @@ class TestUniform:
     def test_batch_row_matches_batch_one_draw_at_its_offset(self):
         big = Uniform((6, 4)).sample(RngStream(4, "v", "jitter", 2))
         for row in range(6):
-            solo = Uniform((1, 4)).sample(RngStream(4, "v", "jitter", 2, row_offset=row))
+            solo = Uniform((1, 4)).sample(RngStream(4, "v", "jitter", 2, np.array([row])))
             np.testing.assert_array_equal(big[row:row + 1], solo)
 
 

@@ -23,18 +23,21 @@ def payload_bytes(value: Value) -> dict[str, bytes]:
     return {path: np.asarray(T.as_array(payload)).tobytes() for path, payload in value.items()}
 
 
-def assert_final_slice_matches(net: Network, horizon: int, seed: int, row_offset):
-    """``execute``'s final slice and every slice of ``trajectory``'s record
-    hold the bytes the one-step-a-pass oracle samples."""
-    want = stepwise_slices(net, horizon, seed, row_offset)
-    final = execute(net, horizon - 1, seed, row_offset=row_offset)
-    traj = trajectory(net, horizon, seed, row_offset=row_offset)
-    assert final.keys() == want[-1].keys()
-    for name, value in final.items():
-        assert payload_bytes(value) == payload_bytes(want[-1][name]), name
-    for t, slice_ in enumerate(want):
-        for name, value in slice_.items():
-            assert payload_bytes(traj.value(name, t)) == payload_bytes(value), (name, t)
+def assert_slices_match(net: Network, horizon: int, seed: int, row_ids):
+    """Every slice ``execute`` hands its ``on_slice``, and its final slice,
+    hold the bytes the one-step-a-pass oracle samples; with no ids, so does
+    every slice of ``trajectory``'s record."""
+    want = [{name: payload_bytes(value) for name, value in slice_.items()}
+            for slice_ in stepwise_slices(net, horizon, seed, row_ids)]
+    seen = []
+    final = execute(net, horizon - 1, seed, row_ids=row_ids, on_slice=lambda values, batch:
+                    seen.append({name: payload_bytes(v) for name, v in values.items()}))
+    assert seen == want
+    assert {name: payload_bytes(value) for name, value in final.items()} == want[-1]
+    if row_ids is None:
+        traj = trajectory(net, horizon, seed)
+        assert [{name: payload_bytes(traj.value(name, t)) for name in traj.specs}
+                for t in range(horizon)] == want
 
 
 def count_story(batch):
@@ -59,11 +62,11 @@ def ecosystem_story(batch):
 
 
 @pytest.mark.parametrize("story", [count_story, porl_story, latent_sat_story, ecosystem_story])
-@pytest.mark.parametrize("row_offset", [3, np.array([2, 0, 2, 5, 0, 2])],
-                         ids=["int-offset", "repeated-ids"])
-def test_execute_final_slice_equals_trajectory_last_slice(story, row_offset):
+@pytest.mark.parametrize("row_ids", [None, np.arange(3, 9), np.array([2, 0, 2, 5, 0, 2])],
+                         ids=["no-ids", "contiguous-ids", "repeated-ids"])
+def test_every_slice_equals_the_stepwise_slice(story, row_ids):
     net, horizon = story(6)
-    assert_final_slice_matches(net, horizon, 11, row_offset)
+    assert_slices_match(net, horizon, 11, row_ids)
 
 
 class Steps(Distribution):
@@ -92,7 +95,8 @@ def walk(batch: int, width: int, splits, transform=None):
     return Network([x])
 
 
-@pytest.mark.parametrize("row_offset", [7, np.array([4, 1, 4])], ids=["int", "ids"])
+@pytest.mark.parametrize("row_ids", [np.arange(7, 10), np.array([4, 1, 4])],
+                         ids=["contiguous", "repeated"])
 @pytest.mark.parametrize("case, width, splits, transform", [
     ("shape-changes-mid-run", 6, lambda t: (6,) if t < 4 or t >= 8 else (9,), None),
     ("two-draws-per-step", 6, lambda t: (2, 4), rng._ndtri),
@@ -104,22 +108,22 @@ def walk(batch: int, width: int, splits, transform=None):
     # and the last pass is cut short by the horizon
     ("horizon-ends-inside-a-window", 1800, lambda t: (1800,), None),
 ], ids=lambda v: v if isinstance(v, str) else "")
-def test_synthetic_draws_match_trajectory(case, width, splits, transform, row_offset):
-    assert_final_slice_matches(walk(3, width, splits, transform), 12, 5, row_offset)
+def test_synthetic_draws_match_stepwise(case, width, splits, transform, row_ids):
+    assert_slices_match(walk(3, width, splits, transform), 12, 5, row_ids)
 
 
 def step_draws(rows, steps, batch=3, per_row=5, transform=None):
     """Field ``v.p``'s draw at each of ``steps`` under the row key ``rows``:
-    a ``Rows`` that holds its lookahead, or an offset or ids that make
-    fresh rows for each stream, so each step is drawn alone."""
+    a ``Rows`` that holds its lookahead, or ids (or none) that make fresh
+    rows for each stream, so each step is drawn alone."""
     return [RngStream(9, "v", "p", t, rows).uniforms(batch, per_row, transform)
             for t in steps]
 
 
 class TestLookahead:
     def test_served_draws_equal_fresh_draws(self):
-        got = step_draws(Rows(2, 9), range(10), transform=rng._ndtri)
-        want = step_draws(2, range(10), transform=rng._ndtri)
+        got = step_draws(Rows(None, 9), range(10), transform=rng._ndtri)
+        want = step_draws(None, range(10), transform=rng._ndtri)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("lanes, held", [
@@ -130,7 +134,7 @@ class TestLookahead:
     ])
     def test_window_is_bounded_by_lanes_and_the_steps_left(self, lanes, held, monkeypatch):
         monkeypatch.setattr(rng, "_LOOKAHEAD_LANES", lanes)
-        ahead, kept = Rows(2, 9), []
+        ahead, kept = Rows(None, 9), []
         for t in range(10):
             step_draws(ahead, [t])
             kept.append(len(ahead._held["v", "p"][2]))
@@ -140,15 +144,16 @@ class TestLookahead:
                                         dict(transform=rng._ndtri)],
                              ids=["per-row", "batch", "transform"])
     def test_a_changed_signature_drops_the_held_rows(self, change):
-        ahead = Rows(2, 9)
+        ahead = Rows(None, 9)
         step_draws(ahead, [0, 1])
         assert len(ahead._held["v", "p"][2]) == 8
         got = step_draws(ahead, [2], **change)[0]
-        assert got.tobytes() == step_draws(2, [2], **change)[0].tobytes()
+        assert got.tobytes() == step_draws(None, [2], **change)[0].tobytes()
         assert ahead._held["v", "p"][2] == []
 
     @pytest.mark.parametrize("first, second", [
-        (2, 5), (np.array([0, 1, 2]), np.array([7, 8, 9]))], ids=["offset", "ids"])
+        (np.arange(2, 5), np.arange(5, 8)), (np.array([0, 1, 2]), np.array([7, 8, 9]))],
+        ids=["contiguous", "ids"])
     def test_two_keys_each_draw_their_own_rows(self, first, second):
         # The same field names and signature under two keys: the second key
         # asks for the steps the first key's pass holds, and each key's rows
@@ -160,21 +165,21 @@ class TestLookahead:
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_a_skipped_step_draws_afresh(self):
-        ahead = Rows(2, 9)
+        ahead = Rows(None, 9)
         step_draws(ahead, [0, 1])
         got = step_draws(ahead, [5])[0]
-        assert got.tobytes() == step_draws(2, [5])[0].tobytes()
+        assert got.tobytes() == step_draws(None, [5])[0].tobytes()
 
     def test_a_second_draw_continues_the_stream(self):
-        ahead = Rows(2, 9)
+        ahead = Rows(None, 9)
         step_draws(ahead, [0])
         s = RngStream(9, "v", "p", 1, ahead)
         both = np.concatenate([s.uniforms(3, 5), s.uniforms(3, 4)], axis=1)
-        assert both.tobytes() == step_draws(2, [1], per_row=9)[0].tobytes()
+        assert both.tobytes() == step_draws(None, [1], per_row=9)[0].tobytes()
 
     def test_gumbel_draws_share_a_pass(self):
         # The Gumbel transform is one function, so two steps' signatures match.
-        ahead = Rows(2, 9)
+        ahead = Rows(None, 9)
         for t in (0, 1):
             RngStream(9, "v", "p", t, ahead).gumbels((3, 5))
         assert len(ahead._held["v", "p"][2]) == 8
@@ -182,7 +187,7 @@ class TestLookahead:
 
 def growing_batch(sizes):
     """A Uniform draw of ``sizes(step)`` rows: a spec violation, but the
-    draw fails first when the rows pass the row word or the ids."""
+    draw fails first when the rows pass the ids."""
     v = Variable("v", ValueSpec(at=FieldSpec((), "integer"), u=FieldSpec((2,))))
 
     class Rows(Distribution):
@@ -199,16 +204,11 @@ def growing_batch(sizes):
 
 
 class TestDrawErrorsNameTheStep:
-    def test_row_word_at_a_later_step(self):
-        net = growing_batch(lambda t: 2 if t < 3 else 3)
-        with pytest.raises(ValueError, match="variable 'v', path 'u', step 3: rows "):
-            execute(net, 6, 0, row_offset=2**32 - 2)
-
     def test_id_count_at_a_later_step(self):
         net = growing_batch(lambda t: 2 if t < 2 else 3)
         with pytest.raises(ValueError, match="variable 'v', path 'u', step 2: "
                                              "2 row ids for a draw of 3 rows"):
-            execute(net, 6, 0, row_offset=np.array([1, 1]))
+            execute(net, 6, 0, row_ids=np.array([1, 1]))
 
 
 class TestKeyArrays:
@@ -237,7 +237,7 @@ class TestKeyArrays:
 
 def test_windowed_draws_hold_one_pass_per_field():
     # A field's held rows are views of its one pass, (W, rows, per_row).
-    ahead = Rows(2, 50)
+    ahead = Rows(None, 50)
     step_draws(ahead, [0, 1], per_row=100)
     held = ahead._held["v", "p"][2]
     assert len(held) == 49 and all(h.base is held[0].base for h in held)
@@ -263,8 +263,7 @@ def test_trajectory_draws_several_steps_a_pass(monkeypatch):
     assert len(calls) < 6 * horizon
 
 
-@pytest.mark.parametrize("run", [execute, trajectory])
-def test_a_run_checks_and_deduplicates_its_ids_once(run, monkeypatch):
+def test_a_run_checks_and_deduplicates_its_ids_once(monkeypatch):
     made = []
     make = Rows.__init__
 
@@ -273,15 +272,15 @@ def test_a_run_checks_and_deduplicates_its_ids_once(run, monkeypatch):
         make(self, *args)
 
     monkeypatch.setattr(Rows, "__init__", counted)
-    run(walk(3, 4, lambda t: (2, 2), rng._ndtri), 6, 5, row_offset=np.array([4, 1, 4]))
+    execute(walk(3, 4, lambda t: (2, 2), rng._ndtri), 6, 5, row_ids=np.array([4, 1, 4]))
     assert len(made) == 1
 
 
 def test_execute_rows_with_lookahead_are_batch_size_invariant():
     stacked = execute(walk(4, 3, lambda t: (3,), rng._ndtri), 9, 2,
-                      row_offset=np.array([3, 0, 3, 1]))
+                      row_ids=np.array([3, 0, 3, 1]))
     for row, i in enumerate([3, 0, 3, 1]):
-        solo = execute(walk(1, 3, lambda t: (3,), rng._ndtri), 9, 2, row_offset=i)
+        solo = execute(walk(1, 3, lambda t: (3,), rng._ndtri), 9, 2, row_ids=np.array([i]))
         assert (stacked["x"].get("x").data[row].tobytes()
                 == solo["x"].get("x").data[0].tobytes())
 

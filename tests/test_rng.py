@@ -96,7 +96,7 @@ def test_distinct_keys_give_distinct_streams():
 def test_row_keying_is_batch_size_invariant():
     big = RngStream(11, "v", "x", 0).uniforms(10, 6)
     for row in range(10):
-        solo = RngStream(11, "v", "x", 0, row_offset=row).uniforms(1, 6)
+        solo = RngStream(11, "v", "x", 0, np.array([row])).uniforms(1, 6)
         np.testing.assert_array_equal(big[row], solo[0])
 
 
@@ -105,19 +105,19 @@ class TestRowIds:
 
     def test_rows_draw_what_batch_1_draws_at_their_id(self):
         ids = np.array([3, 0, 3])
-        stacked = RngStream(11, "v", "x", 2, row_offset=ids).uniforms(3, 5)
+        stacked = RngStream(11, "v", "x", 2, ids).uniforms(3, 5)
         for row, i in enumerate(ids):
-            solo = RngStream(11, "v", "x", 2, row_offset=int(i)).uniforms(1, 5)
+            solo = RngStream(11, "v", "x", 2, np.array([i])).uniforms(1, 5)
             np.testing.assert_array_equal(stacked[row], solo[0])
 
-    def test_contiguous_ids_equal_the_int_offset(self):
-        ids = np.arange(4, 9, dtype=np.uint32)
+    def test_ids_0_to_b_equal_no_ids(self):
+        ids = np.arange(5, dtype=np.uint32)
         np.testing.assert_array_equal(
-            RngStream(5, "v", "p", 0, row_offset=ids).normals((5, 3)),
-            RngStream(5, "v", "p", 0, row_offset=4).normals((5, 3)))
+            RngStream(5, "v", "p", 0, ids).normals((5, 3)),
+            RngStream(5, "v", "p", 0).normals((5, 3)))
 
     def test_last_id_is_accepted(self):
-        RngStream(0, "v", "p", 0, row_offset=np.array([2**32 - 1, 0])).uniforms(2, 1)
+        RngStream(0, "v", "p", 0, np.array([2**32 - 1, 0])).uniforms(2, 1)
 
     @pytest.mark.parametrize("ids, what", [
         (np.array([[0, 1]]), "1-D integer"),
@@ -128,16 +128,16 @@ class TestRowIds:
     ], ids=["2-d", "float", "negative", "past-the-word", "uint64"])
     def test_bad_ids_raise(self, ids, what):
         with pytest.raises(ValueError, match=f"variable 'v', path 'p', step 7: .*{what}"):
-            RngStream(0, "v", "p", 7, row_offset=ids)
+            RngStream(0, "v", "p", 7, ids)
 
     @staticmethod
     def draws(ids, splits=(5,)):
         """Each draw kind's blocks of ``splits`` columns, continued along one
-        stream per kind, at row ids ``ids`` (an int for batch 1, or Rows)."""
-        batch = (ids if isinstance(ids, Rows) else Rows(ids)).keys(1).size
+        stream per kind, at row ids ``ids`` (an id array, or Rows)."""
+        batch = (ids.ids if isinstance(ids, Rows) else ids).size
         out = {}
         for kind in ("uniforms", "normals", "gumbels"):
-            s = RngStream(11, "v", kind, 2, row_offset=ids)
+            s = RngStream(11, "v", kind, 2, ids)
             draw = (s.uniform_field if kind == "uniforms" else getattr(s, kind))
             out[kind] = np.concatenate([draw((batch, n)) for n in splits], axis=1)
         return out
@@ -147,7 +147,7 @@ class TestRowIds:
         ids = np.array([3, 0, 3, 3, 1])
         stacked = self.draws(ids, splits)
         for row, i in enumerate(ids):
-            solo = self.draws(int(i), splits)
+            solo = self.draws(np.array([i]), splits)
             for kind, got in stacked.items():
                 assert got[row].tobytes() == solo[kind][0].tobytes(), (kind, row)
 
@@ -155,7 +155,6 @@ class TestRowIds:
         ids = Rows(np.array([3, 0, 3, 3, 1]))
         np.testing.assert_array_equal(ids.words, [0, 1, 3])
         np.testing.assert_array_equal(ids.words[ids.inverse], [3, 0, 3, 3, 1])
-        np.testing.assert_array_equal(ids.keys(5), [3, 0, 3, 3, 1])
 
     def test_distinct_ids_keep_their_order_and_bits(self):
         ids = np.array([4, 1, 7])
@@ -164,12 +163,12 @@ class TestRowIds:
         for kind, got in self.draws(checked, (3, 4)).items():
             assert got.tobytes() == stacked[kind].tobytes()
         for row, i in enumerate(ids):
-            for kind, got in self.draws(int(i), (3, 4)).items():
+            for kind, got in self.draws(np.array([i]), (3, 4)).items():
                 assert got[0].tobytes() == stacked[kind][row].tobytes()
 
     @pytest.mark.parametrize("batch", [2, 4])
     def test_wrong_length_raises(self, batch):
-        s = RngStream(0, "v", "p", 7, row_offset=np.array([0, 1, 2]))
+        s = RngStream(0, "v", "p", 7, np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="variable 'v', path 'p', step 7: "
                                              f"3 row ids for a draw of {batch} rows"):
             s.uniforms(batch, 2)
@@ -183,7 +182,7 @@ class TestTwoDoublesPerBlock:
         return (float((int(hi) << 32 | int(lo)) >> 12) + 0.5) * 2.0**-52
 
     def test_columns_follow_the_four_words(self):
-        stream = RngStream(5, "v", "p", 2, row_offset=9)
+        stream = RngStream(5, "v", "p", 2, np.arange(9, 12))
         u = stream.uniforms(3, 7)
         k0, k1 = stream._k0, stream._k1
         for row in range(3):
@@ -196,9 +195,9 @@ class TestTwoDoublesPerBlock:
     # test_sequential_blocks_do_not_overlap covers 3 then 3.
     @pytest.mark.parametrize("splits", [(1, 2, 3), (1, 1, 1, 3), (5, 1)])
     def test_draws_continue_from_odd_columns(self, splits):
-        s = RngStream(3, "v", "x", 0, row_offset=4)
+        s = RngStream(3, "v", "x", 0, np.arange(4, 6))
         parts = [s.uniforms(2, n) for n in splits]
-        fresh = RngStream(3, "v", "x", 0, row_offset=4).uniforms(2, sum(splits))
+        fresh = RngStream(3, "v", "x", 0, np.arange(4, 6)).uniforms(2, sum(splits))
         np.testing.assert_array_equal(np.concatenate(parts, axis=1), fresh)
 
 
@@ -206,19 +205,15 @@ class TestCounterLimits:
     """Rows and blocks are 32-bit counter words: the last of each is 2^32 - 1."""
 
     def test_last_row_is_accepted(self):
-        RngStream(0, "v", "p", 0, row_offset=2**32 - 2).uniforms(2, 2)
-        RngStream(0, "v", "p", 0, row_offset=2**32 - 1).uniforms(1, 2)
+        pair = RngStream(0, "v", "p", 0, np.arange(2**32 - 2, 2**32)).uniforms(2, 2)
+        last = RngStream(0, "v", "p", 0, np.array([2**32 - 1])).uniforms(1, 2)
+        np.testing.assert_array_equal(pair[1], last[0])
 
-    @pytest.mark.parametrize("row_offset, batch", [(2**32, 1), (2**32 - 1, 2), (2**33, 1)])
-    def test_row_past_the_word_raises(self, row_offset, batch):
-        s = RngStream(0, "v", "p", 7, row_offset=row_offset)
-        with pytest.raises(ValueError, match="variable 'v', path 'p', step 7"):
-            s.uniforms(batch, 2)
-
-    def test_negative_row_offset_raises_by_name(self):
-        with pytest.raises(ValueError, match="variable 'v', path 'p', step 3: "
-                                             "row offset -1 is outside the 32-bit row word"):
-            RngStream(0, "v", "p", 3, row_offset=-1).uniforms(1, 1)
+    @pytest.mark.parametrize("first, batch", [(2**32, 1), (2**32 - 1, 2), (2**33, 1)])
+    def test_row_past_the_word_raises(self, first, batch):
+        with pytest.raises(ValueError, match="variable 'v', path 'p', step 7: row id "
+                                             f"{first + batch - 1} is outside the 32-bit row word"):
+            RngStream(0, "v", "p", 7, np.arange(first, first + batch))
 
     def test_last_block_is_accepted_and_the_next_raises(self):
         s = RngStream(0, "v", "p", 7)

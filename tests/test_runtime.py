@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ecosim.tensor as T
-from ecosim import rng
+from ecosim import rng, runtime
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Categorical, Deterministic, Normal
 from ecosim.logprob import LogProbError, trajectory_log_prob_rows
@@ -103,7 +103,7 @@ class TestTrajectory:
         assert np.shares_memory(carried, traj.value("v", 0).get("c").data)
         assert walked.shape == (4, 3) and walked.flags.c_contiguous
 
-    def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self):
+    def test_record_and_its_observed_copy_peak_near_what_the_record_holds(self, monkeypatch):
         # The sampler holds the record, the sampled slice before the one it
         # builds, and the slice being built with its temporaries.  It also
         # draws ahead: each stochastic field holds at most one pass of
@@ -112,6 +112,14 @@ class TestTrajectory:
         # a lane.  Neither grows with the horizon, so doubling it grows the
         # peak by about what it grows the record.  The observed copy adds
         # nothing.
+        runs = []  # each run's row key, which holds what its fields drew ahead
+
+        class RecordedRows(rng.Rows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        monkeypatch.setattr(runtime, "Rows", RecordedRows)
         peaks, helds = [], []
         for horizon in (20, 40):
             net, _, _ = build_porl_story(PorlConfig(horizon=horizon))
@@ -126,7 +134,7 @@ class TestTrajectory:
             arrays += [array(stack) for fields in traj.fields.values()
                        for stack in fields.values() if array(stack).flags.writeable]
             held = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
-            drawn_ahead = len(traj.rows._held)  # the fields that drew with lookahead
+            drawn_ahead = len(runs[-1]._held)  # the fields that drew with lookahead
             assert obs.held_out() == {("choice", "choice")}
             assert peak <= 1.2 * held + (16 * drawn_ahead + 64) * rng._LOOKAHEAD_LANES
             peaks.append(peak)
@@ -205,49 +213,52 @@ class TestBatchSemantics:
     def test_batched_equals_independent_single_rows(self):
         batched = trajectory(gaussian_walk(5, drift=0.2), 6, seed=17)
         for row in range(5):
-            solo = trajectory(gaussian_walk(1, drift=0.2), 6, seed=17,
-                              row_offset=row)
+            solo = []
+            execute(gaussian_walk(1, drift=0.2), 5, seed=17, row_ids=np.array([row]),
+                    on_slice=lambda values, batch: solo.append(values["walk"].get("x").data))
             for t in range(6):
                 np.testing.assert_array_equal(
-                    batched.value("walk", t).get("x").data[row:row + 1],
-                    solo.value("walk", t).get("x").data)
+                    batched.value("walk", t).get("x").data[row:row + 1], solo[t])
 
     def test_repeated_row_ids_equal_single_rows(self):
         ids = np.array([3, 0, 3, 1])
-        stacked = execute(gaussian_walk(4, drift=0.2), 5, seed=17, row_offset=ids)
+        stacked = execute(gaussian_walk(4, drift=0.2), 5, seed=17, row_ids=ids)
         for row, i in enumerate(ids):
-            solo = execute(gaussian_walk(1, drift=0.2), 5, seed=17, row_offset=int(i))
+            solo = execute(gaussian_walk(1, drift=0.2), 5, seed=17, row_ids=np.array([i]))
             assert (stacked["walk"].get("x").data[row:row + 1].tobytes()
                     == solo["walk"].get("x").data.tobytes())
 
     @pytest.mark.parametrize("ids, what", [(np.array([0, -1]), "row id -1 "),
-                                           (np.array([[0, 1]]), "1-D integer"),
-                                           (-1, "row offset -1 ")])
+                                           (np.array([[0, 1]]), "1-D integer")])
     def test_bad_row_ids_raise_before_any_draw(self, ids, what):
-        with pytest.raises(ValueError, match=f"execute row_offset: .*{what}"):
-            execute(gaussian_walk(2), 1, seed=0, row_offset=ids)
+        with pytest.raises(ValueError, match=f"execute row_ids: .*{what}"):
+            execute(gaussian_walk(2), 1, seed=0, row_ids=ids)
 
-    def test_trajectory_names_itself_on_bad_row_ids(self):
-        with pytest.raises(ValueError, match="trajectory row_offset: row id -1 "):
-            trajectory(gaussian_walk(2), 2, seed=0, row_offset=np.array([0, -1]))
+    def test_ids_0_to_b_draw_what_no_ids_draw(self):
+        # With no ids, batch row r is the row word r.
+        def slices(row_ids):
+            seen = []
+            execute(gaussian_walk(4, drift=0.2), 5, seed=17, row_ids=row_ids,
+                    on_slice=lambda values, batch:
+                    seen.append(values["walk"].get("x").data.tobytes()))
+            return seen
+
+        assert slices(np.arange(4)) == slices(None)
 
     def test_ids_must_number_the_rows_where_nothing_draws(self):
-        with pytest.raises(ValueError, match="trajectory row_offset: 1 row ids for 3 rows"):
-            trajectory(count_network(batch=3), 2, seed=0, row_offset=np.array([5]))
+        with pytest.raises(ValueError, match="^execute row_ids: 1 row ids for 3 rows$"):
+            execute(count_network(batch=3), 2, seed=0, row_ids=np.array([5]))
+        with pytest.raises(ValueError, match="^execute row_ids: 4 row ids for 2 rows$"):
+            execute(count_network(batch=2), 2, seed=0, row_ids=np.arange(4))
 
-    def test_negative_offset_raises_where_nothing_draws(self):
-        with pytest.raises(ValueError, match="^trajectory row_offset: row offset -1 is outside"):
-            trajectory(count_network(batch=2), 2, seed=0, row_offset=-1)
-
-    @pytest.mark.parametrize("run", [execute, trajectory])
-    def test_ids_are_checked_at_step_0_where_nothing_draws(self, run):
+    def test_ids_are_checked_at_step_0_where_nothing_draws(self):
         kernel_calls = []
         count = Variable("count", ValueSpec(n=FieldSpec((), "integer")))
         count.bind_initial(lambda: Value(n=np.zeros(4, np.int64)))
         count.bind_kernel(lambda prev: kernel_calls.append(None) or Value(n=prev.get("n") + 1),
                           deps=(count.previous,))
-        with pytest.raises(ValueError, match=f"^{run.__name__} row_offset: 2 row ids for 4 rows$"):
-            run(Network([count]), 3, seed=0, row_offset=np.array([1, 2]))
+        with pytest.raises(ValueError, match="^execute row_ids: 2 row ids for 4 rows$"):
+            execute(Network([count]), 3, seed=0, row_ids=np.array([1, 2]))
         assert kernel_calls == []
 
     def test_markov_splice_statistics(self):
@@ -321,30 +332,29 @@ class TestCsvExport:
 
         v.bind_initial(initial)
         v.bind_kernel(kernel, deps=(v.previous,))
-        traj = trajectory(Network([v]), 4, seed=0, row_offset=5)
+        traj = trajectory(Network([v]), 4, seed=0)
         assert traj.fields["v"]["c"].data.strides[0] == 0
         [path] = export_trajectory(traj, tmp_path)
         text = path.read_text(encoding="utf-8")
         assert text == per_value_csv(traj, "v")
         rows = [line.split(",") for line in text.splitlines()[2:]]
-        assert rows[0][:4] == ["0", "5", "-0.0", "-9223372036854775808"]
+        assert rows[0][:4] == ["0", "0", "-0.0", "-9223372036854775808"]
         assert [row[-3] for row in rows[::batch]] == ["0.0", "-0.0", "0.0", "-0.0"]
         assert [row[-2] for row in rows[1::batch]] == ["0.3333333333333333"] * 2 + \
             ["1.3333333333333333"] * 2
         assert [row[-1] for row in rows[1::batch]] == \
             ["0.14285714285714285", "-0.14285714285714285", "0.14285714285714285",
              "-0.14285714285714285"]
-        # The streamed run writes the same rows, keyed from 0.
+        # The streamed run writes the same rows.
         [streamed] = export_trajectory(Run(Network([v]), 4, seed=0), tmp_path / "run")
-        assert streamed.read_text(encoding="utf-8") == per_value_csv(
-            trajectory(Network([v]), 4, seed=0), "v")
+        assert streamed.read_text(encoding="utf-8") == text
 
-    def test_id_keyed_rows_export_each_rows_id(self, tmp_path):
-        traj = trajectory(gaussian_walk(2), 3, seed=0, row_offset=np.array([5, 7]))
+    def test_batch_column_numbers_the_rows_from_0(self, tmp_path):
+        traj = trajectory(gaussian_walk(2), 3, seed=0)
         [path] = export_trajectory(traj, tmp_path)
         text = path.read_text(encoding="utf-8")
         assert text == per_value_csv(traj, "walk")
-        assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["5", "7"] * 3
+        assert [line.split(",")[1] for line in text.splitlines()[2:]] == ["0", "1"] * 3
 
     @pytest.mark.parametrize("batch", [0, 3])
     def test_integer_fields_match_per_value_formatting(self, tmp_path, batch):
@@ -434,9 +444,6 @@ def per_value_csv(traj, variable):
         return str(int(x)) if isinstance(x, (np.integer, int)) else repr(float(x))
 
     stacks = {path: array(stack) for path, stack in traj.fields[variable].items()}
-    rows = traj.rows
-    keys = (range(rows.offset, rows.offset + traj.batch) if rows.ids is None
-            else rows.ids.tolist())
     header = ["step", "batch"]
     for path, stack in stacks.items():
         event = stack.shape[2:]
@@ -449,8 +456,8 @@ def per_value_csv(traj, variable):
     for t in range(traj.steps):
         flats = [stack[t].reshape(traj.batch, int(np.prod(stack.shape[2:])))
                  for stack in stacks.values()]
-        for b, key in enumerate(keys):
-            row = [str(t), str(key)]
+        for b in range(traj.batch):
+            row = [str(t), str(b)]
             for arr in flats:
                 row.extend(fmt(x) for x in arr[b])
             writer.writerow(row)

@@ -241,7 +241,7 @@ class TestPorlStory:
                 value = slices[t][name]
                 topic = np.array(value.get("topic"))
                 topic[at] = -1
-                slices[t][name] = Value.of({**dict(value.items()), "topic": topic})
+                slices[t][name] = Value(**{**dict(value.items()), "topic": topic})
         with pytest.raises(LogProbError, match=r"at steps 1\.\.2: .*out of range") as err:
             trajectory_log_prob_rows(net, observe(net, slices), 2, only=only)
         assert "leading axes" not in str(err.value)
@@ -491,21 +491,21 @@ class TestEcosystemStory:
         for row in range(3):
             solo_cfg = dataclasses.replace(cfg, num_runs=1)
             solo_net, _ = build_ecosystem_story(solo_cfg)
-            solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=row)
+            solo = execute(solo_net, cfg.horizon - 1, seed=6, row_ids=np.array([row]))
             np.testing.assert_array_equal(solo["metrics"].get("welfare").data,
                                           welfare[row:row + 1])
 
     def test_stacked_caps_equal_each_cap_run_alone(self):
         # One batch of (cap, run id) rows: each row's final slice is bit-
-        # identical to its cap's story run alone at that run's row offset.
+        # identical to its cap's story run alone at that run's row id.
         cfg = EcosystemConfig(**SMALL_ECO)
         caps, ids = [0.0, 1.2, 0.0, 0.6, 1.2], [2, 0, 0, 2, 1]
         net, _ = build_ecosystem_story(dataclasses.replace(cfg, num_runs=5), boost_caps=caps)
-        stacked = execute(net, cfg.horizon - 1, seed=6, row_offset=np.array(ids))
+        stacked = execute(net, cfg.horizon - 1, seed=6, row_ids=np.array(ids))
         for row, (cap, run_id) in enumerate(zip(caps, ids)):
             solo_net, _ = build_ecosystem_story(
                 dataclasses.replace(cfg, num_runs=1, boost_cap=cap))
-            solo = execute(solo_net, cfg.horizon - 1, seed=6, row_offset=run_id)
+            solo = execute(solo_net, cfg.horizon - 1, seed=6, row_ids=np.array([run_id]))
             for name, value in solo.items():
                 for path, payload in value.items():
                     got = stacked[name].get(path)
