@@ -10,9 +10,11 @@ different seeds are fully isolated.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,18 +77,38 @@ class Adam:
             p.assign(p.value - self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON))
 
 
-def _descend(registry: ParameterRegistry, opt, loss_fn: Callable[[], Tensor]) -> float:
-    """One optimizer step on the scalar ``loss_fn()``, built on a fresh
-    tape with the registry's parameters bound; returns the loss before
-    the update."""
-    tape = Tape()
-    registry.bind(tape)
+def _descend(registry: ParameterRegistry, opt,
+             losses: Sequence[Callable[[], Tensor]]) -> float:
+    """One optimizer step on the sum of the scalar losses the thunks
+    ``losses`` build; returns that sum before the update.
+
+    Each thunk builds its loss on a fresh tape with the registry's
+    parameters bound, and its backward pass runs before the next thunk is
+    called, so one loss's tape is alive at a time.  The gradients are
+    summed per parameter in the thunks' order and ``opt`` applies the sum
+    once.  One thunk is one tape, one backward pass and its gradients as
+    they are.
+    """
+    total: float | None = None
+    grads: dict[str, np.ndarray] = {}
     try:
-        loss = loss_fn()
-        opt.apply(registry, tape.backward(loss))
+        for loss_fn in losses:
+            tape = Tape()
+            registry.bind(tape)
+            loss = loss_fn()
+            grad_map = tape.backward(loss)
+            for p in registry.parameters():
+                g = grad_map[p.leaf].data  # owned by this pass, so += is safe
+                if p.name in grads:
+                    grads[p.name] += g
+                else:
+                    grads[p.name] = g
+            value = float(loss.data)
+            total = value if total is None else total + value
+        opt.apply(registry, {p.leaf: Tensor(grads[p.name]) for p in registry.parameters()})
     finally:
         registry.unbind()
-    return float(loss.data)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +221,30 @@ class ReinforceConfig:
             raise InferenceError("horizon must be >= 2")
 
 
+# Elements of the record that REINFORCE scores on one tape: a window of
+# whole slices, a slice being the batch times the event sizes of every
+# recorded field.  The scoring tape's peak grows with its window, so the
+# budget bounds it whatever the horizon.  Default porl (17,200 elements a
+# slice over 20 slices) scores in three windows; at population 1000 each
+# window is one slice.  Half this budget took default porl's peak RSS
+# from 44.7 to 43.0 MB but cost about 15% more wall time.
+_WINDOW_ELEMENTS = 2**17
+
+
+def _windows(steps: int, per_slice: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` windows of slices 0 .. steps-1.
+
+    The fewest windows of at most ``_WINDOW_ELEMENTS`` elements each, or
+    of one slice where a slice alone holds more, with sizes differing by
+    at most one slice, the larger first.
+    """
+    limit = max(1, _WINDOW_ELEMENTS // per_slice)
+    count = -(-steps // limit)
+    size, extra = divmod(steps, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def reinforce_step(net: Network, registry: ParameterRegistry,
                    cfg: ReinforceConfig, opt, seed: int) -> float:
     """One REINFORCE update; returns the batch-mean cumulative reward.
@@ -206,7 +252,14 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
     surrogate is -<detached reward, log-prob> / B, B the sampled batch.
-    The replay scores the sampled record itself.
+    The replay scores the sampled record itself, a window of slices at a
+    time (``_windows``): the surrogate is linear in the per-row
+    log-probabilities, whose weights are known before scoring, and no
+    tape path joins two windows (:mod:`ecosim.logprob`).  So each window's
+    share is scored and backpropagated on a tape of its own, which is
+    dropped before the next, the gradients are summed and the optimizer
+    steps once.  Only the summation order differs from one whole-horizon
+    tape.
     """
     for kind, (var, path) in (("reward", cfg.reward_field), ("policy", cfg.policy_field)):
         if var not in net.by_name or path not in net.by_name[var].spec.paths:
@@ -216,12 +269,15 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     reward = traj.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
 
-    def surrogate() -> Tensor:
-        log_prob = trajectory_log_prob_rows(net, traj, cfg.horizon - 1,
-                                            only=[cfg.policy_field])
+    def surrogate(lo: int, hi: int) -> Tensor:
+        log_prob = trajectory_log_prob_rows(net, traj, hi - 1, only=[cfg.policy_field],
+                                            start=lo)
         return T.div(T.neg(T.reduce_sum(T.mul(centered, log_prob))), float(traj.batch))
 
-    _descend(registry, opt, surrogate)
+    per_slice = sum(math.prod(stack.shape[1:])
+                    for fields in traj.fields.values() for stack in fields.values())
+    _descend(registry, opt, [functools.partial(surrogate, lo, hi)
+                             for lo, hi in _windows(cfg.horizon, per_slice)])
     return float(reward.mean())
 
 
@@ -323,7 +379,7 @@ def mc_em_fit(net: Network, observed: Trajectory,
                 total = lp if total is None else T.add(total, lp)
             return T.neg(T.div(total, float(len(samples))))
 
-        objective = -_descend(registry, opt, loss)
+        objective = -_descend(registry, opt, [loss])
         trace.append(EmIteration(i, objective, acceptance,
                                  (time.perf_counter() - t0) * 1e3))
     return trace

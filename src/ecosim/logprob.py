@@ -37,7 +37,13 @@ once the builder has returned); an index a builder finds out of range
 
 Step counting follows the ``horizon - 1`` convention: ``num_steps`` is
 the number of kernel applications, and slices 0 .. num_steps (the
-initial slice plus ``num_steps`` transitions) are scored.
+initial slice plus ``num_steps`` transitions) are scored.  A ``start``
+scores only the window of slices start .. num_steps: the initial slice
+if the window holds it, and the kernel factors of the rest, each reading
+its own observed slice and the one before.  No factor reads two windows'
+slices on the tape, so per-row log-probabilities over contiguous windows
+that cover 0 .. num_steps sum to those of the whole range, and each
+window can be scored, and differentiated, on a tape of its own.
 """
 
 from __future__ import annotations
@@ -157,29 +163,37 @@ def _score_slices(net: Network, current: dict[str, Value],
 
 def trajectory_log_prob_rows(net: Network, traj: Trajectory,
                              num_steps: int,
-                             only: Iterable[tuple[str, str]] | None = None) -> Tensor:
-    """Per-batch-row log-probability over slices 0 .. num_steps.
+                             only: Iterable[tuple[str, str]] | None = None, *,
+                             start: int = 0) -> Tensor:
+    """Per-batch-row log-probability over slices ``start`` .. num_steps.
 
-    Slice 0 is one call of each initial builder; slices 1 .. num_steps
-    are one time-batched call of each kernel builder.  ``only`` restricts
-    the sum to the given (variable, path) stochastic fields (deterministic
-    replay checks still run); used e.g. to isolate a policy's action
-    log-probability.
+    Slice 0, if ``start`` is 0, is one call of each initial builder;
+    slices max(start, 1) .. num_steps are one time-batched call of each
+    kernel builder, their ``.previous`` dependencies the same window
+    shifted back one slice.  ``only`` restricts the sum to the given
+    (variable, path) stochastic fields (deterministic replay checks still
+    run); used e.g. to isolate a policy's action log-probability.
     """
     if not 0 <= num_steps <= traj.steps - 1:
         raise LogProbError(
             f"num_steps={num_steps} out of range [0, {traj.steps - 1}] "
             f"(trajectory has {traj.steps} slices)")
+    if not 0 <= start <= num_steps:
+        raise LogProbError(f"start={start} out of range [0, num_steps={num_steps}]")
     only = set(only) if only is not None else None
     batch = traj.batch if traj.batch is not None else 1
-    first = {name: traj.value(name, 0) for name in traj.specs}
-    total = _score_slices(net, first, None, only, (batch,), "step 0")
-    if num_steps > 0:
-        current = {name: traj.window(name, slice(1, num_steps + 1)) for name in traj.specs}
-        previous = {name: traj.window(name, slice(0, num_steps)) for name in traj.specs}
-        steps = _score_slices(net, current, previous, only, (num_steps, batch),
-                              f"steps 1..{num_steps}")
-        total = T.add(total, T.reduce_sum(steps, axis=0))
+    total: Tensor | None = None
+    if start == 0:
+        first = {name: traj.value(name, 0) for name in traj.specs}
+        total = _score_slices(net, first, None, only, (batch,), "step 0")
+    lo = max(start, 1)
+    if num_steps >= lo:
+        current = {name: traj.window(name, slice(lo, num_steps + 1)) for name in traj.specs}
+        previous = {name: traj.window(name, slice(lo - 1, num_steps)) for name in traj.specs}
+        steps = _score_slices(net, current, previous, only, (num_steps + 1 - lo, batch),
+                              f"steps {lo}..{num_steps}")
+        rows = T.reduce_sum(steps, axis=0)
+        total = rows if total is None else T.add(total, rows)
     return total
 
 

@@ -85,10 +85,13 @@ class Trajectory:
     other payload it becomes a C-contiguous buffer, as ``np.stack`` gives,
     and from then on each payload is written into its own row.
 
-    The record grows with the horizon.  The scorer and the EM and
-    REINFORCE paths need it whole; the CSV export does not, and
-    ``simulate`` writes its CSVs from a :class:`Run` without one.
-    :func:`export_trajectory` replays a record a slice at a time.
+    The record grows with the horizon.  EM scores it whole, on one tape.
+    REINFORCE samples it whole but scores it a window of slices at a
+    time, each on a tape of its own (``inference.reinforce_step``), so
+    only the record, not its scoring, grows with the horizon.  The CSV
+    export needs no record: ``simulate`` writes its CSVs from a
+    :class:`Run`, and :func:`export_trajectory` replays a record a slice
+    at a time.
     """
 
     def __init__(self, specs: dict[str, ValueSpec], steps: int):

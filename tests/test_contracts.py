@@ -5,6 +5,8 @@
   in every field.  Checked here for count, porl and latent-sat; the
   ecosystem story's check is in ``test_scenarios.py``.
 - The number of BLAS threads moves no byte of a command's artifacts.
+- A trained story's gradient matches central differences: porl's REINFORCE
+  surrogate, scored a window of slices at a time on one fixed record.
 """
 
 import os
@@ -15,10 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecosim.runtime import execute
+from ecosim import inference
+from ecosim.inference import reinforce_step
+from ecosim.runtime import execute, trajectory
 from ecosim.scenarios import (CountConfig, LatentSatConfig, PorlConfig, build_count_story,
                               build_latent_sat_story, build_porl_story, sample_true_alpha)
 from ecosim.tensor import as_array
+
+from test_inference import GradientRecorder, porl_reinforce, slice_elements
 
 HORIZON = 6
 
@@ -98,3 +104,35 @@ def test_blas_threads_move_no_byte(command, tmp_path):
         files[threads] = {str(p.relative_to(out)): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()}
     assert files["1"] and files["1"] == files["2"]
+
+
+def test_porl_windowed_surrogate_gradient_matches_central_differences(monkeypatch):
+    net, registry, rc = porl_reinforce(population=8, interest_dim=4, corpus_size=8,
+                                       horizon=HORIZON)
+    record = trajectory(net, HORIZON, 5)
+    monkeypatch.setattr(inference, "trajectory", lambda *args: record)
+    monkeypatch.setattr(inference, "_WINDOW_ELEMENTS", 2 * slice_elements(record))
+    descend, steps = inference._descend, []
+    monkeypatch.setattr(inference, "_descend", lambda registry, opt, losses: steps.append(
+        (len(losses), descend(registry, opt, losses))))
+    [b2] = [p for p in registry.parameters() if p.name == "policy_b2"]
+
+    def surrogate(value):
+        """The surrogate at ``policy_b2 = value``, and its gradient there."""
+        b2.assign(value)
+        opt = GradientRecorder()
+        reinforce_step(net, registry, rc, opt, seed=5)
+        windows, loss = steps[-1]
+        assert windows == 3
+        return loss, opt.grads[-1]["policy_b2"]
+
+    center = np.random.default_rng(0).normal(scale=0.5, size=b2.value.shape)
+    _, grad = surrogate(center)
+    step, central = 1e-5, np.zeros_like(center)
+    for i in range(center.size):
+        shift = np.zeros_like(center)
+        shift.flat[i] = step
+        up, down = surrogate(center + shift)[0], surrogate(center - shift)[0]
+        central.flat[i] = (up - down) / (2 * step)
+    assert np.any(grad != 0.0)
+    np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-9)

@@ -1,10 +1,13 @@
 import hashlib
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ecosim.tensor as T
+from ecosim import inference
 from ecosim.behaviors import ParameterRegistry
 from ecosim.core import FieldSpec, Network, Value, ValueSpec, Variable
 from ecosim.dist import Bernoulli, Categorical, Normal
@@ -12,9 +15,11 @@ from ecosim.inference import (Adam, HmcConfig, InferenceError, ReinforceConfig,
                               Sgd, _latent_target, _leapfrog, _momentum,
                               _target_and_grad, hmc_sample, mc_em_fit,
                               reinforce_step)
-from ecosim.logprob import log_probability_from_value_trajectory, observe
+from ecosim.logprob import (log_probability_from_value_trajectory, observe,
+                            trajectory_log_prob_rows)
 from ecosim.runtime import Trajectory, trajectory
-from ecosim.scenarios import LatentSatConfig, build_latent_sat_story, sample_true_alpha
+from ecosim.scenarios import (LatentSatConfig, PorlConfig, build_latent_sat_story,
+                              build_porl_story, sample_true_alpha)
 from ecosim.tensor import Tape, Tensor
 
 
@@ -258,6 +263,144 @@ class TestReinforce:
         with pytest.raises(InferenceError,
                            match=re.escape("policy field ('arm', 'nope') not found")):
             reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# REINFORCE a window of slices at a time
+
+
+def porl_reinforce(**config):
+    """A porl story, its registry and a baselined REINFORCE config."""
+    cfg = PorlConfig(**config)
+    net, registry, metrics = build_porl_story(cfg, param_seed=1)
+    rc = ReinforceConfig(horizon=cfg.horizon, reward_field=metrics["reward"],
+                         policy_field=metrics["policy_log_prob"], baseline=True)
+    return net, registry, rc
+
+
+def slice_elements(traj):
+    """The batch times the event sizes of every recorded field."""
+    return sum(math.prod(stack.shape[1:])
+               for fields in traj.fields.values() for stack in fields.values())
+
+
+class GradientRecorder:
+    """An optimizer that keeps the gradients it is given and moves nothing."""
+
+    def __init__(self):
+        self.grads = []
+
+    def apply(self, registry, grad_map):
+        self.grads.append({p.name: grad_map[p.leaf].data.copy()
+                           for p in registry.parameters()})
+
+
+class TestReinforceWindows:
+    HORIZON, SEED = 6, 4
+    STORY = dict(population=8, horizon=HORIZON)
+
+    def _per_slice(self):
+        net, _, _ = porl_reinforce(**self.STORY)
+        return slice_elements(trajectory(net, self.HORIZON, self.SEED))
+
+    def _step(self, monkeypatch, budget):
+        """One step's gradients at window budget ``budget``, and the
+        ``(lo, hi)`` windows of slices it scored."""
+        net, registry, rc = porl_reinforce(**self.STORY)
+        windows = []
+
+        def scored(net, traj, num_steps, only=None, *, start=0):
+            windows.append((start, num_steps + 1))
+            return trajectory_log_prob_rows(net, traj, num_steps, only, start=start)
+
+        monkeypatch.setattr(inference, "trajectory_log_prob_rows", scored)
+        monkeypatch.setattr(inference, "_WINDOW_ELEMENTS", budget)
+        opt = GradientRecorder()
+        reinforce_step(net, registry, rc, opt, self.SEED)
+        [grads] = opt.grads
+        return grads, windows
+
+    def _whole_horizon(self):
+        """The surrogate's gradients, scored on one tape over every slice."""
+        net, registry, rc = porl_reinforce(**self.STORY)
+        traj = trajectory(net, self.HORIZON, self.SEED)
+        var, path = rc.reward_field
+        reward = traj.value(var, -1).get(path).data
+        tape = Tape()
+        registry.bind(tape)
+        try:
+            log_prob = trajectory_log_prob_rows(net, traj, self.HORIZON - 1,
+                                                only=[rc.policy_field])
+            loss = T.div(T.neg(T.reduce_sum(T.mul(reward - reward.mean(), log_prob))),
+                         float(traj.batch))
+            grads = tape.backward(loss)
+            return {p.name: grads[p.leaf].data for p in registry.parameters()}
+        finally:
+            registry.unbind()
+
+    @pytest.mark.parametrize("slices", [HORIZON, None], ids=["six-slice-budget", "default"])
+    def test_one_window_is_the_whole_horizon_tape_exactly(self, monkeypatch, slices):
+        budget = inference._WINDOW_ELEMENTS if slices is None else slices * self._per_slice()
+        got, windows = self._step(monkeypatch, budget)
+        assert windows == [(0, self.HORIZON)]
+        want = self._whole_horizon()
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            np.testing.assert_array_equal(got[name], grad, err_msg=name)
+
+    @pytest.mark.parametrize("slices,windows", [
+        (3, [(0, 3), (3, 6)]),
+        (2, [(0, 2), (2, 4), (4, 6)]),
+        (1, [(t, t + 1) for t in range(HORIZON)]),
+    ])
+    def test_windowed_gradients_match_one_window(self, monkeypatch, slices, windows):
+        per_slice = self._per_slice()
+        one, _ = self._step(monkeypatch, self.HORIZON * per_slice)
+        got, scored = self._step(monkeypatch, slices * per_slice)
+        assert scored == windows
+        for name, grad in one.items():
+            np.testing.assert_allclose(got[name], grad, rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 7, 20, 100])
+    @pytest.mark.parametrize("per_slice", [1, 1376, 17_200, 2**17, 2**17 + 1, 172_000])
+    def test_windows_cover_the_slices_in_the_fewest_balanced_windows(self, steps,
+                                                                    per_slice):
+        windows = inference._windows(steps, per_slice)
+        assert windows[0][0] == 0 and windows[-1][1] == steps
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+        sizes = [hi - lo for lo, hi in windows]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        limit = max(1, inference._WINDOW_ELEMENTS // per_slice)  # one slice if it is over
+        assert max(sizes) <= limit
+        assert len(windows) == math.ceil(steps / limit)
+
+    def test_default_porl_scores_in_three_windows(self):
+        net, _, _ = porl_reinforce()
+        per_slice = slice_elements(trajectory(net, 20, 0))
+        assert per_slice == 17_200
+        assert inference._windows(20, per_slice) == [(0, 7), (7, 14), (14, 20)]
+
+    def test_scoring_memory_does_not_grow_with_the_horizon(self):
+        # The step's traced peak over the record it samples, at population
+        # 200: 2.5 MB at horizon 20 and 2.6 MB at 60 (1.04x), a window of
+        # three slices at a time.  On one whole-horizon tape it was 16.1
+        # and 48.9 MB (3.0x).
+        over = {}
+        for horizon in (20, 60):
+            net, registry, rc = porl_reinforce(population=200, horizon=horizon)
+            tracemalloc.start()
+            try:
+                traj = trajectory(net, horizon, 0)
+                record = tracemalloc.get_traced_memory()[0]
+                del traj
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                reinforce_step(net, registry, rc, Sgd(0.0), seed=0)
+                over[horizon] = tracemalloc.get_traced_memory()[1] - before - record
+            finally:
+                tracemalloc.stop()
+        assert over[60] <= 1.25 * over[20]
 
 
 # ---------------------------------------------------------------------------

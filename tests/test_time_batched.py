@@ -4,7 +4,9 @@
 call per Variable; ``stepwise_oracle`` replays them one step at a time.
 Rows and gradients (trainable parameters and injected latents) must agree
 to 1e-12 relative on every scored story and on the toy networks of
-``test_logprob.py`` and ``test_inference.py``.
+``test_logprob.py`` and ``test_inference.py``.  Rows scored a window of
+slices at a time (``start``) must sum to the whole range's, to the same
+tolerance.
 """
 
 import dataclasses
@@ -184,6 +186,60 @@ class TestStories:
         assert_matches_stepwise(net, full)
         _, grads = assert_matches_stepwise(net, obs, latent=(("users", "interest"), users))
         assert np.any(grads["latent"] != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# windows of slices (``start``)
+
+
+def windowed(starts):
+    """A scorer that sums the rows of the windows of slices 0 .. num_steps
+    that begin at 0 and at each of ``starts``."""
+    def scorer(net, obs, num_steps, only=None):
+        edges = [0, *starts, num_steps + 1]
+        total = None
+        for lo, hi in zip(edges, edges[1:]):
+            rows = trajectory_log_prob_rows(net, obs, hi - 1, only=only, start=lo)
+            total = rows if total is None else T.add(total, rows)
+        return total
+    return scorer
+
+
+WINDOW_STARTS = [(1,), (3,), (2, 4), (1, 2, 3, 4, 5)]
+
+
+class TestWindows:
+    @staticmethod
+    def assert_windows_sum_to_the_whole(net, obs, **kw):
+        whole_rows, whole_grads = score(trajectory_log_prob_rows, net, obs, obs.steps - 1, **kw)
+        for starts in WINDOW_STARTS:
+            rows, grads = score(windowed(starts), net, obs, obs.steps - 1, **kw)
+            assert relative(rows, whole_rows) <= TOLERANCE, starts
+            assert grads.keys() == whole_grads.keys()
+            for name in grads:
+                assert relative(grads[name], whole_grads[name]) <= TOLERANCE, (starts, name)
+
+    def test_porl_policy_field(self):
+        cfg = PorlConfig(**{**SMALL_PORL, "horizon": 6})
+        net, registry, metrics = porl_story(cfg, "learned")
+        obs = observe(net, cfg.horizon, 7)
+        self.assert_windows_sum_to_the_whole(net, obs, registry=registry)
+        self.assert_windows_sum_to_the_whole(net, obs, registry=registry,
+                                             only=[metrics["policy_log_prob"]])
+
+    def test_latent_sat_latent_gradient_sums_across_window_boundaries(self):
+        cfg = LatentSatConfig(population=6, horizon=6)
+        truth, _, _ = build_latent_sat_story(cfg, true_alpha=sample_true_alpha(cfg, 1))
+        obs = observe(truth, cfg.horizon, 2, hold_out=[HELD_OUT])
+        net, registry, held = build_latent_sat_story(cfg)
+        z = np.random.default_rng(3).normal(size=(cfg.population, cfg.interest_dim))
+        self.assert_windows_sum_to_the_whole(net, obs, registry=registry, latent=(held, z))
+
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_start_outside_the_scored_range_raises(self, start):
+        net = discrete_dbn(batch=3)
+        with pytest.raises(LogProbError, match=f"start={start} out of range"):
+            trajectory_log_prob_rows(net, observe(net, 6, 2), 3, start=start)
 
 
 # ---------------------------------------------------------------------------
