@@ -221,13 +221,14 @@ class ReinforceConfig:
             raise InferenceError("horizon must be >= 2")
 
 
-# Elements of the record that REINFORCE scores on one tape: a window of
+# Elements of the slices that REINFORCE scores on one tape: a window of
 # whole slices, a slice being the batch times the event sizes of every
-# recorded field.  The scoring tape's peak grows with its window, so the
-# budget bounds it whatever the horizon.  Default porl (17,200 elements a
-# slice over 20 slices) scores in three windows; at population 1000 each
-# window is one slice.  Half this budget took default porl's peak RSS
-# from 44.7 to 43.0 MB but cost about 15% more wall time.
+# field the network samples, recorded or not.  The scoring tape's peak
+# grows with its window, so the budget bounds it whatever the horizon.
+# Default porl (17,200 elements a slice over 20 slices) scores in three
+# windows; at population 1000 each window is one slice.  Half this budget
+# took default porl's peak RSS from 44.7 to 43.0 MB but cost about 15%
+# more wall time.
 _WINDOW_ELEMENTS = 2**17
 
 
@@ -252,8 +253,14 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     Samples a batch of trajectories, then replays the policy's action
     field on a tape to get per-row accumulated log-probabilities; the
     surrogate is -<detached reward, log-prob> / B, B the sampled batch.
-    The replay scores the sampled record itself, a window of slices at a
-    time (``_windows``): the surrogate is linear in the per-row
+    The sampler records only what the loss reads: the policy field's
+    variable, every variable its initial and kernel builders read, and
+    the reward field's variable.  Every variable is still sampled, on the
+    same streams.  Scoring that partial record runs the policy's builder
+    alone (:mod:`ecosim.logprob`), on the sampler's own values.
+
+    The replay scores the record a window of slices at a time
+    (``_windows``): the surrogate is linear in the per-row
     log-probabilities, whose weights are known before scoring, and no
     tape path joins two windows (:mod:`ecosim.logprob`).  So each window's
     share is scored and backpropagated on a tape of its own, which is
@@ -264,7 +271,10 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
     for kind, (var, path) in (("reward", cfg.reward_field), ("policy", cfg.policy_field)):
         if var not in net.by_name or path not in net.by_name[var].spec.paths:
             raise InferenceError(f"{kind} field {(var, path)!r} not found in story")
-    traj = trajectory(net, cfg.horizon, seed)
+    policy = net.by_name[cfg.policy_field[0]]
+    keep = {policy.name, cfg.reward_field[0]}
+    keep.update(dep.variable.name for dep in policy.initial_deps + policy.kernel_deps)
+    traj = trajectory(net, cfg.horizon, seed, keep=keep)
     rvar, rpath = cfg.reward_field
     reward = traj.value(rvar, cfg.horizon - 1).get(rpath).data
     centered = reward - reward.mean() if cfg.baseline else reward
@@ -274,8 +284,8 @@ def reinforce_step(net: Network, registry: ParameterRegistry,
                                             start=lo)
         return T.div(T.neg(T.reduce_sum(T.mul(centered, log_prob))), float(traj.batch))
 
-    per_slice = sum(math.prod(stack.shape[1:])
-                    for fields in traj.fields.values() for stack in fields.values())
+    per_slice = traj.batch * sum(math.prod(field.shape) for var in net.variables
+                                 for _, field in var.spec.items())
     _descend(registry, opt, [functools.partial(surrogate, lo, hi)
                              for lo, hi in _windows(cfg.horizon, per_slice)])
     return float(reward.mean())

@@ -1,12 +1,20 @@
 """Scoring observed trajectories under a model.
 
-Scoring replays every builder with observed values substituted for its
-dependencies; each stochastic field then contributes the exact log
-density of its observed value, and each deterministic field is checked
-for consistency (a mismatch means corrupted data, not low likelihood,
-and raises).  Builders must therefore be pure functions of their
-declared dependencies and registered trainable parameters; violated
-purity yields wrong densities, not crashes.
+Scoring replays every builder of a whole record with observed values
+substituted for its dependencies; each stochastic field then contributes
+the exact log density of its observed value, and each deterministic
+field is checked for consistency (a mismatch means corrupted data, not
+low likelihood, and raises).  Builders must therefore be pure functions
+of their declared dependencies and registered trainable parameters;
+violated purity yields wrong densities, not crashes.
+
+A partial record, one that holds only some of the network's variables
+(``runtime.trajectory(..., keep=...)``), is scored on the fields
+``only`` names: only their variables' builders run, on the recorded
+values of their dependencies, and their deterministic fields alone are
+checked.  REINFORCE scores its sampler's own record this way.  A whole
+record replays every builder even with ``only``, so data from outside
+the sampler keeps every check.
 
 What is scored is the record the sampler writes, a
 :class:`ecosim.runtime.Trajectory`; ``from_trajectory`` holds fields out
@@ -140,10 +148,11 @@ def _score_variable(var, out: Value, observed: Value, where: str, only,
 
 def _score_slices(net: Network, current: dict[str, Value],
                   previous: dict[str, Value] | None, only, lead: tuple[int, ...],
-                  where: str) -> Tensor:
-    """One call of every builder on (possibly time-batched) observed slices."""
+                  where: str, names: set[str] | None) -> Tensor:
+    """One call of every builder, or of those of ``names``, on (possibly
+    time-batched) observed slices."""
     total: Tensor = T.zeros(lead)
-    for var, fn, args in builder_calls(net, current, previous):
+    for var, fn, args in builder_calls(net, current, previous, names):
         try:
             out = fn(*args)
         except T.IndexRangeError as e:
@@ -161,6 +170,31 @@ def _score_slices(net: Network, current: dict[str, Value],
     return total
 
 
+def _replayed(net: Network, traj: Trajectory,
+              only: set[tuple[str, str]] | None) -> set[str] | None:
+    """The variables whose builders score ``traj``: every one (None) for a
+    whole record; for a partial one, the owners of ``only``'s fields,
+    each checked to be recorded and to read only recorded variables."""
+    missing = [v.name for v in net.variables if v.name not in traj.specs]
+    if not missing:
+        return None
+    if only is None:
+        raise LogProbError(f"the record does not hold variables {missing}; a partial "
+                           f"record is scored only on the fields only= names")
+    names = {name for name, _ in only}
+    for name in sorted(names):
+        if name not in traj.specs:
+            raise LogProbError(f"variable {name!r} of an only= field is not recorded")
+    for var in net.variables:
+        if var.name in names:
+            for dep in var.initial_deps + var.kernel_deps:
+                if dep.variable.name not in traj.specs:
+                    raise LogProbError(
+                        f"variable {var.name!r} reads variable {dep.variable.name!r}, "
+                        f"which the record does not hold")
+    return names
+
+
 def trajectory_log_prob_rows(net: Network, traj: Trajectory,
                              num_steps: int,
                              only: Iterable[tuple[str, str]] | None = None, *,
@@ -171,8 +205,14 @@ def trajectory_log_prob_rows(net: Network, traj: Trajectory,
     slices max(start, 1) .. num_steps are one time-batched call of each
     kernel builder, their ``.previous`` dependencies the same window
     shifted back one slice.  ``only`` restricts the sum to the given
-    (variable, path) stochastic fields (deterministic replay checks still
-    run); used e.g. to isolate a policy's action log-probability.
+    (variable, path) stochastic fields; used e.g. to isolate a policy's
+    action log-probability.
+
+    On a whole record every builder runs and every deterministic field is
+    checked, with ``only`` or without.  A partial record needs ``only``:
+    only the builders of its fields' variables run, and each of those
+    variables, and every variable their initial and kernel builders read,
+    must be recorded.  Otherwise a LogProbError names what is missing.
     """
     if not 0 <= num_steps <= traj.steps - 1:
         raise LogProbError(
@@ -181,17 +221,18 @@ def trajectory_log_prob_rows(net: Network, traj: Trajectory,
     if not 0 <= start <= num_steps:
         raise LogProbError(f"start={start} out of range [0, num_steps={num_steps}]")
     only = set(only) if only is not None else None
+    names = _replayed(net, traj, only)
     batch = traj.batch if traj.batch is not None else 1
     total: Tensor | None = None
     if start == 0:
         first = {name: traj.value(name, 0) for name in traj.specs}
-        total = _score_slices(net, first, None, only, (batch,), "step 0")
+        total = _score_slices(net, first, None, only, (batch,), "step 0", names)
     lo = max(start, 1)
     if num_steps >= lo:
         current = {name: traj.window(name, slice(lo, num_steps + 1)) for name in traj.specs}
         previous = {name: traj.window(name, slice(lo - 1, num_steps)) for name in traj.specs}
         steps = _score_slices(net, current, previous, only, (num_steps + 1 - lo, batch),
-                              f"steps {lo}..{num_steps}")
+                              f"steps {lo}..{num_steps}", names)
         rows = T.reduce_sum(steps, axis=0)
         total = rows if total is None else T.add(total, rows)
     return total

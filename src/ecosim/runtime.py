@@ -12,7 +12,8 @@ slice from the sampled slice before it and keeps only that one, and
 draws several steps of a field's numbers in one pass (:mod:`ecosim.rng`).
 A :class:`Trajectory` is the one record of a trajectory, sampled or
 observed: each field stacked on a leading time axis.  ``trajectory``
-writes each slice into it; the scorer windows its stacks.  ``execute``
+writes each slice into it, or the variables its ``keep`` names; the
+scorer windows its stacks.  ``execute``
 keeps only the last slice, and hands each slice to an optional callback
 as it is sampled.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,8 +72,10 @@ def _broadcast(payload, steps: int):
 
 
 class Trajectory:
-    """Every variable's fields over ``steps`` slices, stacked on the time axis.
+    """Its variables' fields over ``steps`` slices, stacked on the time axis.
 
+    ``specs`` names the recorded variables: every variable of the network
+    for a whole record, some of them for a partial one.
     ``fields[variable][path]`` is shaped ``(steps, batch) + event``: an
     int64 array for an integer field, a Tensor for a continuous one.  A
     field missing from it is held out, at every step.  Step 0's Values are
@@ -86,9 +89,10 @@ class Trajectory:
     and from then on each payload is written into its own row.
 
     The record grows with the horizon.  EM scores it whole, on one tape.
-    REINFORCE samples it whole but scores it a window of slices at a
-    time, each on a tape of its own (``inference.reinforce_step``), so
-    only the record, not its scoring, grows with the horizon.  The CSV
+    REINFORCE records only the variables its loss reads, the policy's
+    cone and the reward, and scores them a window of slices at a time,
+    each on a tape of its own (``inference.reinforce_step``), so only that
+    partial record, not its scoring, grows with the horizon.  The CSV
     export needs no record: ``simulate`` writes its CSVs from a
     :class:`Run`, and :func:`export_trajectory` replays a record a slice
     at a time.
@@ -201,11 +205,13 @@ class Trajectory:
 
 
 def builder_calls(net: Network, current: Mapping[str, Value],
-                  previous: Mapping[str, Value] | None
+                  previous: Mapping[str, Value] | None,
+                  names: Container[str] | None = None
                   ) -> Iterator[tuple[Variable, Callable, list[Value]]]:
     """Each Variable of a slice with its builder and the Values to call it
     on, in evaluation order: the initial builders when there is no
-    ``previous`` slice, the kernel builders otherwise.
+    ``previous`` slice, the kernel builders otherwise.  With ``names``,
+    only the Variables it names, whose arguments alone are read.
 
     A Variable's arguments are read from ``current`` and ``previous`` when
     its turn comes, so a caller that writes each Variable's Value into
@@ -213,6 +219,8 @@ def builder_calls(net: Network, current: Mapping[str, Value],
     """
     initial = previous is None
     for var in net.initial_order if initial else net.order:
+        if names is not None and var.name not in names:
+            continue
         fn, deps = ((var.initial_fn, var.initial_deps) if initial
                     else (var.kernel_fn, var.kernel_deps))
         yield var, fn, [(previous if dep.previous else current)[dep.variable.name]
@@ -271,16 +279,23 @@ def _slices(net: Network, num_steps: int, seed: int, rows: Rows
         previous = current
 
 
-def trajectory(net: Network, horizon: int, seed: int) -> Trajectory:
+def trajectory(net: Network, horizon: int, seed: int, *,
+               keep: Container[str] | None = None) -> Trajectory:
     """Sample slices 0 .. horizon-1 and write each into the record.
 
     The run samples through the slice loop ``execute`` runs, with batch
     row ``r`` keyed as row word ``r``, and draws ahead as it does, so the
     record holds the numbers ``execute`` draws with no ``row_ids``.
+
+    ``keep`` names the variables to record, all of them by default.  Every
+    variable is sampled either way, on the same streams, so a kept field's
+    stack is the one a whole record holds; a record without some of the
+    network's variables is a partial one (:mod:`ecosim.logprob`).
     """
-    traj = Trajectory({v.name: v.spec for v in net.variables}, horizon)
+    traj = Trajectory({v.name: v.spec for v in net.variables
+                       if keep is None or v.name in keep}, horizon)
     for current, traj.batch in _slices(net, horizon - 1, seed, Rows(None, horizon - 1)):
-        traj.append(current)
+        traj.append({name: current[name] for name in traj.specs})
     return traj
 
 

@@ -6,7 +6,9 @@
   ecosystem story's check is in ``test_scenarios.py``.
 - The number of BLAS threads moves no byte of a command's artifacts.
 - A trained story's gradient matches central differences: porl's REINFORCE
-  surrogate, scored a window of slices at a time on one fixed record.
+  surrogate, scored a window of slices at a time on one fixed record, and
+  latent-sat's E-step target in the latent and M-step loss in ``alpha``,
+  each scored on a whole record.
 """
 
 import os
@@ -18,11 +20,11 @@ import numpy as np
 import pytest
 
 from ecosim import inference
-from ecosim.inference import reinforce_step
-from ecosim.runtime import execute, trajectory
+from ecosim.inference import HmcConfig, mc_em_fit, reinforce_step
+from ecosim.runtime import Trajectory, execute, trajectory
 from ecosim.scenarios import (CountConfig, LatentSatConfig, PorlConfig, build_count_story,
                               build_latent_sat_story, build_porl_story, sample_true_alpha)
-from ecosim.tensor import as_array
+from ecosim.tensor import Tensor, as_array
 
 from test_inference import GradientRecorder, porl_reinforce, slice_elements
 
@@ -110,7 +112,8 @@ def test_porl_windowed_surrogate_gradient_matches_central_differences(monkeypatc
     net, registry, rc = porl_reinforce(population=8, interest_dim=4, corpus_size=8,
                                        horizon=HORIZON)
     record = trajectory(net, HORIZON, 5)
-    monkeypatch.setattr(inference, "trajectory", lambda *args: record)
+    # The step asks for its cone (``keep``); it scores the whole record.
+    monkeypatch.setattr(inference, "trajectory", lambda *args, **kwargs: record)
     monkeypatch.setattr(inference, "_WINDOW_ELEMENTS", 2 * slice_elements(record))
     descend, steps = inference._descend, []
     monkeypatch.setattr(inference, "_descend", lambda registry, opt, losses: steps.append(
@@ -136,3 +139,59 @@ def test_porl_windowed_surrogate_gradient_matches_central_differences(monkeypatc
         central.flat[i] = (up - down) / (2 * step)
     assert np.any(grad != 0.0)
     np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-9)
+
+
+def central_differences(f, center, step=1e-5):
+    """The central-difference gradient of the scalar ``f`` at ``center``."""
+    grad = np.zeros_like(center)
+    for i in range(center.size):
+        shift = np.zeros_like(center)
+        shift.flat[i] = step
+        grad.flat[i] = (f(center + shift) - f(center - shift)) / (2 * step)
+    return grad
+
+
+def latent_sat_data():
+    """A small latent-sat record with the interest held out, and the
+    learning story that fits it."""
+    cfg = LatentSatConfig(population=4, horizon=5, interest_dim=2)
+    truth, _, held = build_latent_sat_story(cfg, true_alpha=sample_true_alpha(cfg, 0))
+    data = Trajectory.from_trajectory(truth, trajectory(truth, cfg.horizon, 7),
+                                      hold_out=[held])
+    net, registry, _ = build_latent_sat_story(cfg)
+    z = np.random.default_rng(1).normal(size=(cfg.population, cfg.interest_dim))
+    return net, registry, data, held, z
+
+
+def test_latent_sat_e_step_target_gradient_matches_central_differences():
+    net, _, data, held, z = latent_sat_data()
+    target = inference._latent_target(net, data, held)
+    _, grad = inference._target_and_grad(target, z)
+    central = central_differences(lambda x: float(target(Tensor(x)).data), z)
+    assert np.any(grad != 0.0)
+    np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-8)
+
+
+def test_latent_sat_m_step_loss_gradient_matches_central_differences(monkeypatch):
+    net, registry, data, held, z = latent_sat_data()
+    descend, losses = inference._descend, []
+
+    def kept(registry, opt, thunks):
+        losses.extend(thunks)
+        return descend(registry, opt, thunks)
+
+    monkeypatch.setattr(inference, "_descend", kept)
+    opt = GradientRecorder()
+    hmc = HmcConfig(step_size=0.05, num_leapfrog=2, num_samples=2, burn_in=0)
+    mc_em_fit(net, data, held, hmc, opt, 1, seed=2, registry=registry)
+    [loss], [grads] = losses, opt.grads
+    [alpha] = registry.parameters()
+    center = alpha.value.copy()
+
+    def at(value):
+        alpha.assign(value)
+        return float(loss().data)
+
+    central = central_differences(at, center)
+    assert np.any(grads["alpha"] != 0.0)
+    np.testing.assert_allclose(grads["alpha"], central, rtol=1e-6, atol=1e-8)

@@ -255,6 +255,16 @@ class TestReinforce:
                            match=re.escape("reward field ('metrics', 'nope') not found")):
             reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
 
+    def test_forbidden_sampler_is_the_one_the_step_calls(self, monkeypatch):
+        # Without this, the two tests around it would pass whatever sampler
+        # the step called.
+        net, registry = bandit_story(8)
+        cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "cumulative_reward"),
+                              policy_field=("arm", "choice"))
+        self._forbid_sampling(monkeypatch)
+        with pytest.raises(AssertionError, match="checked before sampling"):
+            reinforce_step(net, registry, cfg, Sgd(0.1), seed=0)
+
     def test_missing_policy_field_is_an_error(self, monkeypatch):
         net, registry = bandit_story(8)
         cfg = ReinforceConfig(horizon=2, reward_field=("metrics", "cumulative_reward"),
@@ -279,7 +289,9 @@ def porl_reinforce(**config):
 
 
 def slice_elements(traj):
-    """The batch times the event sizes of every recorded field."""
+    """The batch times the event sizes of every field of a whole record
+    (one ``trajectory`` made without ``keep``): the slice the sampler
+    builds, whatever REINFORCE records of it."""
     return sum(math.prod(stack.shape[1:])
                for fields in traj.fields.values() for stack in fields.values())
 
@@ -381,26 +393,104 @@ class TestReinforceWindows:
         assert per_slice == 17_200
         assert inference._windows(20, per_slice) == [(0, 7), (7, 14), (14, 20)]
 
-    def test_scoring_memory_does_not_grow_with_the_horizon(self):
+    def test_scoring_memory_does_not_grow_with_the_horizon(self, monkeypatch):
         # The step's traced peak over the record it samples, at population
-        # 200: 2.5 MB at horizon 20 and 2.6 MB at 60 (1.04x), a window of
-        # three slices at a time.  On one whole-horizon tape it was 16.1
-        # and 48.9 MB (3.0x).
-        over = {}
-        for horizon in (20, 60):
-            net, registry, rc = porl_reinforce(population=200, horizon=horizon)
-            tracemalloc.start()
-            try:
-                traj = trajectory(net, horizon, 0)
-                record = tracemalloc.get_traced_memory()[0]
-                del traj
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                reinforce_step(net, registry, rc, Sgd(0.0), seed=0)
-                over[horizon] = tracemalloc.get_traced_memory()[1] - before - record
-            finally:
-                tracemalloc.stop()
+        # 200: 2.55 MB at horizon 20 and 2.56 MB at 60, a window of three
+        # slices at a time.  On one whole-horizon tape it was 16.1 and
+        # 48.9 MB (3.0x).
+        over = {horizon: traced_step(monkeypatch, population=200, horizon=horizon)[1]
+                for horizon in (20, 60)}
+        assert over[20] > 0
         assert over[60] <= 1.25 * over[20]
+
+
+def traced_step(monkeypatch, **story):
+    """One REINFORCE step on a porl story, traced by ``tracemalloc``: the
+    bytes of the record it samples, and its peak over that record."""
+    net, registry, rc = porl_reinforce(**story)
+    records = []
+
+    def sampled(*args, **kwargs):
+        traj = trajectory(*args, **kwargs)
+        records.append(tracemalloc.get_traced_memory()[0] - before)
+        return traj
+
+    monkeypatch.setattr(inference, "trajectory", sampled)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reinforce_step(net, registry, rc, Sgd(0.0), seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    [record] = records
+    return record, peak - record
+
+
+class TestReinforceCone:
+    """REINFORCE records the policy's cone and the reward, and its scoring
+    runs the policy's builder alone."""
+
+    HORIZON, SEED = 6, 4
+    STORY = dict(population=8, interest_dim=4, corpus_size=8, horizon=HORIZON)
+    CONE = {"slate", "history", "corpus_topics", "metrics"}
+
+    def test_step_records_the_policy_cone_and_the_reward(self, monkeypatch):
+        net, registry, rc = porl_reinforce(**self.STORY)
+        kept = []
+
+        def sampled(*args, keep=None):
+            kept.append(keep)
+            return trajectory(*args, keep=keep)
+
+        monkeypatch.setattr(inference, "trajectory", sampled)
+        reinforce_step(net, registry, rc, Sgd(0.1), self.SEED)
+        assert kept == [self.CONE]
+
+    def test_scoring_runs_only_the_policy_builder(self, monkeypatch):
+        net, registry, rc = porl_reinforce(**self.STORY)
+        phase, calls = ["sample"], {"sample": set(), "score": set()}
+        for var in net.variables:
+            for kind in ("initial_fn", "kernel_fn"):
+                def spy(*args, builder=getattr(var, kind)):
+                    calls[phase[0]].add(builder.__name__)
+                    return builder(*args)
+
+                setattr(var, kind, spy)
+        descend = inference._descend
+
+        def scoring(*args):
+            phase[0] = "score"
+            try:
+                return descend(*args)
+            finally:
+                phase[0] = "sample"
+
+        monkeypatch.setattr(inference, "_descend", scoring)
+        reinforce_step(net, registry, rc, Sgd(0.1), self.SEED)
+        assert calls["score"] == {"learned_slate"}
+        assert {"engage", "next_interest", "consume", "push"} <= calls["sample"]
+
+    def test_kept_stacks_equal_the_whole_record_bit_for_bit(self):
+        net, _, _ = porl_reinforce(**self.STORY)
+        whole = trajectory(net, self.HORIZON, self.SEED)
+        cone = trajectory(net, self.HORIZON, self.SEED, keep=self.CONE)
+        assert set(cone.specs) == set(cone.fields) == self.CONE
+        assert cone.batch == whole.batch
+        for name in self.CONE:
+            assert cone.fields[name].keys() == whole.fields[name].keys()
+            for path, stack in whole.fields[name].items():
+                got, want = T.as_array(cone.fields[name][path]), T.as_array(stack)
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, path)
+                assert got.tobytes() == want.tobytes(), (name, path)
+                assert (T.as_array(cone.value(name, 0).get(path)).tobytes()
+                        == T.as_array(whole.value(name, 0).get(path)).tobytes())
+
+    def test_step_record_stays_under_its_bound(self, monkeypatch):
+        # porl at population 200, horizon 40: the cone and the reward
+        # trace 6.16 MiB; a step that records every variable traces 10.79.
+        record, _ = traced_step(monkeypatch, population=200, horizon=40)
+        assert record <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

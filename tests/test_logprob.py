@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,3 +207,43 @@ class TestObservedTrajectory:
             obs.inject("x", "v", [np.zeros(5)] * 3)
         with pytest.raises(Exception, match="shape"):
             obs.inject("x", "v", [np.zeros((4, 2))] * 3)
+
+
+class TestPartialRecord:
+    """A record of some of the network's variables scores the fields
+    ``only`` names, through their variables' builders alone."""
+
+    POLICY = ("slate", "doc_ranks")
+    CONE = {"slate", "history", "corpus_topics"}
+
+    def _record(self, keep):
+        net, _, _ = build_porl_story(PorlConfig(population=6, interest_dim=4,
+                                                corpus_size=8, horizon=5))
+        return net, trajectory(net, 5, seed=3, keep=keep)
+
+    @pytest.mark.parametrize("start", [0, 2, 4])
+    def test_cone_scores_equal_the_whole_record_s(self, start):
+        net, partial = self._record(self.CONE)
+        whole = trajectory(net, 5, seed=3)
+        got, want = (trajectory_log_prob_rows(net, traj, 4, only=[self.POLICY], start=start)
+                     for traj in (partial, whole))
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_scoring_without_only_raises(self):
+        net, partial = self._record(self.CONE)
+        with pytest.raises(LogProbError, match=re.escape(
+                "does not hold variables ['corpus', 'user_state', 'choice', 'engagement', "
+                "'consumed', 'metrics']")):
+            trajectory_log_prob_rows(net, partial, 4)
+
+    def test_only_field_of_an_unrecorded_variable_raises(self):
+        net, partial = self._record(self.CONE)
+        with pytest.raises(LogProbError, match=re.escape(
+                "variable 'choice' of an only= field is not recorded")):
+            trajectory_log_prob_rows(net, partial, 4, only=[self.POLICY, ("choice", "choice")])
+
+    def test_only_variable_reading_an_unrecorded_variable_raises(self):
+        net, partial = self._record({"slate", "corpus_topics"})
+        with pytest.raises(LogProbError, match=re.escape(
+                "variable 'slate' reads variable 'history', which the record does not hold")):
+            trajectory_log_prob_rows(net, partial, 4, only=[self.POLICY])
