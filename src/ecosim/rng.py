@@ -16,6 +16,17 @@ Philox lane serves two columns of a row.  Counter words are 32 bits
 wide: an id outside [0, 2^32), or a draw that would reach block 2^32,
 raises instead of wrapping.
 
+A key is the first 8 bytes, little-endian, of the BLAKE2b digest of
+``"seed|variable|path|step"``, and :func:`derive_seed` makes every
+sub-seed a command needs from one (runs, iterations, porl's initial
+policy weights, latent-sat's true sensitivities).  So every number a
+command draws, parameter initialization and ground truth included, comes
+from these streams, and none from ``numpy.random``, whose streams numpy
+does not promise to keep across versions.  BLAKE2b comes from CPython's
+built-in ``_blake2`` module, the same constructor as ``hashlib.blake2b``:
+importing ``hashlib`` would also load OpenSSL's libcrypto, a few MB of
+resident memory in every process.
+
 Stream layout v3: a 64-bit word maps to the double
 ``((word >> 12) + 0.5) * 2^-52``, which is exact and lies in
 [2^-53, 1 - 2^-53], so every uniform is strictly inside (0, 1).  A
@@ -46,7 +57,8 @@ score all draw ahead; only a standalone stream, whose rows have no
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is this constructor; importing hashlib also loads OpenSSL.
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -183,11 +195,18 @@ def _ndtri(p) -> np.ndarray:
 
 def _key64(root_seed: int, variable: str, path: str, step: int) -> int:
     msg = f"{root_seed}|{variable}|{path}|{step}".encode()
-    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(msg, digest_size=8).digest(), "little")
 
 
 def derive_seed(root_seed: int, tag: str, index: int = 0) -> int:
-    """Stable 63-bit sub-seed for nested stochastic procedures."""
+    """Stable 63-bit sub-seed for nested stochastic procedures: the key of
+    ``(root_seed, tag, "", index)`` shifted right one bit.
+
+    Commands seed each run, iteration and initialization with it (for
+    example ``derive_seed(seed, "params")`` for porl's initial policy and
+    ``derive_seed(seed, "alpha")`` for latent-sat's true sensitivities),
+    so one root seed fixes every stream.
+    """
     return _key64(root_seed, tag, "", index) >> 1
 
 

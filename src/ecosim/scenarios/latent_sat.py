@@ -8,8 +8,8 @@ satisfaction as a boost against a constant no-choice logit, so a
 sufficiently dissatisfied user effectively drops out.
 
 The ground-truth model bakes in sensitivities drawn uniformly from
-(0, 1); the learning model holds interest out as the E-step latent and
-exposes sensitivity as a trainable M-step parameter.
+(0.02, 0.98); the learning model holds interest out as the E-step
+latent and exposes sensitivity as a trainable M-step parameter.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .. import tensor as T
 from ..behaviors import AffinityModel, ChoiceModel, ParameterRegistry
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
 from ..dist import Normal
+from ..rng import RngStream
 from ..tensor import Tensor
 
 
@@ -54,8 +55,12 @@ HELD_OUT = ("user_interest", "state")
 
 
 def sample_true_alpha(cfg: LatentSatConfig, seed: int) -> np.ndarray:
-    """Ground-truth per-user sensitivities, drawn once from Uniform(0, 1)."""
-    return np.random.default_rng(seed).uniform(0.02, 0.98, cfg.population)
+    """Ground-truth per-user sensitivities, uniform on (0.02, 0.98).
+
+    User i's sensitivity is row i of the keyed stream ``RngStream(seed,
+    "alpha")``, so it does not depend on the population size.
+    """
+    return 0.02 + 0.96 * RngStream(seed, "alpha").uniform_field((cfg.population,))
 
 
 def build_latent_sat_story(cfg: LatentSatConfig, true_alpha: np.ndarray | None = None):

@@ -21,6 +21,7 @@ from ..behaviors import (AffinityModel, ChoiceModel,
                          FiniteHistoryEstimator, ParameterRegistry)
 from ..core import FieldSpec, Network, Value, ValueSpec, Variable
 from ..dist import Categorical, Normal, PlackettLuce
+from ..rng import RngStream
 from ..tensor import Tensor
 
 
@@ -81,23 +82,30 @@ def _topic_quality_means(cfg: PorlConfig) -> np.ndarray:
 def build_porl_story(cfg: PorlConfig, param_seed: int = 0):
     """Returns (network, parameter registry, metric (variable, path) pairs).
 
-    The recommender is the trainable policy; ``param_seed`` seeds its
-    initial parameters.
+    The recommender is the trainable policy.  Its initial weights are
+    scaled normals from keyed streams, ``RngStream(param_seed, "init",
+    <parameter name>)``, so each parameter depends only on ``param_seed``
+    and its own name and shape: widening ``hidden_width`` adds columns to
+    ``policy_w1`` and leaves ``item_embedding`` as it was.
     """
     registry = ParameterRegistry()
     B, d, n, k = cfg.population, cfg.interest_dim, cfg.corpus_size, cfg.slate_size
     e = cfg.interest_dim if cfg.embed_dim is None else cfg.embed_dim
     hidden = cfg.hidden_width
-    prng = np.random.default_rng(param_seed)
+
+    def normals(name: str, scale: float, shape: tuple[int, int]) -> np.ndarray:
+        # Keyed by the parameter's name; entry (r, c) depends on (r, c) only.
+        return scale * RngStream(param_seed, "init", name).normals(shape)
+
     # Identity-pathway initialization: the tanh layer starts in its
     # near-linear regime with proj(h) ~ pooled history embedding, so
     # consumption histograms influence scores from the first step.
-    emb_init = prng.normal(0, 0.1, (d, e))
+    emb_init = normals("item_embedding", 0.1, (d, e))
     if e == d:
         emb_init += np.eye(d) / max(cfg.feature_scale, 1.0)
-    w1_init = prng.normal(0, 0.05, (e + 1, hidden))
+    w1_init = normals("policy_w1", 0.05, (e + 1, hidden))
     w1_init[:e, :e] += 0.5 * np.eye(e)
-    w2_init = prng.normal(0, 0.05, (hidden, e))
+    w2_init = normals("policy_w2", 0.05, (hidden, e))
     w2_init[:e, :e] += 2.0 * np.eye(e)
     registry.create("item_embedding", emb_init)
     registry.create("policy_w1", w1_init)

@@ -44,16 +44,16 @@ ECOSYSTEM_GOLDEN = {
 }
 
 PORL_GOLDEN = {
-    "choice.csv": "9aa29b329d9dbbe3c820853fc2e421a73ca1653fbc1eba7320d1e9403089e58d",
-    "consumed.csv": "8bf81ffc9b4846b9e2346be2d9b35bb52bb2a37a6471c64237ac0842311614e3",
+    "choice.csv": "4e59372ad47474a826285df7171506973a47be781b459d9d77cd471e8605d3ec",
+    "consumed.csv": "8946255c643edcb3699239e00c42de907fc580f4e82e6756e4d208f6edbab129",
     "corpus.csv": "c84141be572b5f735326fa961b7f08f695a266e384ed00cf3c826f95bc6c04f2",
     "corpus_topics.csv": "d8266253de49b159716bd5b8a6a5bcfae4410668d41a96ee4adb5bc14058aa7b",
-    "engagement.csv": "1b1eb324a311aa57188bcf9db2a7723994205dee8287cefed518d58e1955fb09",
-    "history.csv": "612ef5983310d44628206546cd10301b60116058f4dce70f426570001b04c26c",
-    "metrics.csv": "9925bf055fa87ceb8865bf5df23ad7fad8cede71fa1a90672e46a39b6aad2e84",
-    "slate.csv": "cf608f74c795b59026889d54c42df92f56cb243438fa7bd8406f0f509d2c9b0b",
-    "summary.csv": "46f6292910fa699e3b3fd48957a6f4682a982d1ca8dcbb5e7ae899dc64e11812",
-    "user_state.csv": "15fdce7c12708d0eb31345fb4e528c7b9d7036cf44d224672eea4bb41447758e",
+    "engagement.csv": "fbae912d48037ea275ba9f6146c7df76339a90674fa4c1a58de7fb0c6989bc79",
+    "history.csv": "aaa4ec676f94254e4bb7ce193eca268a71213b0087de2c1dd9f397b26b2f95f6",
+    "metrics.csv": "b86f5ef97f45269169b3c4ed132f9b22e70c99eade74daa2f4b2b1dad6568ff8",
+    "slate.csv": "acf16758d9d8bb930064026e7a1a5ed3ab0e55353b4991129d01a51fdbc44599",
+    "summary.csv": "02a4213c6f47951a8b7fa4d673fa444f603d45f9051675c6a0c3de649146779e",
+    "user_state.csv": "1d8bc09f3da488734186a46349f0ccaad6ac6b61655c1224d677a6d3d0a7945c",
 }
 
 
@@ -244,9 +244,9 @@ class TestTrainReinforce:
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in tree_bytes(out).items()} == {
             "reinforce_curve.csv":
-                "0016d51fa2be373d5dbe44bc7f6f401eb6e44023e70b96bc6e6834c8b443c74f",
+                "b751a8ea45a3167af48909edc841fc76e36dfdc08e329fb36bfb22515c80e16d",
             "reinforce_summary.csv":
-                "80b0c71440375629ba375868b52a69a72a158146df133366cde021707fa2912c",
+                "c83e1e447dd18da57d981868b230636dd3c1c1b9c89ea4b8cb5c4312a216f488",
         }
 
 
@@ -273,11 +273,11 @@ class TestFitEm:
             em_trace_without_timing(out / "em_trace.csv")).hexdigest()
         assert digests == {
             "alpha_recovery.csv":
-                "3667192bde1531e38c170278ef285885453890d375cde75af3f2d5875f2fdca8",
+                "3facbec1440f029afa11023468193cf86f78d4984d2feb7ed3d1fcaf608d5e47",
             "summary.csv":
-                "2e2ac7737c07fb4adcbb6f629bdec1eca4e12e855d890c96889ef0bad2ccdf20",
+                "897d1e54afd65409b3cf6d67bd99a38f8f1b695b53c00cd7316aadf13fb80faf",
             "em_trace.csv":
-                "e7188f055a3e341a3d8eab5b1942f299714712822576ae26c3dc076e63f8fe07",
+                "cb4d4d0d151bcc0e82345460c5879f9f5c69ac8d6f377ee55ea641d7092682fd",
         }
 
     def test_outputs_trace_and_alpha_recovery(self, tmp_path):

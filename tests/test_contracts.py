@@ -4,6 +4,10 @@
   batch of B equals a batch-1 run keyed by the row id i, at every step and
   in every field.  Checked here for count, porl and latent-sat; the
   ecosystem story's check is in ``test_scenarios.py``.
+- Ground truth and initial parameters are keyed draws too: latent-sat's
+  true sensitivity of user i does not depend on the population, and
+  porl's initial policy weights depend only on ``param_seed`` and each
+  weight's name and place, not on the other weights' sizes.
 - The number of BLAS threads moves no byte of a command's artifacts.
 - A trained story's gradient matches central differences: porl's REINFORCE
   surrogate, scored a window of slices at a time on one fixed record, and
@@ -75,6 +79,29 @@ def test_batch_row_equals_a_batch_1_run_at_its_id(runs):
             assert got.keys() == want.keys()
             for field, arr in want.items():
                 assert got[field][row:row + 1].tobytes() == arr.tobytes(), (row, t, field)
+
+
+def test_true_alpha_of_a_user_does_not_depend_on_the_population():
+    small = sample_true_alpha(LatentSatConfig(population=7), 3)
+    large = sample_true_alpha(LatentSatConfig(population=50), 3)
+    assert small.tobytes() == large[:7].tobytes()
+    assert np.all((0.02 < large) & (large < 0.98))
+
+
+def porl_init(param_seed=0, **settings):
+    """porl's initial parameters at small sizes."""
+    cfg = PorlConfig(population=2, interest_dim=4, corpus_size=8, **settings)
+    return build_porl_story(cfg, param_seed=param_seed)[1].as_arrays()
+
+
+def test_porl_initial_weights_are_keyed_by_name_and_place():
+    narrow, wide = porl_init(hidden_width=32), porl_init(hidden_width=40)
+    # A Philox column depends only on (row, column).
+    assert wide["policy_w1"][:, :32].tobytes() == narrow["policy_w1"].tobytes()
+    assert wide["item_embedding"].tobytes() == narrow["item_embedding"].tobytes()
+    other = porl_init(param_seed=1)
+    for name in ("item_embedding", "policy_w1", "policy_w2"):
+        assert not np.array_equal(other[name], narrow[name]), name
 
 
 # Sizes at which the largest matmuls take two OpenBLAS threads when they

@@ -622,10 +622,10 @@ class TestLatentTarget:
         net, _, _ = build_latent_sat_story(cfg)
         z = np.random.default_rng(5).normal(size=(cfg.population, cfg.interest_dim))
         lp, grad = _target_and_grad(_latent_target(net, data, held), z)
-        assert repr(lp) == "-10333.146161285442"
+        assert repr(lp) == "-10532.569167512094"
         assert grad.shape == (50, 3)
         assert hashlib.sha256(grad.tobytes()).hexdigest() == \
-            "62c0cc8e7e7b301b024ca90d5d7ee7eb195bac84f9d6f725b5dd5b77a86e186b"
+            "00be8e90227927717773450a3ae8f9c1d077572dba72db32d964e4ca417dbbe2"
 
     def test_nonfinite_factor_outside_the_target_still_raises(self):
         # "noise" reads nothing, so the E-step's target leaves it out; its

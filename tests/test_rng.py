@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ecosim.rng import RngStream, Rows, _ndtri, _unit, derive_seed, philox4x32
+from ecosim.rng import RngStream, Rows, _key64, _ndtri, _unit, derive_seed, philox4x32
 
 
 def _block(c, k0, k1):
@@ -318,3 +318,20 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "a", 0) == derive_seed(1, "a", 0)
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
     assert derive_seed(1, "a", 0) != derive_seed(2, "a", 0)
+
+
+@pytest.mark.parametrize("seed, variable, path, step", [
+    (0, "v", "p", 0),
+    (2**63 - 1, "params", "", 0),
+    (7, "a|b", "café|α", 3),
+    (1, "reinforce", "", 2**31),
+], ids=["seed-0", "63-bit-seed", "bar-and-non-ascii", "step-2^31"])
+def test_keys_are_hashlib_blake2b_byte_for_byte(seed, variable, path, step):
+    # The key takes BLAKE2b from _blake2 so that hashlib (and OpenSSL)
+    # stays unloaded; its bytes must be hashlib's.
+    msg = f"{seed}|{variable}|{path}|{step}".encode()
+    want = int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little")
+    assert _key64(seed, variable, path, step) == want
+    sub = f"{seed}|{variable}||{step}".encode()
+    assert derive_seed(seed, variable, step) == int.from_bytes(
+        hashlib.blake2b(sub, digest_size=8).digest(), "little") >> 1
