@@ -2,12 +2,13 @@
 CSV curve and summary data.
 
 Commands: ``simulate``, ``train-reinforce``, ``fit-em``, ``ecosystem-sweep``.
-Configuration comes from an INI-style file (``--config``, sections
-``[run]``, ``[scenario]``, ``[train]``, ``[em]``, ``[sweep]``) overridden
-by repeatable ``--set key=value`` flags; ``--dump-config`` prints the
-fully resolved configuration and exits.  Unknown keys are rejected at
-parse time.  Exit codes: 0 success, 1 runtime failure, 2 configuration
-error.
+Configuration comes from an INI-style file (``--config``) overridden by
+repeatable ``--set key=value`` flags; ``--dump-config`` prints the fully
+resolved configuration and exits.  Every command reads the sections
+``[run]`` and ``[scenario]``; ``train-reinforce`` also reads ``[train]``,
+``fit-em`` ``[em]`` and ``ecosystem-sweep`` ``[sweep]``.  An unknown key,
+or a key or INI section the command does not read, is rejected at parse
+time.  Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 
 Multi-run commands parallelize across runs (``ECOSIM_THREADS`` caps the
 worker count); per-row stream keying makes every split bit-identical to
@@ -168,11 +169,12 @@ def _convert(raw: str, annotation) -> object:
 
 
 def _stage(staged: dict[str, dict[str, object]], defaults: dict[str, object],
-           section: str, key: str, raw: str):
+           section: str, key: str, raw: str, command: str):
     """Validate and convert one override; applied later in a single pass so
     cross-field invariants are only checked on the final configuration."""
     if section not in defaults:
-        raise ConfigError(f"unknown config section {section!r}")
+        raise ConfigError(f"{command} reads only config sections "
+                          f"{', '.join(f'[{s}]' for s in defaults)}, not [{section}]")
     fields = {f.name: f for f in dataclasses.fields(defaults[section])}
     if key not in fields:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -182,31 +184,26 @@ def _stage(staged: dict[str, dict[str, object]], defaults: dict[str, object],
         raise ConfigError(f"bad value {raw!r} for {section}.{key}") from None
 
 
-def _stage_bare(staged, defaults, key: str, raw: str, search: tuple[str, ...]):
-    hits = [s for s in search
-            if s in defaults
-            and key in {f.name for f in dataclasses.fields(defaults[s])}]
+def _bare_section(defaults, key: str, search: tuple[str, ...]) -> str:
+    hits = [s for s in search if key in {f.name for f in dataclasses.fields(defaults[s])}]
     if not hits:
         raise ConfigError(f"unknown config key {key!r} (searched sections {list(search)})")
     if len(hits) > 1:
         raise ConfigError(f"ambiguous key {key!r}; qualify as one of "
                           f"{[h + '.' + key for h in hits]}")
-    _stage(staged, defaults, hits[0], key, raw)
+    return hits[0]
 
 
-def _resolve(args, command_section: str | None) -> dict[str, object]:
+def _resolve(args, own: dict[str, type]) -> dict[str, object]:
+    """The sections the command reads: run, scenario and its ``own``."""
     scenario_cls = _SCENARIO_CONFIGS.get(args.scenario)
     if scenario_cls is None:
         raise ConfigError(f"unknown scenario {args.scenario!r}; "
                           f"known: {sorted(_SCENARIO_CONFIGS)}")
-    defaults: dict[str, object] = {
-        "run": RunSettings(),
-        "scenario": scenario_cls(),
-        "train": TrainSettings(),
-        "em": EmSettings(),
-        "sweep": SweepSettings(),
-    }
+    defaults = {"run": RunSettings(), "scenario": scenario_cls(),
+                **{name: cls() for name, cls in own.items()}}
     staged: dict[str, dict[str, object]] = {name: {} for name in defaults}
+    command = args.command
     if args.config:
         parser = configparser.ConfigParser()
         read = parser.read(args.config)
@@ -214,8 +211,8 @@ def _resolve(args, command_section: str | None) -> dict[str, object]:
             raise ConfigError(f"config file not found: {args.config}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                _stage(staged, defaults, section, key, raw)
-    search = ("scenario",) + ((command_section,) if command_section else ()) + ("run",)
+                _stage(staged, defaults, section, key, raw, command)
+    search = ("scenario", *own, "run")
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -223,17 +220,17 @@ def _resolve(args, command_section: str | None) -> dict[str, object]:
         key = key.strip()
         if "." in key:
             section, key = key.split(".", 1)
-            _stage(staged, defaults, section, key, raw)
         else:
-            _stage_bare(staged, defaults, key, raw, search)
+            section = _bare_section(defaults, key, search)
+        _stage(staged, defaults, section, key, raw, command)
     if args.seed is not None:
-        _stage(staged, defaults, "run", "seed", str(args.seed))
+        _stage(staged, defaults, "run", "seed", str(args.seed), command)
     if args.runs is not None:
-        _stage(staged, defaults, "run", "runs", str(args.runs))
+        _stage(staged, defaults, "run", "runs", str(args.runs), command)
     if args.out is not None:
         staged["run"]["out"] = args.out
     if args.horizon is not None:
-        _stage(staged, defaults, "scenario", "horizon", str(args.horizon))
+        _stage(staged, defaults, "scenario", "horizon", str(args.horizon), command)
     sections: dict[str, object] = {}
     for name, cfg in defaults.items():
         try:
@@ -245,8 +242,7 @@ def _resolve(args, command_section: str | None) -> dict[str, object]:
 
 def _dump(sections: dict[str, object], scenario: str) -> None:
     print(f"scenario={scenario}")
-    for name in ("run", "scenario", "train", "em", "sweep"):
-        cfg = sections[name]
+    for name, cfg in sections.items():
         for f in dataclasses.fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, tuple):
@@ -559,15 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ecosim",
         description="Simulate, train, and fit multi-agent recommender ecosystems.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command's config section (searched by bare --set keys) and the one
-    # scenario it supports, if it supports one only, which is its default.
+    # The config sections each command reads besides [run] and [scenario],
+    # and the one scenario it supports, if it supports one only, which is its default.
     for name, fn, section, only, summary in (
-            ("simulate", cmd_simulate, None, None, "sample a trajectory and export CSVs"),
-            ("train-reinforce", cmd_train_reinforce, "train", "porl",
+            ("simulate", cmd_simulate, {}, None, "sample a trajectory and export CSVs"),
+            ("train-reinforce", cmd_train_reinforce, {"train": TrainSettings}, "porl",
              "policy-gradient training curves"),
-            ("fit-em", cmd_fit_em, "em", "latent-sat",
+            ("fit-em", cmd_fit_em, {"em": EmSettings}, "latent-sat",
              "Monte-Carlo EM latent-variable fitting"),
-            ("ecosystem-sweep", cmd_ecosystem_sweep, "sweep", "ecosystem",
+            ("ecosystem-sweep", cmd_ecosystem_sweep, {"sweep": SweepSettings}, "ecosystem",
              "welfare sweep over boost caps")):
         p = sub.add_parser(name, help=summary)
         _add_common(p, default_scenario=only)

@@ -22,7 +22,7 @@ from . import tensor as T
 from .behaviors import ParameterRegistry
 from .core import Network
 from .logprob import log_probability_from_value_trajectory, trajectory_log_prob_rows
-from .rng import RngStream, derive_seed
+from .rng import RngStream, Rows, derive_seed
 from .runtime import Trajectory, trajectory
 from .tensor import Tape, Tensor
 
@@ -148,8 +148,8 @@ def _target_and_grad(target_log_prob: Callable[[Tensor], Tensor], x: np.ndarray)
     return float(lp.data), tape.backward(lp)[xt].data
 
 
-def _momentum(seed: int, proposal: int, shape: tuple[int, ...]) -> np.ndarray:
-    return RngStream(seed, "hmc", "momentum", proposal).normals((1,) + shape).reshape(shape)
+def _momentum(seed: int, proposal: int, shape: tuple[int, ...], rows: Rows) -> np.ndarray:
+    return RngStream(seed, "hmc", "momentum", proposal, rows).normals((1,) + shape).reshape(shape)
 
 
 def _leapfrog(target_log_prob, q: np.ndarray, p: np.ndarray, grad: np.ndarray,
@@ -172,7 +172,9 @@ def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
     """Leapfrog HMC; returns post-burn-in samples and the acceptance rate.
 
     Momentum is resampled per proposal from a unit Gaussian; a proposal
-    with non-finite energy is rejected outright.
+    with non-finite energy is rejected outright.  Proposal i draws its
+    momentum and its acceptance uniform at step i of the chain's streams,
+    whose one ``Rows`` draws later proposals' numbers ahead, as a run does.
     """
     x = np.array(init, dtype=np.float64)
     lp, grad = _target_and_grad(target_log_prob, x)
@@ -181,13 +183,14 @@ def hmc_sample(target_log_prob: Callable[[Tensor], Tensor], init,
     samples: list[np.ndarray] = []
     accepted = 0
     total = cfg.burn_in + cfg.num_samples
+    rows = Rows(None, total - 1)
     for i in range(total):
-        p0 = _momentum(seed, i, x.shape)
+        p0 = _momentum(seed, i, x.shape, rows)
         q, p, lp_q, g = _leapfrog(target_log_prob, x, p0, grad, cfg.step_size,
                                   cfg.num_leapfrog)
         h0 = -lp + 0.5 * float(np.sum(p0 * p0))
         h1 = -lp_q + 0.5 * float(np.sum(p * p))
-        u = RngStream(seed, "hmc", "accept", i).uniforms(1, 1)[0, 0]
+        u = RngStream(seed, "hmc", "accept", i, rows).uniforms(1, 1)[0, 0]
         if np.isfinite(h1) and np.log(u) < h0 - h1:
             x, lp, grad = q, lp_q, g
             took = True

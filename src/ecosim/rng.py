@@ -49,10 +49,12 @@ same pass, one Philox call over a key per step, and the ``Rows`` hold
 their distinct rows, transformed and not yet gathered, until those steps
 ask for them.  They hold at most one pass per field, of at most
 ``_LOOKAHEAD_LANES`` Philox lanes, and only for their own key.  Every
-draw, held or not, is checked as it is made, and runs the one draw path.
-So ``simulate``, the sweep, and the records that ``fit-em`` and REINFORCE
-score all draw ahead; only a standalone stream, whose rows have no
-``last_step`` (HMC's momenta and acceptance draws), draws one step a pass.
+draw, held or not, is checked as it is made, and every first draw of a
+stream takes the one path through :meth:`Rows.ahead`.  So ``simulate``,
+the sweep, the records that ``fit-em`` and REINFORCE score, and HMC's
+chain (``Rows(None, proposals - 1)``) all draw ahead.  A stream made
+without ``Rows`` makes its own, with ``last_step`` 0: a run of one step,
+whose pass is its own step alone.  No other mode remains.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ _LOOKAHEAD_LANES = 2**13
 
 
 class Rows:
-    """A run's row key, checked once, and with ``last_step`` its lookahead.
+    """A run's row key, checked once, and its lookahead up to ``last_step``.
 
     With no ``ids``, batch row ``r`` is the row word ``r``.  A 1-D integer
     array of ids keys it by ``ids[r]``: ``words`` are the sorted distinct
@@ -227,12 +229,14 @@ class Rows:
     no negative one can wrap.  Every stream of a run shares its ``Rows``,
     so the ids are checked and deduplicated once.
 
-    With ``last_step``, the rows hold their run's draws of later steps
+    The rows hold their run's draws of later steps, up to ``last_step``
     (:meth:`ahead`), at most one pass per field.  They are the draws of
-    this key alone: a stream with another key has other ``Rows``.
+    this key alone: a stream with another key has other ``Rows``.  The
+    default ``last_step`` 0 is a run of one step, which draws no step
+    ahead.
     """
 
-    def __init__(self, ids: np.ndarray | None = None, last_step: int | None = None):
+    def __init__(self, ids: np.ndarray | None = None, last_step: int = 0):
         self.ids, self.last_step = None, last_step
         # (variable, path) -> (signature, the next step, its held rows)
         self._held: dict[tuple[str, str], tuple[tuple, int, list]] = {}
@@ -294,16 +298,13 @@ class RngStream:
     blocks are 32-bit counter words: an id must lie in [0, 2^32), and a
     draw may not reach block 2^32 (column 2^33).
 
-    With a ``last_step`` on its :class:`Rows`, the stream's first draw may
-    come from, or make, a pass over later steps (:meth:`Rows.ahead`); the
+    The stream's first draw comes from, or makes, a pass over the steps
+    up to its :class:`Rows`' ``last_step`` (:meth:`Rows.ahead`); the
     numbers are the same.
     """
 
     def __init__(self, root_seed: int, variable: str = "", path: str = "",
                  step: int = 0, rows: np.ndarray | Rows | None = None):
-        key = _key64(root_seed, variable, path, step)
-        self._k0 = key & 0xFFFFFFFF
-        self._k1 = key >> 32
         self._root_seed = root_seed
         self._name = (variable, path, step)
         self._cursor = 0  # per-row uniforms already consumed
@@ -335,7 +336,7 @@ class RngStream:
         if first + blocks > _COUNTER_LIMIT:
             raise self._error(
                 f"block {first + blocks - 1} passes the 32-bit block word")
-        if rows.last_step is not None and self._cursor == 0:
+        if self._cursor == 0:
             distinct = batch if rows.ids is None else rows.words.size
             out = rows.ahead(self, (batch, per_row, transform), distinct * blocks)
         else:
@@ -358,14 +359,10 @@ class RngStream:
         """The uniforms of :meth:`_draw`, in the order of ``Rows.words``
         (of the rows, with no ids).  Its Philox buffers are freed when it
         returns, before any transform."""
-        if steps == 1:  # scalar keys, which numpy applies without broadcasting
-            k0, k1 = np.uint64(self._k0), np.uint64(self._k1)
-        else:
-            variable, path, step = self._name
-            keys = [_key64(self._root_seed, variable, path, s)
-                    for s in range(step, step + steps)]
-            k0 = np.array([k & 0xFFFFFFFF for k in keys], np.uint64)[:, None, None]
-            k1 = np.array([k >> 32 for k in keys], np.uint64)[:, None, None]
+        variable, path, step = self._name
+        keys = [_key64(self._root_seed, variable, path, s) for s in range(step, step + steps)]
+        k0 = np.array([k & 0xFFFFFFFF for k in keys], np.uint64)[:, None, None]
+        k1 = np.array([k >> 32 for k in keys], np.uint64)[:, None, None]
         rows = (self._rows.words if self._rows.ids is not None
                 else np.arange(batch, dtype=np.uint64))
         first, skip = divmod(cursor, 2)

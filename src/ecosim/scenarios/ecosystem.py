@@ -267,8 +267,8 @@ def build_ecosystem_story(cfg: EcosystemConfig, boost_caps=None):
     def _boost_per_item(engagement_prev: np.ndarray | None,
                         assignment: np.ndarray, u: np.ndarray) -> np.ndarray:
         # A cap-0 row clips to -0.0 or 0.0 and adds the +0.0 jitter, so its
-        # adjustments are the +0.0 of the unboosted shortcut.
-        if not caps.any() or engagement_prev is None:
+        # adjustments are +0.0, as at step 0.
+        if engagement_prev is None:
             return np.zeros(assignment.shape)
         gap = engagement_prev.mean(axis=-1, keepdims=True) - engagement_prev
         boost = np.clip(beta * gap, -row_caps, row_caps)

@@ -41,25 +41,22 @@ class PorlConfig:
     quality_scale: float = 0.3     # per-item quality noise around the topic mean
     reward_base: float = 4.0
     reward_quality_gain: float = 2.0
-    reward_affinity_gain: float = 2.0   # engagement lift for well-matched items
-    affinity_offset: float | None = None  # None: sqrt(d + feature_scale^2)
+    reward_affinity_gain: float = 2.0   # lift: gain * (affinity + sqrt(d + feature_scale^2))
     reward_noise: float = 1.0
     record_scale: float = 0.5      # history weight of a consumed topic: centered engagement * this
-    embed_dim: int | None = None   # None: interest_dim, with near-identity init
-    hidden_width: int = 32
+    hidden_width: int = 32         # at least interest_dim, the item embedding's width
 
     def __post_init__(self):
-        for name in ("population", "interest_dim", "corpus_size", "embed_dim",
-                     "history_length"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
+        for name in ("population", "interest_dim", "corpus_size", "history_length"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("quality_scale", "reward_noise"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.noise_scale < 0:  # 0: noise-free interest dynamics
             raise ValueError("noise_scale must be >= 0")
-        if self.hidden_width < (self.embed_dim or self.interest_dim):
-            raise ValueError("hidden_width must be >= embed_dim (default interest_dim)")
+        if self.hidden_width < self.interest_dim:
+            raise ValueError("hidden_width must be >= interest_dim")
         if not 1 <= self.slate_size <= self.corpus_size:
             raise ValueError("slate_size must be in [1, corpus_size]")
         if self.horizon < 2:
@@ -90,28 +87,27 @@ def build_porl_story(cfg: PorlConfig, param_seed: int = 0):
     """
     registry = ParameterRegistry()
     B, d, n, k = cfg.population, cfg.interest_dim, cfg.corpus_size, cfg.slate_size
-    e = cfg.interest_dim if cfg.embed_dim is None else cfg.embed_dim
     hidden = cfg.hidden_width
 
     def normals(name: str, scale: float, shape: tuple[int, int]) -> np.ndarray:
         # Keyed by the parameter's name; entry (r, c) depends on (r, c) only.
         return scale * RngStream(param_seed, "init", name).normals(shape)
 
-    # Identity-pathway initialization: the tanh layer starts in its
+    # Identity-pathway initialization: the item embedding is d wide and
+    # starts near the identity, and the tanh layer starts in its
     # near-linear regime with proj(h) ~ pooled history embedding, so
     # consumption histograms influence scores from the first step.
-    emb_init = normals("item_embedding", 0.1, (d, e))
-    if e == d:
-        emb_init += np.eye(d) / max(cfg.feature_scale, 1.0)
-    w1_init = normals("policy_w1", 0.05, (e + 1, hidden))
-    w1_init[:e, :e] += 0.5 * np.eye(e)
-    w2_init = normals("policy_w2", 0.05, (hidden, e))
-    w2_init[:e, :e] += 2.0 * np.eye(e)
+    emb_init = normals("item_embedding", 0.1, (d, d))
+    emb_init += np.eye(d) / max(cfg.feature_scale, 1.0)
+    w1_init = normals("policy_w1", 0.05, (d + 1, hidden))
+    w1_init[:d, :d] += 0.5 * np.eye(d)
+    w2_init = normals("policy_w2", 0.05, (hidden, d))
+    w2_init[:d, :d] += 2.0 * np.eye(d)
     registry.create("item_embedding", emb_init)
     registry.create("policy_w1", w1_init)
     registry.create("policy_b1", np.zeros(hidden))
     registry.create("policy_w2", w2_init)
-    registry.create("policy_b2", np.zeros(e))
+    registry.create("policy_b2", np.zeros(d))
 
     topic_means = _topic_quality_means(cfg)
     affinity = AffinityModel()
@@ -195,8 +191,7 @@ def build_porl_story(cfg: PorlConfig, param_seed: int = 0):
         slot = T.check_index(choice_v.get("choice"), k, "choice")
         return T._take_last(np.asarray(slate_v.get("doc_ranks")), slot[..., None])
 
-    offset = (np.sqrt(d + cfg.feature_scale**2) if cfg.affinity_offset is None
-              else cfg.affinity_offset)
+    offset = np.sqrt(d + cfg.feature_scale**2)
 
     def engage(choice_v, slate_v, topics_v, corpus_v, state_v):
         doc = _chosen(choice_v, slate_v)

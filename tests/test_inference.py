@@ -17,6 +17,7 @@ from ecosim.inference import (Adam, HmcConfig, InferenceError, ReinforceConfig,
                               reinforce_step)
 from ecosim.logprob import (log_probability_from_value_trajectory, observe,
                             trajectory_log_prob_rows)
+from ecosim.rng import RngStream, Rows
 from ecosim.runtime import Trajectory, trajectory
 from ecosim.scenarios import (LatentSatConfig, PorlConfig, build_latent_sat_story,
                               build_porl_story, sample_true_alpha)
@@ -76,7 +77,7 @@ class TestHmc:
         # halving epsilon (doubling L to keep the path length) cuts |dH| ~4x
         def energy_error(init, step_size, num_leapfrog, seed):
             lp, grad = _target_and_grad(std_gaussian, init)
-            p0 = _momentum(seed, 0, init.shape)
+            p0 = _momentum(seed, 0, init.shape, Rows())
             _, p, lp_q, _ = _leapfrog(std_gaussian, init, p0, grad, step_size, num_leapfrog)
             return abs((-lp_q + 0.5 * np.sum(p * p)) - (-lp + 0.5 * np.sum(p0 * p0)))
 
@@ -110,6 +111,33 @@ class TestHmc:
         assert acceptance == 0.95
         assert hashlib.sha256(np.stack(samples).tobytes()).hexdigest() == \
             "cf9da3e5899646bb0f1cabcf961a3da142577e91cb100465999c7d3ccc5d3a55"
+
+    def test_chain_keyed_draws_equal_standalone_draws(self, monkeypatch):
+        # The chain's one Rows draws later proposals' momenta and uniforms
+        # ahead; each must hold the bits of its proposal's stream alone.
+        drawn, passes = [], []
+
+        class Recorded(RngStream):
+            def uniforms(self, batch, per_row, transform=None):
+                out = super().uniforms(batch, per_row, transform)
+                drawn.append((self._name, batch, per_row, transform, out))
+                return out
+
+            def _distinct_rows(self, batch, cursor, per_row, steps):
+                passes.append((self._name[1], steps))
+                return super()._distinct_rows(batch, cursor, per_row, steps)
+
+        monkeypatch.setattr(inference, "RngStream", Recorded)
+        cfg = HmcConfig(step_size=0.5, num_leapfrog=2, num_samples=6, burn_in=3)
+        hmc_sample(std_gaussian, np.zeros((2, 5)), cfg, seed=11)
+        assert sorted(name for name, *_ in drawn) == sorted(
+            ("hmc", path, i) for path in ("momentum", "accept") for i in range(9))
+        # proposal 0 alone, then proposals 1 .. 8 in one pass per field
+        assert sorted(passes) == [("accept", 1), ("accept", 8),
+                                  ("momentum", 1), ("momentum", 8)]
+        for (variable, path, step), batch, per_row, transform, out in drawn:
+            alone = RngStream(11, variable, path, step).uniforms(batch, per_row, transform)
+            assert out.tobytes() == alone.tobytes(), (path, step)
 
     def test_nonfinite_target_at_init_rejected(self):
         def bad(x):

@@ -64,8 +64,8 @@ COMMANDS = [
     (["simulate", "--scenario", "porl"] + TINY_PORL, "1"),
     (["simulate", "--scenario", "latent-sat"] + TINY_LATENT_SAT, "1"),
     (["simulate", "--scenario", "ecosystem"] + TINY_ECOSYSTEM, "1"),
-    (["train-reinforce"] + TINY_PORL + ["--set", "iterations=2", "--set", "baseline=off",
-                                        "--set", "embed_dim=none"], None),
+    (["train-reinforce"] + TINY_PORL + ["--set", "iterations=2", "--set", "baseline=off"],
+     None),
     (["train-reinforce"] + TINY_PORL + ["--set", "iterations=1", "--runs", "2",
                                         "--set", "train.history_lengths=2,3",
                                         "--set", "learning_rate=0.1"], "1"),

@@ -184,7 +184,8 @@ class TestTwoDoublesPerBlock:
     def test_columns_follow_the_four_words(self):
         stream = RngStream(5, "v", "p", 2, np.arange(9, 12))
         u = stream.uniforms(3, 7)
-        k0, k1 = stream._k0, stream._k1
+        key = _key64(5, "v", "p", 2)
+        k0, k1 = key & 0xFFFFFFFF, key >> 32
         for row in range(3):
             for j in range(4):
                 w = _block((j, 9 + row, 0, 0), k0, k1)
